@@ -22,7 +22,7 @@ print(f"dense symmetric {dim}x{dim}, diagonal in [1, 3]")
 print(f"{'probes':>8}  {'max rel error':>14}")
 for n in (1, 10, 100, 1_000, 10_000, 100_000):
     cfg = ProbeConfig(n_probes=n, distribution="rademacher")
-    est = hutchinson_diag(lambda v: a @ v, dim, cfg, BatchSeed(0, 0, Channel.PROBE))
+    est = hutchinson_diag(lambda V: V @ a, dim, cfg, BatchSeed(0, 0, Channel.PROBE))
     err = np.max(np.abs(est - np.diag(a)) / np.diag(a))
     print(f"{n:>8}  {err:>14.5f}")
 

@@ -179,7 +179,7 @@ def _advance(problem, optimizer, opt_cfg, probe_cfg, state, x, rep_base, k):
     if probe_cfg is not None:
         hseed = BatchSeed(rep_base, k - 1, Channel.HESSIAN_NOISE)
         raw = hutchinson_diag(
-            lambda v, _x=x, _s=hseed: problem.hvp(_x, v, _s),
+            lambda V, _x=x, _s=hseed: problem.hvp(_x, V, _s),
             problem.dim, probe_cfg, BatchSeed(rep_base, k - 1, Channel.PROBE))
         h_clipped = clip_diag(raw, probe_cfg)
     if optimizer == "diag_ocp":
@@ -519,7 +519,7 @@ def verify_probe_unbiasedness(n_probes: int = 100_000, seed: int = 0,
     a[np.diag_indices(dim)] = rng.uniform(1.0, 2.0, dim)
     cfg = ProbeConfig(n_probes=n_probes, distribution="rademacher",
                       clip_lo=1e-12, clip_hi=1e12)
-    est = hutchinson_diag(lambda v: a @ v, dim, cfg,
+    est = hutchinson_diag(lambda V: V @ a, dim, cfg,
                           BatchSeed(seed, 0, Channel.PROBE))
     max_rel = float(np.max(np.abs(est - np.diag(a)) / np.abs(np.diag(a))))
 

@@ -3,6 +3,9 @@
 The estimator is H = (1/N) sum_m v_m * hvp(v_m), elementwise, with probe
 vectors v satisfying E[v v^T] = I. Rademacher probes make the estimate exact
 for diagonal Hessians (v_i^2 = 1); standard-normal probes are the default.
+The N probes of one estimate are drawn up front as an (N, dim) block and
+handed to the HVP oracle in a single call, so an oracle can evaluate them
+together (one noise draw, one stacked gradient pass) instead of one by one.
 Clipping clamps every entry into [clip_lo, clip_hi] so the estimate is a
 positive-definite, bounded diagonal regardless of local curvature.
 """
@@ -52,20 +55,24 @@ def sample_probe(distribution: str, dim: int, seed: BatchSeed) -> np.ndarray:
 
 
 def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed: BatchSeed) -> np.ndarray:
-    """Pre-clipping diagonal estimate: average of v * hvp_fn(v) over probes.
+    """Pre-clipping diagonal estimate: average of v * hvp(v) over probes.
 
-    All n_probes draws come from the one stream addressed by `seed`, so the
-    whole estimate is a deterministic function of (seed, cfg).
+    All n_probes draws come from the one stream addressed by `seed`, one
+    probe after another, so the whole estimate is a deterministic function of
+    (seed, cfg). hvp_fn takes the (n_probes, dim) block of probe rows and
+    must return the (n_probes, dim) block of their Hessian-vector products.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = seed.rng()
+    V = np.empty((cfg.n_probes, dim))
+    for m in range(cfg.n_probes):
+        V[m] = _draw(cfg.distribution, dim, rng)
+    HV = np.asarray(hvp_fn(V), dtype=np.float64)
+    if HV.shape != V.shape:
+        raise ValueError(f"hvp_fn returned shape {HV.shape}, expected {V.shape}")
     acc = np.zeros(dim)
-    for _ in range(cfg.n_probes):
-        v = _draw(cfg.distribution, dim, rng)
-        hv = np.asarray(hvp_fn(v), dtype=np.float64)
-        if hv.shape != (dim,):
-            raise ValueError(f"hvp_fn returned shape {hv.shape}, expected ({dim},)")
+    for v, hv in zip(V, HV):
         acc += v * hv
     return acc / cfg.n_probes
 

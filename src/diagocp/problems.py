@@ -44,8 +44,10 @@ class BatchSeed:
 
     Identical (base_seed, step_index, channel) triples always yield identical
     draws. This is what makes runs replayable, and it lets the
-    central-difference HVP reuse one batch for both of its gradient calls so
-    the sampling noise cancels in the difference.
+    central-difference HVP make one draw per probe block, shared by every
+    gradient it evaluates, so the sampling noise cancels in each difference.
+    Oracles derive a stream only when they sample a minibatch or add gradient
+    noise; a full-batch, noise-free oracle never calls `rng`.
     """
 
     base_seed: int
@@ -78,8 +80,10 @@ class ProblemOracle:
 
     Subclasses fill in the clean full-data `_loss`, `_grad`, and (where an
     analytic form exists) `_hvp_exact`, all taking an optional row-index
-    array; deterministic kinds ignore it. Passing seed=None to the public
-    methods gives the noise-free full-batch value.
+    array; deterministic kinds ignore it. `_grads` evaluates a stack of
+    points for the central-difference HVP, by default one `_grad` per point.
+    Passing seed=None to the public methods gives the noise-free full-batch
+    value.
     """
 
     kind = "?"
@@ -88,43 +92,83 @@ class ProblemOracle:
     hvp_mode = "exact"
     hvp_step_scale = 1e-5
     noise_std_grad = 0.0
+    batch_size = None
 
     # -- public oracle surface -------------------------------------------
 
     def eval_loss(self, x, seed: BatchSeed | None = None) -> float:
         x = self._check(x)
-        rows = self._batch_rows(seed.rng() if seed is not None else None)
+        rows, _ = self._draw(seed)
         return float(self._loss(x, rows))
 
     def eval_grad(self, x, seed: BatchSeed | None = None) -> np.ndarray:
         x = self._check(x)
-        rng = seed.rng() if seed is not None else None
-        g = self._grad(x, self._batch_rows(rng))
-        if self.noise_std_grad > 0.0 and rng is not None:
-            g = g + self.noise_std_grad * rng.standard_normal(self.dim)
-        return g
+        rows, noise = self._draw(seed)
+        g = self._grad(x, rows)
+        return g if noise is None else g + noise
 
     def hvp(self, x, v, seed: BatchSeed | None = None) -> np.ndarray:
-        """Hessian-vector product at x.
+        """Hessian-vector products at x for one direction or a probe block.
 
-        Exact mode is analytic. CentralDifference mode returns
+        v is a (dim,) vector or an (n_probes, dim) block of row directions;
+        the result has v's shape and row j is the product with v[j]. Exact
+        mode is analytic. CentralDifference mode returns
         (g(x + h v) - g(x - h v)) / (2 h) with h = step_scale (1 + ||x||) /
-        (||v|| + tiny), calling eval_grad with the SAME seed on both sides.
-        An all-zero v returns the zero vector.
+        (||v|| + tiny) per row, where every gradient of the block shares the
+        one minibatch and noise draw addressed by `seed`. All 2 n_probes
+        gradients run as one stacked pass where the kind supports it. An
+        all-zero row returns the zero vector; a non-finite point x +- h v
+        raises ValueError.
         """
         x = self._check(x)
-        v = as_params(v)
-        if v.size != self.dim:
-            raise ValueError(f"hvp direction has dim {v.size}, oracle dim {self.dim}")
+        V = np.asarray(v, dtype=np.float64)
+        if V.ndim not in (1, 2) or V.size == 0:
+            raise ValueError("hvp direction must be a nonempty vector or block")
+        if V.shape[-1] != self.dim:
+            raise ValueError(f"hvp direction has dim {V.shape[-1]}, oracle dim {self.dim}")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("hvp direction has non-finite entries")
+        block = np.atleast_2d(V)
         if self.hvp_mode == "exact":
-            return self._hvp_exact(x, v)
-        v_norm = float(np.linalg.norm(v))
-        if v_norm == 0.0:
-            return np.zeros_like(x)
-        h = self.hvp_step_scale * (1.0 + float(np.linalg.norm(x))) / (v_norm + _TINY)
-        g_plus = self.eval_grad(x + h * v, seed)
-        g_minus = self.eval_grad(x - h * v, seed)
-        return (g_plus - g_minus) / (2.0 * h)
+            out = np.stack([self._hvp_exact(x, d) for d in block])
+        else:
+            out = self._hvp_central(x, block, seed)
+        return out if V.ndim == 2 else out[0]
+
+    def _hvp_central(self, x, V, seed):
+        norms = np.array([float(np.linalg.norm(v)) for v in V])
+        live = norms != 0.0
+        if not live.all():
+            out = np.zeros_like(V)
+            if live.any():
+                out[live] = self._hvp_central(x, V[live], seed)
+            return out
+        h = self.hvp_step_scale * (1.0 + float(np.linalg.norm(x))) / (norms + _TINY)
+        steps = h[:, None] * V
+        points = np.concatenate((x + steps, x - steps))
+        if not np.isfinite(points).all():
+            raise ValueError("central-difference point x +- h v has non-finite entries")
+        rows, noise = self._draw(seed)
+        grads = self._grads(points, rows)
+        if noise is not None:
+            grads = grads + noise
+        return (grads[:len(V)] - grads[len(V):]) / (2.0 * h[:, None])
+
+    def _draw(self, seed: BatchSeed | None):
+        """Minibatch rows and additive gradient noise for one draw of `seed`.
+
+        The stream is derived only when the oracle samples a minibatch or
+        adds gradient noise; otherwise the draw is the full training set and
+        no noise, exactly as seed=None gives.
+        """
+        stochastic = self.batch_size is not None or self.noise_std_grad > 0.0
+        if seed is None or not stochastic:
+            return self._batch_rows(None), None
+        rng = seed.rng()
+        rows = self._batch_rows(rng)
+        if self.noise_std_grad > 0.0:
+            return rows, self.noise_std_grad * rng.standard_normal(self.dim)
+        return rows, None
 
     # -- split evaluation for recording ----------------------------------
 
@@ -145,6 +189,10 @@ class ProblemOracle:
 
     def _grad(self, x, rows):
         raise NotImplementedError
+
+    def _grads(self, xs, rows):
+        """Gradients at each row of xs; kinds with a stacked pass override."""
+        return np.stack([self._grad(x, rows) for x in xs])
 
     def _hvp_exact(self, x, v):
         raise ValueError(f"exact HVP not available for kind {self.kind!r}")
@@ -345,11 +393,13 @@ class MlpRegression(_SampleBased):
     # -- parameter packing ------------------------------------------------
 
     def _unpack(self, theta):
+        """(W_l, b_l) views of theta, or stacks of them for a 2-d theta."""
+        lead = theta.shape[:-1]
         layers, off = [], 0
         for a, b in zip(self.sizes, self.sizes[1:]):
-            w = theta[off:off + a * b].reshape(b, a)
+            w = theta[..., off:off + a * b].reshape(lead + (b, a))
             off += a * b
-            layers.append((w, theta[off:off + b]))
+            layers.append((w, theta[..., off:off + b]))
             off += b
         return layers
 
@@ -365,12 +415,16 @@ class MlpRegression(_SampleBased):
     # -- network ----------------------------------------------------------
 
     def _forward(self, theta, X):
-        """Return the list of layer outputs, ending with the predictions."""
+        """Return the list of layer outputs, ending with the predictions.
+
+        theta may carry a leading stack axis; every output past X then
+        carries it too.
+        """
         layers = self._unpack(theta)
         outs = [X]
         z = X
         for i, (w, b) in enumerate(layers):
-            a = z @ w.T + b
+            a = z @ w.swapaxes(-1, -2) + b[..., None, :]
             z = np.maximum(a, 0.0) if i < len(layers) - 1 else a
             outs.append(z)
         return outs
@@ -381,6 +435,11 @@ class MlpRegression(_SampleBased):
         return np.mean(np.sum(diff * diff, axis=1))
 
     def _grad(self, theta, rows):
+        """Backprop gradient; a (P, dim) theta gives (P, dim) gradients.
+
+        A 1-d theta runs plain 2-d matmuls, and each slice of a stacked pass
+        equals its single-theta gradient bit for bit.
+        """
         layers = self._unpack(theta)
         outs = self._forward(theta, self.X[rows])
         n = outs[0].shape[0]
@@ -388,10 +447,13 @@ class MlpRegression(_SampleBased):
         grads = [None] * len(layers)
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            grads[i] = (delta.T @ outs[i], delta.sum(axis=0))
+            gw = delta.swapaxes(-1, -2) @ outs[i]
+            grads[i] = (gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-2))
             if i > 0:
                 delta = (delta @ w) * (outs[i] > 0.0)
-        return np.concatenate([np.concatenate((gw.ravel(), gb)) for gw, gb in grads])
+        return np.concatenate([part for pair in grads for part in pair], axis=-1)
+
+    _grads = _grad
 
     def default_init(self, rng=None):
         if rng is None:

@@ -14,7 +14,8 @@ from diagocp.harness import (HEATMAP_HEADER, STEP_HEADER, SUMMARY_HEADER,
                              run_experiment, summary_rows,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
-from diagocp.problems import NoisyLeastSquares, Quadratic
+from diagocp.problems import (BatchSeed, Channel, MlpRegression,
+                              NoisyLeastSquares, Quadratic)
 
 OCP = OptimizerConfig(alpha=0.05, weight_decay=0.0)
 
@@ -108,6 +109,52 @@ def test_diag_ocp_run_reports_rho():
     (rec,) = run_experiment(quad_run(max_steps=5))
     assert all(r is not None for r in rec.rho[1:])
     assert all(abs(r) <= OCP.safeguard_rho_max for r in rec.rho[1:])
+
+
+def count_streams(monkeypatch):
+    """Record the channel of every BatchSeed stream derived from now on."""
+    channels = []
+    derive = BatchSeed.rng
+
+    def counting(seed):
+        channels.append(seed.channel)
+        return derive(seed)
+
+    monkeypatch.setattr(BatchSeed, "rng", counting)
+    return channels
+
+
+def mlp_run(optimizer, opt_cfg, steps=6, **problem_kwargs):
+    prob = MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, **problem_kwargs)
+    return RunConfig(problem=prob, optimizer=optimizer, opt_cfg=opt_cfg,
+                     max_steps=steps, base_seed=0)
+
+
+MLP_OCP = OptimizerConfig(alpha=0.01, n_probes=4, probe_distribution="rademacher",
+                          safeguard_rho_max=1.0 - 1e-9)
+
+
+def test_full_batch_diag_ocp_derives_only_the_probe_stream(monkeypatch):
+    channels = count_streams(monkeypatch)
+    (rec,) = run_experiment(mlp_run("diag_ocp", MLP_OCP))
+    assert not rec.diverged
+    assert channels == [Channel.PROBE] * 6
+
+
+def test_full_batch_sgd_derives_no_stream(monkeypatch):
+    channels = count_streams(monkeypatch)
+    (rec,) = run_experiment(mlp_run("sgd", BaselineConfig(kind="sgd", lr=0.01)))
+    assert not rec.diverged
+    assert channels == []
+
+
+def test_minibatch_probe_block_derives_one_hessian_stream_per_step(monkeypatch):
+    channels = count_streams(monkeypatch)
+    (rec,) = run_experiment(mlp_run("diag_ocp", MLP_OCP, batch_size=32))
+    assert not rec.diverged
+    assert channels.count(Channel.HESSIAN_NOISE) == 6
+    assert channels.count(Channel.PROBE) == 6
+    assert channels.count(Channel.GRADIENT) == 7  # the step-0 record, then one a step
 
 
 # --- aggregation --------------------------------------------------------------

@@ -5,7 +5,7 @@ from pytest import raises
 
 from diagocp.hessian_probe import (ProbeConfig, clip_diag, hutchinson_diag,
                                    sample_probe)
-from diagocp.problems import BatchSeed, Channel
+from diagocp.problems import BatchSeed, Channel, MlpRegression
 
 
 def test_probe_config_validation():
@@ -47,7 +47,7 @@ def test_hutchinson_unbiased_on_dense_symmetric():
     a = (a + a.T) / 2.0
     a[np.diag_indices(8)] = rng.uniform(1.0, 2.0, 8)
     cfg = ProbeConfig(n_probes=100_000, distribution="rademacher")
-    est = hutchinson_diag(lambda v: a @ v, 8, cfg, BatchSeed(3, 0, Channel.PROBE))
+    est = hutchinson_diag(lambda V: V @ a, 8, cfg, BatchSeed(3, 0, Channel.PROBE))
     rel = np.abs(est - np.diag(a)) / np.abs(np.diag(a))
     assert rel.max() <= 0.05
 
@@ -63,7 +63,26 @@ def test_hutchinson_standard_normal_converges():
 def test_hutchinson_rejects_bad_hvp_shape():
     cfg = ProbeConfig()
     with raises(ValueError):
-        hutchinson_diag(lambda v: v[:2], 4, cfg, BatchSeed(0, 0, Channel.PROBE))
+        hutchinson_diag(lambda V: V[:, :2], 4, cfg, BatchSeed(0, 0, Channel.PROBE))
+
+
+def test_hutchinson_block_equals_per_probe_loop():
+    prob = MlpRegression(n_samples=128, batch_size=32)
+    x = prob.default_init(np.random.default_rng(4))
+    hseed = BatchSeed(5, 2, Channel.HESSIAN_NOISE)
+    pseed = BatchSeed(5, 2, Channel.PROBE)
+    for distribution in ("rademacher", "standard_normal"):
+        cfg = ProbeConfig(n_probes=4, distribution=distribution)
+        est = hutchinson_diag(lambda V: prob.hvp(x, V, hseed), prob.dim, cfg, pseed)
+        rng = pseed.rng()
+        acc = np.zeros(prob.dim)
+        for _ in range(cfg.n_probes):
+            if distribution == "rademacher":
+                v = (rng.integers(0, 2, size=prob.dim) * 2 - 1).astype(np.float64)
+            else:
+                v = rng.standard_normal(prob.dim)
+            acc += v * prob.hvp(x, v, hseed)
+        np.testing.assert_array_equal(est, acc / cfg.n_probes)
 
 
 def test_clip_diag_spec_example():

@@ -247,6 +247,78 @@ def test_mlp_val_loss_differs_from_train():
     assert prob.train_loss(x) != prob.val_loss(x)
 
 
+# --- probe blocks ----------------------------------------------------------
+
+def cd_reference(problem, x, v, seed):
+    """Central difference of two single-point gradient calls, per direction."""
+    v_norm = float(np.linalg.norm(v))
+    if v_norm == 0.0:
+        return np.zeros_like(x)
+    h = problem.hvp_step_scale * (1.0 + float(np.linalg.norm(x))) / (v_norm + 1e-300)
+    return (problem.eval_grad(x + h * v, seed) - problem.eval_grad(x - h * v, seed)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("layer_sizes, kwargs", [
+    ((8, 16, 2), {}),
+    ((8, 16, 2), {"batch_size": 32}),
+    ((8, 16, 2), {"noise_std_grad": 0.1}),
+    ((4, 8, 8, 2), {"batch_size": 32, "noise_std_grad": 0.1}),
+], ids=["full_batch", "minibatch", "grad_noise", "two_hidden"])
+def test_mlp_block_hvp_equals_row_by_row(layer_sizes, kwargs):
+    prob = MlpRegression(layer_sizes=layer_sizes, n_samples=128, **kwargs)
+    rng = np.random.default_rng(21)
+    x = prob.default_init(rng)
+    V = rng.standard_normal((4, prob.dim))
+    seed = BatchSeed(7, 3, Channel.HESSIAN_NOISE)
+    block = prob.hvp(x, V, seed)
+    rows = np.stack([prob.hvp(x, v, seed) for v in V])
+    np.testing.assert_array_equal(block, rows)
+    np.testing.assert_array_equal(
+        rows, np.stack([cd_reference(prob, x, v, seed) for v in V]))
+
+
+def test_mlp_block_hvp_with_a_zero_probe_row():
+    prob = MlpRegression(n_samples=128, batch_size=32, noise_std_grad=0.1)
+    rng = np.random.default_rng(22)
+    x = prob.default_init(rng)
+    V = (rng.integers(0, 2, size=(4, prob.dim)) * 2 - 1).astype(np.float64)
+    V[1] = 0.0
+    seed = BatchSeed(7, 4, Channel.HESSIAN_NOISE)
+    block = prob.hvp(x, V, seed)
+    np.testing.assert_array_equal(block[1], np.zeros(prob.dim))
+    np.testing.assert_array_equal(block, np.stack([prob.hvp(x, v, seed) for v in V]))
+    np.testing.assert_array_equal(prob.hvp(x, np.zeros((2, prob.dim)), seed),
+                                  np.zeros((2, prob.dim)))
+
+
+def test_per_point_fallback_block_hvp_equals_row_by_row():
+    prob = NoisyLeastSquares(n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
+                             hvp_mode="central_difference")
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(6)
+    V = rng.standard_normal((3, 6))
+    seed = BatchSeed(1, 0, Channel.HESSIAN_NOISE)
+    np.testing.assert_array_equal(
+        prob.hvp(x, V, seed), np.stack([cd_reference(prob, x, v, seed) for v in V]))
+
+
+def test_block_hvp_rejects_bad_directions():
+    prob = MlpRegression(n_samples=32)
+    x = prob.default_init(np.random.default_rng(0))
+    for bad in (np.zeros((2, prob.dim - 1)), np.zeros((1, 2, prob.dim)),
+                np.zeros((0, prob.dim)), np.full((2, prob.dim), np.nan)):
+        with raises(ValueError):
+            prob.hvp(x, bad, None)
+
+
+def test_block_hvp_rejects_a_nonfinite_point():
+    prob = MlpRegression(n_samples=32)
+    x = np.full(prob.dim, 1e300)
+    V = np.ones((2, prob.dim))
+    with np.errstate(over="ignore"), raises(ValueError):
+        prob.hvp(x, V, None)
+
+
 # --- factory ---------------------------------------------------------------
 
 def test_make_problem_kinds():
