@@ -21,7 +21,7 @@ base = RunConfig(
                             safeguard_rho_max=1.0 - 1e-9),
     max_steps=150, base_seed=42, n_seeds=3)
 
-ablation = ablate_mu([1e-3, 1e-4, 1e-5], base, threads=4)
+ablation = ablate_mu([1e-3, 1e-4, 1e-5], base)
 
 print(f"{'floor':>16}  {'median final val':>16}  {'diverged':>8}")
 for key in list(ablation.values) + ["control"]:

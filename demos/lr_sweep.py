@@ -20,7 +20,7 @@ base = RunConfig(problem=problem, optimizer="sgd",
                  max_steps=100, base_seed=0, n_seeds=5)
 spec = SweepSpec()  # coarse 1e-1 .. 1e-4, refine {x, x/2, x/10}
 
-result = lr_sweep(spec, base, threads=4)
+result = lr_sweep(spec, base)
 
 print(f"{'lr':>8}  {'stage':>6}  {'median min val':>15}  {'diverged':>8}")
 for row in result.rows:

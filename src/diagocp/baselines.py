@@ -63,7 +63,11 @@ def init_baseline_state(dim: int) -> BaselineState:
 
 def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
                   h_diag=None):
-    """One update of cfg.kind; returns (x_next, state')."""
+    """One update of cfg.kind; returns (x_next, state').
+
+    x, g, h_diag and the state's buffers may be (R, dim) stacks of
+    replicates sharing t; the update is elementwise, row by row.
+    """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if x.shape != state.m.shape or g.shape != state.m.shape:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: run, sweep, ablate-mu, compare, verify {lemma1,rate,hutchinson}.
-Every subcommand takes --config FILE (JSON), --out DIR, --seed N (overrides
-the config's base_seed), and --threads N (falls back to DIAGOCP_THREADS,
-then 1). Exit codes: 0 success / check passed, 1 verification check failed,
-2 configuration or runtime error (a JSON error line goes to stderr).
+Every subcommand takes --config FILE (JSON), --out DIR, and --seed N
+(overrides the config's base_seed). The replicates of a config run together
+as one stacked array, in one process. Exit codes: 0 success / check passed,
+1 verification check failed, 2 configuration or runtime error (a JSON error
+line goes to stderr).
 
 Config documents are flat JSON objects:
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -71,8 +71,11 @@ def _build_optimizer(doc):
     raise ValueError(f"unknown optimizer kind {kind!r}")
 
 
-def _build_run(doc: dict, seed_override: int | None) -> RunConfig:
-    problem = _build_problem(doc.get("problem"))
+def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
+    """RunConfig of a document; `problem`, when given, replaces building
+    the document's own, so compare entries share one problem."""
+    if problem is None:
+        problem = _build_problem(doc.get("problem"))
     key, opt_cfg = _build_optimizer(doc.get("optimizer"))
     base_seed = seed_override if seed_override is not None else doc.get("base_seed", 0)
     return RunConfig(problem=problem, optimizer=key, opt_cfg=opt_cfg,
@@ -97,16 +100,9 @@ def _build_sweep_spec(doc: dict) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get("DIAGOCP_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _cmd_run(args) -> int:
     cfg = _build_run(_load_config(args.config), args.seed)
-    records = run_experiment(cfg, _resolve_threads(args))
+    records = run_experiment(cfg)
     paths = emit_results(records, args.format, args.out)
     n_div = sum(r.diverged for r in records)
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -119,7 +115,7 @@ def _cmd_sweep(args) -> int:
     doc = _load_config(args.config)
     base = _build_run(doc, args.seed)
     spec = _build_sweep_spec(doc)
-    result = lr_sweep(spec, base, _resolve_threads(args))
+    result = lr_sweep(spec, base)
     flat = [rec for lr in sorted(result.records, reverse=True)
             for rec in result.records[lr]]
     paths = emit_results(flat, "csv", args.out)
@@ -137,8 +133,7 @@ def _cmd_ablate_mu(args) -> int:
         raise ValueError("ablate-mu config needs 'mu_values'")
     base = _build_run(doc, args.seed)
     ablation = ablate_mu(doc["mu_values"], base,
-                         control_clip_lo=float(doc.get("control_clip_lo", 1e-12)),
-                         threads=_resolve_threads(args))
+                         control_clip_lo=float(doc.get("control_clip_lo", 1e-12)))
     paths = emit_ablation(ablation, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(f"{len(ablation.values)} clip floors plus control "
@@ -151,7 +146,6 @@ def _cmd_compare(args) -> int:
     if "optimizers" not in doc or not isinstance(doc["optimizers"], list):
         raise ValueError("compare config needs an 'optimizers' list")
     problem = _build_problem(doc.get("problem"))
-    base_seed = args.seed if args.seed is not None else doc.get("base_seed", 0)
     spec = _build_sweep_spec(doc)
     entries = []
     for opt_doc in doc["optimizers"]:
@@ -159,14 +153,8 @@ def _cmd_compare(args) -> int:
         opt_doc = dict(opt_doc)
         opt_doc.setdefault("alpha" if opt_doc.get("kind") == "diag_ocp" else "lr",
                            spec.coarse_grid[0])
-        key, opt_cfg = _build_optimizer(opt_doc)
-        entries.append(RunConfig(
-            problem=problem, optimizer=key, opt_cfg=opt_cfg,
-            max_steps=int(doc.get("max_steps", 100)),
-            base_seed=int(base_seed),
-            n_seeds=int(doc.get("n_seeds", 1)),
-            record_every=int(doc.get("record_every", 1))))
-    result = compare(entries, spec, _resolve_threads(args))
+        entries.append(_build_run({**doc, "optimizer": opt_doc}, args.seed, problem))
+    result = compare(entries, spec)
     flat = [rec for key in sorted(result.records) for rec in result.records[key]]
     paths = emit_results(flat, "csv", args.out)
     paths.append(emit_heatmap(result.sweeps, args.out))
@@ -246,8 +234,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's base seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="replicate parallelism (default: DIAGOCP_THREADS or 1)")
 
     sp = sub.add_parser("run", help="execute one experiment config")
     common(sp)

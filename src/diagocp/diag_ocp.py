@@ -57,7 +57,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """t completed steps plus the raw (uncorrected) EMA moments."""
+    """t completed steps plus the raw (uncorrected) EMA moments, one row
+    per replicate when the moments are (R, dim) stacks."""
 
     t: int
     m: np.ndarray
@@ -65,16 +66,20 @@ class OptimizerState:
 
     @property
     def dim(self) -> int:
-        return self.m.size
+        return self.m.shape[-1]
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    rho: float                # max_i |s_i| after the safeguard (< 1 always)
+    """What one step did. For an (R, dim) stack, the per-row fields hold one
+    value per row, while safeguard_triggered and n_clamped cover the stack."""
+
+    rho: float | np.ndarray     # max_i |s_i| after the safeguard (< 1 always)
     safeguard_triggered: bool
-    n_clamped: int
-    step_norm: float
-    corrected_m_norm: float
+    n_clamped: int              # clamped bases, summed over a stack
+    step_norm: float | np.ndarray
+    corrected_m_norm: float | np.ndarray
+    row_clamped: int | np.ndarray   # clamped bases per row
 
 
 def init_state(dim: int, cfg: OptimizerConfig) -> OptimizerState:
@@ -87,9 +92,11 @@ def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig):
     """Advance both EMAs one step and return (state', m_hat, D_hat).
 
     H must already be clipped into [mu, g_d]; rejecting unclipped input here
-    enforces the clamp-before-EMA ordering. The bias-corrected D_hat is a
-    convex combination of clipped entries, so it lies in [mu, g_d]; the final
-    clip only removes float rounding dust at the interval endpoints.
+    enforces the clamp-before-EMA ordering. g, H and the moments may be
+    (R, dim) stacks; every row advances elementwise. The bias-corrected
+    D_hat is a convex combination of clipped entries, so it lies in
+    [mu, g_d]; the final clip only removes float rounding dust at the
+    interval endpoints.
     """
     g = np.asarray(g, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -110,22 +117,35 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     """Production update: x (1 - alpha lambda) - (1 - s^t')/D_hat * m_hat.
 
     `state` is the post-update_moments state, so state.t is the 1-based step
-    count t'. Returns (x_next, StepDiagnostics); step_norm is ||x_next - x||.
+    count t'. Every operand may be a vector or an (R, dim) stack of rows
+    sharing t'. Returns (x_next, StepDiagnostics); step_norm is
+    ||x_next - x|| (per row).
     """
     x, m_hat, D_hat = _check_step_inputs(state, x, m_hat, D_hat)
     s = 1.0 - cfg.alpha * D_hat
     s_safe = np.clip(s, -cfg.safeguard_rho_max, cfg.safeguard_rho_max)
-    n_clamped = int(np.count_nonzero(s_safe != s))
+    row_clamped = np.count_nonzero(s_safe != s, axis=-1)
+    n_clamped = int(np.sum(row_clamped))
     phi = (1.0 - s_safe ** state.t) / D_hat * m_hat
     x_next = x * (1.0 - cfg.alpha * cfg.weight_decay) - phi
     diagnostics = StepDiagnostics(
-        rho=float(np.max(np.abs(s_safe))),
+        rho=_per_row(np.max(np.abs(s_safe), axis=-1), float),
         safeguard_triggered=n_clamped > 0,
         n_clamped=n_clamped,
-        step_norm=float(np.linalg.norm(x_next - x)),
-        corrected_m_norm=float(np.linalg.norm(m_hat)),
+        step_norm=_norm(x_next - x),
+        corrected_m_norm=_norm(m_hat),
+        row_clamped=_per_row(row_clamped, int),
     )
     return x_next, diagnostics
+
+
+def _per_row(value, scalar):
+    return scalar(value) if np.ndim(value) == 0 else value
+
+
+def _norm(a):
+    """2-norm of a vector, or of each row of a stack."""
+    return float(np.linalg.norm(a)) if a.ndim == 1 else np.linalg.norm(a, axis=-1)
 
 
 def step_recursive_reference(state: OptimizerState, x, m_hat, D_hat,

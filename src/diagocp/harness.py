@@ -4,9 +4,10 @@ verification checks, and CSV/JSON emission.
 
 Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
-BatchSeed(stream_base, step, channel). Runs are therefore embarrassingly
-parallel (each owns its state and RNG streams) and their outputs do not
-depend on scheduling, so `threads` only affects wall time.
+BatchSeed(stream_base, step, channel). Each replicate owns its state and
+RNG streams, so the replicates of a config run together as one (R, dim)
+stack of iterates, and each row's record is the one it would get run alone:
+it does not depend on R or on which other replicates share the stack.
 
 Output schemas (column order is part of the contract):
   steps.csv    run_id,optimizer,lr,mu,seed,step,train_loss,val_loss,
@@ -23,8 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ class RunRecord:
     min_val: float = float("nan")
     min_val_step: int = -1
     diverged: bool = False
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0    # wall time of the whole replicate stack
 
 
 def _replicate_base(base_seed: int, rep: int) -> int:
@@ -167,98 +168,153 @@ def _mu_of(optimizer: str, cfg, probe_cfg: ProbeConfig | None) -> float | None:
     return None
 
 
-def _advance(problem, optimizer, opt_cfg, probe_cfg, state, x, rep_base, k):
-    """One optimizer step at 1-based step index k.
+def _advance(problem, optimizer, opt_cfg, probe_cfg, state, x, bases, k):
+    """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
-    Returns (x_next, state', g, rho, n_clamped); rho is None for first-order
+    Row r draws its noise from the replicate stream bases[r], so it steps
+    exactly as it would alone. Returns (x_next, state', g, rho, clamped)
+    with one rho and clamp count per row; both are None for first-order
     optimizers. The full second-order path is probe -> clip -> moments ->
     closed-form step.
     """
-    g = problem.eval_grad(x, BatchSeed(rep_base, k - 1, Channel.GRADIENT))
+    def seeds(channel):
+        return [BatchSeed(base, k - 1, channel) for base in bases]
+
+    g = problem.eval_grad(x, seeds(Channel.GRADIENT))
     h_clipped = None
     if probe_cfg is not None:
-        hseed = BatchSeed(rep_base, k - 1, Channel.HESSIAN_NOISE)
-        raw = hutchinson_diag(
-            lambda V, _x=x, _s=hseed: problem.hvp(_x, V, _s),
-            problem.dim, probe_cfg, BatchSeed(rep_base, k - 1, Channel.PROBE))
+        hseeds = seeds(Channel.HESSIAN_NOISE)
+        raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
+                              problem.dim, probe_cfg, seeds(Channel.PROBE))
         h_clipped = clip_diag(raw, probe_cfg)
     if optimizer == "diag_ocp":
         state, m_hat, d_hat = update_moments(state, g, h_clipped, opt_cfg)
         x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg)
-        return x_next, state, g, diag.rho, diag.n_clamped
+        return x_next, state, g, diag.rho, diag.row_clamped
     x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=h_clipped)
-    return x_next, state, g, None, 0
+    return x_next, state, g, None, None
 
 
-def _run_single(cfg: RunConfig, rep: int) -> RunRecord:
-    problem = cfg.problem
-    t_start = time.perf_counter()
-    rep_base = _replicate_base(cfg.base_seed, rep)
-    x = cfg.x0.copy() if cfg.x0 is not None else problem.default_init(_init_rng(rep_base))
-    probe_cfg = _probe_cfg_for(cfg.optimizer, cfg.opt_cfg)
-    if cfg.optimizer == "diag_ocp":
-        state = init_state(problem.dim, cfg.opt_cfg)
+def _take(state, rows):
+    """Rows `rows` of a state's (R, dim) buffers, or of a single state's
+    buffers read as one row; the step count t is shared."""
+    return replace(state, **{f.name: np.atleast_2d(getattr(state, f.name))[rows]
+                             for f in fields(state) if f.name != "t"})
+
+
+def _init_stack(problem, optimizer, opt_cfg, bases, x0=None):
+    """Initial (R, dim) iterate stack and stacked optimizer state."""
+    x = np.stack([x0 if x0 is not None else problem.default_init(_init_rng(b))
+                  for b in bases])
+    if optimizer == "diag_ocp":
+        state = init_state(problem.dim, opt_cfg)
     else:
         state = init_baseline_state(problem.dim)
+    return x, _take(state, [0] * len(bases))
+
+
+def _record(rec, k, train, val, gns, stepn, rho, n_clamped):
+    rec.steps.append(k)
+    rec.train_loss.append(train)
+    rec.val_loss.append(val)
+    rec.grad_norm_sq.append(gns)
+    rec.step_norm.append(stepn)
+    rec.rho.append(rho)
+    rec.safeguard_count.append(n_clamped)
+
+
+def run_experiment(cfg: RunConfig) -> list[RunRecord]:
+    """Execute cfg.n_seeds replicates; one RunRecord per seed, in seed order.
+
+    The live replicates advance together as one (R, dim) stack, and each
+    row's record equals the one it would get run alone. A replicate that
+    diverges drops out of the stack. When a stacked step raises ValueError,
+    every row retries the step alone: rows whose own step raises are marked
+    diverged (their iterate or a moment left the representable range), and
+    the rest step again as a stack.
+    """
+    problem = cfg.problem
+    t_start = time.perf_counter()
+    bases = [_replicate_base(cfg.base_seed, rep) for rep in range(cfg.n_seeds)]
+    x, state = _init_stack(problem, cfg.optimizer, cfg.opt_cfg, bases, cfg.x0)
+    probe_cfg = _probe_cfg_for(cfg.optimizer, cfg.opt_cfg)
     lr = _lr_of(cfg.optimizer, cfg.opt_cfg)
     mu = _mu_of(cfg.optimizer, cfg.opt_cfg, probe_cfg)
-    run_id = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}") + f"-s{rep}"
-    rec = RunRecord(run_id=run_id, optimizer=cfg.optimizer, lr=lr, mu=mu, seed=rep)
+    tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
+    recs = [RunRecord(run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer, lr=lr,
+                      mu=mu, seed=rep) for rep in range(cfg.n_seeds)]
+    live = list(recs)   # the record of each stack row
+    step = partial(_advance, problem, cfg.optimizer, cfg.opt_cfg, probe_cfg)
 
-    def record(k, train, val, gns, stepn, rho, n_clamped):
-        rec.steps.append(k)
-        rec.train_loss.append(train)
-        rec.val_loss.append(val)
-        rec.grad_norm_sq.append(gns)
-        rec.step_norm.append(stepn)
-        rec.rho.append(rho)
-        rec.safeguard_count.append(n_clamped)
+    def keep(rows):
+        nonlocal x, state, bases, live
+        if len(rows) < len(live):
+            x, state = x[rows], _take(state, rows)
+            bases = [bases[i] for i in rows]
+            live = [live[i] for i in rows]
 
     inf = float("inf")
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g0 = problem.eval_grad(x, BatchSeed(rep_base, 0, Channel.GRADIENT))
-        record(0, problem.train_loss(x), problem.val_loss(x), float(g0 @ g0), 0.0, None, 0)
+        g0 = problem.eval_grad(x, [BatchSeed(b, 0, Channel.GRADIENT) for b in bases])
+        train, val = problem.train_loss(x), problem.val_loss(x)
+        for i, rec in enumerate(live):
+            _record(rec, 0, float(train[i]), float(val[i]), float(g0[i] @ g0[i]),
+                    0.0, None, 0)
 
         for k in range(1, cfg.max_steps + 1):
             try:
-                x_next, state, g, rho, n_clamped = _advance(
-                    problem, cfg.optimizer, cfg.opt_cfg, probe_cfg, state, x, rep_base, k)
+                x_next, state_next, g, rho, clamped = step(state, x, bases, k)
             except ValueError:
-                # the iterate or a moment left the representable range
-                rec.diverged = True
-                record(k, inf, inf, inf, inf, None, 0)
-                break
-            step_norm = float(np.linalg.norm(x_next - x))
-            gns = float(g @ g)
-            x = x_next
-            if not np.all(np.isfinite(x)):
-                rec.diverged = True
-                record(k, inf, inf, gns, step_norm, rho, n_clamped)
-                break
-            if k % cfg.record_every == 0 or k == cfg.max_steps:
-                train, val = problem.train_loss(x), problem.val_loss(x)
-                record(k, train, val, gns, step_norm, rho, n_clamped)
-                if not (np.isfinite(train) and np.isfinite(val)):
-                    rec.diverged = True
+                # some row left the representable range: retry each row alone,
+                # drop the rows whose own step raises, step the rest together
+                ok = []
+                for i, rec in enumerate(live):
+                    try:
+                        step(_take(state, [i]), x[i:i + 1], bases[i:i + 1], k)
+                        ok.append(i)
+                    except ValueError:
+                        rec.diverged = True
+                        _record(rec, k, inf, inf, inf, inf, None, 0)
+                keep(ok)
+                if not live:
                     break
+                x_next, state_next, g, rho, clamped = step(state, x, bases, k)
+            finite, rows = [], []
+            for i, rec in enumerate(live):
+                row = (float(g[i] @ g[i]), float(np.linalg.norm(x_next[i] - x[i])),
+                       None if rho is None else float(rho[i]),
+                       0 if clamped is None else int(clamped[i]))
+                if np.all(np.isfinite(x_next[i])):
+                    finite.append(i)
+                    rows.append(row)
+                else:
+                    rec.diverged = True
+                    _record(rec, k, inf, inf, *row)
+            x, state = x_next, state_next
+            keep(finite)
+            if live and (k % cfg.record_every == 0 or k == cfg.max_steps):
+                train, val = problem.train_loss(x), problem.val_loss(x)
+                ok = []
+                for i, rec in enumerate(live):
+                    _record(rec, k, float(train[i]), float(val[i]), *rows[i])
+                    if np.isfinite(train[i]) and np.isfinite(val[i]):
+                        ok.append(i)
+                    else:
+                        rec.diverged = True
+                keep(ok)
+            if not live:
+                break
 
-    rec.final_train = rec.train_loss[-1]
-    rec.final_val = rec.val_loss[-1]
-    idx = int(np.argmin(rec.val_loss))
-    rec.min_val = rec.val_loss[idx]
-    rec.min_val_step = rec.steps[idx]
-    rec.wall_ms = (time.perf_counter() - t_start) * 1e3
-    return rec
-
-
-def run_experiment(cfg: RunConfig, threads: int = 1) -> list[RunRecord]:
-    """Execute cfg.n_seeds replicates; one RunRecord per seed, in seed order."""
-    reps = range(cfg.n_seeds)
-    if threads > 1 and cfg.n_seeds > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: _run_single(cfg, r), reps))
-    return [_run_single(cfg, r) for r in reps]
+    wall_ms = (time.perf_counter() - t_start) * 1e3
+    for rec in recs:
+        rec.final_train = rec.train_loss[-1]
+        rec.final_val = rec.val_loss[-1]
+        idx = int(np.argmin(rec.val_loss))
+        rec.min_val = rec.val_loss[idx]
+        rec.min_val_step = rec.steps[idx]
+        rec.wall_ms = wall_ms
+    return recs
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +382,7 @@ def _sweep_metric(records: list[RunRecord], which: str) -> float:
     return float(np.median(vals)) if vals else float("inf")
 
 
-def lr_sweep(spec: SweepSpec, base: RunConfig, threads: int = 1) -> SweepResult:
+def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     """Stage 1 runs every coarse lr; stage 2 refines the winner's decade.
 
     Ties go to the larger lr (grids are evaluated in descending order with a
@@ -340,7 +396,7 @@ def lr_sweep(spec: SweepSpec, base: RunConfig, threads: int = 1) -> SweepResult:
     def run_at(lr: float):
         if lr not in records:
             cfg = replace(base, opt_cfg=_with_lr(base.optimizer, base.opt_cfg, lr))
-            records[lr] = run_experiment(cfg, threads)
+            records[lr] = run_experiment(cfg)
             metrics[lr] = _sweep_metric(records[lr], spec.metric)
 
     best_lr, best_metric = None, float("inf")
@@ -383,8 +439,7 @@ class MuAblation:
     runs: dict   # float mu -> records, plus "control" -> records
 
 
-def ablate_mu(values, base: RunConfig, control_clip_lo: float = 1e-12,
-              threads: int = 1) -> MuAblation:
+def ablate_mu(values, base: RunConfig, control_clip_lo: float = 1e-12) -> MuAblation:
     """One run set per clip floor plus an effectively-unclamped control.
 
     The control keeps a tiny positive floor (default 1e-12) so the
@@ -400,9 +455,9 @@ def ablate_mu(values, base: RunConfig, control_clip_lo: float = 1e-12,
     runs = {}
     for v in values:
         cfg = replace(base, opt_cfg=replace(base.opt_cfg, mu=v))
-        runs[v] = run_experiment(cfg, threads)
+        runs[v] = run_experiment(cfg)
     control = replace(base, opt_cfg=replace(base.opt_cfg, mu=float(control_clip_lo)))
-    runs["control"] = run_experiment(control, threads)
+    runs["control"] = run_experiment(control)
     return MuAblation(values=values, control_clip_lo=float(control_clip_lo), runs=runs)
 
 
@@ -476,15 +531,13 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     t_start = time.perf_counter()
     t_max = T_list[-1]
     probe_cfg = _probe_cfg_for("diag_ocp", opt_cfg)
+    bases = [_replicate_base(base_seed, rep) for rep in range(n_seeds)]
+    x, state = _init_stack(problem, "diag_ocp", opt_cfg, bases)
     acc = np.zeros(t_max)
-    for rep in range(n_seeds):
-        rep_base = _replicate_base(base_seed, rep)
-        x = problem.default_init(_init_rng(rep_base))
-        state = init_state(problem.dim, opt_cfg)
-        for k in range(1, t_max + 1):
-            x, state, _, _, _ = _advance(problem, "diag_ocp", opt_cfg, probe_cfg,
-                                         state, x, rep_base, k)
-            g_true = problem.eval_grad(x, None)
+    for k in range(1, t_max + 1):
+        x, state, _, _, _ = _advance(problem, "diag_ocp", opt_cfg, probe_cfg,
+                                     state, x, bases, k)
+        for g_true in problem.eval_grad(x, None):
             acc[k - 1] += float(g_true @ g_true)
     avg = acc / n_seeds
     mins = [float(np.min(avg[:T])) for T in T_list]
@@ -551,8 +604,7 @@ class CompareResult:
     records: dict       # optimizer -> list[RunRecord] at the selected lr
 
 
-def compare(entries: list[RunConfig], spec: SweepSpec,
-            threads: int = 1) -> CompareResult:
+def compare(entries: list[RunConfig], spec: SweepSpec) -> CompareResult:
     """Tune each optimizer with the staged sweep, then report it at its
     selected lr. Entries must have distinct optimizer keys."""
     keys = [e.optimizer for e in entries]
@@ -562,7 +614,7 @@ def compare(entries: list[RunConfig], spec: SweepSpec,
         raise ValueError("need at least one compare entry")
     sweeps, selected, recs = {}, {}, {}
     for entry in entries:
-        sw = lr_sweep(spec, entry, threads)
+        sw = lr_sweep(spec, entry)
         sweeps[entry.optimizer] = sw
         selected[entry.optimizer] = sw.selected_lr
         recs[entry.optimizer] = sw.records[sw.selected_lr]

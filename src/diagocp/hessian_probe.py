@@ -3,9 +3,11 @@
 The estimator is H = (1/N) sum_m v_m * hvp(v_m), elementwise, with probe
 vectors v satisfying E[v v^T] = I. Rademacher probes make the estimate exact
 for diagonal Hessians (v_i^2 = 1); standard-normal probes are the default.
-The N probes of one estimate are drawn up front as an (N, dim) block and
-handed to the HVP oracle in a single call, so an oracle can evaluate them
-together (one noise draw, one stacked gradient pass) instead of one by one.
+The N probes of one estimate are drawn up front as an (N, dim) block, in one
+call to the stream, and handed to the HVP oracle in a single call, so an
+oracle can evaluate them together (one noise draw, one stacked gradient
+pass) instead of one by one. A stack of R estimates hands over one
+(R, N, dim) array of blocks.
 Clipping clamps every entry into [clip_lo, clip_hi] so the estimate is a
 positive-definite, bounded diagonal regardless of local curvature.
 """
@@ -39,10 +41,12 @@ class ProbeConfig:
             raise ValueError("clip_hi must be >= clip_lo")
 
 
-def _draw(distribution: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+def _draw(distribution: str, shape, rng: np.random.Generator) -> np.ndarray:
+    """Probe entries of the given shape; an (N, dim) block draws the same
+    numbers as N successive (dim,) draws from the same stream."""
     if distribution == "rademacher":
-        return (rng.integers(0, 2, size=dim) * 2 - 1).astype(np.float64)
-    return rng.standard_normal(dim)
+        return (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
+    return rng.standard_normal(shape)
 
 
 def sample_probe(distribution: str, dim: int, seed: BatchSeed) -> np.ndarray:
@@ -54,26 +58,29 @@ def sample_probe(distribution: str, dim: int, seed: BatchSeed) -> np.ndarray:
     return _draw(distribution, dim, seed.rng())
 
 
-def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed: BatchSeed) -> np.ndarray:
+def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
     """Pre-clipping diagonal estimate: average of v * hvp(v) over probes.
 
-    All n_probes draws come from the one stream addressed by `seed`, one
-    probe after another, so the whole estimate is a deterministic function of
-    (seed, cfg). hvp_fn takes the (n_probes, dim) block of probe rows and
-    must return the (n_probes, dim) block of their Hessian-vector products.
+    All n_probes draws come from the one stream addressed by `seed`, so the
+    whole estimate is a deterministic function of (seed, cfg). hvp_fn takes
+    the (n_probes, dim) block of probe rows and must return the
+    (n_probes, dim) block of their Hessian-vector products. For a sequence
+    of R seeds each row draws its block from its own stream, hvp_fn gets
+    the (R, n_probes, dim) stack of blocks, and the result is (R, dim).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = seed.rng()
-    V = np.empty((cfg.n_probes, dim))
-    for m in range(cfg.n_probes):
-        V[m] = _draw(cfg.distribution, dim, rng)
+    shape = (cfg.n_probes, dim)
+    if isinstance(seed, BatchSeed):
+        V = _draw(cfg.distribution, shape, seed.rng())
+    else:
+        V = np.stack([_draw(cfg.distribution, shape, s.rng()) for s in seed])
     HV = np.asarray(hvp_fn(V), dtype=np.float64)
     if HV.shape != V.shape:
         raise ValueError(f"hvp_fn returned shape {HV.shape}, expected {V.shape}")
-    acc = np.zeros(dim)
-    for v, hv in zip(V, HV):
-        acc += v * hv
+    acc = np.zeros(V.shape[:-2] + (dim,))
+    for m in range(cfg.n_probes):
+        acc += V[..., m, :] * HV[..., m, :]
     return acc / cfg.n_probes
 
 

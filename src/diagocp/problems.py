@@ -78,12 +78,15 @@ def as_params(x) -> np.ndarray:
 class ProblemOracle:
     """Common interface: eval_loss / eval_grad / hvp plus split evaluation.
 
-    Subclasses fill in the clean full-data `_loss`, `_grad`, and (where an
-    analytic form exists) `_hvp_exact`, all taking an optional row-index
-    array; deterministic kinds ignore it. `_grads` evaluates a stack of
-    points for the central-difference HVP, by default one `_grad` per point.
-    Passing seed=None to the public methods gives the noise-free full-batch
-    value.
+    Every public method takes one point x of shape (dim,) or a stack of R
+    points of shape (R, dim). A stack takes a sequence of R seeds, one per
+    row, and each row draws exactly the minibatch and noise it would draw
+    alone. Subclasses fill in the clean `_loss`, `_grad`, and (where an
+    analytic form exists) `_hvp_exact` of one point on one batch of data
+    (None for the deterministic kinds). `_losses` and `_grads` evaluate
+    points with leading stack axes, by default one point at a time; kinds
+    with a stacked pass override them. Passing seed=None to the public
+    methods gives the noise-free full-batch value.
     """
 
     kind = "?"
@@ -93,124 +96,173 @@ class ProblemOracle:
     hvp_step_scale = 1e-5
     noise_std_grad = 0.0
     batch_size = None
+    _train_data = None
+    _val_data = None
 
     # -- public oracle surface -------------------------------------------
 
-    def eval_loss(self, x, seed: BatchSeed | None = None) -> float:
-        x = self._check(x)
-        rows, _ = self._draw(seed)
-        return float(self._loss(x, rows))
+    def eval_loss(self, x, seed=None):
+        x = self._check(x, seed)
+        data, _ = self._draw(seed)
+        return _losses_out(self._losses(x, data))
 
-    def eval_grad(self, x, seed: BatchSeed | None = None) -> np.ndarray:
-        x = self._check(x)
-        rows, noise = self._draw(seed)
-        g = self._grad(x, rows)
+    def eval_grad(self, x, seed=None) -> np.ndarray:
+        x = self._check(x, seed)
+        data, noise = self._draw(seed)
+        g = self._grads(x, data)
         return g if noise is None else g + noise
 
-    def hvp(self, x, v, seed: BatchSeed | None = None) -> np.ndarray:
+    def hvp(self, x, v, seed=None) -> np.ndarray:
         """Hessian-vector products at x for one direction or a probe block.
 
-        v is a (dim,) vector or an (n_probes, dim) block of row directions;
-        the result has v's shape and row j is the product with v[j]. Exact
-        mode is analytic. CentralDifference mode returns
+        For one point, v is a (dim,) vector or an (n_probes, dim) block of
+        row directions; a stack of R points takes one such vector or block
+        per point, (R, dim) or (R, n_probes, dim). The result has v's shape
+        and holds the product of each direction with the Hessian at its
+        point. Exact mode is analytic. CentralDifference mode returns
         (g(x + h v) - g(x - h v)) / (2 h) with h = step_scale (1 + ||x||) /
-        (||v|| + tiny) per row, where every gradient of the block shares the
-        one minibatch and noise draw addressed by `seed`. All 2 n_probes
-        gradients run as one stacked pass where the kind supports it. An
-        all-zero row returns the zero vector; a non-finite point x +- h v
-        raises ValueError.
+        (||v|| + tiny) per direction, where every gradient of a point's
+        block shares the one minibatch and noise draw addressed by its seed.
+        All 2 n_probes gradients of every point run as one stacked pass
+        where the kind supports it. An all-zero direction returns the zero
+        vector; a non-finite point x +- h v raises ValueError.
         """
-        x = self._check(x)
+        x = self._check(x, seed)
         V = np.asarray(v, dtype=np.float64)
-        if V.ndim not in (1, 2) or V.size == 0:
-            raise ValueError("hvp direction must be a nonempty vector or block")
+        if (V.ndim not in (x.ndim, x.ndim + 1) or V.size == 0
+                or V.shape[:x.ndim - 1] != x.shape[:-1]):
+            raise ValueError("hvp direction must be a nonempty vector or block per point")
         if V.shape[-1] != self.dim:
             raise ValueError(f"hvp direction has dim {V.shape[-1]}, oracle dim {self.dim}")
         if not np.all(np.isfinite(V)):
             raise ValueError("hvp direction has non-finite entries")
-        block = np.atleast_2d(V)
+        block = V if V.ndim == x.ndim + 1 else V[..., None, :]
         if self.hvp_mode == "exact":
-            out = np.stack([self._hvp_exact(x, d) for d in block])
+            out = self._hvps_exact(x, block)
         else:
             out = self._hvp_central(x, block, seed)
-        return out if V.ndim == 2 else out[0]
+        return out.reshape(V.shape)
+
+    def _hvps_exact(self, x, V):
+        if x.ndim == 2:
+            return np.stack([self._hvps_exact(xr, Vr) for xr, Vr in zip(x, V)])
+        return np.stack([self._hvp_exact(x, d) for d in V])
 
     def _hvp_central(self, x, V, seed):
-        norms = np.array([float(np.linalg.norm(v)) for v in V])
-        live = norms != 0.0
-        if not live.all():
+        norms = _row_norms(V)
+        if not (norms != 0.0).all():
+            if x.ndim == 2:
+                seeds = [None] * len(x) if seed is None else seed
+                return np.stack([self._hvp_central(xr, Vr, s)
+                                 for xr, Vr, s in zip(x, V, seeds)])
+            live = norms != 0.0
             out = np.zeros_like(V)
             if live.any():
                 out[live] = self._hvp_central(x, V[live], seed)
             return out
-        h = self.hvp_step_scale * (1.0 + float(np.linalg.norm(x))) / (norms + _TINY)
-        steps = h[:, None] * V
-        points = np.concatenate((x + steps, x - steps))
+        h = self.hvp_step_scale * (1.0 + _row_norms(x)[..., None]) / (norms + _TINY)
+        steps = h[..., None] * V
+        at = x[..., None, :]
+        points = np.concatenate((at + steps, at - steps), axis=-2)
         if not np.isfinite(points).all():
             raise ValueError("central-difference point x +- h v has non-finite entries")
-        rows, noise = self._draw(seed)
-        grads = self._grads(points, rows)
+        data, noise = self._draw(seed)
+        grads = self._grads(points, data)
         if noise is not None:
-            grads = grads + noise
-        return (grads[:len(V)] - grads[len(V):]) / (2.0 * h[:, None])
+            grads = grads + noise[..., None, :]
+        n = V.shape[-2]
+        return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
 
-    def _draw(self, seed: BatchSeed | None):
-        """Minibatch rows and additive gradient noise for one draw of `seed`.
+    def _draw(self, seed):
+        """Batch data and additive gradient noise for one draw of `seed`.
 
-        The stream is derived only when the oracle samples a minibatch or
-        adds gradient noise; otherwise the draw is the full training set and
-        no noise, exactly as seed=None gives.
+        For a sequence of seeds (a stack) the noise is an (R, dim) array and
+        sampled minibatches come as a list of one batch per row. A stream is
+        derived only when the oracle samples a minibatch or adds gradient
+        noise; otherwise the draw is the full training split and no noise,
+        exactly as seed=None gives.
         """
         stochastic = self.batch_size is not None or self.noise_std_grad > 0.0
         if seed is None or not stochastic:
-            return self._batch_rows(None), None
+            return self._train_data, None
+        if not isinstance(seed, BatchSeed):
+            data, noise = zip(*(self._draw(s) for s in seed))
+            return (self._train_data if self.batch_size is None else list(data),
+                    None if noise[0] is None else np.stack(noise))
         rng = seed.rng()
-        rows = self._batch_rows(rng)
+        data = self._batch(rng) if self.batch_size is not None else self._train_data
         if self.noise_std_grad > 0.0:
-            return rows, self.noise_std_grad * rng.standard_normal(self.dim)
-        return rows, None
+            return data, self.noise_std_grad * rng.standard_normal(self.dim)
+        return data, None
 
     # -- split evaluation for recording ----------------------------------
 
-    def train_loss(self, x) -> float:
-        return float(self._loss(self._check(x), self._train_rows()))
+    def train_loss(self, x):
+        """Training-split loss: a float, or one value per row of a stack."""
+        return _losses_out(self._losses(self._check(x), self._train_data))
 
-    def val_loss(self, x) -> float:
+    def val_loss(self, x):
         """Held-out loss; deterministic kinds report the train loss."""
-        return float(self._loss(self._check(x), self._val_rows()))
+        return _losses_out(self._losses(self._check(x), self._val_data))
 
     def default_init(self, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
 
     # -- subclass hooks ---------------------------------------------------
 
-    def _loss(self, x, rows):
+    def _loss(self, x, data):
         raise NotImplementedError
 
-    def _grad(self, x, rows):
+    def _grad(self, x, data):
         raise NotImplementedError
 
-    def _grads(self, xs, rows):
-        """Gradients at each row of xs; kinds with a stacked pass override."""
-        return np.stack([self._grad(x, rows) for x in xs])
+    def _losses(self, xs, data):
+        """Losses at every point of xs; kinds with a stacked pass override."""
+        return _per_point(self._loss, xs, data)
+
+    def _grads(self, xs, data):
+        """Gradients at every point of xs; kinds with a stacked pass override."""
+        return _per_point(self._grad, xs, data)
 
     def _hvp_exact(self, x, v):
         raise ValueError(f"exact HVP not available for kind {self.kind!r}")
 
-    def _batch_rows(self, rng):
-        return None
-
-    def _train_rows(self):
-        return None
-
-    def _val_rows(self):
-        return None
-
-    def _check(self, x) -> np.ndarray:
-        x = as_params(x)
-        if x.size != self.dim:
-            raise ValueError(f"x has dim {x.size}, oracle dim {self.dim}")
+    def _check(self, x, seed=None) -> np.ndarray:
+        """Validate one point, or a stack of R >= 1 points with R seeds."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2 and len(x):
+            if not np.all(np.isfinite(x)):
+                raise ValueError("parameter stack has non-finite entries")
+            if isinstance(seed, BatchSeed) or seed is not None and len(seed) != len(x):
+                raise ValueError(f"a stack of {len(x)} points needs {len(x)} seeds")
+        else:
+            x = as_params(x)
+            if seed is not None and not isinstance(seed, BatchSeed):
+                raise ValueError("a single point takes one BatchSeed")
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"x has dim {x.shape[-1]}, oracle dim {self.dim}")
         return x
+
+
+def _per_point(fn, xs, data):
+    """fn(x, data) at every point of xs (any leading axes). A list `data`
+    holds one batch per entry of the first axis; any other value is shared."""
+    if xs.ndim == 1:
+        return fn(xs, data)
+    if isinstance(data, list):
+        return np.stack([_per_point(fn, x, d) for x, d in zip(xs, data)])
+    return np.stack([_per_point(fn, x, data) for x in xs])
+
+
+def _row_norms(a):
+    """The 2-norm of each last-axis row, one `np.linalg.norm` call per row
+    (a reduction over axis=-1 may round differently)."""
+    return np.array([float(np.linalg.norm(r)) for r in a.reshape(-1, a.shape[-1])]
+                    ).reshape(a.shape[:-1])
+
+
+def _losses_out(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 class Quadratic(ProblemOracle):
@@ -230,10 +282,10 @@ class Quadratic(ProblemOracle):
         self.hvp_mode = _check_hvp_mode(hvp_mode)
         self.hvp_step_scale = float(hvp_step_scale)
 
-    def _loss(self, x, rows):
+    def _loss(self, x, data):
         return 0.5 * np.sum(self.h * x * x)
 
-    def _grad(self, x, rows):
+    def _grad(self, x, data):
         return self.h * x
 
     def _hvp_exact(self, x, v):
@@ -254,11 +306,11 @@ class Rosenbrock2D(ProblemOracle):
         self.hvp_mode = _check_hvp_mode(hvp_mode)
         self.hvp_step_scale = float(hvp_step_scale)
 
-    def _loss(self, x, rows):
+    def _loss(self, x, data):
         a, b = x
         return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
 
-    def _grad(self, x, rows):
+    def _grad(self, x, data):
         a, b = x
         return np.array(
             [-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]
@@ -275,13 +327,19 @@ class Rosenbrock2D(ProblemOracle):
 
 
 class _SampleBased(ProblemOracle):
-    """Shared dataset plumbing: split, mini-batch selection, row losses."""
+    """Shared dataset plumbing: split, mini-batch selection, row losses.
+
+    A batch is an (inputs, targets) pair of row arrays. The training and
+    validation splits are gathered once at construction, so full-batch
+    gradients and recorded losses read them without a copy.
+    """
 
     sample_based = True
 
-    def _setup_split(self, rng, n_samples, val_fraction, batch_size):
+    def _setup_split(self, rng, inputs, targets, val_fraction, batch_size):
         if not 0.0 <= val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
+        n_samples = len(inputs)
         perm = rng.permutation(n_samples)
         n_val = int(round(val_fraction * n_samples))
         if n_samples - n_val < 1:
@@ -293,17 +351,16 @@ class _SampleBased(ProblemOracle):
             if not 1 <= batch_size <= self._train_idx.size:
                 raise ValueError("batch_size must be in [1, n_train]")
         self.batch_size = batch_size
+        self._inputs, self._targets = inputs, targets
+        self._train_data = self._rows(self._train_idx)
+        self._val_data = self._rows(self._val_idx) if n_val else self._train_data
 
-    def _batch_rows(self, rng):
-        if self.batch_size is None or rng is None:
-            return self._train_idx
-        return rng.choice(self._train_idx, size=self.batch_size, replace=False)
+    def _rows(self, idx):
+        return self._inputs[idx], self._targets[idx]
 
-    def _train_rows(self):
-        return self._train_idx
-
-    def _val_rows(self):
-        return self._val_idx if self._val_idx.size else self._train_idx
+    def _batch(self, rng):
+        return self._rows(rng.choice(self._train_idx, size=self.batch_size,
+                                     replace=False))
 
 
 class NoisyLeastSquares(_SampleBased):
@@ -325,22 +382,24 @@ class NoisyLeastSquares(_SampleBased):
         self.A = rng.standard_normal((int(n_samples), self.dim))
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + float(noise_std) * rng.standard_normal(int(n_samples))
-        self._setup_split(rng, int(n_samples), float(val_fraction), batch_size)
+        self._setup_split(rng, self.A, self.y, float(val_fraction), batch_size)
         self.noise_std_grad = float(noise_std_grad)
         self.hvp_mode = _check_hvp_mode(hvp_mode)
         self.hvp_step_scale = float(hvp_step_scale)
 
-    def _loss(self, x, rows):
-        r = self.A[rows] @ x - self.y[rows]
+    def _loss(self, x, data):
+        A, y = data
+        r = A @ x - y
         return np.mean(r * r)
 
-    def _grad(self, x, rows):
-        r = self.A[rows] @ x - self.y[rows]
-        return (2.0 / r.size) * (self.A[rows].T @ r)
+    def _grad(self, x, data):
+        A, y = data
+        r = A @ x - y
+        return (2.0 / r.size) * (A.T @ r)
 
     def _hvp_exact(self, x, v):
-        rows = self._train_idx
-        return (2.0 / rows.size) * (self.A[rows].T @ (self.A[rows] @ v))
+        A, _ = self._train_data
+        return (2.0 / len(A)) * (A.T @ (A @ v))
 
     def default_init(self, rng=None):
         return np.zeros(self.dim)
@@ -386,14 +445,15 @@ class MlpRegression(_SampleBased):
         rng = np.random.default_rng(np.random.SeedSequence(int(teacher_seed) & _SEED_MASK))
         self.X = rng.standard_normal((int(n_samples), sizes[0]))
         teacher = self._kaiming(rng)
-        self.Y = self._forward(teacher, self.X)[-1]
+        self.Y = self._forward(self._unpack(teacher), self.X)[-1]
         self.Y = self.Y + float(label_noise_std) * rng.standard_normal(self.Y.shape)
-        self._setup_split(rng, int(n_samples), float(val_fraction), batch_size)
+        self._setup_split(rng, self.X, self.Y, float(val_fraction), batch_size)
 
     # -- parameter packing ------------------------------------------------
 
     def _unpack(self, theta):
-        """(W_l, b_l) views of theta, or stacks of them for a 2-d theta."""
+        """(W_l, b_l) views of theta, or stacks of them when theta has
+        leading stack axes."""
         lead = theta.shape[:-1]
         layers, off = [], 0
         for a, b in zip(self.sizes, self.sizes[1:]):
@@ -414,13 +474,12 @@ class MlpRegression(_SampleBased):
 
     # -- network ----------------------------------------------------------
 
-    def _forward(self, theta, X):
+    def _forward(self, layers, X):
         """Return the list of layer outputs, ending with the predictions.
 
-        theta may carry a leading stack axis; every output past X then
-        carries it too.
+        The layers may carry leading stack axes; every output past X then
+        carries them too.
         """
-        layers = self._unpack(theta)
         outs = [X]
         z = X
         for i, (w, b) in enumerate(layers):
@@ -429,21 +488,37 @@ class MlpRegression(_SampleBased):
             outs.append(z)
         return outs
 
-    def _loss(self, theta, rows):
-        pred = self._forward(theta, self.X[rows])[-1]
-        diff = pred - self.Y[rows]
-        return np.mean(np.sum(diff * diff, axis=1))
+    @staticmethod
+    def _batch_for(theta, data):
+        """(inputs, targets) broadcastable against theta's leading axes.
 
-    def _grad(self, theta, rows):
-        """Backprop gradient; a (P, dim) theta gives (P, dim) gradients.
+        A list holds one batch per entry of theta's first axis; it is
+        stacked along that axis, with unit axes for any further stack axes.
+        """
+        if not isinstance(data, list):
+            return data
+        lead = (len(data),) + (1,) * (theta.ndim - 2)
+        return tuple(np.stack(arrs).reshape(lead + arrs[0].shape) for arrs in zip(*data))
+
+    def _loss(self, theta, data):
+        """Mean summed squared error; leading axes of theta give one loss
+        per point, and each equals its single-theta loss bit for bit."""
+        X, Y = self._batch_for(theta, data)
+        diff = self._forward(self._unpack(theta), X)[-1] - Y
+        return np.mean(np.sum(diff * diff, axis=-1), axis=-1)
+
+    def _grad(self, theta, data):
+        """Backprop gradient; leading axes of theta give one gradient per
+        point, on shared or per-row batches.
 
         A 1-d theta runs plain 2-d matmuls, and each slice of a stacked pass
         equals its single-theta gradient bit for bit.
         """
         layers = self._unpack(theta)
-        outs = self._forward(theta, self.X[rows])
-        n = outs[0].shape[0]
-        delta = (2.0 / n) * (outs[-1] - self.Y[rows])
+        X, Y = self._batch_for(theta, data)
+        outs = self._forward(layers, X)
+        n = X.shape[-2]
+        delta = (2.0 / n) * (outs[-1] - Y)
         grads = [None] * len(layers)
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
@@ -454,6 +529,7 @@ class MlpRegression(_SampleBased):
         return np.concatenate([part for pair in grads for part in pair], axis=-1)
 
     _grads = _grad
+    _losses = _loss
 
     def default_init(self, rng=None):
         if rng is None:

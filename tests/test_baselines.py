@@ -166,3 +166,20 @@ def test_state_is_not_mutated_in_place():
     baseline_step(state, np.ones(2), np.ones(2), cfg)
     np.testing.assert_array_equal(state.m, m0)
     assert state.t == 0
+
+
+@mark.parametrize("kind", BASELINE_KINDS)
+def test_stacked_step_equals_each_row_alone(kind):
+    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01, momentum=0.5)
+    rng = np.random.default_rng(3)
+    X, G = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    Hd = rng.uniform(0.1, 2.0, (3, 4))
+    state = BaselineState(t=4, m=rng.standard_normal((3, 4)),
+                          v=rng.uniform(0.1, 1.0, (3, 4)))
+    x_next, nxt = baseline_step(state, X, G, cfg, h_diag=Hd)
+    for r in range(3):
+        alone = BaselineState(t=4, m=state.m[r], v=state.v[r])
+        x_r, s_r = baseline_step(alone, X[r], G[r], cfg, h_diag=Hd[r])
+        np.testing.assert_array_equal(x_next[r], x_r)
+        np.testing.assert_array_equal(nxt.m[r], s_r.m)
+        np.testing.assert_array_equal(nxt.v[r], s_r.v)

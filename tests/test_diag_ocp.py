@@ -255,3 +255,30 @@ def test_coefficient_approaches_inverse_curvature():
     assert np.all(np.diff(cs) > 0)            # monotone in t
     assert np.all(cs < 1.0 / d)               # from below
     assert cs[-1] == approx(1.0 / d, rel=0.01)  # within 1% by t = 50
+
+
+# --- stacks of replicates ----------------------------------------------------
+
+def test_stacked_moments_and_step_equal_each_row_alone():
+    cfg = OptimizerConfig(alpha=0.5, mu=1e-3, g_d=10.0, weight_decay=0.01,
+                          safeguard_rho_max=0.9)
+    rng = np.random.default_rng(8)
+    dim, rows = 5, 3
+    X, G = rng.standard_normal((rows, dim)), rng.standard_normal((rows, dim))
+    H = rng.uniform(1e-3, 10.0, (rows, dim))
+    stacked = OptimizerState(t=2, m=rng.standard_normal((rows, dim)),
+                             D=rng.uniform(1e-3, 10.0, (rows, dim)))
+    state, m_hat, d_hat = update_moments(stacked, G, H, cfg)
+    x_next, diag = step_closed_form(state, X, m_hat, d_hat, cfg)
+    assert state.dim == dim
+    for r in range(rows):
+        alone = OptimizerState(t=2, m=stacked.m[r], D=stacked.D[r])
+        s_r, m_r, d_r = update_moments(alone, G[r], H[r], cfg)
+        x_r, diag_r = step_closed_form(s_r, X[r], m_r, d_r, cfg)
+        np.testing.assert_array_equal(state.m[r], s_r.m)
+        np.testing.assert_array_equal(state.D[r], s_r.D)
+        np.testing.assert_array_equal(x_next[r], x_r)
+        assert diag.rho[r] == diag_r.rho
+        assert diag.row_clamped[r] == diag_r.n_clamped == diag_r.row_clamped
+    assert diag.n_clamped == sum(diag.row_clamped) > 0
+    assert diag.safeguard_triggered

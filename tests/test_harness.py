@@ -1,21 +1,26 @@
 import csv
 import json
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
+import pytest
 from pytest import approx, raises
 
 from diagocp import cli
-from diagocp.baselines import BaselineConfig
-from diagocp.diag_ocp import OptimizerConfig
+from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
+from diagocp.diag_ocp import (OptimizerConfig, init_state, step_closed_form,
+                              update_moments)
 from diagocp.harness import (HEATMAP_HEADER, STEP_HEADER, SUMMARY_HEADER,
                              CompareResult, RunConfig, RunRecord, SweepSpec,
-                             _aggregate, ablate_mu, compare, emit_ablation,
-                             emit_heatmap, emit_results, emit_sweep, lr_sweep,
-                             run_experiment, summary_rows,
+                             _aggregate, _init_rng, _replicate_base, ablate_mu,
+                             compare, emit_ablation, emit_heatmap, emit_results,
+                             emit_sweep, lr_sweep, run_experiment, summary_rows,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
+from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
-                              NoisyLeastSquares, Quadratic)
+                              NoisyLeastSquares, Quadratic, Rosenbrock2D)
 
 OCP = OptimizerConfig(alpha=0.05, weight_decay=0.0)
 
@@ -79,14 +84,6 @@ def test_run_experiment_is_deterministic():
     for ra, rb in zip(a, b):
         assert ra.train_loss == rb.train_loss
         assert ra.grad_norm_sq == rb.grad_norm_sq
-
-
-def test_threads_do_not_change_results():
-    serial = run_experiment(noisy_run(max_steps=30, n_seeds=4), threads=1)
-    pooled = run_experiment(noisy_run(max_steps=30, n_seeds=4), threads=4)
-    for rs, rp in zip(serial, pooled):
-        assert rs.seed == rp.seed
-        assert rs.train_loss == rp.train_loss
 
 
 def test_seeds_differ_but_share_the_dataset():
@@ -155,6 +152,169 @@ def test_minibatch_probe_block_derives_one_hessian_stream_per_step(monkeypatch):
     assert channels.count(Channel.HESSIAN_NOISE) == 6
     assert channels.count(Channel.PROBE) == 6
     assert channels.count(Channel.GRADIENT) == 7  # the step-0 record, then one a step
+
+
+# --- stacked execution ----------------------------------------------------------
+
+def reference_run(cfg, rep):
+    """Replicate `rep` run alone on 1-d vectors through the public oracle and
+    optimizer functions: the per-replicate loop that the stacked harness
+    reproduces bit for bit. Returns (record rows, divergence path or None)."""
+    prob, opt, ocfg = cfg.problem, cfg.optimizer, cfg.opt_cfg
+    base = _replicate_base(cfg.base_seed, rep)
+    x = cfg.x0.copy() if cfg.x0 is not None else prob.default_init(_init_rng(base))
+    if opt == "diag_ocp":
+        probe = ProbeConfig(n_probes=ocfg.n_probes, distribution=ocfg.probe_distribution,
+                            clip_lo=ocfg.mu, clip_hi=ocfg.g_d)
+        state = init_state(prob.dim, ocfg)
+    else:
+        probe = ProbeConfig(distribution="rademacher") if opt == "adahessian" else None
+        state = init_baseline_state(prob.dim)
+    inf = float("inf")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = prob.eval_grad(x, BatchSeed(base, 0, Channel.GRADIENT))
+        rows = [(0, prob.train_loss(x), prob.val_loss(x), float(g @ g), 0.0, None, 0)]
+        for k in range(1, cfg.max_steps + 1):
+            seed = partial(BatchSeed, base, k - 1)
+            try:
+                g = prob.eval_grad(x, seed(Channel.GRADIENT))
+                h = None
+                if probe is not None:
+                    raw = hutchinson_diag(
+                        lambda V: prob.hvp(x, V, seed(Channel.HESSIAN_NOISE)),
+                        prob.dim, probe, seed(Channel.PROBE))
+                    h = clip_diag(raw, probe)
+                if opt == "diag_ocp":
+                    state, m_hat, d_hat = update_moments(state, g, h, ocfg)
+                    x_next, diag = step_closed_form(state, x, m_hat, d_hat, ocfg)
+                    rho, n_clamped = diag.rho, diag.n_clamped
+                else:
+                    x_next, state = baseline_step(state, x, g, ocfg, h_diag=h)
+                    rho, n_clamped = None, 0
+            except ValueError:
+                rows.append((k, inf, inf, inf, inf, None, 0))
+                return rows, "raise"
+            tail = (float(g @ g), float(np.linalg.norm(x_next - x)), rho, n_clamped)
+            x = x_next
+            if not np.all(np.isfinite(x)):
+                rows.append((k, inf, inf) + tail)
+                return rows, "iterate"
+            if k % cfg.record_every == 0 or k == cfg.max_steps:
+                train, val = prob.train_loss(x), prob.val_loss(x)
+                rows.append((k, train, val) + tail)
+                if not (np.isfinite(train) and np.isfinite(val)):
+                    return rows, "loss"
+    return rows, None
+
+
+def record_rows(rec):
+    return list(zip(rec.steps, rec.train_loss, rec.val_loss, rec.grad_norm_sq,
+                    rec.step_norm, rec.rho, rec.safeguard_count))
+
+
+def assert_matches_reference(cfg):
+    """Every stacked record equals its replicate's reference run exactly;
+    returns the reference divergence paths."""
+    recs = run_experiment(cfg)
+    assert [r.seed for r in recs] == list(range(cfg.n_seeds))
+    paths = []
+    for rep, rec in enumerate(recs):
+        rows, path = reference_run(cfg, rep)
+        np.testing.assert_equal(record_rows(rec), rows)
+        assert rec.diverged == (path is not None)
+        assert rec.final_val == rows[-1][2]
+        paths.append(path)
+    return paths
+
+
+class RandomStartRosenbrock(Rosenbrock2D):
+    """Rosenbrock from a seeded start in [-3, 3]^2, so replicates start apart."""
+
+    def default_init(self, rng=None):
+        return rng.uniform(-3.0, 3.0, 2)
+
+
+MLP_SMALL = dict(layer_sizes=(4, 8, 2), n_samples=64)
+STACK_CASES = {
+    "quadratic-noise-diag_ocp": (
+        lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1), "diag_ocp",
+        OptimizerConfig(alpha=0.05, weight_decay=0.01, n_probes=2,
+                        probe_distribution="rademacher")),
+    "rosenbrock-cd-adahessian": (
+        lambda: Rosenbrock2D(hvp_mode="central_difference", noise_std_grad=0.01),
+        "adahessian", BaselineConfig(kind="adahessian", lr=0.05)),
+    "least_squares-minibatch-sgd": (
+        lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+                                  noise_std_grad=0.05),
+        "sgd", BaselineConfig(kind="sgd", lr=0.05, momentum=0.9)),
+    "least_squares-minibatch-diag_ocp": (
+        lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+                                  noise_std_grad=0.05, hvp_mode="central_difference"),
+        "diag_ocp", OptimizerConfig(alpha=0.05, n_probes=3)),
+    "mlp-full-diag_ocp": (
+        lambda: MlpRegression(**MLP_SMALL), "diag_ocp",
+        OptimizerConfig(alpha=0.01, safeguard_rho_max=1.0 - 1e-9)),
+    "mlp-full-adam": (
+        lambda: MlpRegression(**MLP_SMALL), "adam",
+        BaselineConfig(kind="adam", lr=0.01, weight_decay=0.008)),
+    "mlp-minibatch-diag_ocp": (
+        lambda: MlpRegression(batch_size=32, **MLP_SMALL), "diag_ocp", MLP_OCP),
+    "mlp-minibatch-radam": (
+        lambda: MlpRegression(batch_size=32, noise_std_grad=0.05, **MLP_SMALL), "radam",
+        BaselineConfig(kind="radam", lr=0.01)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_run_equals_per_replicate_reference(case):
+    make, optimizer, opt_cfg = STACK_CASES[case]
+    cfg = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
+                    max_steps=12, base_seed=5, n_seeds=3, record_every=5)
+    assert assert_matches_reference(cfg) == [None] * 3
+
+
+# From scattered starts some replicates diverge, at different steps, and the
+# rest converge. diag_ocp's diverging rows raise inside their step (a
+# non-finite m_hat), one after recording an overflowed loss; adahessian's
+# iterates leave the float range.
+DIVERGING = {
+    "diag_ocp-raise": (OptimizerConfig(alpha=0.5, weight_decay=0.0), {"raise", "loss"}),
+    "adahessian-iterate": (BaselineConfig(kind="adahessian", lr=0.5), {"iterate"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_stacked_run_drops_diverging_replicates_exactly(case):
+    opt_cfg, expected = DIVERGING[case]
+    cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer=case.split("-")[0],
+                    opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
+                    record_every=10)
+    paths = assert_matches_reference(cfg)
+    assert set(paths) == expected | {None}
+    ends = {rec.steps[-1] for rec in run_experiment(cfg) if rec.diverged}
+    assert len(ends) > 1
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
+              opt_cfg=MLP_OCP, max_steps=8, base_seed=9),
+    RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
+              opt_cfg=DIVERGING["diag_ocp-raise"][0], max_steps=40, base_seed=1),
+], ids=["mlp-minibatch", "diverging"])
+def test_replicate_records_do_not_depend_on_the_stack_size(cfg):
+    two = run_experiment(replace(cfg, n_seeds=2))
+    five = run_experiment(replace(cfg, n_seeds=5))
+    for a, b in zip(two, five):
+        assert a.run_id == b.run_id
+        np.testing.assert_equal(record_rows(a), record_rows(b))
+        assert a.diverged == b.diverged
+
+
+def test_verify_rate_trend_defaults_are_frozen():
+    # the minima the per-replicate loop produced before replicates were stacked
+    report = verify_rate_trend()
+    assert report["min_avg_grad_norm_sq"] == [
+        0.0025123913907361454, 9.161979726136211e-06, 9.161979726136211e-06]
 
 
 # --- aggregation --------------------------------------------------------------
@@ -446,18 +606,6 @@ def test_cli_seed_override_changes_runs(tmp_path, capsys):
     base = (out_a / "steps.csv").read_bytes()
     assert base != (out_b / "steps.csv").read_bytes()
     assert base == (out_c / "steps.csv").read_bytes()
-
-
-def test_cli_threads_env(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, RUN_DOC)
-    out_env, out_flag = tmp_path / "env", tmp_path / "flag"
-    monkeypatch.setenv("DIAGOCP_THREADS", "2")
-    assert cli.main(["run", "--config", cfg, "--out", str(out_env)]) == 0
-    monkeypatch.delenv("DIAGOCP_THREADS")
-    assert cli.main(["run", "--config", cfg, "--out", str(out_flag),
-                     "--threads", "2"]) == 0
-    capsys.readouterr()
-    assert (out_env / "steps.csv").read_bytes() == (out_flag / "steps.csv").read_bytes()
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
@@ -83,6 +84,39 @@ def test_hutchinson_block_equals_per_probe_loop():
                 v = rng.standard_normal(prob.dim)
             acc += v * prob.hvp(x, v, hseed)
         np.testing.assert_array_equal(est, acc / cfg.n_probes)
+
+
+@pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
+def test_probe_block_is_one_draw_equal_to_per_probe_draws(distribution):
+    for dim in (1, 2, 7, 178):
+        for n_probes in (1, 3, 4):
+            cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
+            for base in range(10):
+                seed = BatchSeed(base, 1, Channel.PROBE)
+                seen = []
+                hutchinson_diag(lambda V: seen.append(V) or V, dim, cfg, seed)
+                rng = seed.rng()
+                expected = []
+                for _ in range(n_probes):
+                    if distribution == "rademacher":
+                        expected.append((rng.integers(0, 2, size=dim) * 2 - 1)
+                                        .astype(np.float64))
+                    else:
+                        expected.append(rng.standard_normal(dim))
+                np.testing.assert_array_equal(seen[0], np.stack(expected))
+
+
+def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
+    prob = MlpRegression(n_samples=128, batch_size=32)
+    rng = np.random.default_rng(6)
+    X = np.stack([prob.default_init(rng) for _ in range(3)])
+    hseeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in (4, 5, 6)]
+    pseeds = [BatchSeed(b, 2, Channel.PROBE) for b in (4, 5, 6)]
+    cfg = ProbeConfig(n_probes=4, distribution="rademacher")
+    est = hutchinson_diag(lambda V: prob.hvp(X, V, hseeds), prob.dim, cfg, pseeds)
+    alone = [hutchinson_diag(lambda V, x=x, s=s: prob.hvp(x, V, s), prob.dim, cfg, p)
+             for x, s, p in zip(X, hseeds, pseeds)]
+    np.testing.assert_array_equal(est, np.stack(alone))
 
 
 def test_clip_diag_spec_example():

@@ -319,6 +319,75 @@ def test_block_hvp_rejects_a_nonfinite_point():
         prob.hvp(x, V, None)
 
 
+# --- stacks of points ------------------------------------------------------
+
+STACK_PROBLEMS = {
+    "quadratic-noise": lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
+    "rosenbrock-cd": lambda: Rosenbrock2D(hvp_mode="central_difference",
+                                          noise_std_grad=0.01),
+    "least_squares-minibatch": lambda: NoisyLeastSquares(
+        design_seed=3, n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
+        hvp_mode="central_difference"),
+    "mlp-full": lambda: MlpRegression(n_samples=128),
+    "mlp-minibatch-noise": lambda: MlpRegression(n_samples=128, batch_size=32,
+                                                 noise_std_grad=0.1),
+    "mlp-two-hidden-minibatch": lambda: MlpRegression(layer_sizes=(4, 6, 5, 2),
+                                                      n_samples=128, batch_size=16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_PROBLEMS))
+def test_stacked_oracle_equals_row_by_row(case):
+    prob = STACK_PROBLEMS[case]()
+    rng = np.random.default_rng(31)
+    X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+                  for _ in range(3)])
+    V = rng.standard_normal((3, 2, prob.dim))
+    gseeds = [BatchSeed(b, 4, Channel.GRADIENT) for b in (11, 12, 13)]
+    hseeds = [BatchSeed(b, 4, Channel.HESSIAN_NOISE) for b in (11, 12, 13)]
+
+    def rows(fn, *args):
+        return np.stack([fn(*row) for row in zip(*args)])
+
+    np.testing.assert_array_equal(prob.eval_grad(X, gseeds), rows(prob.eval_grad, X, gseeds))
+    np.testing.assert_array_equal(prob.eval_grad(X), rows(prob.eval_grad, X))
+    np.testing.assert_array_equal(prob.eval_loss(X, gseeds), rows(prob.eval_loss, X, gseeds))
+    np.testing.assert_array_equal(prob.train_loss(X), rows(prob.train_loss, X))
+    np.testing.assert_array_equal(prob.val_loss(X), rows(prob.val_loss, X))
+    np.testing.assert_array_equal(prob.hvp(X, V, hseeds), rows(prob.hvp, X, V, hseeds))
+    np.testing.assert_array_equal(prob.hvp(X, V[:, 0], hseeds),
+                                  rows(prob.hvp, X, V[:, 0], hseeds))
+
+
+def test_stacked_hvp_with_a_zero_probe_row():
+    prob = MlpRegression(n_samples=128, batch_size=32, noise_std_grad=0.1)
+    rng = np.random.default_rng(32)
+    X = np.stack([prob.default_init(rng) for _ in range(2)])
+    V = rng.standard_normal((2, 3, prob.dim))
+    V[1, 2] = 0.0
+    seeds = [BatchSeed(b, 0, Channel.HESSIAN_NOISE) for b in (1, 2)]
+    block = prob.hvp(X, V, seeds)
+    np.testing.assert_array_equal(block[1, 2], np.zeros(prob.dim))
+    np.testing.assert_array_equal(
+        block, np.stack([prob.hvp(x, v, s) for x, v, s in zip(X, V, seeds)]))
+
+
+def test_stack_validation():
+    prob = MlpRegression(n_samples=32)
+    X = np.zeros((2, prob.dim))
+    seed = BatchSeed(0, 0, Channel.GRADIENT)
+    for bad_call in (lambda: prob.eval_grad(X, seed),          # one seed, two points
+                     lambda: prob.eval_grad(X, [seed]),        # seed count
+                     lambda: prob.eval_grad(X[0], [seed]),     # a sequence for a point
+                     lambda: prob.train_loss(np.full((2, prob.dim), np.inf)),
+                     lambda: prob.eval_grad(np.zeros((2, prob.dim + 1))),
+                     lambda: prob.eval_grad(np.zeros((2, 2, prob.dim))),
+                     lambda: prob.eval_grad(np.zeros((0, prob.dim))),
+                     lambda: prob.hvp(X, np.ones((3, 1, prob.dim)))):
+        with raises(ValueError):
+            bad_call()
+
+
 # --- factory ---------------------------------------------------------------
 
 def test_make_problem_kinds():
