@@ -625,10 +625,6 @@ def compare(entries: list[RunConfig], spec: SweepSpec) -> CompareResult:
 # emission
 
 
-def _fmt(value) -> str:
-    return "" if value is None else str(value)
-
-
 def _step_rows(records: list[RunRecord]):
     for rec in records:
         for i, step in enumerate(rec.steps):
@@ -731,5 +727,4 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)

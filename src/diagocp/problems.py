@@ -83,10 +83,11 @@ class ProblemOracle:
     row, and each row draws exactly the minibatch and noise it would draw
     alone. Subclasses fill in the clean `_loss`, `_grad`, and (where an
     analytic form exists) `_hvp_exact` of one point on one batch of data
-    (None for the deterministic kinds). `_losses` and `_grads` evaluate
-    points with leading stack axes, by default one point at a time; kinds
-    with a stacked pass override them. Passing seed=None to the public
-    methods gives the noise-free full-batch value.
+    (None for the deterministic kinds). `_losses`, `_grads` and
+    `_hvps_exact` evaluate points with leading stack axes, by default one
+    point at a time; kinds with a stacked pass override them instead of the
+    one-point hooks. Passing seed=None to the public methods gives the
+    noise-free full-batch value.
     """
 
     kind = "?"
@@ -282,14 +283,16 @@ class Quadratic(ProblemOracle):
         self.hvp_mode = _check_hvp_mode(hvp_mode)
         self.hvp_step_scale = float(hvp_step_scale)
 
-    def _loss(self, x, data):
-        return 0.5 * np.sum(self.h * x * x)
+    # Elementwise, and each row's last-axis sum is the sum a lone point
+    # takes, so a stack equals its rows bit for bit.
+    def _losses(self, xs, data):
+        return 0.5 * np.sum(self.h * xs * xs, axis=-1)
 
-    def _grad(self, x, data):
-        return self.h * x
+    def _grads(self, xs, data):
+        return self.h * xs
 
-    def _hvp_exact(self, x, v):
-        return self.h * v
+    def _hvps_exact(self, x, V):
+        return self.h * V
 
     def default_init(self, rng=None):
         return np.ones(self.dim)
@@ -327,19 +330,20 @@ class Rosenbrock2D(ProblemOracle):
 
 
 class _SampleBased(ProblemOracle):
-    """Shared dataset plumbing: split, mini-batch selection, row losses.
+    """Shared dataset plumbing: split and mini-batch selection.
 
-    A batch is an (inputs, targets) pair of row arrays. The training and
-    validation splits are gathered once at construction, so full-batch
-    gradients and recorded losses read them without a copy.
+    A batch is the (inputs, targets) pair that the subclass's `_rows`
+    gathers for a set of sample indices, in whatever layout its `_loss` and
+    `_grad` read. The training and validation splits are gathered once at
+    construction, so full-batch gradients and recorded losses read them
+    without a copy.
     """
 
     sample_based = True
 
-    def _setup_split(self, rng, inputs, targets, val_fraction, batch_size):
+    def _setup_split(self, rng, n_samples, val_fraction, batch_size):
         if not 0.0 <= val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-        n_samples = len(inputs)
         perm = rng.permutation(n_samples)
         n_val = int(round(val_fraction * n_samples))
         if n_samples - n_val < 1:
@@ -351,12 +355,11 @@ class _SampleBased(ProblemOracle):
             if not 1 <= batch_size <= self._train_idx.size:
                 raise ValueError("batch_size must be in [1, n_train]")
         self.batch_size = batch_size
-        self._inputs, self._targets = inputs, targets
         self._train_data = self._rows(self._train_idx)
         self._val_data = self._rows(self._val_idx) if n_val else self._train_data
 
     def _rows(self, idx):
-        return self._inputs[idx], self._targets[idx]
+        raise NotImplementedError
 
     def _batch(self, rng):
         return self._rows(rng.choice(self._train_idx, size=self.batch_size,
@@ -382,10 +385,13 @@ class NoisyLeastSquares(_SampleBased):
         self.A = rng.standard_normal((int(n_samples), self.dim))
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + float(noise_std) * rng.standard_normal(int(n_samples))
-        self._setup_split(rng, self.A, self.y, float(val_fraction), batch_size)
+        self._setup_split(rng, int(n_samples), float(val_fraction), batch_size)
         self.noise_std_grad = float(noise_std_grad)
         self.hvp_mode = _check_hvp_mode(hvp_mode)
         self.hvp_step_scale = float(hvp_step_scale)
+
+    def _rows(self, idx):
+        return self.A[idx], self.y[idx]
 
     def _loss(self, x, data):
         A, y = data
@@ -415,6 +421,12 @@ class MlpRegression(_SampleBased):
     the mean over samples of the summed squared output error, and the
     gradient is manual backprop with the ReLU subgradient at 0 taken as 0.
 
+    Data are stored feature-major: X is (d_in, n_samples) and Y is
+    (d_out, n_samples), and every split or minibatch is a C-contiguous
+    column gather of them. Activations are (..., units, n), so the forward
+    pass and backprop run with the sample axis innermost. A gather's
+    layout picks the BLAS path, and so the last bits of every result.
+
     No analytic HVP; the default mode is central differencing of the
     gradient oracle.
     """
@@ -442,12 +454,15 @@ class MlpRegression(_SampleBased):
         self.hvp_step_scale = float(hvp_step_scale)
         self.noise_std_grad = float(noise_std_grad)
 
+        # The draws are sample-major, as (n_samples, features), and are
+        # transposed so every stream keeps its order.
+        n_samples = int(n_samples)
         rng = np.random.default_rng(np.random.SeedSequence(int(teacher_seed) & _SEED_MASK))
-        self.X = rng.standard_normal((int(n_samples), sizes[0]))
+        self.X = np.ascontiguousarray(rng.standard_normal((n_samples, sizes[0])).T)
         teacher = self._kaiming(rng)
         self.Y = self._forward(self._unpack(teacher), self.X)[-1]
-        self.Y = self.Y + float(label_noise_std) * rng.standard_normal(self.Y.shape)
-        self._setup_split(rng, self.X, self.Y, float(val_fraction), batch_size)
+        self.Y += float(label_noise_std) * rng.standard_normal((n_samples, sizes[-1])).T
+        self._setup_split(rng, n_samples, float(val_fraction), batch_size)
 
     # -- parameter packing ------------------------------------------------
 
@@ -474,8 +489,12 @@ class MlpRegression(_SampleBased):
 
     # -- network ----------------------------------------------------------
 
+    def _rows(self, idx):
+        return self.X.take(idx, axis=1), self.Y.take(idx, axis=1)
+
     def _forward(self, layers, X):
-        """Return the list of layer outputs, ending with the predictions.
+        """Return the list of (..., units, n) layer outputs, ending with the
+        predictions, for feature-major inputs X.
 
         The layers may carry leading stack axes; every output past X then
         carries them too.
@@ -483,8 +502,10 @@ class MlpRegression(_SampleBased):
         outs = [X]
         z = X
         for i, (w, b) in enumerate(layers):
-            a = z @ w.swapaxes(-1, -2) + b[..., None, :]
-            z = np.maximum(a, 0.0) if i < len(layers) - 1 else a
+            z = w @ z
+            z += b[..., :, None]
+            if i < len(layers) - 1:
+                np.maximum(z, 0.0, out=z)
             outs.append(z)
         return outs
 
@@ -505,7 +526,7 @@ class MlpRegression(_SampleBased):
         per point, and each equals its single-theta loss bit for bit."""
         X, Y = self._batch_for(theta, data)
         diff = self._forward(self._unpack(theta), X)[-1] - Y
-        return np.mean(np.sum(diff * diff, axis=-1), axis=-1)
+        return np.mean(np.sum(diff * diff, axis=-2), axis=-1)
 
     def _grad(self, theta, data):
         """Backprop gradient; leading axes of theta give one gradient per
@@ -517,15 +538,16 @@ class MlpRegression(_SampleBased):
         layers = self._unpack(theta)
         X, Y = self._batch_for(theta, data)
         outs = self._forward(layers, X)
-        n = X.shape[-2]
+        n = X.shape[-1]
         delta = (2.0 / n) * (outs[-1] - Y)
         grads = [None] * len(layers)
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            gw = delta.swapaxes(-1, -2) @ outs[i]
-            grads[i] = (gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-2))
+            gw = delta @ outs[i].swapaxes(-1, -2)
+            grads[i] = (gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-1))
             if i > 0:
-                delta = (delta @ w) * (outs[i] > 0.0)
+                delta = w.swapaxes(-1, -2) @ delta
+                delta *= outs[i] > 0.0
         return np.concatenate([part for pair in grads for part in pair], axis=-1)
 
     _grads = _grad

@@ -247,6 +247,54 @@ def test_mlp_val_loss_differs_from_train():
     assert prob.train_loss(x) != prob.val_loss(x)
 
 
+def rowmajor_loss_and_grad(sizes, theta, X, Y):
+    """Plain sample-major backprop for one point: X is (n, d_in), Y is
+    (n, d_out). The reference for the oracle's feature-major kernels."""
+    layers, off = [], 0
+    for a, b in zip(sizes, sizes[1:]):
+        w = theta[off:off + a * b].reshape(b, a)
+        off += a * b
+        layers.append((w, theta[off:off + b]))
+        off += b
+    outs = [X]
+    for i, (w, b) in enumerate(layers):
+        a = outs[-1] @ w.T + b
+        outs.append(np.maximum(a, 0.0) if i < len(layers) - 1 else a)
+    diff = outs[-1] - Y
+    delta = (2.0 / len(X)) * diff
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        grads[:0] = [(delta.T @ outs[i]).ravel(), delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ w) * (outs[i] > 0.0)
+    return np.mean(np.sum(diff * diff, axis=1)), np.concatenate(grads)
+
+
+@pytest.mark.parametrize("layer_sizes", [(8, 16, 2), (4, 6, 5, 2)])
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_mlp_kernels_match_rowmajor_reference(layer_sizes, batch_size):
+    prob = MlpRegression(layer_sizes=layer_sizes, n_samples=128, batch_size=batch_size)
+    rng = np.random.default_rng(41)
+    T = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+                  for _ in range(3)])
+    seeds = [BatchSeed(b, 2, Channel.GRADIENT) for b in (5, 6, 7)]
+    batches, _ = prob._draw(seeds)
+    if not isinstance(batches, list):
+        batches = [batches] * len(T)
+    G, L = prob.eval_grad(T, seeds), prob.eval_loss(T, seeds)
+    splits = [(prob.train_loss(T), prob._train_data), (prob.val_loss(T), prob._val_data)]
+    for r, (theta, (Xb, Yb)) in enumerate(zip(T, batches)):
+        assert Xb.shape[0] == layer_sizes[0] and Yb.shape[0] == layer_sizes[-1]
+        assert Xb.flags.c_contiguous and Yb.flags.c_contiguous
+        loss_ref, g_ref = rowmajor_loss_and_grad(prob.sizes, theta, Xb.T, Yb.T)
+        assert np.abs(G[r] - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        assert abs(L[r] - loss_ref) <= 1e-12 * loss_ref
+        for losses, (Xs, Ys) in splits:
+            split_ref, _ = rowmajor_loss_and_grad(prob.sizes, theta, Xs.T, Ys.T)
+            assert abs(losses[r] - split_ref) <= 1e-12 * split_ref
+
+
 # --- probe blocks ----------------------------------------------------------
 
 def cd_reference(problem, x, v, seed):
