@@ -12,15 +12,23 @@ estimates: x <- x - lr * m_hat / (sqrt(v_hat_H) + eps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .diag_ocp import check_finite
+from .hessian_probe import ProbeConfig
 
 BASELINE_KINDS = ("sgd", "adam", "radam", "adahessian")
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """Hyperparameters of one baseline; `kind` picks it. Exposes the same
+    `kind`, `lr`, `with_lr` and `probe` as OptimizerConfig."""
+
+    lr_field = "lr"
+
     kind: str
     lr: float
     beta1: float = 0.9
@@ -30,6 +38,7 @@ class BaselineConfig:
     momentum: float = 0.0   # sgd only
 
     def __post_init__(self):
+        check_finite(self)
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if not self.lr > 0.0:
@@ -42,6 +51,14 @@ class BaselineConfig:
             raise ValueError("weight_decay must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+
+    def with_lr(self, lr: float) -> "BaselineConfig":
+        return replace(self, **{self.lr_field: lr})
+
+    @property
+    def probe(self) -> ProbeConfig | None:
+        """One Rademacher probe for adahessian (the published choice), else None."""
+        return ProbeConfig(distribution="rademacher") if self.kind == "adahessian" else None
 
 
 @dataclass

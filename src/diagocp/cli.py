@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .baselines import BASELINE_KINDS, BaselineConfig
@@ -59,16 +60,25 @@ def _build_problem(doc):
     return make_problem(doc["kind"], **params)
 
 
-def _build_optimizer(doc):
+_OPTIMIZERS = {OptimizerConfig.kind: OptimizerConfig,
+               **dict.fromkeys(BASELINE_KINDS, BaselineConfig)}
+
+
+def _optimizer_class(doc):
+    """The config class that an optimizer document's "kind" selects."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("optimizer config needs a 'kind' key")
-    kind = doc["kind"]
-    params = {k: v for k, v in doc.items() if k != "kind"}
-    if kind == "diag_ocp":
-        return kind, OptimizerConfig(**params)
-    if kind in BASELINE_KINDS:
-        return kind, BaselineConfig(kind=kind, **params)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    try:
+        return _OPTIMIZERS[doc["kind"]]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown optimizer kind {doc['kind']!r}") from None
+
+
+def _build_optimizer(doc):
+    cls = _optimizer_class(doc)
+    # a baseline's kind is a constructor field, diag_ocp's a class constant
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in doc.items() if k != "kind" or k in names})
 
 
 def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
@@ -76,9 +86,9 @@ def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
     the document's own, so compare entries share one problem."""
     if problem is None:
         problem = _build_problem(doc.get("problem"))
-    key, opt_cfg = _build_optimizer(doc.get("optimizer"))
+    opt_cfg = _build_optimizer(doc.get("optimizer"))
     base_seed = seed_override if seed_override is not None else doc.get("base_seed", 0)
-    return RunConfig(problem=problem, optimizer=key, opt_cfg=opt_cfg,
+    return RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
                      max_steps=int(doc.get("max_steps", 100)),
                      base_seed=int(base_seed),
                      n_seeds=int(doc.get("n_seeds", 1)),
@@ -90,14 +100,8 @@ def _build_sweep_spec(doc: dict) -> SweepSpec:
     sw = doc.get("sweep", {})
     if not isinstance(sw, dict):
         raise ValueError("'sweep' must be a JSON object")
-    kwargs = {}
-    if "coarse_grid" in sw:
-        kwargs["coarse_grid"] = tuple(sw["coarse_grid"])
-    if "refine_factors" in sw:
-        kwargs["refine_factors"] = tuple(sw["refine_factors"])
-    if "metric" in sw:
-        kwargs["metric"] = sw["metric"]
-    return SweepSpec(**kwargs)
+    return SweepSpec(**{k: sw[k] for k in ("coarse_grid", "refine_factors", "metric")
+                        if k in sw})
 
 
 def _cmd_run(args) -> int:
@@ -151,8 +155,7 @@ def _cmd_compare(args) -> int:
     for opt_doc in doc["optimizers"]:
         # the sweep overwrites the learning rate, so entries may omit it
         opt_doc = dict(opt_doc)
-        opt_doc.setdefault("alpha" if opt_doc.get("kind") == "diag_ocp" else "lr",
-                           spec.coarse_grid[0])
+        opt_doc.setdefault(_optimizer_class(opt_doc).lr_field, spec.coarse_grid[0])
         entries.append(_build_run({**doc, "optimizer": opt_doc}, args.seed, problem))
     result = compare(entries, spec)
     flat = [rec for key in sorted(result.records) for rec in result.records[key]]
@@ -177,11 +180,7 @@ def _cmd_verify(args) -> int:
                     f"{report['excluded_safeguarded']} safeguarded excluded)")
     elif args.check == "rate":
         problem = _build_problem(doc["problem"]) if "problem" in doc else None
-        opt_cfg = None
-        if "optimizer" in doc:
-            key, opt_cfg = _build_optimizer(doc["optimizer"])
-            if key != "diag_ocp":
-                raise ValueError("the rate check runs the diag_ocp optimizer")
+        opt_cfg = _build_optimizer(doc["optimizer"]) if "optimizer" in doc else None
         report = verify_rate_trend(
             problem=problem, opt_cfg=opt_cfg,
             T_list=tuple(doc.get("T_list", (100, 200, 400))),

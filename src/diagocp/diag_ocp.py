@@ -23,13 +23,30 @@ applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from .hessian_probe import ProbeConfig
+
+
+def check_finite(cfg):
+    """Reject NaN or infinite float fields, which JSON configs can spell."""
+    for f in fields(cfg):
+        if isinstance(value := getattr(cfg, f.name), float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Diag-OCP hyperparameters. Like BaselineConfig it exposes `kind`,
+    `lr` (the field named by `lr_field`), `with_lr` and `probe`, the
+    Hutchinson and clip settings its curvature estimate uses."""
+
+    kind = "diag_ocp"
+    lr_field = "alpha"
+
     alpha: float = 0.05
     beta1: float = 0.9
     beta2: float = 0.999
@@ -41,6 +58,7 @@ class OptimizerConfig:
     safeguard_rho_max: float = 0.999
 
     def __post_init__(self):
+        check_finite(self)
         if not self.alpha > 0.0:
             raise ValueError("alpha must be > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -53,6 +71,18 @@ class OptimizerConfig:
             raise ValueError("n_probes must be >= 1")
         if not 0.0 < self.safeguard_rho_max < 1.0:
             raise ValueError("safeguard_rho_max must be in (0, 1)")
+
+    @property
+    def lr(self) -> float:
+        return getattr(self, self.lr_field)
+
+    def with_lr(self, lr: float) -> "OptimizerConfig":
+        return replace(self, **{self.lr_field: lr})
+
+    @property
+    def probe(self) -> ProbeConfig:
+        return ProbeConfig(n_probes=self.n_probes, distribution=self.probe_distribution,
+                           clip_lo=self.mu, clip_hi=self.g_d)
 
 
 @dataclass

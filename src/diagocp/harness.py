@@ -14,9 +14,14 @@ Output schemas (column order is part of the contract):
                grad_norm_sq,step_norm,rho,safeguard_count
   summary.csv  optimizer,lr,final_train,final_val,min_val,min_val_step,diverged
   heatmap.csv  optimizer,lr,val_loss_at_T
-Summary rows aggregate replicates: median over non-diverged seeds for the
-loss columns, the lower-median seed's argmin step for min_val_step, and the
-count of diverged seeds in the diverged column.
+  sweep.csv    lr,stage,metric,final_train,final_val,min_val,min_val_step,
+               diverged
+  ablation.csv label,mu,final_train,final_val,min_val,min_val_step,diverged
+Summary, sweep and ablation rows aggregate replicates: median over
+non-diverged seeds for the loss columns, the lower-median seed's argmin step
+for min_val_step, and the count of diverged seeds in the diverged column.
+A sweep row's stage is coarse or refine and its metric is the sweep's
+selection metric; an ablation row's label is its clip floor, or control.
 """
 
 from __future__ import annotations
@@ -30,23 +35,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (BASELINE_KINDS, BaselineConfig, baseline_step,
-                        init_baseline_state)
-from .diag_ocp import (OptimizerConfig, OptimizerState, init_state,
-                       step_closed_form, step_recursive_reference,
-                       update_moments)
+from .baselines import BaselineConfig, BaselineState, baseline_step
+from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
+                       step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from .problems import BatchSeed, Channel, Quadratic, ProblemOracle, as_params
 
 _SEED_MASK = (1 << 64) - 1
 _INIT_STREAM = 3
-OPTIMIZER_KEYS = ("diag_ocp",) + BASELINE_KINDS
 
 STEP_HEADER = ("run_id", "optimizer", "lr", "mu", "seed", "step", "train_loss",
                "val_loss", "grad_norm_sq", "step_norm", "rho", "safeguard_count")
-SUMMARY_HEADER = ("optimizer", "lr", "final_train", "final_val", "min_val",
-                  "min_val_step", "diverged")
+AGGREGATE_COLUMNS = ("final_train", "final_val", "min_val", "min_val_step",
+                     "diverged")
+SUMMARY_HEADER = ("optimizer", "lr") + AGGREGATE_COLUMNS
 HEATMAP_HEADER = ("optimizer", "lr", "val_loss_at_T")
+SWEEP_HEADER = ("lr", "stage", "metric") + AGGREGATE_COLUMNS
+ABLATION_HEADER = ("label", "mu") + AGGREGATE_COLUMNS
 
 # Frozen from a pilot scan. The transient of the averaged true-gradient
 # norm contracts like exp(-alpha*h*k^2/2) and then meets a noise floor that
@@ -76,7 +81,7 @@ class RunConfig:
     problem construction (val_fraction); deterministic problems report the
     train loss as the validation loss. x0 overrides the problem's default
     initial point (replicates of sample-based problems otherwise draw their
-    own seeded initialization).
+    own seeded initialization). `optimizer` must equal opt_cfg.kind.
     """
 
     problem: ProblemOracle
@@ -89,18 +94,11 @@ class RunConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZER_KEYS:
-            raise ValueError(f"unknown optimizer key {self.optimizer!r}")
+        if self.opt_cfg.kind != self.optimizer:
+            raise ValueError(f"optimizer key {self.optimizer!r} does not match "
+                             f"its config's kind {self.opt_cfg.kind!r}")
         if self.max_steps < 1 or self.n_seeds < 1 or self.record_every < 1:
             raise ValueError("max_steps, n_seeds, record_every must be >= 1")
-        if self.optimizer == "diag_ocp":
-            if not isinstance(self.opt_cfg, OptimizerConfig):
-                raise ValueError("diag_ocp needs an OptimizerConfig")
-        else:
-            if not isinstance(self.opt_cfg, BaselineConfig):
-                raise ValueError(f"{self.optimizer} needs a BaselineConfig")
-            if self.opt_cfg.kind != self.optimizer:
-                raise ValueError("optimizer key and BaselineConfig.kind disagree")
         if self.x0 is not None:
             x0 = as_params(self.x0)
             if x0.size != self.problem.dim:
@@ -115,7 +113,7 @@ class RunRecord:
     run_id: str
     optimizer: str
     lr: float
-    mu: float | None
+    mu: float | None        # the curvature clip floor, None without a probe
     seed: int
     steps: list[int] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
@@ -142,75 +140,52 @@ def _init_rng(rep_base: int) -> np.random.Generator:
         np.random.SeedSequence(rep_base & _SEED_MASK, spawn_key=(_INIT_STREAM,)))
 
 
-def _lr_of(optimizer: str, cfg) -> float:
-    return cfg.alpha if optimizer == "diag_ocp" else cfg.lr
-
-
-def _with_lr(optimizer: str, cfg, lr: float):
-    return replace(cfg, alpha=lr) if optimizer == "diag_ocp" else replace(cfg, lr=lr)
-
-
-def _probe_cfg_for(optimizer: str, cfg) -> ProbeConfig | None:
-    """Probe/clip settings for the optimizers that consume a Hessian diagonal."""
-    if optimizer == "diag_ocp":
-        return ProbeConfig(n_probes=cfg.n_probes, distribution=cfg.probe_distribution,
-                           clip_lo=cfg.mu, clip_hi=cfg.g_d)
-    if optimizer == "adahessian":
-        return ProbeConfig(distribution="rademacher")  # the published choice
-    return None
-
-
-def _mu_of(optimizer: str, cfg, probe_cfg: ProbeConfig | None) -> float | None:
-    if optimizer == "diag_ocp":
-        return cfg.mu
-    if optimizer == "adahessian":
-        return probe_cfg.clip_lo
-    return None
-
-
-def _advance(problem, optimizer, opt_cfg, probe_cfg, state, x, bases, k):
+def _advance(problem, opt_cfg, probe, state, x, bases, k):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
-    Row r draws its noise from the replicate stream bases[r], so it steps
-    exactly as it would alone. Returns (x_next, state', g, rho, clamped)
-    with one rho and clamp count per row; both are None for first-order
-    optimizers. The full second-order path is probe -> clip -> moments ->
-    closed-form step.
+    `probe` is opt_cfg.probe and state is None before the first step. Row r
+    draws its noise from the replicate stream bases[r], so it steps exactly
+    as it would alone. Returns (x_next, state', g, rho, clamped) with one
+    rho and clamp count per row, both None for the baselines. The full path
+    is probe -> clip -> moments -> closed-form step; this is the one branch
+    on the optimizer family, because the two step algorithms differ.
     """
     def seeds(channel):
         return [BatchSeed(base, k - 1, channel) for base in bases]
 
     g = problem.eval_grad(x, seeds(Channel.GRADIENT))
     h_clipped = None
-    if probe_cfg is not None:
+    if probe is not None:
         hseeds = seeds(Channel.HESSIAN_NOISE)
         raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
-                              problem.dim, probe_cfg, seeds(Channel.PROBE))
-        h_clipped = clip_diag(raw, probe_cfg)
-    if optimizer == "diag_ocp":
+                              problem.dim, probe, seeds(Channel.PROBE))
+        h_clipped = clip_diag(raw, probe)
+    if isinstance(opt_cfg, OptimizerConfig):
+        if state is None:
+            state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
         state, m_hat, d_hat = update_moments(state, g, h_clipped, opt_cfg)
         x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg)
         return x_next, state, g, diag.rho, diag.row_clamped
+    if state is None:
+        state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
     x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=h_clipped)
     return x_next, state, g, None, None
 
 
 def _take(state, rows):
-    """Rows `rows` of a state's (R, dim) buffers, or of a single state's
-    buffers read as one row; the step count t is shared."""
-    return replace(state, **{f.name: np.atleast_2d(getattr(state, f.name))[rows]
+    """Rows `rows` of a state's (R, dim) buffers (None before the first
+    step); the step count t is shared."""
+    if state is None:
+        return None
+    return replace(state, **{f.name: getattr(state, f.name)[rows]
                              for f in fields(state) if f.name != "t"})
 
 
-def _init_stack(problem, optimizer, opt_cfg, bases, x0=None):
-    """Initial (R, dim) iterate stack and stacked optimizer state."""
-    x = np.stack([x0 if x0 is not None else problem.default_init(_init_rng(b))
-                  for b in bases])
-    if optimizer == "diag_ocp":
-        state = init_state(problem.dim, opt_cfg)
-    else:
-        state = init_baseline_state(problem.dim)
-    return x, _take(state, [0] * len(bases))
+def _init_stack(problem, bases, x0=None):
+    """Initial (R, dim) iterate stack: x0 in every row, or each replicate's
+    seeded default initialization."""
+    return np.stack([x0 if x0 is not None else problem.default_init(_init_rng(b))
+                     for b in bases])
 
 
 def _record(rec, k, train, val, gns, stepn, rho, n_clamped):
@@ -233,18 +208,17 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     diverged (their iterate or a moment left the representable range), and
     the rest step again as a stack.
     """
-    problem = cfg.problem
+    problem, opt_cfg = cfg.problem, cfg.opt_cfg
     t_start = time.perf_counter()
     bases = [_replicate_base(cfg.base_seed, rep) for rep in range(cfg.n_seeds)]
-    x, state = _init_stack(problem, cfg.optimizer, cfg.opt_cfg, bases, cfg.x0)
-    probe_cfg = _probe_cfg_for(cfg.optimizer, cfg.opt_cfg)
-    lr = _lr_of(cfg.optimizer, cfg.opt_cfg)
-    mu = _mu_of(cfg.optimizer, cfg.opt_cfg, probe_cfg)
+    x, state = _init_stack(problem, bases, cfg.x0), None
+    lr, probe = opt_cfg.lr, opt_cfg.probe
+    mu = None if probe is None else probe.clip_lo
     tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
     recs = [RunRecord(run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer, lr=lr,
                       mu=mu, seed=rep) for rep in range(cfg.n_seeds)]
     live = list(recs)   # the record of each stack row
-    step = partial(_advance, problem, cfg.optimizer, cfg.opt_cfg, probe_cfg)
+    step = partial(_advance, problem, opt_cfg, probe)
 
     def keep(rows):
         nonlocal x, state, bases, live
@@ -327,16 +301,15 @@ def _aggregate(records: list[RunRecord]) -> dict:
     n_div = len(records) - len(ok)
     if not ok:
         inf = float("inf")
-        return {"final_train": inf, "final_val": inf, "min_val": inf,
-                "min_val_step": -1, "diverged": n_div}
+        return dict(zip(AGGREGATE_COLUMNS, (inf, inf, inf, -1, n_div)))
     order = sorted(ok, key=lambda r: r.min_val)
-    return {
-        "final_train": float(np.median([r.final_train for r in ok])),
-        "final_val": float(np.median([r.final_val for r in ok])),
-        "min_val": float(np.median([r.min_val for r in ok])),
-        "min_val_step": order[(len(order) - 1) // 2].min_val_step,
-        "diverged": n_div,
-    }
+    return dict(zip(AGGREGATE_COLUMNS, (
+        float(np.median([r.final_train for r in ok])),
+        float(np.median([r.final_val for r in ok])),
+        float(np.median([r.min_val for r in ok])),
+        order[(len(order) - 1) // 2].min_val_step,
+        n_div,
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +368,7 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
 
     def run_at(lr: float):
         if lr not in records:
-            cfg = replace(base, opt_cfg=_with_lr(base.optimizer, base.opt_cfg, lr))
+            cfg = replace(base, opt_cfg=base.opt_cfg.with_lr(lr))
             records[lr] = run_experiment(cfg)
             metrics[lr] = _sweep_metric(records[lr], spec.metric)
 
@@ -445,8 +418,8 @@ def ablate_mu(values, base: RunConfig, control_clip_lo: float = 1e-12) -> MuAbla
     The control keeps a tiny positive floor (default 1e-12) so the
     closed-form division stays defined.
     """
-    if base.optimizer != "diag_ocp":
-        raise ValueError("the clip-floor ablation applies to diag_ocp only")
+    if not isinstance(base.opt_cfg, OptimizerConfig):
+        raise ValueError("the clip-floor ablation needs an OptimizerConfig")
     values = tuple(float(v) for v in values)
     if not values:
         raise ValueError("need at least one mu value")
@@ -526,17 +499,19 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
         problem = default_rate_problem()
     if opt_cfg is None:
         opt_cfg = RATE_TREND_CONFIG
+    if not isinstance(opt_cfg, OptimizerConfig):
+        raise ValueError("the rate check runs the Diag-OCP optimizer: "
+                         "opt_cfg must be an OptimizerConfig")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     t_start = time.perf_counter()
     t_max = T_list[-1]
-    probe_cfg = _probe_cfg_for("diag_ocp", opt_cfg)
+    probe = opt_cfg.probe
     bases = [_replicate_base(base_seed, rep) for rep in range(n_seeds)]
-    x, state = _init_stack(problem, "diag_ocp", opt_cfg, bases)
+    x, state = _init_stack(problem, bases), None
     acc = np.zeros(t_max)
     for k in range(1, t_max + 1):
-        x, state, _, _, _ = _advance(problem, "diag_ocp", opt_cfg, probe_cfg,
-                                     state, x, bases, k)
+        x, state, _, _, _ = _advance(problem, opt_cfg, probe, state, x, bases, k)
         for g_true in problem.eval_grad(x, None):
             acc[k - 1] += float(g_true @ g_true)
     avg = acc / n_seeds
@@ -639,92 +614,68 @@ def summary_rows(records: list[RunRecord]) -> list[tuple]:
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec.optimizer, rec.lr), []).append(rec)
-    rows = []
-    for opt, lr in sorted(groups, key=lambda k: (k[0], -k[1])):
-        agg = _aggregate(groups[(opt, lr)])
-        rows.append((opt, lr, agg["final_train"], agg["final_val"],
-                     agg["min_val"], agg["min_val_step"], agg["diverged"]))
-    return rows
+    return [(opt, lr) + tuple(_aggregate(groups[(opt, lr)]).values())
+            for opt, lr in sorted(groups, key=lambda k: (k[0], -k[1]))]
 
 
 def emit_results(records: list[RunRecord], fmt: str = "csv", path=".") -> list[Path]:
-    """Write steps.(csv|json) and summary.(csv|json) under `path`.
-
-    CSV is RFC 4180 (the csv module's excel dialect); JSON mirrors the same
-    fields. Returns the written paths.
-    """
+    """Write steps.(csv|json) and summary.(csv|json) under `path`; returns
+    the written paths."""
     if not records:
         raise ValueError("no records to emit")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    steps = list(_step_rows(records))
-    summary = summary_rows(records)
-    if fmt == "csv":
-        paths = [out / "steps.csv", out / "summary.csv"]
-        _write_csv(paths[0], STEP_HEADER, steps)
-        _write_csv(paths[1], SUMMARY_HEADER, summary)
-    else:
-        paths = [out / "steps.json", out / "summary.json"]
-        paths[0].write_text(json.dumps(
-            [dict(zip(STEP_HEADER, row)) for row in steps], indent=1) + "\n")
-        paths[1].write_text(json.dumps(
-            [dict(zip(SUMMARY_HEADER, row)) for row in summary], indent=1) + "\n")
-    return paths
+    return _write_tables(path, [("steps", STEP_HEADER, _step_rows(records)),
+                                ("summary", SUMMARY_HEADER, summary_rows(records))],
+                         fmt)
 
 
 def emit_heatmap(sweeps: dict, path) -> Path:
     """Write heatmap.csv: final-step validation loss over the swept grid."""
     if not sweeps:
         raise ValueError("no sweep results to emit")
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for opt in sorted(sweeps):
-        for row in sorted(sweeps[opt].rows, key=lambda r: -r["lr"]):
-            rows.append((opt, row["lr"], row["final_val"]))
-    target = out / "heatmap.csv"
-    _write_csv(target, HEATMAP_HEADER, rows)
-    return target
+    rows = [(opt, row["lr"], row["final_val"]) for opt in sorted(sweeps)
+            for row in sorted(sweeps[opt].rows, key=lambda r: -r["lr"])]
+    return _write_tables(path, [("heatmap", HEATMAP_HEADER, rows)])[0]
 
 
 def emit_sweep(sweep: SweepResult, path) -> Path:
     """Write sweep.csv: one row per swept lr plus the aggregate columns."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "sweep.csv"
-    header = ("lr", "stage", "metric", "final_train", "final_val", "min_val",
-              "min_val_step", "diverged")
-    _write_csv(target, header,
-               [tuple(row[k] for k in header) for row in sweep.rows])
-    return target
+    rows = [tuple(row[k] for k in SWEEP_HEADER) for row in sweep.rows]
+    return _write_tables(path, [("sweep", SWEEP_HEADER, rows)])[0]
 
 
 def emit_ablation(ablation: MuAblation, path) -> list[Path]:
     """Write steps.csv over all ablation runs plus ablation.csv per floor."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    all_records = []
-    rows = []
+    all_records, rows = [], []
     for key in list(ablation.values) + ["control"]:
         records = ablation.runs[key]
         all_records.extend(records)
-        agg = _aggregate(records)
         mu = ablation.control_clip_lo if key == "control" else key
-        rows.append((str(key), mu, agg["final_train"], agg["final_val"],
-                     agg["min_val"], agg["min_val_step"], agg["diverged"]))
-    steps_path = out / "steps.csv"
-    _write_csv(steps_path, STEP_HEADER, list(_step_rows(all_records)))
-    ablation_path = out / "ablation.csv"
-    _write_csv(ablation_path,
-               ("label", "mu", "final_train", "final_val", "min_val",
-                "min_val_step", "diverged"), rows)
-    return [steps_path, ablation_path]
+        rows.append((str(key), mu) + tuple(_aggregate(records).values()))
+    return _write_tables(path, [("steps", STEP_HEADER, _step_rows(all_records)),
+                                ("ablation", ABLATION_HEADER, rows)])
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_tables(path, tables, fmt: str = "csv") -> list[Path]:
+    """Create directory `path` and write each (stem, header, rows) table to
+    <stem>.<fmt>; returns the written paths in table order.
+
+    CSV is RFC 4180 (the csv module's excel dialect), with None as an empty
+    field; JSON is a list with one object per row, keyed by the header.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for stem, header, rows in tables:
+        target = out / f"{stem}.{fmt}"
+        if fmt == "csv":
+            with open(target, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        else:
+            target.write_text(json.dumps([dict(zip(header, row)) for row in rows],
+                                         indent=1) + "\n")
+        paths.append(target)
+    return paths

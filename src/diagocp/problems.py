@@ -100,6 +100,19 @@ class ProblemOracle:
     _train_data = None
     _val_data = None
 
+    def _set_oracle_settings(self, noise_std_grad, hvp_mode, hvp_step_scale):
+        """Validate and store the gradient-noise and HVP settings of every
+        kind, once at construction."""
+        self.noise_std_grad = float(noise_std_grad)
+        self.hvp_step_scale = float(hvp_step_scale)
+        if not 0.0 <= self.noise_std_grad < np.inf:
+            raise ValueError("noise_std_grad must be finite and >= 0")
+        if not 0.0 < self.hvp_step_scale < np.inf:
+            raise ValueError("hvp_step_scale must be finite and > 0")
+        if hvp_mode not in ("exact", "central_difference"):
+            raise ValueError(f"unknown hvp mode {hvp_mode!r}")
+        self.hvp_mode = hvp_mode
+
     # -- public oracle surface -------------------------------------------
 
     def eval_loss(self, x, seed=None):
@@ -279,9 +292,7 @@ class Quadratic(ProblemOracle):
             raise ValueError("quadratic requires all h_i > 0")
         self.h = h
         self.dim = int(h.size)
-        self.noise_std_grad = float(noise_std_grad)
-        self.hvp_mode = _check_hvp_mode(hvp_mode)
-        self.hvp_step_scale = float(hvp_step_scale)
+        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
 
     # Elementwise, and each row's last-axis sum is the sum a lone point
     # takes, so a stack equals its rows bit for bit.
@@ -305,9 +316,7 @@ class Rosenbrock2D(ProblemOracle):
     dim = 2
 
     def __init__(self, noise_std_grad=0.0, hvp_mode="exact", hvp_step_scale=1e-5):
-        self.noise_std_grad = float(noise_std_grad)
-        self.hvp_mode = _check_hvp_mode(hvp_mode)
-        self.hvp_step_scale = float(hvp_step_scale)
+        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
 
     def _loss(self, x, data):
         a, b = x
@@ -386,9 +395,7 @@ class NoisyLeastSquares(_SampleBased):
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + float(noise_std) * rng.standard_normal(int(n_samples))
         self._setup_split(rng, int(n_samples), float(val_fraction), batch_size)
-        self.noise_std_grad = float(noise_std_grad)
-        self.hvp_mode = _check_hvp_mode(hvp_mode)
-        self.hvp_step_scale = float(hvp_step_scale)
+        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
 
     def _rows(self, idx):
         return self.A[idx], self.y[idx]
@@ -447,12 +454,9 @@ class MlpRegression(_SampleBased):
             raise ValueError("need n_samples >= 2")
         self.sizes = sizes
         self.dim = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
-        mode = _check_hvp_mode(hvp_mode)
-        if mode == "exact":
+        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
+        if self.hvp_mode == "exact":
             raise ValueError("exact HVP not available for mlp_regression")
-        self.hvp_mode = mode
-        self.hvp_step_scale = float(hvp_step_scale)
-        self.noise_std_grad = float(noise_std_grad)
 
         # The draws are sample-major, as (n_samples, features), and are
         # transposed so every stream keeps its order.
@@ -557,12 +561,6 @@ class MlpRegression(_SampleBased):
         if rng is None:
             rng = np.random.default_rng(0)
         return self._kaiming(rng)
-
-
-def _check_hvp_mode(mode: str) -> str:
-    if mode not in ("exact", "central_difference"):
-        raise ValueError(f"unknown hvp mode {mode!r}")
-    return mode
 
 
 _PROBLEM_KINDS = {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from pytest import approx, raises
 
-from diagocp import cli
+from diagocp import cli, harness
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
 from diagocp.diag_ocp import (OptimizerConfig, init_state, step_closed_form,
                               update_moments)
@@ -62,6 +62,89 @@ def test_run_config_coerces_x0():
     cfg = quad_run(x0=[1.0, 2.0, 3.0])
     assert isinstance(cfg.x0, np.ndarray)
     assert cfg.x0.dtype == np.float64
+
+
+# --- optimizer interface --------------------------------------------------------
+
+# kind -> (config, lr, lr field, probe), the values the harness used before
+# the configs owned them
+INTERFACE = {
+    "diag_ocp": (OptimizerConfig(alpha=0.03, mu=1e-3, g_d=1e3, n_probes=3,
+                                 probe_distribution="rademacher"),
+                 0.03, "alpha", ProbeConfig(n_probes=3, distribution="rademacher",
+                                            clip_lo=1e-3, clip_hi=1e3)),
+    "sgd": (BaselineConfig(kind="sgd", lr=0.2, momentum=0.9), 0.2, "lr", None),
+    "adam": (BaselineConfig(kind="adam", lr=0.01), 0.01, "lr", None),
+    "radam": (BaselineConfig(kind="radam", lr=0.02), 0.02, "lr", None),
+    "adahessian": (BaselineConfig(kind="adahessian", lr=0.1), 0.1, "lr",
+                   ProbeConfig(n_probes=1, distribution="rademacher",
+                               clip_lo=1e-4, clip_hi=1e4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTERFACE))
+def test_config_interface_per_kind(kind):
+    cfg, lr, field_name, probe = INTERFACE[kind]
+    assert cfg.kind == kind
+    assert cfg.lr_field == field_name
+    assert cfg.lr == lr == getattr(cfg, field_name)
+    assert cfg.probe == probe
+    moved = cfg.with_lr(0.5)
+    assert moved == replace(cfg, **{field_name: 0.5})
+    assert type(moved) is type(cfg) and moved.lr == 0.5 and cfg.lr == lr
+    (rec,) = run_experiment(quad_run(max_steps=2, optimizer=kind, opt_cfg=cfg))
+    assert rec.mu == (None if probe is None else probe.clip_lo)
+    assert rec.run_id == f"{kind}-lr{lr:g}" + ("" if probe is None
+                                             else f"-mu{probe.clip_lo:g}") + "-s0"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OptimizerConfig(weight_decay=NAN),
+    lambda: OptimizerConfig(alpha=INF, weight_decay=0.0),
+    lambda: OptimizerConfig(mu=NAN),
+    lambda: OptimizerConfig(g_d=INF),
+    lambda: OptimizerConfig(beta2=-INF),
+    lambda: OptimizerConfig(safeguard_rho_max=NAN),
+    lambda: BaselineConfig(kind="sgd", lr=INF),
+    lambda: BaselineConfig(kind="adam", lr=0.1, weight_decay=NAN),
+    lambda: BaselineConfig(kind="adam", lr=0.1, eps=INF),
+    lambda: BaselineConfig(kind="sgd", lr=0.1, momentum=NAN),
+], ids=["ocp-wd-nan", "ocp-alpha-inf", "ocp-mu-nan", "ocp-g_d-inf",
+        "ocp-beta2-neginf", "ocp-rho_max-nan", "sgd-lr-inf", "adam-wd-nan",
+        "adam-eps-inf", "sgd-momentum-nan"])
+def test_configs_reject_non_finite_hyperparameters(make):
+    with raises(ValueError, match="must be finite"):
+        make()
+
+
+LAYER_FUNCTIONS = ("hutchinson_diag", "clip_diag", "update_moments",
+                   "step_closed_form", "baseline_step")
+
+
+@pytest.mark.parametrize("kind, per_step", [
+    ("diag_ocp", dict(hutchinson_diag=1, clip_diag=1, update_moments=1,
+                      step_closed_form=1, baseline_step=0)),
+    ("adahessian", dict(hutchinson_diag=1, clip_diag=1, update_moments=0,
+                        step_closed_form=0, baseline_step=1)),
+    ("sgd", dict(hutchinson_diag=0, clip_diag=0, update_moments=0,
+                 step_closed_form=0, baseline_step=1)),
+])
+def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
+    # The benchmark traces these five functions in the harness namespace;
+    # the stepper must call them there, once per step for the whole stack.
+    counts = dict.fromkeys(LAYER_FUNCTIONS, 0)
+    for name in LAYER_FUNCTIONS:
+        def counting(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counting)
+    cfg = INTERFACE[kind][0]
+    recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
+    assert not any(r.diverged for r in recs)
+    assert counts == {name: 7 * n for name, n in per_step.items()}
 
 
 # --- execution ----------------------------------------------------------------
@@ -453,6 +536,12 @@ def test_verify_rate_trend_validation():
         verify_rate_trend(n_seeds=0)
 
 
+def test_verify_rate_trend_rejects_a_baseline_config():
+    # it used to fail with AttributeError on the missing n_probes
+    with raises(ValueError, match="OptimizerConfig"):
+        verify_rate_trend(opt_cfg=BaselineConfig(kind="sgd", lr=0.1))
+
+
 def test_verify_probe_unbiasedness_small():
     report = verify_probe_unbiasedness(n_probes=20_000, seed=0, dim=4, tol=0.1)
     assert report["pass"]
@@ -672,6 +761,25 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "banana" in err["message"]
+
+
+def test_cli_non_finite_hyperparameter_is_exit_2(tmp_path, capsys):
+    # json reads NaN and Infinity; such a config used to run as all-diverged
+    doc = {**RUN_DOC, "optimizer": {"kind": "diag_ocp", "alpha": 0.05,
+                                    "weight_decay": float("nan")}}
+    cfg = write_config(tmp_path, doc)
+    assert "NaN" in (tmp_path / "config.json").read_text()
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "weight_decay" in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_rate_check_rejects_a_baseline_optimizer(tmp_path, capsys):
+    doc = {"T_list": [20, 40], "n_seeds": 1, "optimizer": {"kind": "sgd", "lr": 0.1}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["verify", "rate", "--config", cfg]) == 2
+    assert "OptimizerConfig" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

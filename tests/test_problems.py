@@ -445,3 +445,32 @@ def test_make_problem_kinds():
     assert isinstance(make_problem("mlp_regression"), MlpRegression)
     with raises(ValueError):
         make_problem("simulated_annealing")
+
+
+SMALL_KINDS = {
+    "quadratic": dict(h=[1.0, 2.0]),
+    "rosenbrock": {},
+    "noisy_least_squares": dict(dim=3, n_samples=10),
+    "mlp_regression": dict(layer_sizes=(2, 3, 1), n_samples=8),
+}
+
+
+BAD_ORACLE_NUMERICS = [
+    ("hvp_step_scale", 0.0), ("hvp_step_scale", -1e-5),
+    ("hvp_step_scale", float("nan")), ("hvp_step_scale", float("inf")),
+    ("noise_std_grad", -0.1), ("noise_std_grad", float("nan")),
+    ("noise_std_grad", float("inf")),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_KINDS))
+def test_constructors_validate_oracle_numerics(kind):
+    # a zero step scale makes every central-difference HVP 0/0, and a
+    # negative noise level would silently mean no noise
+    for knob, value in BAD_ORACLE_NUMERICS:
+        with raises(ValueError, match=knob):
+            make_problem(kind, **SMALL_KINDS[kind], **{knob: value})
+    prob = make_problem(kind, **SMALL_KINDS[kind], noise_std_grad=0,
+                        hvp_step_scale=1e-3)
+    assert prob.noise_std_grad == 0.0 and isinstance(prob.noise_std_grad, float)
+    assert prob.hvp_step_scale == 1e-3
