@@ -22,13 +22,15 @@ Config documents are flat JSON objects:
   n_probes/dim/tol) and runs on defaults when --config is omitted.
 
 Problem and optimizer sub-objects accept every keyword of the matching
-constructor; "kind" selects it.
+constructor; "kind" selects it. Counts and seeds must be integral (3.0 is 3,
+3.9 is an error), and a check's tol or ratio_threshold finite and > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -51,6 +53,24 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     return doc
+
+
+def _integer(doc, key, default):
+    """doc[key] (or default) as an int; a fractional value is an error, not
+    a silent truncation."""
+    value = doc.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value}")
+    return int(value)
+
+
+def _positive(doc, key, default):
+    """doc[key] (or default) as a finite float > 0: a check's tolerance or
+    threshold, which a NaN would turn into a silent FAIL."""
+    value = float(doc.get(key, default))
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be finite and > 0, got {value}")
+    return value
 
 
 def _build_problem(doc):
@@ -87,12 +107,13 @@ def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
     if problem is None:
         problem = _build_problem(doc.get("problem"))
     opt_cfg = _build_optimizer(doc.get("optimizer"))
-    base_seed = seed_override if seed_override is not None else doc.get("base_seed", 0)
+    base_seed = (seed_override if seed_override is not None
+                 else _integer(doc, "base_seed", 0))
     return RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
-                     max_steps=int(doc.get("max_steps", 100)),
-                     base_seed=int(base_seed),
-                     n_seeds=int(doc.get("n_seeds", 1)),
-                     record_every=int(doc.get("record_every", 1)),
+                     max_steps=_integer(doc, "max_steps", 100),
+                     base_seed=base_seed,
+                     n_seeds=_integer(doc, "n_seeds", 1),
+                     record_every=_integer(doc, "record_every", 1),
                      x0=doc.get("x0"))
 
 
@@ -169,11 +190,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = {} if args.config is None else _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", doc.get("base_seed", 0)))
+    seed = (args.seed if args.seed is not None
+            else _integer(doc, "seed", doc.get("base_seed", 0)))
     if args.check == "lemma1":
         report = verify_closed_form_equivalence(
-            trials=int(doc.get("trials", 200)), seed=seed,
-            tol=float(doc.get("tol", 1e-9)))
+            trials=_integer(doc, "trials", 200), seed=seed,
+            tol=_positive(doc, "tol", 1e-9))
         headline = (f"closed-form equivalence: max deviation "
                     f"{report['max_abs_deviation']:.3e} (tol {report['tolerance']:g}, "
                     f"{report['trials']} trials, "
@@ -184,16 +206,16 @@ def _cmd_verify(args) -> int:
         report = verify_rate_trend(
             problem=problem, opt_cfg=opt_cfg,
             T_list=tuple(doc.get("T_list", (100, 200, 400))),
-            n_seeds=int(doc.get("n_seeds", 20)), base_seed=seed,
-            ratio_threshold=float(doc.get("ratio_threshold", 0.6)))
+            n_seeds=_integer(doc, "n_seeds", 20), base_seed=seed,
+            ratio_threshold=_positive(doc, "ratio_threshold", 0.6))
         headline = (f"rate trend: min-grad-norm^2 ratio "
                     f"{report['ratio_last_to_first']:.3f} over T={report['T_list']} "
                     f"(threshold {report['ratio_threshold']:g}, "
                     f"log-log slope {report['loglog_slope']:.2f})")
     elif args.check == "hutchinson":
         report = verify_probe_unbiasedness(
-            n_probes=int(doc.get("n_probes", 100_000)), seed=seed,
-            dim=int(doc.get("dim", 8)), tol=float(doc.get("tol", 0.05)))
+            n_probes=_integer(doc, "n_probes", 100_000), seed=seed,
+            dim=_integer(doc, "dim", 8), tol=_positive(doc, "tol", 0.05))
         headline = (f"probe unbiasedness: max relative error "
                     f"{report['max_relative_error']:.4f} (tol {report['tolerance']:g}), "
                     f"diagonal exact error {report['diagonal_exact_error']:g}")

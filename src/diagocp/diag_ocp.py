@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .hessian_probe import ProbeConfig
+from .problems import _row_norms
 
 
 def check_finite(cfg):
@@ -149,7 +150,8 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     `state` is the post-update_moments state, so state.t is the 1-based step
     count t'. Every operand may be a vector or an (R, dim) stack of rows
     sharing t'. Returns (x_next, StepDiagnostics); step_norm is
-    ||x_next - x|| (per row).
+    ||x_next - x|| (per row), and each row's diagnostics equal the ones it
+    gets stepped alone.
     """
     x, m_hat, D_hat = _check_step_inputs(state, x, m_hat, D_hat)
     s = 1.0 - cfg.alpha * D_hat
@@ -162,8 +164,8 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
         rho=_per_row(np.max(np.abs(s_safe), axis=-1), float),
         safeguard_triggered=n_clamped > 0,
         n_clamped=n_clamped,
-        step_norm=_norm(x_next - x),
-        corrected_m_norm=_norm(m_hat),
+        step_norm=_per_row(_row_norms(x_next - x), float),
+        corrected_m_norm=_per_row(_row_norms(m_hat), float),
         row_clamped=_per_row(row_clamped, int),
     )
     return x_next, diagnostics
@@ -171,11 +173,6 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
 
 def _per_row(value, scalar):
     return scalar(value) if np.ndim(value) == 0 else value
-
-
-def _norm(a):
-    """2-norm of a vector, or of each row of a stack."""
-    return float(np.linalg.norm(a)) if a.ndim == 1 else np.linalg.norm(a, axis=-1)
 
 
 def step_recursive_reference(state: OptimizerState, x, m_hat, D_hat,

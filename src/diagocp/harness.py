@@ -9,6 +9,14 @@ RNG streams, so the replicates of a config run together as one (R, dim)
 stack of iterates, and each row's record is the one it would get run alone:
 it does not depend on R or on which other replicates share the stack.
 
+Step loop: step k consumes the gradient at x_{k-1} (seed BatchSeed(base,
+k-1, GRADIENT)), which the previous iteration evaluated together with the
+train loss recorded at x_{k-1}; at full batch one forward pass serves both.
+So each full-batch step costs one gradient pass plus the probe block, and
+the step-0 gradient is evaluated once. After the last step only the train
+loss is evaluated. Per-step bookkeeping runs on (R,) columns: g.g, the step
+norm, rho, the clamp count and the finiteness mask.
+
 Output schemas (column order is part of the contract):
   steps.csv    run_id,optimizer,lr,mu,seed,step,train_loss,val_loss,
                grad_norm_sq,step_norm,rho,safeguard_count
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -39,7 +48,8 @@ from .baselines import BaselineConfig, BaselineState, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
                        step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
-from .problems import BatchSeed, Channel, Quadratic, ProblemOracle, as_params
+from .problems import (BatchSeed, Channel, Quadratic, ProblemOracle, _row_dots,
+                       _row_norms, as_params)
 
 _SEED_MASK = (1 << 64) - 1
 _INIT_STREAM = 3
@@ -140,36 +150,38 @@ def _init_rng(rep_base: int) -> np.random.Generator:
         np.random.SeedSequence(rep_base & _SEED_MASK, spawn_key=(_INIT_STREAM,)))
 
 
-def _advance(problem, opt_cfg, probe, state, x, bases, k):
+def _seeds(bases, k, channel):
+    """One BatchSeed per stack row for 0-based step index k."""
+    return [BatchSeed(base, k, channel) for base in bases]
+
+
+def _advance(problem, opt_cfg, probe, state, x, g, bases, k):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
-    `probe` is opt_cfg.probe and state is None before the first step. Row r
-    draws its noise from the replicate stream bases[r], so it steps exactly
-    as it would alone. Returns (x_next, state', g, rho, clamped) with one
-    rho and clamp count per row, both None for the baselines. The full path
-    is probe -> clip -> moments -> closed-form step; this is the one branch
-    on the optimizer family, because the two step algorithms differ.
+    g is the (R, dim) gradient at x drawn from seeds(k - 1), `probe` is
+    opt_cfg.probe and state is None before the first step. Row r draws its
+    noise from the replicate stream bases[r], so it steps exactly as it
+    would alone. Returns (x_next, state', rho, clamped) with one rho and
+    clamp count per row, both None for the baselines. The full path is
+    probe -> clip -> moments -> closed-form step; this is the one branch on
+    the optimizer family, because the two step algorithms differ.
     """
-    def seeds(channel):
-        return [BatchSeed(base, k - 1, channel) for base in bases]
-
-    g = problem.eval_grad(x, seeds(Channel.GRADIENT))
     h_clipped = None
     if probe is not None:
-        hseeds = seeds(Channel.HESSIAN_NOISE)
+        hseeds = _seeds(bases, k - 1, Channel.HESSIAN_NOISE)
         raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
-                              problem.dim, probe, seeds(Channel.PROBE))
+                              problem.dim, probe, _seeds(bases, k - 1, Channel.PROBE))
         h_clipped = clip_diag(raw, probe)
     if isinstance(opt_cfg, OptimizerConfig):
         if state is None:
             state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
         state, m_hat, d_hat = update_moments(state, g, h_clipped, opt_cfg)
         x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg)
-        return x_next, state, g, diag.rho, diag.row_clamped
+        return x_next, state, diag.rho, diag.row_clamped
     if state is None:
         state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
     x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=h_clipped)
-    return x_next, state, g, None, None
+    return x_next, state, None, None
 
 
 def _take(state, rows):
@@ -221,31 +233,30 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     step = partial(_advance, problem, opt_cfg, probe)
 
     def keep(rows):
-        nonlocal x, state, bases, live
+        nonlocal x, g, state, bases, live
         if len(rows) < len(live):
-            x, state = x[rows], _take(state, rows)
+            x, g, state = x[rows], g[rows], _take(state, rows)
             bases = [bases[i] for i in rows]
             live = [live[i] for i in rows]
 
     inf = float("inf")
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g0 = problem.eval_grad(x, [BatchSeed(b, 0, Channel.GRADIENT) for b in bases])
-        train, val = problem.train_loss(x), problem.val_loss(x)
-        for i, rec in enumerate(live):
-            _record(rec, 0, float(train[i]), float(val[i]), float(g0[i] @ g0[i]),
-                    0.0, None, 0)
+        g, train = problem.grad_and_train_loss(x, _seeds(bases, 0, Channel.GRADIENT))
+        for rec, tr, va, gg in zip(live, train.tolist(), problem.val_loss(x).tolist(),
+                                   _row_dots(g).tolist()):
+            _record(rec, 0, tr, va, gg, 0.0, None, 0)
 
         for k in range(1, cfg.max_steps + 1):
             try:
-                x_next, state_next, g, rho, clamped = step(state, x, bases, k)
+                x_next, state_next, rho, clamped = step(state, x, g, bases, k)
             except ValueError:
                 # some row left the representable range: retry each row alone,
                 # drop the rows whose own step raises, step the rest together
                 ok = []
                 for i, rec in enumerate(live):
                     try:
-                        step(_take(state, [i]), x[i:i + 1], bases[i:i + 1], k)
+                        step(_take(state, [i]), x[i:i + 1], g[i:i + 1], bases[i:i + 1], k)
                         ok.append(i)
                     except ValueError:
                         rec.diverged = True
@@ -253,32 +264,42 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
                 keep(ok)
                 if not live:
                     break
-                x_next, state_next, g, rho, clamped = step(state, x, bases, k)
-            finite, rows = [], []
-            for i, rec in enumerate(live):
-                row = (float(g[i] @ g[i]), float(np.linalg.norm(x_next[i] - x[i])),
-                       None if rho is None else float(rho[i]),
-                       0 if clamped is None else int(clamped[i]))
-                if np.all(np.isfinite(x_next[i])):
-                    finite.append(i)
-                    rows.append(row)
-                else:
+                x_next, state_next, rho, clamped = step(state, x, g, bases, k)
+            n = len(live)
+            rows = list(zip(_row_dots(g).tolist(), _row_norms(x_next - x).tolist(),
+                            [None] * n if rho is None else rho.tolist(),
+                            [0] * n if clamped is None else clamped.tolist()))
+            x, state = x_next, state_next
+            finite = np.isfinite(x).all(axis=-1).tolist()
+            for rec, ok, row in zip(live, finite, rows):
+                if not ok:
                     rec.diverged = True
                     _record(rec, k, inf, inf, *row)
-            x, state = x_next, state_next
-            keep(finite)
-            if live and (k % cfg.record_every == 0 or k == cfg.max_steps):
-                train, val = problem.train_loss(x), problem.val_loss(x)
+            kept = [i for i, ok in enumerate(finite) if ok]
+            keep(kept)
+            rows = [rows[i] for i in kept]
+            if not live:
+                break
+            recording = k % cfg.record_every == 0 or k == cfg.max_steps
+            if k == cfg.max_steps:
+                train = problem.train_loss(x)
+            elif recording:
+                g, train = problem.grad_and_train_loss(
+                    x, _seeds(bases, k, Channel.GRADIENT))
+            else:
+                g = problem.eval_grad(x, _seeds(bases, k, Channel.GRADIENT))
+            if recording:
                 ok = []
-                for i, rec in enumerate(live):
-                    _record(rec, k, float(train[i]), float(val[i]), *rows[i])
-                    if np.isfinite(train[i]) and np.isfinite(val[i]):
+                for i, (rec, tr, va, row) in enumerate(
+                        zip(live, train.tolist(), problem.val_loss(x).tolist(), rows)):
+                    _record(rec, k, tr, va, *row)
+                    if math.isfinite(tr) and math.isfinite(va):
                         ok.append(i)
                     else:
                         rec.diverged = True
                 keep(ok)
-            if not live:
-                break
+                if not live:
+                    break
 
     wall_ms = (time.perf_counter() - t_start) * 1e3
     for rec in recs:
@@ -511,7 +532,8 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     x, state = _init_stack(problem, bases), None
     acc = np.zeros(t_max)
     for k in range(1, t_max + 1):
-        x, state, _, _, _ = _advance(problem, opt_cfg, probe, state, x, bases, k)
+        g = problem.eval_grad(x, _seeds(bases, k - 1, Channel.GRADIENT))
+        x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, bases, k)
         for g_true in problem.eval_grad(x, None):
             acc[k - 1] += float(g_true @ g_true)
     avg = acc / n_seeds

@@ -22,6 +22,7 @@ which realizes mini-batch-style noise without literal subsampling.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,9 @@ class ProblemOracle:
     (None for the deterministic kinds). `_losses`, `_grads` and
     `_hvps_exact` evaluate points with leading stack axes, by default one
     point at a time; kinds with a stacked pass override them instead of the
-    one-point hooks. Passing seed=None to the public methods gives the
-    noise-free full-batch value.
+    one-point hooks, and `_losses_and_grads` where one pass yields both.
+    Passing seed=None to the public methods gives the noise-free full-batch
+    value.
     """
 
     kind = "?"
@@ -125,6 +127,22 @@ class ProblemOracle:
         data, noise = self._draw(seed)
         g = self._grads(x, data)
         return g if noise is None else g + noise
+
+    def grad_and_train_loss(self, x, seed=None):
+        """(eval_grad(x, seed), train_loss(x)), equal to the two calls bit
+        for bit.
+
+        When the draw's data is the training split (full batch, with or
+        without gradient noise), one pass yields both.
+        """
+        x = self._check(x, seed)
+        data, noise = self._draw(seed)
+        if data is self._train_data:
+            losses, g = self._losses_and_grads(x, data)
+        else:
+            g = self._grads(x, data)
+            losses = self._losses(x, self._train_data)
+        return (g if noise is None else g + noise), _losses_out(losses)
 
     def hvp(self, x, v, seed=None) -> np.ndarray:
         """Hessian-vector products at x for one direction or a probe block.
@@ -191,23 +209,28 @@ class ProblemOracle:
         """Batch data and additive gradient noise for one draw of `seed`.
 
         For a sequence of seeds (a stack) the noise is an (R, dim) array and
-        sampled minibatches come as a list of one batch per row. A stream is
-        derived only when the oracle samples a minibatch or adds gradient
-        noise; otherwise the draw is the full training split and no noise,
-        exactly as seed=None gives.
+        sampled minibatches come as one RowBatches, every row's samples
+        gathered in one pass. A stream is derived only when the oracle
+        samples a minibatch or adds gradient noise; otherwise the draw is
+        the full training split and no noise, exactly as seed=None gives.
         """
         stochastic = self.batch_size is not None or self.noise_std_grad > 0.0
         if seed is None or not stochastic:
             return self._train_data, None
-        if not isinstance(seed, BatchSeed):
-            data, noise = zip(*(self._draw(s) for s in seed))
-            return (self._train_data if self.batch_size is None else list(data),
-                    None if noise[0] is None else np.stack(noise))
-        rng = seed.rng()
-        data = self._batch(rng) if self.batch_size is not None else self._train_data
-        if self.noise_std_grad > 0.0:
-            return data, self.noise_std_grad * rng.standard_normal(self.dim)
-        return data, None
+        lone = isinstance(seed, BatchSeed)
+        idx, noise = [], []
+        for s in [seed] if lone else seed:
+            rng = s.rng()
+            if self.batch_size is not None:
+                idx.append(rng.choice(self._train_idx, size=self.batch_size,
+                                      replace=False))
+            if self.noise_std_grad > 0.0:
+                noise.append(self.noise_std_grad * rng.standard_normal(self.dim))
+        if lone:
+            return (self._rows(idx[0]) if idx else self._train_data,
+                    noise[0] if noise else None)
+        return (RowBatches(self._rows(np.array(idx))) if idx else self._train_data,
+                np.stack(noise) if noise else None)
 
     # -- split evaluation for recording ----------------------------------
 
@@ -238,6 +261,11 @@ class ProblemOracle:
         """Gradients at every point of xs; kinds with a stacked pass override."""
         return _per_point(self._grad, xs, data)
 
+    def _losses_and_grads(self, xs, data):
+        """(losses, gradients) at every point of xs; kinds whose gradient
+        pass also yields the loss override."""
+        return self._losses(xs, data), self._grads(xs, data)
+
     def _hvp_exact(self, x, v):
         raise ValueError(f"exact HVP not available for kind {self.kind!r}")
 
@@ -258,6 +286,16 @@ class ProblemOracle:
         return x
 
 
+class RowBatches(list):
+    """The sampled minibatches of a stack, one (inputs, targets) pair per
+    row. They are gathered once, into arrays with a leading row axis that
+    `stacked` holds, and each row's pair are views of them."""
+
+    def __init__(self, stacked):
+        super().__init__(zip(*stacked))
+        self.stacked = stacked
+
+
 def _per_point(fn, xs, data):
     """fn(x, data) at every point of xs (any leading axes). A list `data`
     holds one batch per entry of the first axis; any other value is shared."""
@@ -268,11 +306,17 @@ def _per_point(fn, xs, data):
     return np.stack([_per_point(fn, x, data) for x in xs])
 
 
+def _row_dots(a):
+    """r . r for each last-axis row r of a, as a batched row dot. Each value
+    is the `dot` that a lone row's `r @ r` takes, so a stack's values equal
+    its rows' bit for bit; a reduction over axis=-1 may round differently."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
 def _row_norms(a):
-    """The 2-norm of each last-axis row, one `np.linalg.norm` call per row
-    (a reduction over axis=-1 may round differently)."""
-    return np.array([float(np.linalg.norm(r)) for r in a.reshape(-1, a.shape[-1])]
-                    ).reshape(a.shape[:-1])
+    """The 2-norm of each last-axis row, equal bit for bit to the row's
+    `np.linalg.norm` (which is sqrt(r . r) for a vector)."""
+    return np.sqrt(_row_dots(a))
 
 
 def _losses_out(value):
@@ -342,8 +386,8 @@ class _SampleBased(ProblemOracle):
     """Shared dataset plumbing: split and mini-batch selection.
 
     A batch is the (inputs, targets) pair that the subclass's `_rows`
-    gathers for a set of sample indices, in whatever layout its `_loss` and
-    `_grad` read. The training and validation splits are gathered once at
+    gathers for a set of sample indices, in whatever layout its hooks
+    read. The training and validation splits are gathered once at
     construction, so full-batch gradients and recorded losses read them
     without a copy.
     """
@@ -368,11 +412,9 @@ class _SampleBased(ProblemOracle):
         self._val_data = self._rows(self._val_idx) if n_val else self._train_data
 
     def _rows(self, idx):
+        """The batch of sample indices idx; an (R, n) index array gives one
+        batch per row, stacked along a leading axis."""
         raise NotImplementedError
-
-    def _batch(self, rng):
-        return self._rows(rng.choice(self._train_idx, size=self.batch_size,
-                                     replace=False))
 
 
 class NoisyLeastSquares(_SampleBased):
@@ -427,12 +469,20 @@ class MlpRegression(_SampleBased):
     outputs plus label noise, all drawn once from teacher_seed. The loss is
     the mean over samples of the summed squared output error, and the
     gradient is manual backprop with the ReLU subgradient at 0 taken as 0.
+    One forward pass serves both when `grad_and_train_loss` asks for them.
 
     Data are stored feature-major: X is (d_in, n_samples) and Y is
     (d_out, n_samples), and every split or minibatch is a C-contiguous
     column gather of them. Activations are (..., units, n), so the forward
     pass and backprop run with the sample axis innermost. A gather's
     layout picks the BLAS path, and so the last bits of every result.
+
+    The oracle keeps a workspace: one flat float64 buffer per hidden layer
+    for its activations and one for its backprop deltas. Each grows to the
+    largest pass requested and is viewed at each call's shape, so repeated
+    calls reuse the same pages instead of allocating them afresh. Nothing a
+    call returns aliases the workspace, but the oracle is therefore not
+    safe to call from two threads at once.
 
     No analytic HVP; the default mode is central differencing of the
     gradient oracle.
@@ -457,6 +507,7 @@ class MlpRegression(_SampleBased):
         self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
         if self.hvp_mode == "exact":
             raise ValueError("exact HVP not available for mlp_regression")
+        self._workspace = {}
 
         # The draws are sample-major, as (n_samples, features), and are
         # transposed so every stream keeps its order.
@@ -494,21 +545,39 @@ class MlpRegression(_SampleBased):
     # -- network ----------------------------------------------------------
 
     def _rows(self, idx):
-        return self.X.take(idx, axis=1), self.Y.take(idx, axis=1)
+        """Feature-major inputs and targets of the samples idx, each one
+        C-contiguous gather: (d, n) for an index vector, (R, d, n) for an
+        (R, n) index array."""
+        return tuple(a.ravel().take(np.arange(0, a.size, a.shape[1])[:, None]
+                                    + idx[..., None, :])
+                     for a in (self.X, self.Y))
+
+    def _work(self, role, shape):
+        """A view of `shape` on the workspace buffer of `role`, which grows
+        to the largest request; its contents are overwritten by the next
+        request for the same role."""
+        size = math.prod(shape)
+        buf = self._workspace.get(role)
+        if buf is None or buf.size < size:
+            buf = self._workspace[role] = np.empty(size)
+        return buf[:size].reshape(shape)
 
     def _forward(self, layers, X):
         """Return the list of (..., units, n) layer outputs, ending with the
         predictions, for feature-major inputs X.
 
         The layers may carry leading stack axes; every output past X then
-        carries them too.
+        carries them too. The hidden outputs are workspace views, valid
+        until the next pass; the predictions are a fresh array.
         """
         outs = [X]
         z = X
         for i, (w, b) in enumerate(layers):
-            z = w @ z
+            hidden = i < len(layers) - 1
+            out = self._work(("act", i), w.shape[:-1] + z.shape[-1:]) if hidden else None
+            z = np.matmul(w, z, out=out)
             z += b[..., :, None]
-            if i < len(layers) - 1:
+            if hidden:
                 np.maximum(z, 0.0, out=z)
             outs.append(z)
         return outs
@@ -517,45 +586,52 @@ class MlpRegression(_SampleBased):
     def _batch_for(theta, data):
         """(inputs, targets) broadcastable against theta's leading axes.
 
-        A list holds one batch per entry of theta's first axis; it is
-        stacked along that axis, with unit axes for any further stack axes.
+        RowBatches hold one batch per entry of theta's first axis; their
+        stacked arrays get unit axes for any further stack axes.
         """
-        if not isinstance(data, list):
+        if not isinstance(data, RowBatches):
             return data
         lead = (len(data),) + (1,) * (theta.ndim - 2)
-        return tuple(np.stack(arrs).reshape(lead + arrs[0].shape) for arrs in zip(*data))
+        return tuple(a.reshape(lead + a.shape[1:]) for a in data.stacked)
 
-    def _loss(self, theta, data):
-        """Mean summed squared error; leading axes of theta give one loss
-        per point, and each equals its single-theta loss bit for bit."""
-        X, Y = self._batch_for(theta, data)
-        diff = self._forward(self._unpack(theta), X)[-1] - Y
-        return np.mean(np.sum(diff * diff, axis=-2), axis=-1)
-
-    def _grad(self, theta, data):
-        """Backprop gradient; leading axes of theta give one gradient per
-        point, on shared or per-row batches.
-
-        A 1-d theta runs plain 2-d matmuls, and each slice of a stacked pass
-        equals its single-theta gradient bit for bit.
-        """
+    def _pass(self, theta, data):
+        """Forward pass at theta on data: (layers, layer outputs, output
+        error). Leading axes of theta give one pass per point, on shared or
+        per-row batches, and each slice equals its single-theta pass bit for
+        bit; a 1-d theta runs plain 2-d matmuls."""
         layers = self._unpack(theta)
         X, Y = self._batch_for(theta, data)
         outs = self._forward(layers, X)
-        n = X.shape[-1]
-        delta = (2.0 / n) * (outs[-1] - Y)
+        return layers, outs, outs[-1] - Y
+
+    @staticmethod
+    def _mse(diff):
+        """Mean over samples of the summed squared error, one per point."""
+        return np.mean(np.sum(diff * diff, axis=-2), axis=-1)
+
+    def _backprop(self, layers, outs, diff):
+        """The flat gradient of the mean squared error from one pass."""
+        delta = (2.0 / diff.shape[-1]) * diff
         grads = [None] * len(layers)
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
             gw = delta @ outs[i].swapaxes(-1, -2)
             grads[i] = (gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-1))
             if i > 0:
-                delta = w.swapaxes(-1, -2) @ delta
+                delta = np.matmul(w.swapaxes(-1, -2), delta,
+                                  out=self._work(("delta", i), outs[i].shape))
                 delta *= outs[i] > 0.0
         return np.concatenate([part for pair in grads for part in pair], axis=-1)
 
-    _grads = _grad
-    _losses = _loss
+    def _losses(self, theta, data):
+        return self._mse(self._pass(theta, data)[2])
+
+    def _grads(self, theta, data):
+        return self._backprop(*self._pass(theta, data))
+
+    def _losses_and_grads(self, theta, data):
+        layers, outs, diff = self._pass(theta, data)
+        return self._mse(diff), self._backprop(layers, outs, diff)
 
     def default_init(self, rng=None):
         if rng is None:

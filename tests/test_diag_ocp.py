@@ -282,3 +282,24 @@ def test_stacked_moments_and_step_equal_each_row_alone():
         assert diag.row_clamped[r] == diag_r.n_clamped == diag_r.row_clamped
     assert diag.n_clamped == sum(diag.row_clamped) > 0
     assert diag.safeguard_triggered
+
+
+def test_stacked_step_diagnostics_equal_lone_rows():
+    # an axis=-1 norm of a stack rounds differently from a lone row's norm
+    cfg = OptimizerConfig(alpha=0.05, weight_decay=0.01)
+    rng = np.random.default_rng(9)
+    for dim in (5, 178, 1000):
+        rows = 40
+        X = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        m_hat = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        d_hat = rng.uniform(1e-4, 1e4, (rows, dim))
+        state = OptimizerState(t=3, m=m_hat, D=d_hat)
+        _, diag = step_closed_form(state, X, m_hat, d_hat, cfg)
+        for r in range(rows):
+            alone = OptimizerState(t=3, m=m_hat[r], D=d_hat[r])
+            _, diag_r = step_closed_form(alone, X[r], m_hat[r], d_hat[r], cfg)
+            assert type(diag_r.step_norm) is float
+            assert diag.step_norm[r] == diag_r.step_norm
+            assert diag.corrected_m_norm[r] == diag_r.corrected_m_norm
+            assert diag.rho[r] == diag_r.rho
+            assert diag.row_clamped[r] == diag_r.row_clamped

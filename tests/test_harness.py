@@ -234,7 +234,8 @@ def test_minibatch_probe_block_derives_one_hessian_stream_per_step(monkeypatch):
     assert not rec.diverged
     assert channels.count(Channel.HESSIAN_NOISE) == 6
     assert channels.count(Channel.PROBE) == 6
-    assert channels.count(Channel.GRADIENT) == 7  # the step-0 record, then one a step
+    # the step-0 gradient is step 1's; after the last step only losses run
+    assert channels.count(Channel.GRADIENT) == 6
 
 
 # --- stacked execution ----------------------------------------------------------
@@ -391,6 +392,21 @@ def test_replicate_records_do_not_depend_on_the_stack_size(cfg):
         assert a.run_id == b.run_id
         np.testing.assert_equal(record_rows(a), record_rows(b))
         assert a.diverged == b.diverged
+
+
+@pytest.mark.parametrize("batch_size", [None, 32])
+def test_sparse_recording_records_the_same_rows(batch_size):
+    # a sparse cadence skips the train loss between records, and at full
+    # batch it takes the gradient without the shared forward
+    cfg = RunConfig(problem=MlpRegression(batch_size=batch_size, **MLP_SMALL),
+                    optimizer="diag_ocp", opt_cfg=MLP_OCP, max_steps=10,
+                    base_seed=4, n_seeds=3, record_every=1)
+    dense = run_experiment(cfg)
+    sparse = run_experiment(replace(cfg, record_every=3))
+    for a, b in zip(dense, sparse):
+        assert b.steps == [0, 3, 6, 9, 10]
+        rows = dict(zip(a.steps, record_rows(a)))
+        np.testing.assert_equal(record_rows(b), [rows[k] for k in b.steps])
 
 
 def test_verify_rate_trend_defaults_are_frozen():
@@ -773,6 +789,28 @@ def test_cli_non_finite_hyperparameter_is_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "weight_decay" in err["message"]
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("check, knob, value", [
+    ("lemma1", "tol", float("nan")), ("lemma1", "tol", 0.0),
+    ("hutchinson", "tol", float("inf")), ("rate", "ratio_threshold", float("nan")),
+    ("rate", "ratio_threshold", -0.5),
+])
+def test_cli_bad_check_knob_is_exit_2(tmp_path, capsys, check, knob, value):
+    # a NaN tolerance made the comparison false: a FAIL with exit 1
+    doc = {"trials": 20, "n_probes": 100, "T_list": [20, 40], "n_seeds": 1, knob: value}
+    assert cli.main(["verify", check, "--config", write_config(tmp_path, doc)]) == 2
+    assert knob in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("key", ["max_steps", "n_seeds", "record_every"])
+def test_cli_fractional_count_is_exit_2(tmp_path, capsys, key):
+    # int() used to truncate: max_steps 3.9 ran 3 steps and exited 0
+    cfg = write_config(tmp_path, {**RUN_DOC, key: 3.9})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert key in json.loads(capsys.readouterr().err)["message"]
+    cfg = write_config(tmp_path, {**RUN_DOC, key: 3.0})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 def test_cli_rate_check_rejects_a_baseline_optimizer(tmp_path, capsys):

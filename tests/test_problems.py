@@ -377,6 +377,7 @@ STACK_PROBLEMS = {
         design_seed=3, n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
         hvp_mode="central_difference"),
     "mlp-full": lambda: MlpRegression(n_samples=128),
+    "mlp-full-noise": lambda: MlpRegression(n_samples=128, noise_std_grad=0.1),
     "mlp-minibatch-noise": lambda: MlpRegression(n_samples=128, batch_size=32,
                                                  noise_std_grad=0.1),
     "mlp-two-hidden-minibatch": lambda: MlpRegression(layer_sizes=(4, 6, 5, 2),
@@ -405,6 +406,66 @@ def test_stacked_oracle_equals_row_by_row(case):
     np.testing.assert_array_equal(prob.hvp(X, V, hseeds), rows(prob.hvp, X, V, hseeds))
     np.testing.assert_array_equal(prob.hvp(X, V[:, 0], hseeds),
                                   rows(prob.hvp, X, V[:, 0], hseeds))
+
+
+@pytest.mark.parametrize("case", sorted(STACK_PROBLEMS))
+def test_grad_and_train_loss_equals_the_separate_calls(case, monkeypatch):
+    prob = STACK_PROBLEMS[case]()
+    rng = np.random.default_rng(33)
+    X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+                  for _ in range(3)])
+    seeds = [BatchSeed(b, 5, Channel.GRADIENT) for b in (21, 22, 23)]
+    for x, seed in ((X[0], seeds[0]), (X[0], None), (X, seeds), (X, None)):
+        g, loss = prob.grad_and_train_loss(x, seed)
+        np.testing.assert_array_equal(g, prob.eval_grad(x, seed))
+        np.testing.assert_array_equal(loss, prob.train_loss(x))
+        assert type(loss) is type(prob.train_loss(x))
+    if isinstance(prob, MlpRegression) and prob.batch_size is None:
+        # at full batch one forward pass serves the gradient and the loss
+        calls = []
+        forward = prob._forward
+        monkeypatch.setattr(prob, "_forward", lambda *a: calls.append(1) or forward(*a))
+        prob.grad_and_train_loss(X, seeds)
+        assert len(calls) == 1
+
+
+def test_mlp_workspace_calls_equal_a_fresh_oracle():
+    def make():
+        return MlpRegression(layer_sizes=(4, 6, 5, 2), n_samples=96, batch_size=24,
+                             noise_std_grad=0.05)
+
+    prob = make()
+    rng = np.random.default_rng(34)
+    X = np.stack([prob.default_init(rng) for _ in range(5)])
+    V = rng.standard_normal((5, 2, prob.dim))
+
+    def seeds(n, channel=Channel.GRADIENT):
+        return [BatchSeed(b, 1, channel) for b in range(n)]
+
+    calls = [  # interleaved stack shapes (5,), (5, 2), (3,) and a lone point
+        lambda p: p.eval_grad(X, seeds(5)),
+        lambda p: p.hvp(X, V, seeds(5, Channel.HESSIAN_NOISE)),
+        lambda p: p.grad_and_train_loss(X[:3], seeds(3)),
+        lambda p: p.eval_grad(X[4], BatchSeed(9, 1, Channel.GRADIENT)),
+        lambda p: p.val_loss(X),
+        lambda p: p.grad_and_train_loss(X[1]),
+        lambda p: p.eval_loss(X[:3], seeds(3)),
+        lambda p: p.eval_grad(X, seeds(5)),
+    ]
+    for call in calls:
+        got, fresh = call(prob), call(make())
+        if not isinstance(got, tuple):
+            got, fresh = (got,), (fresh,)
+        for out, ref in zip(got, fresh):
+            np.testing.assert_array_equal(out, ref)
+            assert not any(np.shares_memory(out, buf) for buf in prob._workspace.values())
+    # results the caller mutates do not reach the next call
+    g, loss = prob.grad_and_train_loss(X, seeds(5))
+    g[...] = np.nan
+    loss[...] = np.nan
+    g2, loss2 = prob.grad_and_train_loss(X, seeds(5))
+    np.testing.assert_array_equal(g2, make().eval_grad(X, seeds(5)))
+    np.testing.assert_array_equal(loss2, make().train_loss(X))
 
 
 def test_stacked_hvp_with_a_zero_probe_row():
