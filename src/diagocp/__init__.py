@@ -13,8 +13,7 @@ from .harness import (CompareResult, MuAblation, RunConfig, RunRecord,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
                       verify_probe_unbiasedness, verify_rate_trend)
-from .hessian_probe import (ProbeConfig, clip_diag, hutchinson_diag,
-                            sample_probe)
+from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from .problems import (BatchSeed, Channel, MlpRegression, NoisyLeastSquares,
                        ProblemOracle, Quadratic, Rosenbrock2D, make_problem)
 
@@ -31,7 +30,7 @@ __all__ = [
     "emit_results", "emit_sweep", "lr_sweep", "run_experiment",
     "verify_closed_form_equivalence", "verify_probe_unbiasedness",
     "verify_rate_trend",
-    "ProbeConfig", "clip_diag", "hutchinson_diag", "sample_probe",
+    "ProbeConfig", "clip_diag", "hutchinson_diag",
     "BatchSeed", "Channel", "MlpRegression", "NoisyLeastSquares",
     "ProblemOracle", "Quadratic", "Rosenbrock2D", "make_problem",
 ]

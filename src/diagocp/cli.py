@@ -42,7 +42,7 @@ from .harness import (RunConfig, SweepSpec, ablate_mu, compare,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
                       verify_probe_unbiasedness, verify_rate_trend)
-from .problems import make_problem
+from .problems import as_integer, make_problem
 
 
 def _load_config(path: str | None) -> dict:
@@ -56,12 +56,8 @@ def _load_config(path: str | None) -> dict:
 
 
 def _integer(doc, key, default):
-    """doc[key] (or default) as an int; a fractional value is an error, not
-    a silent truncation."""
-    value = doc.get(key, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value}")
-    return int(value)
+    """doc[key] (or default) as an int, by the rule of `as_integer`."""
+    return as_integer(doc.get(key, default), key)
 
 
 def _positive(doc, key, default):

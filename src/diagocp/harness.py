@@ -49,7 +49,7 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
                        step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from .problems import (BatchSeed, Channel, Quadratic, ProblemOracle, _row_dots,
-                       _row_norms, as_params)
+                       _row_norms, as_integer, as_params)
 
 _SEED_MASK = (1 << 64) - 1
 _INIT_STREAM = 3
@@ -350,12 +350,13 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.coarse_grid)
         if not grid:
             raise ValueError("coarse grid must be nonempty")
-        if any(v <= 0 for v in grid):
-            raise ValueError("coarse grid must be strictly positive")
+        if not all(0.0 < v < math.inf for v in grid):
+            raise ValueError("coarse grid must be finite and strictly positive")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ValueError("coarse grid must be strictly descending")
-        if not self.refine_factors or any(f <= 0 for f in self.refine_factors):
-            raise ValueError("refine factors must be positive")
+        if not self.refine_factors or not all(0.0 < f < math.inf
+                                              for f in self.refine_factors):
+            raise ValueError("refine factors must be finite and positive")
         if self.metric not in ("min_val", "final_val"):
             raise ValueError("metric must be min_val or final_val")
         object.__setattr__(self, "coarse_grid", grid)
@@ -511,7 +512,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     T * min, and the log-log slope of min vs T; passes when the value at the
     largest T is <= ratio_threshold times the value at the smallest T.
     """
-    T_list = [int(t) for t in T_list]
+    T_list = [as_integer(t, "T_list") for t in T_list]
     if len(T_list) < 2:
         raise ValueError("need at least two T values")
     if sorted(set(T_list)) != T_list or T_list[0] < 1:

@@ -49,15 +49,6 @@ def _draw(distribution: str, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def sample_probe(distribution: str, dim: int, seed: BatchSeed) -> np.ndarray:
-    """One probe vector; same seed always returns the same vector."""
-    if distribution not in _DISTRIBUTIONS:
-        raise ValueError(f"unknown probe distribution {distribution!r}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return _draw(distribution, dim, seed.rng())
-
-
 def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
     """Pre-clipping diagonal estimate: average of v * hvp(v) over probes.
 

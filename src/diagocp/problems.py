@@ -76,20 +76,31 @@ def as_params(x) -> np.ndarray:
     return x
 
 
+def as_integer(value, name) -> int:
+    """A count or seed as an int. An integral float (3.0) reads as 3; a
+    fractional or non-finite one is an error, not a silent truncation."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 class ProblemOracle:
     """Common interface: eval_loss / eval_grad / hvp plus split evaluation.
 
     Every public method takes one point x of shape (dim,) or a stack of R
     points of shape (R, dim). A stack takes a sequence of R seeds, one per
     row, and each row draws exactly the minibatch and noise it would draw
-    alone. Subclasses fill in the clean `_loss`, `_grad`, and (where an
-    analytic form exists) `_hvp_exact` of one point on one batch of data
-    (None for the deterministic kinds). `_losses`, `_grads` and
-    `_hvps_exact` evaluate points with leading stack axes, by default one
-    point at a time; kinds with a stacked pass override them instead of the
-    one-point hooks, and `_losses_and_grads` where one pass yields both.
-    Passing seed=None to the public methods gives the noise-free full-batch
-    value.
+    alone. Passing seed=None gives the noise-free full-batch value.
+
+    A kind writes each clean quantity once, for points with any leading
+    axes: `_losses(xs, data)` -> xs.shape[:-1], `_grads(xs, data)` ->
+    xs.shape, and, where an analytic form exists, `_hvps_exact(x, V)`, the
+    products of the Hessian at each point of x with its (..., n, dim) block
+    of directions V. `data` is the training split, a sampled minibatch, or
+    RowBatches with one minibatch per entry of the first axis (None for the
+    deterministic kinds). Each slice of a result equals the value of its
+    lone point bit for bit. `_losses_and_grads` may be overridden where one
+    pass yields both.
     """
 
     kind = "?"
@@ -155,9 +166,9 @@ class ProblemOracle:
         (g(x + h v) - g(x - h v)) / (2 h) with h = step_scale (1 + ||x||) /
         (||v|| + tiny) per direction, where every gradient of a point's
         block shares the one minibatch and noise draw addressed by its seed.
-        All 2 n_probes gradients of every point run as one stacked pass
-        where the kind supports it. An all-zero direction returns the zero
-        vector; a non-finite point x +- h v raises ValueError.
+        All 2 n_probes gradients of every point run as one stacked pass. An
+        all-zero direction returns the zero vector from that same pass; a
+        non-finite point x +- h v raises ValueError.
         """
         x = self._check(x, seed)
         V = np.asarray(v, dtype=np.float64)
@@ -175,24 +186,12 @@ class ProblemOracle:
             out = self._hvp_central(x, block, seed)
         return out.reshape(V.shape)
 
-    def _hvps_exact(self, x, V):
-        if x.ndim == 2:
-            return np.stack([self._hvps_exact(xr, Vr) for xr, Vr in zip(x, V)])
-        return np.stack([self._hvp_exact(x, d) for d in V])
-
     def _hvp_central(self, x, V, seed):
+        # a zero direction steps by exactly 0, so its two gradients are
+        # equal and its product comes out as +0.0
         norms = _row_norms(V)
-        if not (norms != 0.0).all():
-            if x.ndim == 2:
-                seeds = [None] * len(x) if seed is None else seed
-                return np.stack([self._hvp_central(xr, Vr, s)
-                                 for xr, Vr, s in zip(x, V, seeds)])
-            live = norms != 0.0
-            out = np.zeros_like(V)
-            if live.any():
-                out[live] = self._hvp_central(x, V[live], seed)
-            return out
-        h = self.hvp_step_scale * (1.0 + _row_norms(x)[..., None]) / (norms + _TINY)
+        h = (self.hvp_step_scale * (1.0 + _row_norms(x)[..., None])
+             / np.where(norms == 0.0, 1.0, norms + _TINY))
         steps = h[..., None] * V
         at = x[..., None, :]
         points = np.concatenate((at + steps, at - steps), axis=-2)
@@ -245,28 +244,18 @@ class ProblemOracle:
     def default_init(self, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    # -- subclass hooks ---------------------------------------------------
-
-    def _loss(self, x, data):
-        raise NotImplementedError
-
-    def _grad(self, x, data):
-        raise NotImplementedError
+    # -- subclass hooks (see the class docstring) ---------------------------
 
     def _losses(self, xs, data):
-        """Losses at every point of xs; kinds with a stacked pass override."""
-        return _per_point(self._loss, xs, data)
+        raise NotImplementedError
 
     def _grads(self, xs, data):
-        """Gradients at every point of xs; kinds with a stacked pass override."""
-        return _per_point(self._grad, xs, data)
+        raise NotImplementedError
 
     def _losses_and_grads(self, xs, data):
-        """(losses, gradients) at every point of xs; kinds whose gradient
-        pass also yields the loss override."""
         return self._losses(xs, data), self._grads(xs, data)
 
-    def _hvp_exact(self, x, v):
+    def _hvps_exact(self, x, V):
         raise ValueError(f"exact HVP not available for kind {self.kind!r}")
 
     def _check(self, x, seed=None) -> np.ndarray:
@@ -286,24 +275,21 @@ class ProblemOracle:
         return x
 
 
-class RowBatches(list):
-    """The sampled minibatches of a stack, one (inputs, targets) pair per
-    row. They are gathered once, into arrays with a leading row axis that
-    `stacked` holds, and each row's pair are views of them."""
-
-    def __init__(self, stacked):
-        super().__init__(zip(*stacked))
-        self.stacked = stacked
+class RowBatches(tuple):
+    """The sampled minibatches of a stack: the (inputs, targets) arrays of
+    every row, gathered once, each with a leading row axis."""
 
 
-def _per_point(fn, xs, data):
-    """fn(x, data) at every point of xs (any leading axes). A list `data`
-    holds one batch per entry of the first axis; any other value is shared."""
-    if xs.ndim == 1:
-        return fn(xs, data)
-    if isinstance(data, list):
-        return np.stack([_per_point(fn, x, d) for x, d in zip(xs, data)])
-    return np.stack([_per_point(fn, x, data) for x in xs])
+def _batch_for(xs, data):
+    """(inputs, targets) broadcastable against the leading axes of xs.
+
+    RowBatches hold one batch per entry of the first axis of xs; their
+    arrays get unit axes for any further stack axes.
+    """
+    if not isinstance(data, RowBatches):
+        return data
+    lead = (len(xs),) + (1,) * (xs.ndim - 2)
+    return tuple(a.reshape(lead + a.shape[1:]) for a in data)
 
 
 def _row_dots(a):
@@ -332,8 +318,8 @@ class Quadratic(ProblemOracle):
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 1 or h.size == 0:
             raise ValueError("h must be a nonempty 1-d array")
-        if not np.all(h > 0.0):
-            raise ValueError("quadratic requires all h_i > 0")
+        if not np.all((h > 0.0) & (h < np.inf)):
+            raise ValueError("quadratic requires all h_i finite and > 0")
         self.h = h
         self.dim = int(h.size)
         self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
@@ -362,21 +348,23 @@ class Rosenbrock2D(ProblemOracle):
     def __init__(self, noise_std_grad=0.0, hvp_mode="exact", hvp_step_scale=1e-5):
         self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
 
-    def _loss(self, x, data):
-        a, b = x
-        return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    # np.square squares exactly at any shape; a lone point's numpy-scalar
+    # `** 2` would call pow, which can differ in the last bit.
+    def _losses(self, xs, data):
+        a, b = xs[..., 0], xs[..., 1]
+        return np.square(1.0 - a) + 100.0 * np.square(b - a * a)
 
-    def _grad(self, x, data):
-        a, b = x
-        return np.array(
-            [-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]
-        )
+    def _grads(self, xs, data):
+        a, b = xs[..., 0], xs[..., 1]
+        c = b - a * a
+        return np.stack([-2.0 * (1.0 - a) - 400.0 * a * c, 200.0 * c], axis=-1)
 
-    def _hvp_exact(self, x, v):
-        a, b = x
+    def _hvps_exact(self, x, V):
+        a, b = x[..., None, 0], x[..., None, 1]
         h11 = 2.0 + 1200.0 * a * a - 400.0 * b
         h12 = -400.0 * a
-        return np.array([h11 * v[0] + h12 * v[1], h12 * v[0] + 200.0 * v[1]])
+        v1, v2 = V[..., 0], V[..., 1]
+        return np.stack([h11 * v1 + h12 * v2, h12 * v1 + 200.0 * v2], axis=-1)
 
     def default_init(self, rng=None):
         return np.array([-1.2, 1.0])
@@ -404,7 +392,7 @@ class _SampleBased(ProblemOracle):
         self._val_idx = np.sort(perm[:n_val])
         self._train_idx = np.sort(perm[n_val:])
         if batch_size is not None:
-            batch_size = int(batch_size)
+            batch_size = as_integer(batch_size, "batch_size")
             if not 1 <= batch_size <= self._train_idx.size:
                 raise ValueError("batch_size must be in [1, n_train]")
         self.batch_size = batch_size
@@ -429,32 +417,37 @@ class NoisyLeastSquares(_SampleBased):
     def __init__(self, design_seed=0, n_samples=64, noise_std=0.1, dim=10,
                  val_fraction=0.2, batch_size=None, noise_std_grad=0.0,
                  hvp_mode="exact", hvp_step_scale=1e-5):
-        if dim < 1 or n_samples < 2:
+        self.dim, n_samples = as_integer(dim, "dim"), as_integer(n_samples, "n_samples")
+        if self.dim < 1 or n_samples < 2:
             raise ValueError("need dim >= 1 and n_samples >= 2")
-        self.dim = int(dim)
-        rng = np.random.default_rng(np.random.SeedSequence(int(design_seed) & _SEED_MASK))
-        self.A = rng.standard_normal((int(n_samples), self.dim))
+        seed = as_integer(design_seed, "design_seed")
+        rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
+        self.A = rng.standard_normal((n_samples, self.dim))
         self.x_true = rng.standard_normal(self.dim)
-        self.y = self.A @ self.x_true + float(noise_std) * rng.standard_normal(int(n_samples))
-        self._setup_split(rng, int(n_samples), float(val_fraction), batch_size)
+        self.y = self.A @ self.x_true + float(noise_std) * rng.standard_normal(n_samples)
+        self._setup_split(rng, n_samples, float(val_fraction), batch_size)
         self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
 
     def _rows(self, idx):
         return self.A[idx], self.y[idx]
 
-    def _loss(self, x, data):
-        A, y = data
-        r = A @ x - y
-        return np.mean(r * r)
+    # The unit last axis makes each point's product the matrix-vector
+    # product a lone point runs, so a stack equals its rows bit for bit.
+    def _residuals(self, xs, data):
+        A, y = _batch_for(xs, data)
+        return A, (A @ xs[..., None])[..., 0] - y
 
-    def _grad(self, x, data):
-        A, y = data
-        r = A @ x - y
-        return (2.0 / r.size) * (A.T @ r)
+    def _losses(self, xs, data):
+        r = self._residuals(xs, data)[1]
+        return np.mean(r * r, axis=-1)
 
-    def _hvp_exact(self, x, v):
+    def _grads(self, xs, data):
+        A, r = self._residuals(xs, data)
+        return (2.0 / r.shape[-1]) * (A.swapaxes(-1, -2) @ r[..., None])[..., 0]
+
+    def _hvps_exact(self, x, V):
         A, _ = self._train_data
-        return (2.0 / len(A)) * (A.T @ (A @ v))
+        return (2.0 / len(A)) * (A.T @ (A @ V[..., None]))[..., 0]
 
     def default_init(self, rng=None):
         return np.zeros(self.dim)
@@ -495,11 +488,12 @@ class MlpRegression(_SampleBased):
                  label_noise_std=0.05, val_fraction=0.2, batch_size=None,
                  noise_std_grad=0.0, hvp_mode="central_difference",
                  hvp_step_scale=1e-5):
-        sizes = [int(s) for s in layer_sizes]
+        sizes = [as_integer(s, "layer_sizes") for s in layer_sizes]
         if len(sizes) < 3 or len(sizes) > 4:
             raise ValueError("layer_sizes must describe 1 or 2 hidden layers")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
+        n_samples = as_integer(n_samples, "n_samples")
         if n_samples < 2:
             raise ValueError("need n_samples >= 2")
         self.sizes = sizes
@@ -511,8 +505,8 @@ class MlpRegression(_SampleBased):
 
         # The draws are sample-major, as (n_samples, features), and are
         # transposed so every stream keeps its order.
-        n_samples = int(n_samples)
-        rng = np.random.default_rng(np.random.SeedSequence(int(teacher_seed) & _SEED_MASK))
+        seed = as_integer(teacher_seed, "teacher_seed")
+        rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
         self.X = np.ascontiguousarray(rng.standard_normal((n_samples, sizes[0])).T)
         teacher = self._kaiming(rng)
         self.Y = self._forward(self._unpack(teacher), self.X)[-1]
@@ -582,25 +576,13 @@ class MlpRegression(_SampleBased):
             outs.append(z)
         return outs
 
-    @staticmethod
-    def _batch_for(theta, data):
-        """(inputs, targets) broadcastable against theta's leading axes.
-
-        RowBatches hold one batch per entry of theta's first axis; their
-        stacked arrays get unit axes for any further stack axes.
-        """
-        if not isinstance(data, RowBatches):
-            return data
-        lead = (len(data),) + (1,) * (theta.ndim - 2)
-        return tuple(a.reshape(lead + a.shape[1:]) for a in data.stacked)
-
     def _pass(self, theta, data):
         """Forward pass at theta on data: (layers, layer outputs, output
         error). Leading axes of theta give one pass per point, on shared or
         per-row batches, and each slice equals its single-theta pass bit for
         bit; a 1-d theta runs plain 2-d matmuls."""
         layers = self._unpack(theta)
-        X, Y = self._batch_for(theta, data)
+        X, Y = _batch_for(theta, data)
         outs = self._forward(layers, X)
         return layers, outs, outs[-1] - Y
 

@@ -465,6 +465,13 @@ def test_sweep_spec_validation():
         SweepSpec(refine_factors=())
     with raises(ValueError):
         SweepSpec(metric="wall_ms")
+    for bad in (float("nan"), float("inf")):
+        with raises(ValueError, match="finite"):
+            SweepSpec(coarse_grid=(bad,))
+        with raises(ValueError, match="finite"):
+            SweepSpec(coarse_grid=(1e-1, bad))
+        with raises(ValueError, match="finite"):
+            SweepSpec(refine_factors=(1.0, bad))
 
 
 def test_lr_sweep_selects_and_refines():
@@ -550,6 +557,8 @@ def test_verify_rate_trend_validation():
         verify_rate_trend(T_list=(100, 100, 200))
     with raises(ValueError):
         verify_rate_trend(n_seeds=0)
+    with raises(ValueError, match="T_list must be an integer"):
+        verify_rate_trend(T_list=(10.7, 20, 40), n_seeds=1)
 
 
 def test_verify_rate_trend_rejects_a_baseline_config():
@@ -811,6 +820,32 @@ def test_cli_fractional_count_is_exit_2(tmp_path, capsys, key):
     assert key in json.loads(capsys.readouterr().err)["message"]
     cfg = write_config(tmp_path, {**RUN_DOC, key: 3.0})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("n_samples", 40.9), ("batch_size", 8.7)])
+def test_cli_fractional_problem_count_is_exit_2(tmp_path, capsys, key, value):
+    # the constructor used to truncate: 40.9 samples ran on 40 and exited 0
+    problem = {"kind": "noisy_least_squares", "n_samples": 40, "batch_size": 8, key: value}
+    cfg = write_config(tmp_path, {**RUN_DOC, "problem": problem})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert key in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_fractional_rate_horizon_is_exit_2(tmp_path, capsys):
+    # it used to print "PASS ... over T=[10, 20, 40]"
+    cfg = write_config(tmp_path, {"T_list": [10.7, 20, 40], "n_seeds": 2})
+    assert cli.main(["verify", "rate", "--config", cfg]) == 2
+    assert "T_list" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_non_finite_refine_factor_is_exit_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the coarse stage used to run in full before lr NaN failed
+    monkeypatch.setattr(cli, "lr_sweep", lambda *a: pytest.fail("sweep ran"))
+    doc = {**RUN_DOC, "sweep": {"refine_factors": [float("nan")]}}
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "refine factors" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_cli_rate_check_rejects_a_baseline_optimizer(tmp_path, capsys):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
-from diagocp.hessian_probe import (ProbeConfig, clip_diag, hutchinson_diag,
-                                   sample_probe)
+from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from diagocp.problems import BatchSeed, Channel, MlpRegression
 
 
@@ -20,16 +19,24 @@ def test_probe_config_validation():
         ProbeConfig(clip_lo=2.0, clip_hi=1.0)
 
 
-def test_sample_probe_rademacher_values():
-    v = sample_probe("rademacher", 500, BatchSeed(0, 0, Channel.PROBE))
-    assert v.shape == (500,)
-    assert set(np.unique(v)) == {-1.0, 1.0}
+def probe_block(distribution, dim, seed, n_probes=1):
+    """The probe block that hutchinson_diag hands its hvp_fn."""
+    seen = []
+    cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
+    hutchinson_diag(lambda V: seen.append(V) or V, dim, cfg, seed)
+    return seen[0]
 
 
-def test_sample_probe_deterministic_by_seed():
-    a = sample_probe("standard_normal", 32, BatchSeed(1, 5, Channel.PROBE))
-    b = sample_probe("standard_normal", 32, BatchSeed(1, 5, Channel.PROBE))
-    c = sample_probe("standard_normal", 32, BatchSeed(1, 6, Channel.PROBE))
+def test_probe_block_rademacher_values():
+    V = probe_block("rademacher", 500, BatchSeed(0, 0, Channel.PROBE), n_probes=2)
+    assert V.shape == (2, 500)
+    assert set(np.unique(V)) == {-1.0, 1.0}
+
+
+def test_probe_block_deterministic_by_seed():
+    a = probe_block("standard_normal", 32, BatchSeed(1, 5, Channel.PROBE))
+    b = probe_block("standard_normal", 32, BatchSeed(1, 5, Channel.PROBE))
+    c = probe_block("standard_normal", 32, BatchSeed(1, 6, Channel.PROBE))
     np.testing.assert_array_equal(a, b)
     assert np.any(a != c)
 

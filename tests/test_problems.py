@@ -4,7 +4,7 @@ from pytest import raises
 
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, Quadratic, Rosenbrock2D,
-                              as_params, make_problem)
+                              RowBatches, as_integer, as_params, make_problem)
 
 
 def fd_gradient(problem, x, eps=1e-6):
@@ -53,6 +53,10 @@ def test_quadratic_requires_positive_curvature():
         Quadratic([1.0, -2.0])
     with raises(ValueError):
         Quadratic([])
+    with raises(ValueError, match="finite"):
+        Quadratic([np.inf, 1.0])
+    with raises(ValueError):
+        Quadratic([np.nan, 1.0])
 
 
 def test_quadratic_gradient_matches_fd():
@@ -187,6 +191,61 @@ def test_least_squares_design_seed_reproducible():
     assert a.eval_loss(x, None) != c.eval_loss(x, None)
 
 
+# --- stacked hooks against one-point references -----------------------------
+
+def rosenbrock_one_point(x, v):
+    """Loss, gradient and exact HVP of one point, written with scalars."""
+    a, b = x
+    h11, h12 = 2.0 + 1200.0 * a * a - 400.0 * b, -400.0 * a
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]),
+            np.array([h11 * v[0] + h12 * v[1], h12 * v[0] + 200.0 * v[1]]))
+
+
+def least_squares_one_point(x, A, y):
+    """Loss and gradient of one point on the batch (A, y)."""
+    r = A @ x - y
+    return np.mean(r * r), (2.0 / r.size) * (A.T @ r)
+
+
+def test_rosenbrock_stacked_hooks_match_one_point_reference():
+    prob = Rosenbrock2D()
+    rng = np.random.default_rng(51)
+    X = 3.0 * rng.standard_normal((4000, 2))
+    V = rng.standard_normal((4000, 1, 2))
+    losses, grads, hvps = prob._losses(X, None), prob._grads(X, None), prob._hvps_exact(X, V)
+    for x, v, loss, g, hv in zip(X, V, losses, grads, hvps):
+        loss_ref, g_ref, hv_ref = rosenbrock_one_point(x, v[0])
+        np.testing.assert_array_equal(g, g_ref)
+        np.testing.assert_array_equal(hv[0], hv_ref)
+        # the reference's numpy-scalar ** 2 calls pow, which may round the
+        # other way; np.square is exact
+        assert abs(loss - loss_ref) <= 2 * np.spacing(loss_ref)
+        assert prob._losses(x, None) == loss
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_least_squares_stacked_hooks_match_one_point_reference(batch_size):
+    prob = NoisyLeastSquares(design_seed=4, n_samples=50, dim=7, batch_size=batch_size)
+    rng = np.random.default_rng(52)
+    X = 10.0 ** rng.uniform(-3, 3, (3, 1)) * rng.standard_normal((3, prob.dim))
+    V = rng.standard_normal((3, 2, prob.dim))
+    data, _ = prob._draw([BatchSeed(b, 0, Channel.GRADIENT) for b in (1, 2, 3)])
+    # (R, 2 m, dim) points, as a central-difference block evaluates
+    P = np.concatenate((X[:, None] + V, X[:, None] - V), axis=1)
+    losses, grads = prob._losses(P, data), prob._grads(P, data)
+    for r in range(len(X)):
+        A, y = tuple(a[r] for a in data) if batch_size else data
+        for j, p in enumerate(P[r]):
+            loss_ref, g_ref = least_squares_one_point(p, A, y)
+            assert losses[r, j] == loss_ref
+            np.testing.assert_array_equal(grads[r, j], g_ref)
+    A, _ = prob._train_data
+    np.testing.assert_array_equal(
+        prob._hvps_exact(X, V),
+        [[(2.0 / len(A)) * (A.T @ (A @ v)) for v in block] for block in V])
+
+
 # --- mlp regression --------------------------------------------------------
 
 def test_mlp_dimension():
@@ -279,9 +338,10 @@ def test_mlp_kernels_match_rowmajor_reference(layer_sizes, batch_size):
     T = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
     seeds = [BatchSeed(b, 2, Channel.GRADIENT) for b in (5, 6, 7)]
-    batches, _ = prob._draw(seeds)
-    if not isinstance(batches, list):
-        batches = [batches] * len(T)
+    data, _ = prob._draw(seeds)
+    assert isinstance(data, RowBatches) == (batch_size is not None)
+    batches = [tuple(a[r] for a in data) if isinstance(data, RowBatches) else data
+               for r in range(len(T))]
     G, L = prob.eval_grad(T, seeds), prob.eval_loss(T, seeds)
     splits = [(prob.train_loss(T), prob._train_data), (prob.val_loss(T), prob._val_data)]
     for r, (theta, (Xb, Yb)) in enumerate(zip(T, batches)):
@@ -325,7 +385,7 @@ def test_mlp_block_hvp_equals_row_by_row(layer_sizes, kwargs):
         rows, np.stack([cd_reference(prob, x, v, seed) for v in V]))
 
 
-def test_mlp_block_hvp_with_a_zero_probe_row():
+def test_mlp_block_hvp_with_a_zero_probe_row(monkeypatch):
     prob = MlpRegression(n_samples=128, batch_size=32, noise_std_grad=0.1)
     rng = np.random.default_rng(22)
     x = prob.default_init(rng)
@@ -337,9 +397,24 @@ def test_mlp_block_hvp_with_a_zero_probe_row():
     np.testing.assert_array_equal(block, np.stack([prob.hvp(x, v, seed) for v in V]))
     np.testing.assert_array_equal(prob.hvp(x, np.zeros((2, prob.dim)), seed),
                                   np.zeros((2, prob.dim)))
+    # a stack with an all-zero block and zero rows: one stacked gradient
+    # pass, and every zero direction's product is +0.0
+    X = np.stack([x, prob.default_init(rng), prob.default_init(rng)])
+    W = np.stack([np.zeros_like(V), V, V[::-1]])
+    seeds = [BatchSeed(b, 4, Channel.HESSIAN_NOISE) for b in (7, 8, 9)]
+    calls = []
+    grads = prob._grads
+    monkeypatch.setattr(prob, "_grads", lambda *a: calls.append(1) or grads(*a))
+    stacked = prob.hvp(X, W, seeds)
+    assert len(calls) == 1
+    zero = np.stack([stacked[0, 0], stacked[1, 1], stacked[2, 2]])
+    np.testing.assert_array_equal(zero, 0.0)
+    assert not np.signbit(zero).any() and not np.signbit(stacked[0]).any()
+    np.testing.assert_array_equal(
+        stacked, np.stack([prob.hvp(xr, Vr, s) for xr, Vr, s in zip(X, W, seeds)]))
 
 
-def test_per_point_fallback_block_hvp_equals_row_by_row():
+def test_least_squares_block_hvp_equals_row_by_row():
     prob = NoisyLeastSquares(n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
                              hvp_mode="central_difference")
     rng = np.random.default_rng(23)
@@ -373,9 +448,14 @@ STACK_PROBLEMS = {
     "quadratic-noise": lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
     "rosenbrock-cd": lambda: Rosenbrock2D(hvp_mode="central_difference",
                                           noise_std_grad=0.01),
+    "rosenbrock-exact": lambda: Rosenbrock2D(noise_std_grad=0.01),
     "least_squares-minibatch": lambda: NoisyLeastSquares(
         design_seed=3, n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
         hvp_mode="central_difference"),
+    "least_squares-exact": lambda: NoisyLeastSquares(
+        design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
+    "least_squares-exact-minibatch": lambda: NoisyLeastSquares(
+        design_seed=3, n_samples=40, dim=6, batch_size=8),
     "mlp-full": lambda: MlpRegression(n_samples=128),
     "mlp-full-noise": lambda: MlpRegression(n_samples=128, noise_std_grad=0.1),
     "mlp-minibatch-noise": lambda: MlpRegression(n_samples=128, batch_size=32,
@@ -506,6 +586,41 @@ def test_make_problem_kinds():
     assert isinstance(make_problem("mlp_regression"), MlpRegression)
     with raises(ValueError):
         make_problem("simulated_annealing")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("noisy_least_squares", dict(n_samples=40.9)),
+    ("noisy_least_squares", dict(dim=6.5)),
+    ("noisy_least_squares", dict(batch_size=8.7)),
+    ("noisy_least_squares", dict(design_seed=1.5)),
+    ("mlp_regression", dict(layer_sizes=(8.9, 16.5, 2))),
+    ("mlp_regression", dict(n_samples=64.9)),
+    ("mlp_regression", dict(batch_size=7.5)),
+    ("mlp_regression", dict(teacher_seed=float("nan"))),
+])
+def test_constructors_reject_fractional_counts(kind, params):
+    # int() used to truncate: n_samples 40.9 built 40 samples
+    with raises(ValueError, match=next(iter(params))):
+        make_problem(kind, **params)
+
+
+def test_constructors_read_integral_floats_as_ints():
+    ls = NoisyLeastSquares(design_seed=3.0, n_samples=40.0, dim=6.0, batch_size=8.0)
+    ref = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
+    np.testing.assert_array_equal(ls.A, ref.A)
+    assert (ls.dim, ls.batch_size) == (6, 8) and type(ls.batch_size) is int
+    mlp = MlpRegression(layer_sizes=(8.0, 16.0, 2.0), teacher_seed=1.0, n_samples=64.0,
+                        batch_size=8.0)
+    assert mlp.sizes == [8, 16, 2] and mlp.batch_size == 8
+    np.testing.assert_array_equal(mlp.X, MlpRegression(teacher_seed=1, n_samples=64).X)
+
+
+def test_as_integer():
+    assert as_integer(3.0, "n") == 3 and type(as_integer(3.0, "n")) is int
+    assert as_integer(np.int64(4), "n") == 4
+    for bad in (3.9, np.float64(2.5), float("inf"), float("nan")):
+        with raises(ValueError, match="n must be an integer"):
+            as_integer(bad, "n")
 
 
 SMALL_KINDS = {
