@@ -79,22 +79,25 @@ def init_baseline_state(dim: int) -> BaselineState:
 
 
 def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
-                  h_diag=None):
+                  h_diag=None, lr=None):
     """One update of cfg.kind; returns (x_next, state').
 
     x, g, h_diag and the state's buffers may be (R, dim) stacks of
-    replicates sharing t; the update is elementwise, row by row.
+    replicates sharing t; the update is elementwise, row by row. `lr`, when
+    given, replaces cfg.lr: an (R, 1) column gives each row its own, and
+    each row equals its step with that lr as a scalar bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if x.shape != state.m.shape or g.shape != state.m.shape:
         raise ValueError("x/g dimension mismatch with optimizer state")
+    lr = cfg.lr if lr is None else lr
     t = state.t + 1
-    decayed = x * (1.0 - cfg.lr * cfg.weight_decay)
+    decayed = x * (1.0 - lr * cfg.weight_decay)
 
     if cfg.kind == "sgd":
         buf = cfg.momentum * state.m + g
-        return decayed - cfg.lr * buf, BaselineState(t, buf, state.v)
+        return decayed - lr * buf, BaselineState(t, buf, state.v)
 
     if cfg.kind == "adahessian":
         if h_diag is None:
@@ -106,7 +109,7 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
         v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * h_diag * h_diag
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = v / (1.0 - cfg.beta2 ** t)
-        return decayed - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps), BaselineState(t, m, v)
+        return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), BaselineState(t, m, v)
 
     # adam / radam
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
@@ -116,7 +119,7 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
     state_next = BaselineState(t, m, v)
 
     if cfg.kind == "adam":
-        return decayed - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps), state_next
+        return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), state_next
 
     rho_inf = 2.0 / (1.0 - cfg.beta2) - 1.0
     rho_t = rho_inf - 2.0 * t * cfg.beta2 ** t / (1.0 - cfg.beta2 ** t)
@@ -125,5 +128,5 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
             (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
             / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
         )
-        return decayed - cfg.lr * rect * m_hat / (np.sqrt(v_hat) + cfg.eps), state_next
-    return decayed - cfg.lr * m_hat, state_next
+        return decayed - lr * rect * m_hat / (np.sqrt(v_hat) + cfg.eps), state_next
+    return decayed - lr * m_hat, state_next

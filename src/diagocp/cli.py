@@ -2,8 +2,9 @@
 
 Subcommands: run, sweep, ablate-mu, compare, verify {lemma1,rate,hutchinson}.
 Every subcommand takes --config FILE (JSON), --out DIR, and --seed N
-(overrides the config's base_seed). The replicates of a config run together
-as one stacked array, in one process. Exit codes: 0 success / check passed,
+(overrides the config's base_seed). The replicates of a config, and in a
+sweep every learning rate of a stage, run together as one stacked array, in
+one process. Exit codes: 0 success / check passed,
 1 verification check failed, 2 configuration or runtime error (a JSON error
 line goes to stderr).
 
@@ -22,8 +23,9 @@ Config documents are flat JSON objects:
   n_probes/dim/tol) and runs on defaults when --config is omitted.
 
 Problem and optimizer sub-objects accept every keyword of the matching
-constructor; "kind" selects it. Counts and seeds must be integral (3.0 is 3,
-3.9 is an error), and a check's tol or ratio_threshold finite and > 0.
+constructor; "kind" selects it. Counts and seeds must be integral numbers
+(3.0 is 3; 3.9, "3" and true are errors), noise scales finite and >= 0, and
+a check's tol or ratio_threshold finite and > 0.
 """
 
 from __future__ import annotations

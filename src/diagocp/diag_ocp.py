@@ -144,22 +144,25 @@ def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig):
     return OptimizerState(t=t_next, m=m_next, D=d_next), m_hat, d_hat
 
 
-def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfig):
+def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfig,
+                     lr=None):
     """Production update: x (1 - alpha lambda) - (1 - s^t')/D_hat * m_hat.
 
     `state` is the post-update_moments state, so state.t is the 1-based step
     count t'. Every operand may be a vector or an (R, dim) stack of rows
-    sharing t'. Returns (x_next, StepDiagnostics); step_norm is
-    ||x_next - x|| (per row), and each row's diagnostics equal the ones it
-    gets stepped alone.
+    sharing t'. `lr`, when given, replaces cfg.alpha: an (R, 1) column gives
+    each row of a stack its own alpha. Returns (x_next, StepDiagnostics);
+    step_norm is ||x_next - x|| (per row), and each row's diagnostics equal
+    the ones it gets stepped alone with its alpha as a scalar.
     """
     x, m_hat, D_hat = _check_step_inputs(state, x, m_hat, D_hat)
-    s = 1.0 - cfg.alpha * D_hat
+    alpha = cfg.alpha if lr is None else lr
+    s = 1.0 - alpha * D_hat
     s_safe = np.clip(s, -cfg.safeguard_rho_max, cfg.safeguard_rho_max)
     row_clamped = np.count_nonzero(s_safe != s, axis=-1)
     n_clamped = int(np.sum(row_clamped))
     phi = (1.0 - s_safe ** state.t) / D_hat * m_hat
-    x_next = x * (1.0 - cfg.alpha * cfg.weight_decay) - phi
+    x_next = x * (1.0 - alpha * cfg.weight_decay) - phi
     diagnostics = StepDiagnostics(
         rho=_per_row(np.max(np.abs(s_safe), axis=-1), float),
         safeguard_triggered=n_clamped > 0,

@@ -5,16 +5,20 @@ verification checks, and CSV/JSON emission.
 Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
 BatchSeed(stream_base, step, channel). Each replicate owns its state and
-RNG streams, so the replicates of a config run together as one (R, dim)
-stack of iterates, and each row's record is the one it would get run alone:
-it does not depend on R or on which other replicates share the stack.
+RNG streams, and each learning rate is only a per-row column in the step,
+so a whole sweep stage runs as one (n_lrs * n_seeds, dim) stack of
+(lr, replicate) rows, lr-major. Replicate r has the same stream base at
+every lr. Each row's record is the one it would get run alone: it depends
+neither on the stack height nor on which other lrs or replicates share it.
 
-Step loop: step k consumes the gradient at x_{k-1} (seed BatchSeed(base,
-k-1, GRADIENT)), which the previous iteration evaluated together with the
-train loss recorded at x_{k-1}; at full batch one forward pass serves both.
-So each full-batch step costs one gradient pass plus the probe block, and
-the step-0 gradient is evaluated once. After the last step only the train
-loss is evaluated. Per-step bookkeeping runs on (R,) columns: g.g, the step
+Step loop: one stepper advances the whole (lr, replicate) stack, so a
+stage pays the per-step Python cost once for all of its rows. Step k
+consumes the gradient at x_{k-1} (seed BatchSeed(base, k-1, GRADIENT)),
+which the previous iteration evaluated together with the train loss
+recorded at x_{k-1}; at full batch one forward pass serves both. So each
+full-batch step costs one gradient pass plus the probe block, and the
+step-0 gradient is evaluated once. After the last step only the train loss
+is evaluated. Per-step bookkeeping runs on (R,) columns: g.g, the step
 norm, rho, the clamp count and the finiteness mask.
 
 Output schemas (column order is part of the contract):
@@ -137,7 +141,7 @@ class RunRecord:
     min_val: float = float("nan")
     min_val_step: int = -1
     diverged: bool = False
-    wall_ms: float = 0.0    # wall time of the whole replicate stack
+    wall_ms: float = 0.0    # wall time of the whole stack: the sweep stage
 
 
 def _replicate_base(base_seed: int, rep: int) -> int:
@@ -155,12 +159,13 @@ def _seeds(bases, k, channel):
     return [BatchSeed(base, k, channel) for base in bases]
 
 
-def _advance(problem, opt_cfg, probe, state, x, g, bases, k):
+def _advance(problem, opt_cfg, probe, state, x, g, bases, k, lr=None):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
     g is the (R, dim) gradient at x drawn from seeds(k - 1), `probe` is
     opt_cfg.probe and state is None before the first step. Row r draws its
-    noise from the replicate stream bases[r], so it steps exactly as it
+    noise from the replicate stream bases[r] and steps with lr[r], an
+    (R, 1) column (opt_cfg's lr when None), so it steps exactly as it
     would alone. Returns (x_next, state', rho, clamped) with one rho and
     clamp count per row, both None for the baselines. The full path is
     probe -> clip -> moments -> closed-form step; this is the one branch on
@@ -176,11 +181,11 @@ def _advance(problem, opt_cfg, probe, state, x, g, bases, k):
         if state is None:
             state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
         state, m_hat, d_hat = update_moments(state, g, h_clipped, opt_cfg)
-        x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg)
+        x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg, lr=lr)
         return x_next, state, diag.rho, diag.row_clamped
     if state is None:
         state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
-    x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=h_clipped)
+    x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=h_clipped, lr=lr)
     return x_next, state, None, None
 
 
@@ -213,29 +218,46 @@ def _record(rec, k, train, val, gns, stepn, rho, n_clamped):
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     """Execute cfg.n_seeds replicates; one RunRecord per seed, in seed order.
 
-    The live replicates advance together as one (R, dim) stack, and each
-    row's record equals the one it would get run alone. A replicate that
-    diverges drops out of the stack. When a stacked step raises ValueError,
-    every row retries the step alone: rows whose own step raises are marked
-    diverged (their iterate or a moment left the representable range), and
-    the rest step again as a stack.
+    The one-lr case of the stepper `_run_stack`, at cfg.opt_cfg's lr.
+    """
+    return _run_stack(cfg, [cfg.opt_cfg.lr])[0]
+
+
+def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
+    """Run cfg's replicates at every learning rate of lrs as one stack;
+    returns one seed-ordered RunRecord list per lr, in lrs order.
+
+    Row (j, rep) of the (len(lrs) * n_seeds, dim) stack, lr-major, starts
+    from replicate rep's initial iterate, draws its noise from replicate
+    rep's stream base and steps with lrs[j]; cfg.opt_cfg supplies every
+    other setting. Each row's record equals the one it would get run alone.
+    A row that diverges drops out of the stack. When a stacked step raises
+    ValueError, every row retries the step alone: rows whose own step
+    raises are marked diverged (their iterate or a moment left the
+    representable range), and the rest step again as a stack.
     """
     problem, opt_cfg = cfg.problem, cfg.opt_cfg
     t_start = time.perf_counter()
-    bases = [_replicate_base(cfg.base_seed, rep) for rep in range(cfg.n_seeds)]
-    x, state = _init_stack(problem, bases, cfg.x0), None
-    lr, probe = opt_cfg.lr, opt_cfg.probe
+    lrs = [opt_cfg.with_lr(lr).lr for lr in lrs]    # with_lr validates each lr
+    n, probe = cfg.n_seeds, opt_cfg.probe
+    rep_bases = [_replicate_base(cfg.base_seed, rep) for rep in range(n)]
+    x, state = np.tile(_init_stack(problem, rep_bases, cfg.x0), (len(lrs), 1)), None
+    bases, lr_col = rep_bases * len(lrs), np.repeat(lrs, n)[:, None]
     mu = None if probe is None else probe.clip_lo
-    tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
-    recs = [RunRecord(run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer, lr=lr,
-                      mu=mu, seed=rep) for rep in range(cfg.n_seeds)]
-    live = list(recs)   # the record of each stack row
+    recs = []
+    for lr in lrs:
+        tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
+        recs.append([RunRecord(run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer,
+                               lr=lr, mu=mu, seed=rep) for rep in range(n)])
+    flat = [rec for group in recs for rec in group]
+    live = list(flat)   # the record of each stack row
     step = partial(_advance, problem, opt_cfg, probe)
 
     def keep(rows):
-        nonlocal x, g, state, bases, live
+        nonlocal x, g, state, bases, lr_col, live
         if len(rows) < len(live):
             x, g, state = x[rows], g[rows], _take(state, rows)
+            lr_col = lr_col[rows]
             bases = [bases[i] for i in rows]
             live = [live[i] for i in rows]
 
@@ -249,14 +271,15 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
 
         for k in range(1, cfg.max_steps + 1):
             try:
-                x_next, state_next, rho, clamped = step(state, x, g, bases, k)
+                x_next, state_next, rho, clamped = step(state, x, g, bases, k, lr_col)
             except ValueError:
                 # some row left the representable range: retry each row alone,
                 # drop the rows whose own step raises, step the rest together
                 ok = []
                 for i, rec in enumerate(live):
                     try:
-                        step(_take(state, [i]), x[i:i + 1], g[i:i + 1], bases[i:i + 1], k)
+                        step(_take(state, [i]), x[i:i + 1], g[i:i + 1],
+                             bases[i:i + 1], k, lr_col[i:i + 1])
                         ok.append(i)
                     except ValueError:
                         rec.diverged = True
@@ -264,11 +287,11 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
                 keep(ok)
                 if not live:
                     break
-                x_next, state_next, rho, clamped = step(state, x, g, bases, k)
-            n = len(live)
+                x_next, state_next, rho, clamped = step(state, x, g, bases, k, lr_col)
+            n_live = len(live)
             rows = list(zip(_row_dots(g).tolist(), _row_norms(x_next - x).tolist(),
-                            [None] * n if rho is None else rho.tolist(),
-                            [0] * n if clamped is None else clamped.tolist()))
+                            [None] * n_live if rho is None else rho.tolist(),
+                            [0] * n_live if clamped is None else clamped.tolist()))
             x, state = x_next, state_next
             finite = np.isfinite(x).all(axis=-1).tolist()
             for rec, ok, row in zip(live, finite, rows):
@@ -302,7 +325,7 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
                     break
 
     wall_ms = (time.perf_counter() - t_start) * 1e3
-    for rec in recs:
+    for rec in flat:
         rec.final_train = rec.train_loss[-1]
         rec.final_val = rec.val_loss[-1]
         idx = int(np.argmin(rec.val_loss))
@@ -380,23 +403,28 @@ def _sweep_metric(records: list[RunRecord], which: str) -> float:
 def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     """Stage 1 runs every coarse lr; stage 2 refines the winner's decade.
 
-    Ties go to the larger lr (grids are evaluated in descending order with a
-    strict comparison). Raises if every coarse run diverged. The refinement
-    set always contains the stage-1 winner, so the selected lr's metric is
-    <= every coarse-stage metric.
+    Each stage is one stack of (lr, replicate) rows: the coarse grid, then
+    the refine candidates not run yet, so a sweep makes two stepper runs
+    (one when every candidate was already run), and each lr's records equal
+    those of its own run_experiment. Ties go to the larger lr (grids are
+    evaluated in descending order with a strict comparison). Raises if
+    every coarse run diverged. The refinement set always contains the
+    stage-1 winner, so the selected lr's metric is <= every coarse-stage
+    metric.
     """
     records: dict = {}
     metrics: dict = {}
 
-    def run_at(lr: float):
-        if lr not in records:
-            cfg = replace(base, opt_cfg=base.opt_cfg.with_lr(lr))
-            records[lr] = run_experiment(cfg)
-            metrics[lr] = _sweep_metric(records[lr], spec.metric)
+    def run_stage(lrs):
+        new = [lr for lr in lrs if lr not in records]
+        if new:
+            for lr, recs in zip(new, _run_stack(base, new)):
+                records[lr] = recs
+                metrics[lr] = _sweep_metric(recs, spec.metric)
 
+    run_stage(spec.coarse_grid)
     best_lr, best_metric = None, float("inf")
     for lr in spec.coarse_grid:
-        run_at(lr)
         if metrics[lr] < best_metric:
             best_lr, best_metric = lr, metrics[lr]
     if best_lr is None or not np.isfinite(best_metric):
@@ -405,9 +433,9 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
 
     candidates = sorted({best_lr * f / 10.0 for f in spec.refine_factors},
                         reverse=True)
+    run_stage(candidates)
     selected, selected_metric = None, float("inf")
     for lr in candidates:
-        run_at(lr)
         if metrics[lr] < selected_metric:
             selected, selected_metric = lr, metrics[lr]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +78,22 @@ def as_params(x) -> np.ndarray:
 
 
 def as_integer(value, name) -> int:
-    """A count or seed as an int. An integral float (3.0) reads as 3; a
-    fractional or non-finite one is an error, not a silent truncation."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
+    """A count or seed as an int. Integers (numpy's too) pass and an
+    integral float (3.0) reads as 3; a fractional or non-finite float, a
+    bool, a string or any other type is an error, not a silent conversion."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not isinstance(value, numbers.Integral) and not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_scale(value, name) -> float:
+    """A noise standard deviation as a float; NaN, inf and negative values
+    are errors."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 class ProblemOracle:
@@ -116,10 +128,8 @@ class ProblemOracle:
     def _set_oracle_settings(self, noise_std_grad, hvp_mode, hvp_step_scale):
         """Validate and store the gradient-noise and HVP settings of every
         kind, once at construction."""
-        self.noise_std_grad = float(noise_std_grad)
+        self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
         self.hvp_step_scale = float(hvp_step_scale)
-        if not 0.0 <= self.noise_std_grad < np.inf:
-            raise ValueError("noise_std_grad must be finite and >= 0")
         if not 0.0 < self.hvp_step_scale < np.inf:
             raise ValueError("hvp_step_scale must be finite and > 0")
         if hvp_mode not in ("exact", "central_difference"):
@@ -421,10 +431,11 @@ class NoisyLeastSquares(_SampleBased):
         if self.dim < 1 or n_samples < 2:
             raise ValueError("need dim >= 1 and n_samples >= 2")
         seed = as_integer(design_seed, "design_seed")
+        noise_std = as_scale(noise_std, "noise_std")
         rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
         self.A = rng.standard_normal((n_samples, self.dim))
         self.x_true = rng.standard_normal(self.dim)
-        self.y = self.A @ self.x_true + float(noise_std) * rng.standard_normal(n_samples)
+        self.y = self.A @ self.x_true + noise_std * rng.standard_normal(n_samples)
         self._setup_split(rng, n_samples, float(val_fraction), batch_size)
         self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
 
@@ -471,7 +482,8 @@ class MlpRegression(_SampleBased):
     layout picks the BLAS path, and so the last bits of every result.
 
     The oracle keeps a workspace: one flat float64 buffer per hidden layer
-    for its activations and one for its backprop deltas. Each grows to the
+    for its activations, which backprop overwrites with that layer's delta
+    once the activation is no longer needed. Each grows to the
     largest pass requested and is viewed at each call's shape, so repeated
     calls reuse the same pages instead of allocating them afresh. Nothing a
     call returns aliases the workspace, but the oracle is therefore not
@@ -506,11 +518,12 @@ class MlpRegression(_SampleBased):
         # The draws are sample-major, as (n_samples, features), and are
         # transposed so every stream keeps its order.
         seed = as_integer(teacher_seed, "teacher_seed")
+        label_noise_std = as_scale(label_noise_std, "label_noise_std")
         rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
         self.X = np.ascontiguousarray(rng.standard_normal((n_samples, sizes[0])).T)
         teacher = self._kaiming(rng)
         self.Y = self._forward(self._unpack(teacher), self.X)[-1]
-        self.Y += float(label_noise_std) * rng.standard_normal((n_samples, sizes[-1])).T
+        self.Y += label_noise_std * rng.standard_normal((n_samples, sizes[-1])).T
         self._setup_split(rng, n_samples, float(val_fraction), batch_size)
 
     # -- parameter packing ------------------------------------------------
@@ -600,9 +613,11 @@ class MlpRegression(_SampleBased):
             gw = delta @ outs[i].swapaxes(-1, -2)
             grads[i] = (gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-1))
             if i > 0:
-                delta = np.matmul(w.swapaxes(-1, -2), delta,
-                                  out=self._work(("delta", i), outs[i].shape))
-                delta *= outs[i] > 0.0
+                # outs[i] is read for the last time here, so its activation
+                # buffer takes the next delta once the ReLU mask is taken
+                mask = outs[i] > 0.0
+                delta = np.matmul(w.swapaxes(-1, -2), delta, out=outs[i])
+                delta *= mask
         return np.concatenate([part for pair in grads for part in pair], axis=-1)
 
     def _losses(self, theta, data):

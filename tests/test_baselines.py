@@ -183,3 +183,25 @@ def test_stacked_step_equals_each_row_alone(kind):
         np.testing.assert_array_equal(x_next[r], x_r)
         np.testing.assert_array_equal(nxt.m[r], s_r.m)
         np.testing.assert_array_equal(nxt.v[r], s_r.v)
+
+
+@mark.parametrize("kind", BASELINE_KINDS)
+@mark.parametrize("t", [0, 2, 10])  # radam: warmup at t' <= 3, rectified at 11
+def test_lr_column_step_equals_each_row_at_its_scalar_lr(kind, t):
+    lrs = np.array([0.5, 0.1, 3e-3, 1e-4])
+    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01, momentum=0.5)
+    rng = np.random.default_rng(5)
+    X, G = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+    Hd = rng.uniform(0.1, 2.0, (4, 6))
+    state = BaselineState(t=t, m=rng.standard_normal((4, 6)),
+                          v=rng.uniform(0.1, 1.0, (4, 6)))
+    x_next, nxt = baseline_step(state, X, G, cfg, h_diag=Hd, lr=lrs[:, None])
+    for r, lr in enumerate(lrs.tolist()):
+        alone = BaselineState(t=t, m=state.m[r], v=state.v[r])
+        x_r, s_r = baseline_step(alone, X[r], G[r], cfg.with_lr(lr), h_diag=Hd[r])
+        np.testing.assert_array_equal(x_next[r], x_r)
+        np.testing.assert_array_equal(nxt.m[r], s_r.m)
+        np.testing.assert_array_equal(nxt.v[r], s_r.v)
+    # lr=None is the config's own lr
+    x_cfg, _ = baseline_step(state, X, G, cfg, h_diag=Hd)
+    np.testing.assert_array_equal(x_next[1], x_cfg[1])

@@ -303,3 +303,30 @@ def test_stacked_step_diagnostics_equal_lone_rows():
             assert diag.corrected_m_norm[r] == diag_r.corrected_m_norm
             assert diag.rho[r] == diag_r.rho
             assert diag.row_clamped[r] == diag_r.row_clamped
+
+
+def test_lr_column_step_equals_each_row_at_its_scalar_alpha():
+    # the largest alpha clamps some bases, the smallest leaves s near 1
+    cfg = OptimizerConfig(alpha=0.05, mu=1e-3, g_d=10.0, weight_decay=0.01,
+                          safeguard_rho_max=1.0 - 1e-9)
+    alphas = np.array([0.5, 0.05, 5e-3, 1e-5])
+    rng = np.random.default_rng(10)
+    rows, dim = len(alphas), 7
+    X = rng.standard_normal((rows, dim))
+    m_hat = rng.standard_normal((rows, dim))
+    d_hat = rng.uniform(1e-3, 10.0, (rows, dim))
+    state = OptimizerState(t=6, m=m_hat, D=d_hat)
+    x_next, diag = step_closed_form(state, X, m_hat, d_hat, cfg, lr=alphas[:, None])
+    for r, alpha in enumerate(alphas.tolist()):
+        alone = OptimizerState(t=6, m=m_hat[r], D=d_hat[r])
+        x_r, diag_r = step_closed_form(alone, X[r], m_hat[r], d_hat[r],
+                                       cfg.with_lr(alpha))
+        np.testing.assert_array_equal(x_next[r], x_r)
+        assert diag.rho[r] == diag_r.rho
+        assert diag.step_norm[r] == diag_r.step_norm
+        assert diag.corrected_m_norm[r] == diag_r.corrected_m_norm
+        assert diag.row_clamped[r] == diag_r.row_clamped
+    assert diag.row_clamped[0] > 0 and diag.row_clamped[-1] == 0
+    # lr=None is the config's own alpha
+    x_cfg, _ = step_closed_form(state, X, m_hat, d_hat, cfg)
+    np.testing.assert_array_equal(x_next[1], x_cfg[1])

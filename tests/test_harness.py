@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -506,6 +506,108 @@ def test_lr_sweep_all_diverged():
         lr_sweep(spec, base)
 
 
+# --- stacked sweep stages ----------------------------------------------------------
+
+def record_fields(rec):
+    """Every RunRecord field but wall_ms, which is the whole stack's time."""
+    return [getattr(rec, f.name) for f in fields(RunRecord) if f.name != "wall_ms"]
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_equal(record_fields(a), record_fields(b))
+
+
+def alone_at(cfg, lr):
+    """cfg's records at lr from its own run_experiment."""
+    return run_experiment(replace(cfg, opt_cfg=cfg.opt_cfg.with_lr(lr)))
+
+
+SWEEP_PROBLEMS = {
+    "quadratic-noise": lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
+    "mlp-full": lambda: MlpRegression(**MLP_SMALL),
+    "mlp-minibatch": lambda: MlpRegression(batch_size=32, **MLP_SMALL),
+}
+SWEEP_OPTIMIZERS = {
+    "diag_ocp": MLP_OCP,   # 4 Rademacher probes
+    **{kind: BaselineConfig(kind=kind, lr=0.1, weight_decay=0.008, momentum=0.5)
+       for kind in ("sgd", "adam", "radam", "adahessian")},
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(SWEEP_OPTIMIZERS))
+@pytest.mark.parametrize("problem", sorted(SWEEP_PROBLEMS))
+def test_lr_sweep_records_equal_each_lr_run_alone(problem, optimizer):
+    base = RunConfig(problem=SWEEP_PROBLEMS[problem](), optimizer=optimizer,
+                     opt_cfg=SWEEP_OPTIMIZERS[optimizer], max_steps=8, base_seed=3,
+                     n_seeds=2, record_every=3)
+    # adahessian diverges on the MLP at the larger lrs
+    result = lr_sweep(SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3, 1e-4)), base)
+    assert len(result.records) > 4   # the refine stage ran new lrs
+    for lr, recs in result.records.items():
+        assert_same_records(recs, alone_at(base, lr))
+
+
+def test_lr_sweep_makes_one_stepper_run_per_stage(monkeypatch):
+    stages = []
+    run_stack = harness._run_stack
+
+    def counting(cfg, lrs):
+        stages.append(list(lrs))
+        return run_stack(cfg, lrs)
+
+    monkeypatch.setattr(harness, "_run_stack", counting)
+    spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
+    result = lr_sweep(spec, quad_run(max_steps=30, n_seeds=2))
+    assert len(stages) == 2
+    assert stages[0] == list(spec.coarse_grid)
+    # the winner 0.1 refines to {0.1, 0.05, 0.01}; only 0.05 is new
+    assert stages[1] == [0.05]
+    assert list(result.records) == stages[0] + stages[1]
+    # every row of a stage reports the stage's wall time
+    assert len({r.wall_ms for lr in stages[0] for r in result.records[lr]}) == 1
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case):
+    # the largest lr diverges on some seeds at different steps, so the
+    # retry-alone path and the dropped rows run inside a mixed-lr stack
+    opt_cfg, expected = DIVERGING[case]
+    base = RunConfig(problem=RandomStartRosenbrock(), optimizer=case.split("-")[0],
+                     opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
+                     record_every=10)
+    result = lr_sweep(SweepSpec(coarse_grid=(0.5, 0.05, 0.005)), base)
+    for lr, recs in result.records.items():
+        cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
+        paths = []
+        for rep, rec in enumerate(recs):
+            rows, path = reference_run(cfg, rep)
+            np.testing.assert_equal(record_rows(rec), rows)
+            assert rec.diverged == (path is not None)
+            paths.append(path)
+        if lr == 0.5:
+            assert set(paths) == expected | {None}
+            assert len({r.steps[-1] for r in recs if r.diverged}) > 1
+    assert not all(r.diverged for recs in result.records.values() for r in recs)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
+              opt_cfg=MLP_OCP, max_steps=8, base_seed=9, n_seeds=2),
+    RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
+              opt_cfg=DIVERGING["diag_ocp-raise"][0], max_steps=40, base_seed=1,
+              n_seeds=4),
+], ids=["mlp-minibatch", "diverging"])
+def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
+    lrs = [0.5, 0.05, 0.01, 0.005]
+    full = dict(zip(lrs, harness._run_stack(cfg, lrs)))
+    for subset in ([0.05], [0.005, 0.5], [0.01, 0.05, 0.5]):
+        for lr, recs in zip(subset, harness._run_stack(cfg, subset)):
+            assert [r.run_id for r in recs] == [r.run_id for r in full[lr]]
+            assert_same_records(recs, full[lr])
+
+
 # --- clip-floor ablation ---------------------------------------------------------
 
 def test_ablate_mu_requires_diag_ocp():
@@ -829,6 +931,31 @@ def test_cli_fractional_problem_count_is_exit_2(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, {**RUN_DOC, "problem": problem})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     assert key in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n_samples", "12"), ("dim", True),
+                                        ("batch_size", "8")])
+def test_cli_non_numeric_problem_count_is_exit_2(tmp_path, capsys, key, value):
+    # int() used to accept them: n_samples "12" built a 12-sample problem
+    problem = {"kind": "noisy_least_squares", "n_samples": 40, "dim": 3, key: value}
+    cfg = write_config(tmp_path, {**RUN_DOC, "problem": problem})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert key in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std"),
+                                       ("mlp_regression", "label_noise_std")])
+def test_cli_non_finite_data_noise_is_exit_2(tmp_path, capsys, kind, key):
+    # it used to print "2 runs, 2 diverged" and exit 0
+    problem = {"kind": kind, "n_samples": 10, key: float("nan")}
+    doc = {**RUN_DOC, "problem": problem,
+           "optimizer": {"kind": "sgd", "lr": 0.01}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and key in err["message"]
     assert not (tmp_path / "r").exists()
 
 

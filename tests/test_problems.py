@@ -546,6 +546,30 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
     g2, loss2 = prob.grad_and_train_loss(X, seeds(5))
     np.testing.assert_array_equal(g2, make().eval_grad(X, seeds(5)))
     np.testing.assert_array_equal(loss2, make().train_loss(X))
+    # each backprop delta lands in the activation buffer it last reads, so
+    # the workspace holds activations only; with two hidden layers the
+    # in-place deltas equal an out-of-place backprop bit for bit
+    assert {role for role, _ in prob._workspace} == {"act"}
+    for data in (prob._train_data, prob._draw(seeds(5))[0], prob._draw(seeds(1)[0])[0]):
+        for theta in (X, X[2]):
+            if isinstance(data, RowBatches) and theta.ndim == 1:
+                continue
+            np.testing.assert_array_equal(prob._grads(theta, data),
+                                          out_of_place_grads(prob, theta, data))
+
+
+def out_of_place_grads(prob, theta, data):
+    """MlpRegression's backprop with a fresh array for every delta."""
+    layers, outs, diff = prob._pass(theta, data)
+    outs = [o.copy() for o in outs]
+    delta = (2.0 / diff.shape[-1]) * diff
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        gw = delta @ outs[i].swapaxes(-1, -2)
+        grads[:0] = [gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-1)]
+        if i > 0:
+            delta = np.matmul(layers[i][0].swapaxes(-1, -2), delta) * (outs[i] > 0.0)
+    return np.concatenate(grads, axis=-1)
 
 
 def test_stacked_hvp_with_a_zero_probe_row():
@@ -621,6 +645,23 @@ def test_as_integer():
     for bad in (3.9, np.float64(2.5), float("inf"), float("nan")):
         with raises(ValueError, match="n must be an integer"):
             as_integer(bad, "n")
+    assert as_integer(np.float32(6.0), "n") == 6 and type(as_integer(np.int8(2), "n")) is int
+    for bad in ("12", "3.0", True, False, np.bool_(True), None, [3], 3 + 0j):
+        with raises(ValueError, match="n must be an integer"):
+            as_integer(bad, "n")
+
+
+@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std"),
+                                       ("mlp_regression", "label_noise_std")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+def test_constructors_reject_bad_data_noise(kind, key, value):
+    # NaN noise built NaN targets and an inf one an inf train loss
+    params = {**SMALL_KINDS[kind], key: value}
+    with raises(ValueError, match=f"{key} must be finite and >= 0"):
+        make_problem(kind, **params)
+    params[key] = 0.0
+    prob = make_problem(kind, **params)
+    assert np.isfinite(prob.train_loss(np.zeros(prob.dim)))
 
 
 SMALL_KINDS = {
