@@ -68,10 +68,13 @@ class OptimizerConfig:
             raise ValueError("need 0 < mu <= g_d")
         if self.weight_decay < 0.0 or self.alpha * self.weight_decay >= 1.0:
             raise ValueError("need weight_decay >= 0 and alpha*weight_decay < 1")
-        if self.n_probes < 1:
-            raise ValueError("n_probes must be >= 1")
         if not 0.0 < self.safeguard_rho_max < 1.0:
             raise ValueError("safeguard_rho_max must be in (0, 1)")
+        # built once, so bad probe settings fail here rather than mid-run
+        probe = ProbeConfig(n_probes=self.n_probes, distribution=self.probe_distribution,
+                            clip_lo=self.mu, clip_hi=self.g_d)
+        object.__setattr__(self, "n_probes", probe.n_probes)
+        object.__setattr__(self, "_probe", probe)
 
     @property
     def lr(self) -> float:
@@ -82,8 +85,7 @@ class OptimizerConfig:
 
     @property
     def probe(self) -> ProbeConfig:
-        return ProbeConfig(n_probes=self.n_probes, distribution=self.probe_distribution,
-                           clip_lo=self.mu, clip_hi=self.g_d)
+        return self._probe
 
 
 @dataclass

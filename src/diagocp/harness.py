@@ -8,8 +8,11 @@ BatchSeed(stream_base, step, channel). Each replicate owns its state and
 RNG streams, and each learning rate is only a per-row column in the step,
 so a whole sweep stage runs as one (n_lrs * n_seeds, dim) stack of
 (lr, replicate) rows, lr-major. Replicate r has the same stream base at
-every lr. Each row's record is the one it would get run alone: it depends
-neither on the stack height nor on which other lrs or replicates share it.
+every lr, so its rows carry equal seeds, and each step derives every
+channel's stream and draws its minibatch, noise and probes once per
+replicate, not once per row. Each row's record is the one it would get run
+alone: it depends neither on the stack height nor on which other lrs or
+replicates share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
 stage pays the per-step Python cost once for all of its rows. Step k

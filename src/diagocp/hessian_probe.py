@@ -7,7 +7,8 @@ The N probes of one estimate are drawn up front as an (N, dim) block, in one
 call to the stream, and handed to the HVP oracle in a single call, so an
 oracle can evaluate them together (one noise draw, one stacked gradient
 pass) instead of one by one. A stack of R estimates hands over one
-(R, N, dim) array of blocks.
+(R, N, dim) array of blocks; rows of the stack that carry the same seed
+share one stream derivation and one drawn block.
 Clipping clamps every entry into [clip_lo, clip_hi] so the estimate is a
 positive-definite, bounded diagonal regardless of local curvature.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import BatchSeed
+from .problems import BatchSeed, _distinct, as_integer
 
 _DISTRIBUTIONS = ("rademacher", "standard_normal")
 
@@ -31,6 +32,7 @@ class ProbeConfig:
     clip_hi: float = 1e4
 
     def __post_init__(self):
+        object.__setattr__(self, "n_probes", as_integer(self.n_probes, "n_probes"))
         if self.n_probes < 1:
             raise ValueError("n_probes must be >= 1")
         if self.distribution not in _DISTRIBUTIONS:
@@ -56,8 +58,9 @@ def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
     whole estimate is a deterministic function of (seed, cfg). hvp_fn takes
     the (n_probes, dim) block of probe rows and must return the
     (n_probes, dim) block of their Hessian-vector products. For a sequence
-    of R seeds each row draws its block from its own stream, hvp_fn gets
-    the (R, n_probes, dim) stack of blocks, and the result is (R, dim).
+    of R seeds each row gets the block of its own seed, hvp_fn gets the
+    (R, n_probes, dim) stack of blocks, and the result is (R, dim); each
+    distinct seed derives its stream and draws its block once.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -65,7 +68,8 @@ def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
     if isinstance(seed, BatchSeed):
         V = _draw(cfg.distribution, shape, seed.rng())
     else:
-        V = np.stack([_draw(cfg.distribution, shape, s.rng()) for s in seed])
+        distinct, rows = _distinct(seed)
+        V = np.stack([_draw(cfg.distribution, shape, s.rng()) for s in distinct])[rows]
     HV = np.asarray(hvp_fn(V), dtype=np.float64)
     if HV.shape != V.shape:
         raise ValueError(f"hvp_fn returned shape {HV.shape}, expected {V.shape}")

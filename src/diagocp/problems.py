@@ -49,7 +49,10 @@ class BatchSeed:
     central-difference HVP make one draw per probe block, shared by every
     gradient it evaluates, so the sampling noise cancels in each difference.
     Oracles derive a stream only when they sample a minibatch or add gradient
-    noise; a full-batch, noise-free oracle never calls `rng`.
+    noise; a full-batch, noise-free oracle never calls `rng`. Rows of a
+    stack that carry equal seeds (one replicate at several learning rates)
+    share one derivation and one draw, because equal seeds draw equal
+    numbers anyway.
     """
 
     base_seed: int
@@ -219,16 +222,20 @@ class ProblemOracle:
 
         For a sequence of seeds (a stack) the noise is an (R, dim) array and
         sampled minibatches come as one RowBatches, every row's samples
-        gathered in one pass. A stream is derived only when the oracle
-        samples a minibatch or adds gradient noise; otherwise the draw is
-        the full training split and no noise, exactly as seed=None gives.
+        gathered in one pass. Each distinct seed of the stack derives its
+        stream and draws once, and every row carrying it gets that draw, so
+        each row still sees exactly what its lone call would. A stream is
+        derived only when the oracle samples a minibatch or adds gradient
+        noise; otherwise the draw is the full training split and no noise,
+        exactly as seed=None gives.
         """
         stochastic = self.batch_size is not None or self.noise_std_grad > 0.0
         if seed is None or not stochastic:
             return self._train_data, None
         lone = isinstance(seed, BatchSeed)
+        distinct, rows = _distinct([seed] if lone else seed)
         idx, noise = [], []
-        for s in [seed] if lone else seed:
+        for s in distinct:
             rng = s.rng()
             if self.batch_size is not None:
                 idx.append(rng.choice(self._train_idx, size=self.batch_size,
@@ -238,8 +245,8 @@ class ProblemOracle:
         if lone:
             return (self._rows(idx[0]) if idx else self._train_data,
                     noise[0] if noise else None)
-        return (RowBatches(self._rows(np.array(idx))) if idx else self._train_data,
-                np.stack(noise) if noise else None)
+        return (RowBatches(self._rows(np.array(idx)[rows])) if idx else self._train_data,
+                np.array(noise)[rows] if noise else None)
 
     # -- split evaluation for recording ----------------------------------
 
@@ -283,6 +290,18 @@ class ProblemOracle:
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dim {x.shape[-1]}, oracle dim {self.dim}")
         return x
+
+
+def _distinct(seeds):
+    """(the distinct seeds in first-seen order, each row's index into them).
+
+    `seeds` is read once, so any iterable of BatchSeeds will do. Equal seeds
+    address equal draws, so a stack derives each distinct stream once and
+    indexes its draw out to the rows: `draws[rows]`.
+    """
+    first = {}
+    rows = [first.setdefault(s, len(first)) for s in seeds]
+    return list(first), np.array(rows, dtype=np.intp)
 
 
 class RowBatches(tuple):

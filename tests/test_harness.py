@@ -120,6 +120,26 @@ def test_configs_reject_non_finite_hyperparameters(make):
         make()
 
 
+@pytest.mark.parametrize("settings, match", [
+    (dict(probe_distribution="bogus"), "probe distribution"),
+    (dict(n_probes=2.5), "n_probes"), (dict(n_probes=True), "n_probes"),
+    (dict(n_probes=0), "n_probes"),
+])
+def test_optimizer_config_rejects_bad_probe_settings(settings, match):
+    with raises(ValueError, match=match):
+        OptimizerConfig(**settings)
+
+
+def test_optimizer_config_builds_its_probe_once_with_an_int_count():
+    cfg = OptimizerConfig(n_probes=3.0, probe_distribution="rademacher")
+    assert type(cfg.n_probes) is int and cfg == OptimizerConfig(
+        n_probes=3, probe_distribution="rademacher")
+    assert cfg.probe is cfg.probe
+    assert cfg.probe == ProbeConfig(n_probes=3, distribution="rademacher",
+                                    clip_lo=cfg.mu, clip_hi=cfg.g_d)
+    assert cfg.with_lr(0.01).probe == cfg.probe
+
+
 LAYER_FUNCTIONS = ("hutchinson_diag", "clip_diag", "update_moments",
                    "step_closed_form", "baseline_step")
 
@@ -608,6 +628,93 @@ def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
             assert_same_records(recs, full[lr])
 
 
+# --- shared stream derivations ----------------------------------------------------
+
+def repeated_seeds(channel):
+    """Seeds a, b, a, c, b: three distinct streams repeated out of order. c
+    has a's base at the next step, so a draw keyed on the base alone would
+    hand c a's numbers."""
+    a, b, c = (BatchSeed(base, k, channel) for base, k in ((11, 4), (12, 4), (11, 5)))
+    return [a, b, a, c, b]
+
+
+SHARED_SEED_PROBLEMS = {
+    "least_squares-minibatch": lambda: NoisyLeastSquares(
+        design_seed=3, n_samples=40, dim=6, batch_size=8, hvp_mode="central_difference"),
+    "least_squares-noise": lambda: NoisyLeastSquares(
+        design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05,
+        hvp_mode="central_difference"),
+    "mlp-minibatch": lambda: MlpRegression(batch_size=32, **MLP_SMALL),
+    "mlp-noise": lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
+}
+
+
+@pytest.mark.parametrize("method", ["eval_grad", "grad_and_train_loss", "eval_loss", "hvp"])
+@pytest.mark.parametrize("case", sorted(SHARED_SEED_PROBLEMS))
+def test_stack_rows_sharing_a_seed_share_one_derivation(case, method, monkeypatch):
+    prob = SHARED_SEED_PROBLEMS[case]()
+    rng = np.random.default_rng(41)
+    X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+                  for _ in range(5)])
+    args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
+    seeds = repeated_seeds(Channel.GRADIENT)
+    call = getattr(prob, method)
+    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
+    channels = count_streams(monkeypatch)
+    stacked = call(*args, seeds)
+    assert len(channels) == 3
+    for i, want in enumerate(alone):
+        if method == "grad_and_train_loss":
+            np.testing.assert_array_equal(stacked[0][i], want[0])
+            assert stacked[1][i] == want[1]
+        else:
+            np.testing.assert_array_equal(stacked[i], want)
+
+
+@pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
+def test_hutchinson_rows_sharing_a_seed_share_one_probe_block(distribution, monkeypatch):
+    cfg = ProbeConfig(n_probes=3, distribution=distribution)
+    a = np.random.default_rng(5).standard_normal((6, 6))
+    sym = a + a.T
+    seeds = repeated_seeds(Channel.PROBE)
+    blocks = []
+
+    def hvp(V):
+        blocks.append(V)
+        return V @ sym
+
+    alone = [hutchinson_diag(hvp, 6, cfg, seed) for seed in seeds]
+    lone_blocks = list(blocks)
+    channels = count_streams(monkeypatch)
+    est = hutchinson_diag(hvp, 6, cfg, (seed for seed in seeds))   # read once
+    assert len(channels) == 3
+    for i, want in enumerate(alone):
+        np.testing.assert_array_equal(blocks[-1][i], lone_blocks[i])
+        np.testing.assert_array_equal(est[i], want)
+
+
+def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
+    stages = []
+    run_stack = harness._run_stack
+
+    def counting(cfg, lrs):
+        stages.append(list(lrs))
+        return run_stack(cfg, lrs)
+
+    monkeypatch.setattr(harness, "_run_stack", counting)
+    channels = count_streams(monkeypatch)
+    steps, n_seeds = 6, 3
+    base = RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
+                     opt_cfg=MLP_OCP, max_steps=steps, base_seed=2, n_seeds=n_seeds)
+    result = lr_sweep(SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3, 1e-4)), base)
+    assert len(stages) == 2 and len(stages[0]) == 4 and stages[1]
+    assert not any(r.diverged for recs in result.records.values() for r in recs)
+    # each stage steps every replicate at several lrs, yet derives each
+    # channel once per replicate and step (step k's gradient is step k+1's)
+    for channel in Channel:
+        assert channels.count(channel) == len(stages) * n_seeds * steps
+
+
 # --- clip-floor ablation ---------------------------------------------------------
 
 def test_ablate_mu_requires_diag_ocp():
@@ -973,6 +1080,49 @@ def test_cli_non_finite_refine_factor_is_exit_2_before_the_sweep(tmp_path, capsy
     assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "r")]) == 2
     assert "refine factors" in json.loads(capsys.readouterr().err)["message"]
+
+
+COMPARE_DOC = {
+    "problem": {"kind": "quadratic", "h": [1.0, 2.0, 4.0]},
+    "optimizers": [{"kind": "sgd"}, {"kind": "adam"}, {"kind": "diag_ocp"}],
+    "sweep": {"coarse_grid": [1e-1, 1e-2]},
+    "max_steps": 5,
+    "n_seeds": 1,
+}
+
+
+@pytest.mark.parametrize("probe", [{"probe_distribution": "bogus"}, {"n_probes": 2.5},
+                                   {"n_probes": True}])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_bad_probe_setting_is_exit_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                        command, probe):
+    # a compare used to run both baseline sweeps first, and a fractional or
+    # boolean count failed mid-run with a TypeError
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    if command == "run":
+        doc = {**RUN_DOC, "optimizer": {**RUN_DOC["optimizer"], **probe}}
+    else:
+        doc = {**COMPARE_DOC, "optimizers": COMPARE_DOC["optimizers"][:2]
+               + [{"kind": "diag_ocp", **probe}]}
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "probe" in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_integral_float_probe_count_runs(tmp_path, capsys, command):
+    # 3.0 reads as 3, as for every other count
+    if command == "run":
+        doc = {**RUN_DOC, "optimizer": {**RUN_DOC["optimizer"], "n_probes": 3.0}}
+    else:
+        doc = {**COMPARE_DOC, "optimizers": COMPARE_DOC["optimizers"][:2]
+               + [{"kind": "diag_ocp", "n_probes": 3.0}]}
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "r" / "steps.csv").exists()
 
 
 def test_cli_rate_check_rejects_a_baseline_optimizer(tmp_path, capsys):

@@ -19,6 +19,18 @@ def test_probe_config_validation():
         ProbeConfig(clip_lo=2.0, clip_hi=1.0)
 
 
+@pytest.mark.parametrize("n_probes", [2.5, True, "3", float("nan")])
+def test_probe_config_rejects_a_non_integral_probe_count(n_probes):
+    with raises(ValueError, match="n_probes"):
+        ProbeConfig(n_probes=n_probes)
+
+
+def test_probe_config_reads_an_integral_float_probe_count_as_an_int():
+    for n_probes in (3.0, np.int64(3)):
+        cfg = ProbeConfig(n_probes=n_probes)
+        assert type(cfg.n_probes) is int and cfg == ProbeConfig(n_probes=3)
+
+
 def probe_block(distribution, dim, seed, n_probes=1):
     """The probe block that hutchinson_diag hands its hvp_fn."""
     seen = []
