@@ -20,8 +20,7 @@ common = dict(problem=problem, max_steps=150, base_seed=42, n_seeds=5)
 
 entries = [
     RunConfig(optimizer="diag_ocp",
-              opt_cfg=OptimizerConfig(alpha=0.1, weight_decay=WD,
-                                      safeguard_rho_max=1.0 - 1e-9),
+              opt_cfg=OptimizerConfig(alpha=0.1, weight_decay=WD),
               **common),
     RunConfig(optimizer="sgd",
               opt_cfg=BaselineConfig(kind="sgd", lr=0.1, weight_decay=WD),

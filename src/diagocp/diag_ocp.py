@@ -14,11 +14,12 @@ Per step, with 1-based step count t' and elementwise arithmetic throughout:
 The closed form sums the inner recursion phi_l = alpha m_hat + s phi_{l-1},
 phi_0 = alpha m_hat, run t'-1 times; `step_recursive_reference` keeps that
 literal loop as a test oracle. H_t must already be clipped into [mu, G_d],
-which bounds D_hat into the same interval and keeps |s| <= max(1 - alpha mu,
-alpha G_d - 1). Bases outside (-rho_max, rho_max) are clamped before
-exponentiation (a divergent geometric series has no meaningful partial-sum
-limit); the clamp is surfaced in StepDiagnostics rather than silently
-applied.
+which bounds D_hat into the same interval, so s < 1. Bases below -rho_max
+are lifted to it before exponentiation (a divergent geometric series has no
+meaningful partial-sum limit), and the clamp is surfaced in StepDiagnostics.
+Where 0 < s < 1 the coefficient is -expm1(t' log1p(-alpha D_hat)) / D_hat,
+exact in flat directions where 1 - s^t' would cancel. Blow-up is not an
+error: it propagates as inf/NaN through the elementwise update.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class StepDiagnostics:
     """What one step did. For an (R, dim) stack, the per-row fields hold one
     value per row, while safeguard_triggered and n_clamped cover the stack."""
 
-    rho: float | np.ndarray     # max_i |s_i| after the safeguard (< 1 always)
+    rho: float | np.ndarray     # max_i |s_i| after the -rho_max floor
     safeguard_triggered: bool
     n_clamped: int              # clamped bases, summed over a stack
     step_norm: float | np.ndarray
@@ -155,15 +156,21 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     sharing t'. `lr`, when given, replaces cfg.alpha: an (R, 1) column gives
     each row of a stack its own alpha. Returns (x_next, StepDiagnostics);
     step_norm is ||x_next - x|| (per row), and each row's diagnostics equal
-    the ones it gets stepped alone with its alpha as a scalar.
+    the ones it gets stepped alone with its alpha as a scalar. Shapes are
+    checked; values are not, so a non-finite input gives a non-finite x_next.
     """
     x, m_hat, D_hat = _check_step_inputs(state, x, m_hat, D_hat)
     alpha = cfg.alpha if lr is None else lr
-    s = 1.0 - alpha * D_hat
-    s_safe = np.clip(s, -cfg.safeguard_rho_max, cfg.safeguard_rho_max)
+    ad = alpha * D_hat
+    s = 1.0 - ad
+    s_safe = np.maximum(s, -cfg.safeguard_rho_max)
     row_clamped = np.count_nonzero(s_safe != s, axis=-1)
     n_clamped = int(np.sum(row_clamped))
-    phi = (1.0 - s_safe ** state.t) / D_hat * m_hat
+    # 1 - s^t' cancels as s nears 1; log1p must not see s <= 0
+    inner = s > 0.0
+    coef = -np.expm1(state.t * np.log1p(-ad, out=np.zeros_like(ad), where=inner))
+    np.subtract(1.0, s_safe ** state.t, out=coef, where=~inner)
+    phi = coef / D_hat * m_hat
     x_next = x * (1.0 - alpha * cfg.weight_decay) - phi
     diagnostics = StepDiagnostics(
         rho=_per_row(np.max(np.abs(s_safe), axis=-1), float),
@@ -187,7 +194,7 @@ def step_recursive_reference(state: OptimizerState, x, m_hat, D_hat,
     Runs phi_l = alpha m_hat + (1 - alpha D_hat) phi_{l-1} for t'-1
     applications from phi_0 = alpha m_hat, with no base safeguard, then
     applies the same weight decay and subtraction as the closed form.
-    Matches step_closed_form whenever every |1 - alpha D_hat[i]| < 1.
+    Matches step_closed_form whenever no base is below -rho_max.
     """
     x, m_hat, D_hat = _check_step_inputs(state, x, m_hat, D_hat)
     b = cfg.alpha * m_hat
@@ -214,7 +221,4 @@ def _check_step_inputs(state, x, m_hat, D_hat):
     D_hat = np.asarray(D_hat, dtype=np.float64)
     if not (x.shape == m_hat.shape == D_hat.shape == state.m.shape):
         raise ValueError("x/m_hat/D_hat dimension mismatch with optimizer state")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(m_hat))
-            and np.all(np.isfinite(D_hat))):
-        raise ValueError("non-finite input to step")
     return x, m_hat, D_hat

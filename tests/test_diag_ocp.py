@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
@@ -188,8 +188,12 @@ def test_step_errors():
     state, m_hat, d_hat = update_moments(state, np.ones(2), np.ones(2), cfg)
     with raises(ValueError):  # shape mismatch
         step_closed_form(state, np.zeros(3), m_hat, d_hat, cfg)
-    with raises(ValueError):  # non-finite input
-        step_closed_form(state, np.array([np.nan, 0.0]), m_hat, d_hat, cfg)
+    # a non-finite input is blow-up, not an error: it propagates to x_next
+    x_next, _ = step_closed_form(state, np.array([np.nan, 0.0]), m_hat, d_hat, cfg)
+    assert np.isnan(x_next[0]) and np.isfinite(x_next[1])
+    x_next, _ = step_closed_form(state, np.zeros(2), np.array([np.inf, 1.0]),
+                                 np.array([1.0, np.nan]), cfg)
+    assert not np.isfinite(x_next).any()
 
 
 # --- safeguard and diagnostics ----------------------------------------------
@@ -207,6 +211,7 @@ def test_safeguard_engages_on_divergent_base():
 
 
 def test_rho_is_post_safeguard_bounded():
+    # the floor at -rho_max only lifts bases; a flat one (s near 1) passes
     rng = np.random.default_rng(31)
     cfg = OptimizerConfig(alpha=0.5, mu=1e-4, g_d=1e4, weight_decay=0.0)
     for _ in range(50):
@@ -214,7 +219,7 @@ def test_rho_is_post_safeguard_bounded():
         state = OptimizerState(t=int(rng.integers(1, 50)),
                                m=rng.standard_normal(5), D=d_hat.copy())
         _, diag = step_closed_form(state, np.zeros(5), state.m, d_hat, cfg)
-        assert diag.rho <= cfg.safeguard_rho_max + 1e-15
+        assert diag.rho < 1.0
 
 
 def test_stability_margin_spec_values():
@@ -238,6 +243,59 @@ def test_step_norm_bound(t, alpha):
     x1, _ = step_closed_form(state, x, m_hat, d_hat, cfg)
     phi = x - x1
     assert np.all(np.abs(phi) <= 2.0 * np.abs(m_hat) / cfg.mu + 1e-12)
+
+
+def decades(lo, hi):
+    """Magnitudes log-uniform over [10^lo, 10^hi], endpoints included."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+def curvatures(seed, mu, g_d, dim=8):
+    """D_hat log-uniform in [mu, g_d], with both clip bounds present."""
+    rng = np.random.default_rng(seed)
+    d_hat = np.clip(np.exp(rng.uniform(np.log(mu), np.log(g_d), dim)), mu, g_d)
+    d_hat[:2] = mu, g_d
+    return rng, d_hat
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10_000), decades(-12, 6),
+       decades(-12, 2), decades(0, 14))
+@settings(max_examples=200, deadline=None)
+def test_finite_inputs_give_a_finite_step(seed, t, alpha, mu, spread):
+    cfg = OptimizerConfig(alpha=alpha, mu=mu, g_d=mu * spread, weight_decay=0.0)
+    rng, d_hat = curvatures(seed, cfg.mu, cfg.g_d)
+    m_hat = rng.standard_normal(8) * 10.0 ** rng.uniform(-6, 6, 8)
+    state = OptimizerState(t=t, m=m_hat.copy(), D=d_hat.copy())
+    x_next, diag = step_closed_form(state, rng.standard_normal(8), m_hat, d_hat, cfg)
+    assert np.all(np.isfinite(x_next)) and diag.rho <= 1.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), decades(-12, 6),
+       decades(-12, 2), decades(0, 14))
+@settings(max_examples=100, deadline=None)
+def test_zero_gradient_without_decay_leaves_x_unchanged(seed, steps, alpha, mu, spread):
+    cfg = OptimizerConfig(alpha=alpha, mu=mu, g_d=mu * spread, weight_decay=0.0)
+    rng, _ = curvatures(seed, cfg.mu, cfg.g_d)
+    x0 = rng.standard_normal(8)
+    xs = run_steps(cfg, x0, [np.zeros(8)] * steps,
+                   [curvatures(seed + k, cfg.mu, cfg.g_d)[1] for k in range(steps)])
+    for x in xs:
+        np.testing.assert_array_equal(x, x0)
+
+
+@given(st.integers(1, 10_000), decades(-12, 6), decades(-16, 0))
+@settings(max_examples=300, deadline=None)
+def test_coefficient_never_exceeds_alpha_t_on_a_contracting_base(t, alpha, ad):
+    # on 0 <= s < 1 every term s^j of alpha * sum_{j<t} s^j is at most 1;
+    # the slack covers the rounding of alpha * D_hat and the division
+    d_hat = np.array([ad / alpha])
+    s = 1.0 - alpha * d_hat[0]
+    assume(0.0 <= s < 1.0)
+    cfg = OptimizerConfig(alpha=alpha, mu=min(1e-4, d_hat[0]), weight_decay=0.0)
+    state = OptimizerState(t=t, m=np.ones(1), D=d_hat.copy())
+    x_next, diag = step_closed_form(state, np.zeros(1), np.ones(1), d_hat, cfg)
+    assert not diag.safeguard_triggered
+    assert 0.0 < -x_next[0] <= alpha * t * (1.0 + 1e-14)
 
 
 def test_coefficient_approaches_inverse_curvature():
@@ -307,8 +365,7 @@ def test_stacked_step_diagnostics_equal_lone_rows():
 
 def test_lr_column_step_equals_each_row_at_its_scalar_alpha():
     # the largest alpha clamps some bases, the smallest leaves s near 1
-    cfg = OptimizerConfig(alpha=0.05, mu=1e-3, g_d=10.0, weight_decay=0.01,
-                          safeguard_rho_max=1.0 - 1e-9)
+    cfg = OptimizerConfig(alpha=0.05, mu=1e-3, g_d=10.0, weight_decay=0.01)
     alphas = np.array([0.5, 0.05, 5e-3, 1e-5])
     rng = np.random.default_rng(10)
     rows, dim = len(alphas), 7

@@ -230,8 +230,7 @@ def mlp_run(optimizer, opt_cfg, steps=6, **problem_kwargs):
                      max_steps=steps, base_seed=0)
 
 
-MLP_OCP = OptimizerConfig(alpha=0.01, n_probes=4, probe_distribution="rademacher",
-                          safeguard_rho_max=1.0 - 1e-9)
+MLP_OCP = OptimizerConfig(alpha=0.01, n_probes=4, probe_distribution="rademacher")
 
 
 def test_full_batch_diag_ocp_derives_only_the_probe_stream(monkeypatch):
@@ -245,6 +244,14 @@ def test_full_batch_sgd_derives_no_stream(monkeypatch):
     channels = count_streams(monkeypatch)
     (rec,) = run_experiment(mlp_run("sgd", BaselineConfig(kind="sgd", lr=0.01)))
     assert not rec.diverged
+    assert channels == []
+
+
+def test_full_batch_loss_derives_no_stream_under_gradient_noise(monkeypatch):
+    prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05)
+    x = np.linspace(-1.0, 1.0, prob.dim)
+    channels = count_streams(monkeypatch)
+    assert prob.eval_loss(x, BatchSeed(1, 0, Channel.GRADIENT)) == prob.eval_loss(x)
     assert channels == []
 
 
@@ -263,7 +270,9 @@ def test_minibatch_probe_block_derives_one_hessian_stream_per_step(monkeypatch):
 def reference_run(cfg, rep):
     """Replicate `rep` run alone on 1-d vectors through the public oracle and
     optimizer functions: the per-replicate loop that the stacked harness
-    reproduces bit for bit. Returns (record rows, divergence path or None)."""
+    reproduces bit for bit. Returns (record rows, divergence path or None):
+    "iterate" when a step leaves a non-finite iterate, "loss" when a
+    recorded loss is non-finite."""
     prob, opt, ocfg = cfg.problem, cfg.optimizer, cfg.opt_cfg
     base = _replicate_base(cfg.base_seed, rep)
     x = cfg.x0.copy() if cfg.x0 is not None else prob.default_init(_init_rng(base))
@@ -280,24 +289,20 @@ def reference_run(cfg, rep):
         rows = [(0, prob.train_loss(x), prob.val_loss(x), float(g @ g), 0.0, None, 0)]
         for k in range(1, cfg.max_steps + 1):
             seed = partial(BatchSeed, base, k - 1)
-            try:
-                g = prob.eval_grad(x, seed(Channel.GRADIENT))
-                h = None
-                if probe is not None:
-                    raw = hutchinson_diag(
-                        lambda V: prob.hvp(x, V, seed(Channel.HESSIAN_NOISE)),
-                        prob.dim, probe, seed(Channel.PROBE))
-                    h = clip_diag(raw, probe)
-                if opt == "diag_ocp":
-                    state, m_hat, d_hat = update_moments(state, g, h, ocfg)
-                    x_next, diag = step_closed_form(state, x, m_hat, d_hat, ocfg)
-                    rho, n_clamped = diag.rho, diag.n_clamped
-                else:
-                    x_next, state = baseline_step(state, x, g, ocfg, h_diag=h)
-                    rho, n_clamped = None, 0
-            except ValueError:
-                rows.append((k, inf, inf, inf, inf, None, 0))
-                return rows, "raise"
+            g = prob.eval_grad(x, seed(Channel.GRADIENT))
+            h = None
+            if probe is not None:
+                raw = hutchinson_diag(
+                    lambda V: prob.hvp(x, V, seed(Channel.HESSIAN_NOISE)),
+                    prob.dim, probe, seed(Channel.PROBE))
+                h = clip_diag(raw, probe)
+            if opt == "diag_ocp":
+                state, m_hat, d_hat = update_moments(state, g, h, ocfg)
+                x_next, diag = step_closed_form(state, x, m_hat, d_hat, ocfg)
+                rho, n_clamped = diag.rho, diag.n_clamped
+            else:
+                x_next, state = baseline_step(state, x, g, ocfg, h_diag=h)
+                rho, n_clamped = None, 0
             tail = (float(g @ g), float(np.linalg.norm(x_next - x)), rho, n_clamped)
             x = x_next
             if not np.all(np.isfinite(x)):
@@ -357,7 +362,7 @@ STACK_CASES = {
         "diag_ocp", OptimizerConfig(alpha=0.05, n_probes=3)),
     "mlp-full-diag_ocp": (
         lambda: MlpRegression(**MLP_SMALL), "diag_ocp",
-        OptimizerConfig(alpha=0.01, safeguard_rho_max=1.0 - 1e-9)),
+        OptimizerConfig(alpha=0.01)),
     "mlp-full-adam": (
         lambda: MlpRegression(**MLP_SMALL), "adam",
         BaselineConfig(kind="adam", lr=0.01, weight_decay=0.008)),
@@ -378,11 +383,12 @@ def test_stacked_run_equals_per_replicate_reference(case):
 
 
 # From scattered starts some replicates diverge, at different steps, and the
-# rest converge. diag_ocp's diverging rows raise inside their step (a
-# non-finite m_hat), one after recording an overflowed loss; adahessian's
-# iterates leave the float range.
+# rest converge. diag_ocp's diverging rows overflow their gradient, so the
+# non-finite m_hat carries into the iterate, and one records an overflowed
+# loss first; adahessian's iterates leave the float range.
 DIVERGING = {
-    "diag_ocp-raise": (OptimizerConfig(alpha=0.5, weight_decay=0.0), {"raise", "loss"}),
+    "diag_ocp-iterate": (OptimizerConfig(alpha=0.5, weight_decay=0.0),
+                         {"iterate", "loss"}),
     "adahessian-iterate": (BaselineConfig(kind="adahessian", lr=0.5), {"iterate"}),
 }
 
@@ -399,11 +405,22 @@ def test_stacked_run_drops_diverging_replicates_exactly(case):
     assert len(ends) > 1
 
 
+def broken_hvps(self, x, V):
+    """An oracle bug: every product comes back one coordinate short."""
+    return (self.h * V)[..., :-1]
+
+
+def test_broken_oracle_raises_instead_of_diverging(monkeypatch):
+    monkeypatch.setattr(Quadratic, "_hvps_exact", broken_hvps)
+    with raises(ValueError, match="reshape"):
+        run_experiment(quad_run(max_steps=5, n_seeds=3))
+
+
 @pytest.mark.parametrize("cfg", [
     RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
               opt_cfg=MLP_OCP, max_steps=8, base_seed=9),
     RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
-              opt_cfg=DIVERGING["diag_ocp-raise"][0], max_steps=40, base_seed=1),
+              opt_cfg=DIVERGING["diag_ocp-iterate"][0], max_steps=40, base_seed=1),
 ], ids=["mlp-minibatch", "diverging"])
 def test_replicate_records_do_not_depend_on_the_stack_size(cfg):
     two = run_experiment(replace(cfg, n_seeds=2))
@@ -430,10 +447,10 @@ def test_sparse_recording_records_the_same_rows(batch_size):
 
 
 def test_verify_rate_trend_defaults_are_frozen():
-    # the minima the per-replicate loop produced before replicates were stacked
+    # the default rate check's minima, frozen to the last bit
     report = verify_rate_trend()
     assert report["min_avg_grad_norm_sq"] == [
-        0.0025123913907361454, 9.161979726136211e-06, 9.161979726136211e-06]
+        0.002512391390736192, 9.161979726136259e-06, 9.161979726136259e-06]
 
 
 # --- aggregation --------------------------------------------------------------
@@ -590,14 +607,23 @@ def test_lr_sweep_makes_one_stepper_run_per_stage(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(DIVERGING))
-def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case):
-    # the largest lr diverges on some seeds at different steps, so the
-    # retry-alone path and the dropped rows run inside a mixed-lr stack
+def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypatch):
+    # the largest lr diverges on some seeds at different steps, so rows
+    # leave a mixed-lr stack while the rest of it keeps stepping
     opt_cfg, expected = DIVERGING[case]
     base = RunConfig(problem=RandomStartRosenbrock(), optimizer=case.split("-")[0],
                      opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
                      record_every=10)
+    ks = []
+
+    def counting(*args, _advance=harness._advance):
+        ks.append(args[-2])
+        return _advance(*args)
+
+    monkeypatch.setattr(harness, "_advance", counting)
     result = lr_sweep(SweepSpec(coarse_grid=(0.5, 0.05, 0.005)), base)
+    # one stacked call per step and stage: no row is ever re-stepped alone
+    assert ks == list(range(1, 41)) * 2
     for lr, recs in result.records.items():
         cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
         paths = []
@@ -616,7 +642,7 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case):
     RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
               opt_cfg=MLP_OCP, max_steps=8, base_seed=9, n_seeds=2),
     RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
-              opt_cfg=DIVERGING["diag_ocp-raise"][0], max_steps=40, base_seed=1,
+              opt_cfg=DIVERGING["diag_ocp-iterate"][0], max_steps=40, base_seed=1,
               n_seeds=4),
 ], ids=["mlp-minibatch", "diverging"])
 def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
@@ -662,7 +688,9 @@ def test_stack_rows_sharing_a_seed_share_one_derivation(case, method, monkeypatc
     alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     channels = count_streams(monkeypatch)
     stacked = call(*args, seeds)
-    assert len(channels) == 3
+    # gradient noise never enters a loss, so only a minibatch loss draws
+    draws = method != "eval_loss" or prob.batch_size is not None
+    assert len(channels) == (3 if draws else 0)
     for i, want in enumerate(alone):
         if method == "grad_and_train_loss":
             np.testing.assert_array_equal(stacked[0][i], want[0])
@@ -741,7 +769,8 @@ def test_verify_closed_form_equivalence():
     report = verify_closed_form_equivalence(trials=50, seed=1)
     assert report["pass"]
     assert report["max_abs_deviation"] <= report["tolerance"]
-    assert report["excluded_safeguarded"] + 1 <= report["trials"]
+    # the floor at -rho_max never touches a flat trial, so none is excluded
+    assert report["excluded_safeguarded"] == 0
     with raises(ValueError):
         verify_closed_form_equivalence(trials=0)
 
@@ -987,6 +1016,15 @@ def test_cli_verify_fail_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert cli.main(["verify", "rate", "--config", cfg]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_broken_oracle_is_exit_2_not_diverged(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Quadratic, "_hvps_exact", broken_hvps)
+    cfg = write_config(tmp_path, RUN_DOC)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ValueError"
+    assert "diverged" not in captured.out
 
 
 def test_cli_bad_config_is_exit_2(tmp_path, capsys):
