@@ -4,15 +4,18 @@ verification checks, and CSV/JSON emission.
 
 Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
-BatchSeed(stream_base, step, channel). Each replicate owns its state and
-RNG streams, and each learning rate is only a per-row column in the step,
-so a whole sweep stage runs as one (n_lrs * n_seeds, dim) stack of
-(lr, replicate) rows, lr-major. Replicate r has the same stream base at
-every lr, so its rows carry equal seeds, and each step derives every
-channel's stream and draws its minibatch, noise and probes once per
-replicate, not once per row. Each row's record is the one it would get run
-alone: it depends neither on the stack height nor on which other lrs or
-replicates share it.
+BatchSeed(stream_base, step, channel). A stack builds one stream_states
+table of every replicate's PCG64 seed words at steps 0..max_steps-1 before
+its first step, and each BatchSeed carries its row, so no step hashes a
+SeedSequence; the words, and so the draws, are SeedSequence's own. Each
+replicate owns its state and RNG streams, and each learning rate is only a
+per-row column in the step, so a whole sweep stage runs as one
+(n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Replicate
+r has the same stream base at every lr, so its rows carry equal seeds, and
+each step derives every channel's stream and draws its minibatch, noise
+and probes once per replicate, not once per row. Each row's record is the
+one it would get run alone: it depends neither on the stack height nor on
+which other lrs or replicates share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
 stage pays the per-step Python cost once for all of its rows. Step k
@@ -60,7 +63,7 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
                        step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from .problems import (BatchSeed, Channel, Quadratic, ProblemOracle, _row_dots,
-                       _row_norms, as_integer, as_params)
+                       _row_norms, as_integer, as_params, stream_states)
 
 _SEED_MASK = (1 << 64) - 1
 _INIT_STREAM = 3
@@ -161,28 +164,36 @@ def _init_rng(rep_base: int) -> np.random.Generator:
         np.random.SeedSequence(rep_base & _SEED_MASK, spawn_key=(_INIT_STREAM,)))
 
 
-def _seeds(bases, k, channel):
-    """One BatchSeed per stack row for 0-based step index k."""
-    return [BatchSeed(base, k, channel) for base in bases]
+def _streams(bases, n_steps):
+    """One (base, seed words) pair per replicate base, where the words are
+    the base's stream_states rows for steps 0..n_steps-1: every stream a
+    stack draws, derived in one vectorized pass."""
+    return list(zip(bases, stream_states(bases, range(n_steps))))
 
 
-def _advance(problem, opt_cfg, probe, state, x, g, bases, k, lr=None):
+def _seeds(streams, k, channel):
+    """One BatchSeed per stack row for 0-based step index k, carrying its
+    stream's seed words."""
+    return [BatchSeed(base, k, channel, words[k, channel]) for base, words in streams]
+
+
+def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
     g is the (R, dim) gradient at x drawn from seeds(k - 1), `probe` is
     opt_cfg.probe and state is None before the first step. Row r draws its
-    noise from the replicate stream bases[r] and steps with lr[r], an
-    (R, 1) column (opt_cfg's lr when None), so it steps exactly as it
-    would alone. Returns (x_next, state', rho, clamped) with one rho and
+    noise from its replicate's streams[r] (see `_streams`) and steps with
+    lr[r], an (R, 1) column (opt_cfg's lr when None), so it steps exactly
+    as it would alone. Returns (x_next, state', rho, clamped) with one rho and
     clamp count per row, both None for the baselines. The full path is
     probe -> clip -> moments -> closed-form step; this is the one branch on
     the optimizer family, because the two step algorithms differ.
     """
     h_clipped = None
     if probe is not None:
-        hseeds = _seeds(bases, k - 1, Channel.HESSIAN_NOISE)
+        hseeds = _seeds(streams, k - 1, Channel.HESSIAN_NOISE)
         raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
-                              problem.dim, probe, _seeds(bases, k - 1, Channel.PROBE))
+                              problem.dim, probe, _seeds(streams, k - 1, Channel.PROBE))
         h_clipped = clip_diag(raw, probe)
     if isinstance(opt_cfg, OptimizerConfig):
         if state is None:
@@ -247,7 +258,8 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
     n, probe = cfg.n_seeds, opt_cfg.probe
     rep_bases = [_replicate_base(cfg.base_seed, rep) for rep in range(n)]
     x, state = np.tile(_init_stack(problem, rep_bases, cfg.x0), (len(lrs), 1)), None
-    bases, lr_col = rep_bases * len(lrs), np.repeat(lrs, n)[:, None]
+    streams = _streams(rep_bases, cfg.max_steps) * len(lrs)
+    lr_col = np.repeat(lrs, n)[:, None]
     mu = None if probe is None else probe.clip_lo
     recs = []
     for lr in lrs:
@@ -259,23 +271,23 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
     step = partial(_advance, problem, opt_cfg, probe)
 
     def keep(rows):
-        nonlocal x, g, state, bases, lr_col, live
+        nonlocal x, g, state, streams, lr_col, live
         if len(rows) < len(live):
             x, g, state = x[rows], g[rows], _take(state, rows)
             lr_col = lr_col[rows]
-            bases = [bases[i] for i in rows]
+            streams = [streams[i] for i in rows]
             live = [live[i] for i in rows]
 
     inf = float("inf")
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g, train = problem.grad_and_train_loss(x, _seeds(bases, 0, Channel.GRADIENT))
+        g, train = problem.grad_and_train_loss(x, _seeds(streams, 0, Channel.GRADIENT))
         for rec, tr, va, gg in zip(live, train.tolist(), problem.val_loss(x).tolist(),
                                    _row_dots(g).tolist()):
             _record(rec, 0, tr, va, gg, 0.0, None, 0)
 
         for k in range(1, cfg.max_steps + 1):
-            x_next, state_next, rho, clamped = step(state, x, g, bases, k, lr_col)
+            x_next, state_next, rho, clamped = step(state, x, g, streams, k, lr_col)
             n_live = len(live)
             rows = list(zip(_row_dots(g).tolist(), _row_norms(x_next - x).tolist(),
                             [None] * n_live if rho is None else rho.tolist(),
@@ -296,9 +308,9 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
                 train = problem.train_loss(x)
             elif recording:
                 g, train = problem.grad_and_train_loss(
-                    x, _seeds(bases, k, Channel.GRADIENT))
+                    x, _seeds(streams, k, Channel.GRADIENT))
             else:
-                g = problem.eval_grad(x, _seeds(bases, k, Channel.GRADIENT))
+                g = problem.eval_grad(x, _seeds(streams, k, Channel.GRADIENT))
             if recording:
                 ok = []
                 for i, (rec, tr, va, row) in enumerate(
@@ -550,11 +562,11 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     t_max = T_list[-1]
     probe = opt_cfg.probe
     bases = [_replicate_base(base_seed, rep) for rep in range(n_seeds)]
-    x, state = _init_stack(problem, bases), None
+    x, state, streams = _init_stack(problem, bases), None, _streams(bases, t_max)
     acc = np.zeros(t_max)
     for k in range(1, t_max + 1):
-        g = problem.eval_grad(x, _seeds(bases, k - 1, Channel.GRADIENT))
-        x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, bases, k)
+        g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))
+        x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
         for g_true in problem.eval_grad(x, None):
             acc[k - 1] += float(g_true @ g_true)
     avg = acc / n_seeds

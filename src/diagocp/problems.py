@@ -24,9 +24,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _SEED_MASK = (1 << 64) - 1
 _TINY = 1e-300
@@ -45,26 +47,125 @@ class BatchSeed:
     """Address of one deterministic noise draw.
 
     Identical (base_seed, step_index, channel) triples always yield identical
-    draws. This is what makes runs replayable, and it lets the
-    central-difference HVP make one draw per probe block, shared by every
-    gradient it evaluates, so the sampling noise cancels in each difference.
-    Oracles derive a stream only when they sample a minibatch or add gradient
-    noise; a full-batch, noise-free oracle never calls `rng`. Rows of a
-    stack that carry equal seeds (one replicate at several learning rates)
-    share one derivation and one draw, because equal seeds draw equal
-    numbers anyway.
+    draws: the PCG64 stream that numpy's SeedSequence(entropy=base_seed,
+    spawn_key=(step_index, channel)) seeds. This is what makes runs
+    replayable, and it lets the central-difference HVP make one draw per
+    probe block, shared by every gradient it evaluates, so the sampling
+    noise cancels in each difference. Oracles derive a stream only when
+    they sample a minibatch or add gradient noise; a full-batch, noise-free
+    oracle never calls `rng`. Rows of a stack that carry equal seeds (one
+    replicate at several learning rates) share one derivation and one draw,
+    because equal seeds draw equal numbers anyway.
+
+    `words`, when given, are the stream's four PCG64 seed words, a row of
+    `stream_states`: a stack's seeds take them from one table built per
+    stack instead of hashing each triple again. They are not part of the
+    address, so they take no part in equality or hashing. A seed without
+    them (a lone call) hashes its triple through SeedSequence, the
+    reference the table is tested against.
     """
 
     base_seed: int
     step_index: int
     channel: Channel
+    words: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def rng(self) -> np.random.Generator:
+        if self.words is not None:
+            return np.random.Generator(np.random.PCG64(_SeedWords(self.words)))
         ss = np.random.SeedSequence(
             entropy=self.base_seed & _SEED_MASK,
             spawn_key=(int(self.step_index), int(self.channel)),
         )
         return np.random.default_rng(ss)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 its seed words as already derived, in place of the
+    SeedSequence that would hash them."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for 4 uint64 words and reads their buffer directly,
+        # so they must be contiguous
+        return np.ascontiguousarray(self.words, dtype=np.uint64)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the pool of
+# 4 uint32 words, its hashmix and mix multipliers, and the right shift.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init, mult):
+    """SeedSequence's running hash constant, as the (before, after) pair of
+    each successive hashmix."""
+    h = init
+    while True:
+        after = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(after)
+        h = after
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix on a uint32 array, at the next constants."""
+    before, after = next(consts)
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> 16)
+
+
+def stream_states(bases, steps) -> np.ndarray:
+    """The PCG64 seed words of every (base, step, channel) stream at once.
+
+    Entry [i, j, c] equals SeedSequence(entropy=bases[i] & (2**64 - 1),
+    spawn_key=(steps[j], c)).generate_state(4, np.uint64), the words
+    BatchSeed(bases[i], steps[j], c).rng() seeds its generator from: an
+    exact vectorized port of numpy's hash, returned as one
+    (len(bases), len(steps), len(Channel), 4) uint64 array. The entropy is
+    the base's two 32-bit words padded with zeros to the pool size of 4,
+    as SeedSequence pads it whenever there is a spawn key, so every base
+    hashes through the same layout. A step outside [0, 2**32) is a
+    ValueError: SeedSequence would split it into two words. For one triple
+    this costs more than SeedSequence itself; it pays off for a whole
+    stack's steps at once.
+    """
+    bases = [operator.index(b) & _SEED_MASK for b in bases]
+    steps = [operator.index(k) for k in steps]
+    if any(not 0 <= k <= _MASK32 for k in steps):
+        raise ValueError("stream steps must be in [0, 2**32)")
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    entropy = [np.array([b & _MASK32 for b in bases], dtype=np.uint32),
+               np.array([b >> 32 for b in bases], dtype=np.uint32)]
+    entropy += [np.zeros(len(bases), dtype=np.uint32)] * (_POOL_SIZE - 2)
+    pool = [_hashmix(w, consts) for w in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    # each spawn-key word mixes into every pool word and adds an axis:
+    # (bases,) -> (bases, steps) -> (bases, steps, channels)
+    for key in (np.array(steps, dtype=np.uint32),
+                np.arange(len(Channel), dtype=np.uint32)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst][..., None], _hashmix(key, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    out = np.empty(pool[0].shape + (8,), dtype=np.uint32)
+    for i in range(8):
+        out[..., i] = _hashmix(pool[i % _POOL_SIZE], consts)
+    # generate_state's own pairing of its uint32 words into uint64 words
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def as_params(x) -> np.ndarray:
@@ -183,6 +284,8 @@ class ProblemOracle:
         All 2 n_probes gradients of every point run as one stacked pass. An
         all-zero direction returns the zero vector from that same pass; where
         x +- h v leaves the float range the products come out non-finite.
+        A kind's hook must return its block's (..., n, dim) shape; any other
+        shape is a ValueError, not a silent reshape.
         """
         x = self._check(x, seed)
         V = np.asarray(v, dtype=np.float64)
@@ -198,6 +301,9 @@ class ProblemOracle:
             out = self._hvps_exact(x, block)
         else:
             out = self._hvp_central(x, block, seed)
+        if out.shape != block.shape:
+            raise ValueError(f"hvp hook returned shape {out.shape} for a "
+                             f"{block.shape} direction block")
         return out.reshape(V.shape)
 
     def _hvp_central(self, x, V, seed):

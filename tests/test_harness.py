@@ -412,7 +412,7 @@ def broken_hvps(self, x, V):
 
 def test_broken_oracle_raises_instead_of_diverging(monkeypatch):
     monkeypatch.setattr(Quadratic, "_hvps_exact", broken_hvps)
-    with raises(ValueError, match="reshape"):
+    with raises(ValueError, match="hvp hook returned shape"):
         run_experiment(quad_run(max_steps=5, n_seeds=3))
 
 
@@ -741,6 +741,45 @@ def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
     # channel once per replicate and step (step k's gradient is step k+1's)
     for channel in Channel:
         assert channels.count(channel) == len(stages) * n_seeds * steps
+
+
+def count_tables(monkeypatch):
+    """Record the (n_bases, n_steps) of every stream table the harness
+    builds from now on."""
+    tables = []
+    build = harness.stream_states
+
+    def counting(bases, steps):
+        tables.append((len(bases), len(steps)))
+        return build(bases, steps)
+
+    monkeypatch.setattr(harness, "stream_states", counting)
+    return tables
+
+
+def test_lr_sweep_builds_one_stream_table_per_stage(monkeypatch):
+    stages = []
+    run_stack = harness._run_stack
+
+    def counting(cfg, lrs):
+        stages.append(list(lrs))
+        return run_stack(cfg, lrs)
+
+    monkeypatch.setattr(harness, "_run_stack", counting)
+    tables = count_tables(monkeypatch)
+    steps, n_seeds = 6, 3
+    base = RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
+                     opt_cfg=MLP_OCP, max_steps=steps, base_seed=2, n_seeds=n_seeds)
+    lr_sweep(SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3, 1e-4)), base)
+    # one table per stage over its replicates, whatever the stage's lrs
+    assert len(stages) == 2
+    assert tables == [(n_seeds, steps)] * 2
+
+
+def test_verify_rate_trend_builds_one_stream_table(monkeypatch):
+    tables = count_tables(monkeypatch)
+    verify_rate_trend(T_list=(5, 10), n_seeds=4)
+    assert tables == [(4, 10)]
 
 
 # --- clip-floor ablation ---------------------------------------------------------

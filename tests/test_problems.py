@@ -4,7 +4,8 @@ from pytest import raises
 
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, Quadratic, Rosenbrock2D,
-                              RowBatches, as_integer, as_params, make_problem)
+                              RowBatches, as_integer, as_params, make_problem,
+                              stream_states)
 
 
 def fd_gradient(problem, x, eps=1e-6):
@@ -14,6 +15,62 @@ def fd_gradient(problem, x, eps=1e-6):
         e[i] = eps
         g[i] = (problem.eval_loss(x + e, None) - problem.eval_loss(x - e, None)) / (2 * eps)
     return g
+
+
+# --- seed streams ----------------------------------------------------------
+
+STREAM_BASES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**40) + 3,
+                np.int64(-7), np.uint64(2**64 - 1), np.int32(5)]
+STREAM_STEPS = [0, 1, 2**32 - 1, np.int64(7)]
+
+
+def seed_sequence_words(base, step, channel):
+    """The reference: the words numpy's SeedSequence hands PCG64."""
+    ss = np.random.SeedSequence(entropy=int(base) & (2**64 - 1),
+                                spawn_key=(int(step), int(channel)))
+    return ss.generate_state(4, np.uint64)
+
+
+def test_stream_states_equal_seed_sequence():
+    rng = np.random.default_rng(12)
+    bases = STREAM_BASES + [int(b) for b in rng.integers(0, 2**64, 40, dtype=np.uint64)]
+    bases += list(rng.integers(-2**63, 2**63, 20, dtype=np.int64))
+    steps = STREAM_STEPS + [int(k) for k in rng.integers(0, 2**32, 8)]
+    steps += [int(k) for k in rng.integers(0, 1000, 8)]
+    table = stream_states(bases, steps)
+    assert table.shape == (len(bases), len(steps), len(Channel), 4)
+    assert table.dtype == np.uint64
+    # 70 bases x 20 steps x 3 channels = 4,200 triples
+    for i, base in enumerate(bases):
+        for j, step in enumerate(steps):
+            for channel in Channel:
+                np.testing.assert_array_equal(table[i, j, channel],
+                                              seed_sequence_words(base, step, channel))
+
+
+def test_stream_states_reject_steps_outside_32_bits():
+    # SeedSequence splits 2**32 into two words, a different hash layout
+    for step in (-1, 2**32):
+        with raises(ValueError, match="stream steps"):
+            stream_states([1], [0, step])
+    with raises(TypeError):
+        stream_states([1], [1.5])
+    assert stream_states([], [0, 1]).shape == (0, 2, len(Channel), 4)
+
+
+@pytest.mark.parametrize("base, step", [(0, 0), (2**64 - 1, 2**32 - 1), (-3, 5),
+                                        (np.uint64(2**40), np.int64(9))])
+def test_seed_with_table_words_draws_as_seed_without(base, step):
+    table = stream_states([base], [step])
+    for channel in Channel:
+        lone = BatchSeed(base, step, channel)
+        carried = BatchSeed(base, step, channel, table[0, 0, channel])
+        # the words are not part of the address
+        assert carried == lone and hash(carried) == hash(lone)
+        a, b = lone.rng(), carried.rng()
+        np.testing.assert_array_equal(a.standard_normal(6), b.standard_normal(6))
+        np.testing.assert_array_equal(a.choice(40, size=8, replace=False),
+                                      b.choice(40, size=8, replace=False))
 
 
 # --- as_params -------------------------------------------------------------
@@ -432,6 +489,16 @@ def test_block_hvp_rejects_bad_directions():
                 np.zeros((0, prob.dim)), np.full((2, prob.dim), np.nan)):
         with raises(ValueError):
             prob.hvp(x, bad, None)
+
+
+def test_hvp_rejects_a_hook_result_in_the_wrong_layout(monkeypatch):
+    # the right number of entries, transposed: reshaping it to V's shape
+    # would read [[0, 3, 2], [8, 8, 20]] instead of h * V
+    monkeypatch.setattr(Quadratic, "_hvps_exact",
+                        lambda self, x, V: (self.h * V).swapaxes(-1, -2))
+    prob = Quadratic([1.0, 2.0, 4.0])
+    with raises(ValueError, match="hvp hook returned shape"):
+        prob.hvp(np.ones(3), np.arange(6.0).reshape(2, 3))
 
 
 def test_block_hvp_of_a_nonfinite_point_is_nonfinite():
