@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .hessian_probe import ProbeConfig
-from .problems import _row_norms
+from .problems import _per_row, _row_norms
 
 
 def check_finite(cfg):
@@ -173,18 +173,14 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     phi = coef / D_hat * m_hat
     x_next = x * (1.0 - alpha * cfg.weight_decay) - phi
     diagnostics = StepDiagnostics(
-        rho=_per_row(np.max(np.abs(s_safe), axis=-1), float),
+        rho=_per_row(np.max(np.abs(s_safe), axis=-1)),
         safeguard_triggered=n_clamped > 0,
         n_clamped=n_clamped,
-        step_norm=_per_row(_row_norms(x_next - x), float),
-        corrected_m_norm=_per_row(_row_norms(m_hat), float),
+        step_norm=_per_row(_row_norms(x_next - x)),
+        corrected_m_norm=_per_row(_row_norms(m_hat)),
         row_clamped=_per_row(row_clamped, int),
     )
     return x_next, diagnostics
-
-
-def _per_row(value, scalar):
-    return scalar(value) if np.ndim(value) == 0 else value
 
 
 def step_recursive_reference(state: OptimizerState, x, m_hat, D_hat,

@@ -62,10 +62,9 @@ from .baselines import BaselineConfig, BaselineState, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
                        step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
-from .problems import (BatchSeed, Channel, Quadratic, ProblemOracle, _row_dots,
-                       _row_norms, as_integer, as_params, stream_states)
+from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle,
+                       _row_dots, _row_norms, as_integer, as_params, stream_states)
 
-_SEED_MASK = (1 << 64) - 1
 _INIT_STREAM = 3
 
 STEP_HEADER = ("run_id", "optimizer", "lr", "mu", "seed", "step", "train_loss",

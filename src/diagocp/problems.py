@@ -32,6 +32,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 _SEED_MASK = (1 << 64) - 1
 _TINY = 1e-300
+# a central-difference step displaces x by _HVP_STEP_SCALE (1 + ||x||)
+_HVP_STEP_SCALE = 1e-5
 
 
 class Channel(enum.IntEnum):
@@ -210,35 +212,22 @@ class ProblemOracle:
 
     A kind writes each clean quantity once, for points with any leading
     axes: `_losses(xs, data)` -> xs.shape[:-1], `_grads(xs, data)` ->
-    xs.shape, and, where an analytic form exists, `_hvps_exact(x, V)`, the
-    products of the Hessian at each point of x with its (..., n, dim) block
-    of directions V. `data` is the training split, a sampled minibatch, or
-    RowBatches with one minibatch per entry of the first axis (None for the
-    deterministic kinds). Each slice of a result equals the value of its
-    lone point bit for bit. `_losses_and_grads` may be overridden where one
-    pass yields both.
+    xs.shape, and `_hvps(x, V, seed)`, the products of the Hessian at each
+    point of x with its (..., n, dim) block of directions V. `data` is the
+    training split, a sampled minibatch, or RowBatches with one minibatch
+    per entry of the first axis (None for the deterministic kinds). Each
+    slice of a result equals the value of its lone point bit for bit.
+    `_losses_and_grads` may be overridden where one pass yields both. The
+    base `_hvps` central-differences the gradient oracle; a kind with an
+    analytic product overrides it and ignores the seed.
     """
 
     kind = "?"
-    sample_based = False
     dim = 0
-    hvp_mode = "exact"
-    hvp_step_scale = 1e-5
     noise_std_grad = 0.0
     batch_size = None
     _train_data = None
     _val_data = None
-
-    def _set_oracle_settings(self, noise_std_grad, hvp_mode, hvp_step_scale):
-        """Validate and store the gradient-noise and HVP settings of every
-        kind, once at construction."""
-        self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
-        self.hvp_step_scale = float(hvp_step_scale)
-        if not 0.0 < self.hvp_step_scale < np.inf:
-            raise ValueError("hvp_step_scale must be finite and > 0")
-        if hvp_mode not in ("exact", "central_difference"):
-            raise ValueError(f"unknown hvp mode {hvp_mode!r}")
-        self.hvp_mode = hvp_mode
 
     # -- public oracle surface -------------------------------------------
 
@@ -246,7 +235,7 @@ class ProblemOracle:
         x = self._check(x, seed)
         # gradient noise never enters a loss: only a minibatch needs the draw
         data = self._train_data if self.batch_size is None else self._draw(seed)[0]
-        return _losses_out(self._losses(x, data))
+        return _per_row(self._losses(x, data))
 
     def eval_grad(self, x, seed=None) -> np.ndarray:
         x = self._check(x, seed)
@@ -268,7 +257,7 @@ class ProblemOracle:
         else:
             g = self._grads(x, data)
             losses = self._losses(x, self._train_data)
-        return (g if noise is None else g + noise), _losses_out(losses)
+        return (g if noise is None else g + noise), _per_row(losses)
 
     def hvp(self, x, v, seed=None) -> np.ndarray:
         """Hessian-vector products at x for one direction or a probe block.
@@ -277,15 +266,10 @@ class ProblemOracle:
         row directions; a stack of R points takes one such vector or block
         per point, (R, dim) or (R, n_probes, dim). The result has v's shape
         and holds the product of each direction with the Hessian at its
-        point. Exact mode is analytic. CentralDifference mode returns
-        (g(x + h v) - g(x - h v)) / (2 h) with h = step_scale (1 + ||x||) /
-        (||v|| + tiny) per direction, where every gradient of a point's
-        block shares the one minibatch and noise draw addressed by its seed.
-        All 2 n_probes gradients of every point run as one stacked pass. An
-        all-zero direction returns the zero vector from that same pass; where
-        x +- h v leaves the float range the products come out non-finite.
-        A kind's hook must return its block's (..., n, dim) shape; any other
-        shape is a ValueError, not a silent reshape.
+        point, from the kind's `_hvps` hook: analytic where the kind has a
+        closed form, central differences of the gradient otherwise (see
+        `_hvps`). The hook must return its block's (..., n, dim) shape; any
+        other shape is a ValueError, not a silent reshape.
         """
         x = self._check(x, seed)
         V = np.asarray(v, dtype=np.float64)
@@ -297,30 +281,11 @@ class ProblemOracle:
         if not np.all(np.isfinite(V)):
             raise ValueError("hvp direction has non-finite entries")
         block = V if V.ndim == x.ndim + 1 else V[..., None, :]
-        if self.hvp_mode == "exact":
-            out = self._hvps_exact(x, block)
-        else:
-            out = self._hvp_central(x, block, seed)
+        out = self._hvps(x, block, seed)
         if out.shape != block.shape:
             raise ValueError(f"hvp hook returned shape {out.shape} for a "
                              f"{block.shape} direction block")
         return out.reshape(V.shape)
-
-    def _hvp_central(self, x, V, seed):
-        # a zero direction steps by exactly 0, so its two gradients are
-        # equal and its product comes out as +0.0
-        norms = _row_norms(V)
-        h = (self.hvp_step_scale * (1.0 + _row_norms(x)[..., None])
-             / np.where(norms == 0.0, 1.0, norms + _TINY))
-        steps = h[..., None] * V
-        at = x[..., None, :]
-        points = np.concatenate((at + steps, at - steps), axis=-2)
-        data, noise = self._draw(seed)
-        grads = self._grads(points, data)
-        if noise is not None:
-            grads = grads + noise[..., None, :]
-        n = V.shape[-2]
-        return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
 
     def _draw(self, seed):
         """Batch data and additive gradient noise for one draw of `seed`.
@@ -357,11 +322,11 @@ class ProblemOracle:
 
     def train_loss(self, x):
         """Training-split loss: a float, or one value per row of a stack."""
-        return _losses_out(self._losses(self._check(x), self._train_data))
+        return _per_row(self._losses(self._check(x), self._train_data))
 
     def val_loss(self, x):
         """Held-out loss; deterministic kinds report the train loss."""
-        return _losses_out(self._losses(self._check(x), self._val_data))
+        return _per_row(self._losses(self._check(x), self._val_data))
 
     def default_init(self, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -377,8 +342,29 @@ class ProblemOracle:
     def _losses_and_grads(self, xs, data):
         return self._losses(xs, data), self._grads(xs, data)
 
-    def _hvps_exact(self, x, V):
-        raise ValueError(f"exact HVP not available for kind {self.kind!r}")
+    def _hvps(self, x, V, seed):
+        """(g(x + h v) - g(x - h v)) / (2 h) for each direction v of V, with
+        h = _HVP_STEP_SCALE (1 + ||x||) / (||v|| + tiny).
+
+        Every gradient of a point's block shares the one minibatch and
+        noise draw addressed by its seed, so the sampling noise cancels in
+        each difference, and all 2 n gradients of every point run as one
+        stacked pass. A zero direction steps by exactly 0, so its two
+        gradients are equal and its product comes out as +0.0; where
+        x +- h v leaves the float range the products come out non-finite.
+        """
+        norms = _row_norms(V)
+        h = (_HVP_STEP_SCALE * (1.0 + _row_norms(x)[..., None])
+             / np.where(norms == 0.0, 1.0, norms + _TINY))
+        steps = h[..., None] * V
+        at = x[..., None, :]
+        points = np.concatenate((at + steps, at - steps), axis=-2)
+        data, noise = self._draw(seed)
+        grads = self._grads(points, data)
+        if noise is not None:
+            grads = grads + noise[..., None, :]
+        n = V.shape[-2]
+        return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
 
     def _check(self, x, seed=None) -> np.ndarray:
         """Validate one point, or a stack of R >= 1 points with R seeds."""
@@ -439,8 +425,10 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a))
 
 
-def _losses_out(value):
-    return float(value) if np.ndim(value) == 0 else value
+def _per_row(value, scalar=float):
+    """A lone point's 0-d result as a Python `scalar`; a stack's per-row
+    array as it is."""
+    return scalar(value) if np.ndim(value) == 0 else value
 
 
 class Quadratic(ProblemOracle):
@@ -448,7 +436,7 @@ class Quadratic(ProblemOracle):
 
     kind = "quadratic"
 
-    def __init__(self, h, noise_std_grad=0.0, hvp_mode="exact", hvp_step_scale=1e-5):
+    def __init__(self, h, noise_std_grad=0.0):
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 1 or h.size == 0:
             raise ValueError("h must be a nonempty 1-d array")
@@ -456,7 +444,7 @@ class Quadratic(ProblemOracle):
             raise ValueError("quadratic requires all h_i finite and > 0")
         self.h = h
         self.dim = int(h.size)
-        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
+        self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
 
     # Elementwise, and each row's last-axis sum is the sum a lone point
     # takes, so a stack equals its rows bit for bit.
@@ -466,7 +454,7 @@ class Quadratic(ProblemOracle):
     def _grads(self, xs, data):
         return self.h * xs
 
-    def _hvps_exact(self, x, V):
+    def _hvps(self, x, V, seed):
         return self.h * V
 
     def default_init(self, rng=None):
@@ -479,8 +467,8 @@ class Rosenbrock2D(ProblemOracle):
     kind = "rosenbrock"
     dim = 2
 
-    def __init__(self, noise_std_grad=0.0, hvp_mode="exact", hvp_step_scale=1e-5):
-        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
+    def __init__(self, noise_std_grad=0.0):
+        self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
 
     # np.square squares exactly at any shape; a lone point's numpy-scalar
     # `** 2` would call pow, which can differ in the last bit.
@@ -493,7 +481,7 @@ class Rosenbrock2D(ProblemOracle):
         c = b - a * a
         return np.stack([-2.0 * (1.0 - a) - 400.0 * a * c, 200.0 * c], axis=-1)
 
-    def _hvps_exact(self, x, V):
+    def _hvps(self, x, V, seed):
         a, b = x[..., None, 0], x[..., None, 1]
         h11 = 2.0 + 1200.0 * a * a - 400.0 * b
         h12 = -400.0 * a
@@ -513,8 +501,6 @@ class _SampleBased(ProblemOracle):
     construction, so full-batch gradients and recorded losses read them
     without a copy.
     """
-
-    sample_based = True
 
     def _setup_split(self, rng, n_samples, val_fraction, batch_size):
         if not 0.0 <= val_fraction < 1.0:
@@ -549,8 +535,7 @@ class NoisyLeastSquares(_SampleBased):
     kind = "noisy_least_squares"
 
     def __init__(self, design_seed=0, n_samples=64, noise_std=0.1, dim=10,
-                 val_fraction=0.2, batch_size=None, noise_std_grad=0.0,
-                 hvp_mode="exact", hvp_step_scale=1e-5):
+                 val_fraction=0.2, batch_size=None, noise_std_grad=0.0):
         self.dim, n_samples = as_integer(dim, "dim"), as_integer(n_samples, "n_samples")
         if self.dim < 1 or n_samples < 2:
             raise ValueError("need dim >= 1 and n_samples >= 2")
@@ -561,7 +546,7 @@ class NoisyLeastSquares(_SampleBased):
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + noise_std * rng.standard_normal(n_samples)
         self._setup_split(rng, n_samples, float(val_fraction), batch_size)
-        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
+        self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
 
     def _rows(self, idx):
         return self.A[idx], self.y[idx]
@@ -580,7 +565,7 @@ class NoisyLeastSquares(_SampleBased):
         A, r = self._residuals(xs, data)
         return (2.0 / r.shape[-1]) * (A.swapaxes(-1, -2) @ r[..., None])[..., 0]
 
-    def _hvps_exact(self, x, V):
+    def _hvps(self, x, V, seed):
         A, _ = self._train_data
         return (2.0 / len(A)) * (A.T @ (A @ V[..., None]))[..., 0]
 
@@ -613,17 +598,14 @@ class MlpRegression(_SampleBased):
     call returns aliases the workspace, but the oracle is therefore not
     safe to call from two threads at once.
 
-    No analytic HVP; the default mode is central differencing of the
-    gradient oracle.
+    Its HVP is the base class's central difference of the gradient oracle.
     """
 
     kind = "mlp_regression"
-    hvp_mode = "central_difference"
 
     def __init__(self, layer_sizes=(8, 16, 2), teacher_seed=0, n_samples=256,
                  label_noise_std=0.05, val_fraction=0.2, batch_size=None,
-                 noise_std_grad=0.0, hvp_mode="central_difference",
-                 hvp_step_scale=1e-5):
+                 noise_std_grad=0.0):
         sizes = [as_integer(s, "layer_sizes") for s in layer_sizes]
         if len(sizes) < 3 or len(sizes) > 4:
             raise ValueError("layer_sizes must describe 1 or 2 hidden layers")
@@ -634,9 +616,7 @@ class MlpRegression(_SampleBased):
             raise ValueError("need n_samples >= 2")
         self.sizes = sizes
         self.dim = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
-        self._set_oracle_settings(noise_std_grad, hvp_mode, hvp_step_scale)
-        if self.hvp_mode == "exact":
-            raise ValueError("exact HVP not available for mlp_regression")
+        self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
         self._workspace = {}
 
         # The draws are sample-major, as (n_samples, features), and are

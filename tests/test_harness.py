@@ -20,7 +20,8 @@ from diagocp.harness import (HEATMAP_HEADER, STEP_HEADER, SUMMARY_HEADER,
                              verify_probe_unbiasedness, verify_rate_trend)
 from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
-                              NoisyLeastSquares, Quadratic, Rosenbrock2D)
+                              NoisyLeastSquares, ProblemOracle, Quadratic,
+                              Rosenbrock2D)
 
 OCP = OptimizerConfig(alpha=0.05, weight_decay=0.0)
 
@@ -336,6 +337,19 @@ def assert_matches_reference(cfg):
     return paths
 
 
+class CentralRosenbrock(Rosenbrock2D):
+    """Rosenbrock with the base oracle's central-difference HVP in place of
+    its analytic one, so the difference path runs through the harness."""
+
+    _hvps = ProblemOracle._hvps
+
+
+class CentralLeastSquares(NoisyLeastSquares):
+    """Least squares with the base oracle's central-difference HVP."""
+
+    _hvps = ProblemOracle._hvps
+
+
 class RandomStartRosenbrock(Rosenbrock2D):
     """Rosenbrock from a seeded start in [-3, 3]^2, so replicates start apart."""
 
@@ -350,15 +364,15 @@ STACK_CASES = {
         OptimizerConfig(alpha=0.05, weight_decay=0.01, n_probes=2,
                         probe_distribution="rademacher")),
     "rosenbrock-cd-adahessian": (
-        lambda: Rosenbrock2D(hvp_mode="central_difference", noise_std_grad=0.01),
+        lambda: CentralRosenbrock(noise_std_grad=0.01),
         "adahessian", BaselineConfig(kind="adahessian", lr=0.05)),
     "least_squares-minibatch-sgd": (
         lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
                                   noise_std_grad=0.05),
         "sgd", BaselineConfig(kind="sgd", lr=0.05, momentum=0.9)),
     "least_squares-minibatch-diag_ocp": (
-        lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
-                                  noise_std_grad=0.05, hvp_mode="central_difference"),
+        lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+                                    noise_std_grad=0.05),
         "diag_ocp", OptimizerConfig(alpha=0.05, n_probes=3)),
     "mlp-full-diag_ocp": (
         lambda: MlpRegression(**MLP_SMALL), "diag_ocp",
@@ -405,13 +419,13 @@ def test_stacked_run_drops_diverging_replicates_exactly(case):
     assert len(ends) > 1
 
 
-def broken_hvps(self, x, V):
+def broken_hvps(self, x, V, seed):
     """An oracle bug: every product comes back one coordinate short."""
     return (self.h * V)[..., :-1]
 
 
 def test_broken_oracle_raises_instead_of_diverging(monkeypatch):
-    monkeypatch.setattr(Quadratic, "_hvps_exact", broken_hvps)
+    monkeypatch.setattr(Quadratic, "_hvps", broken_hvps)
     with raises(ValueError, match="hvp hook returned shape"):
         run_experiment(quad_run(max_steps=5, n_seeds=3))
 
@@ -665,11 +679,10 @@ def repeated_seeds(channel):
 
 
 SHARED_SEED_PROBLEMS = {
-    "least_squares-minibatch": lambda: NoisyLeastSquares(
-        design_seed=3, n_samples=40, dim=6, batch_size=8, hvp_mode="central_difference"),
-    "least_squares-noise": lambda: NoisyLeastSquares(
-        design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05,
-        hvp_mode="central_difference"),
+    "least_squares-minibatch": lambda: CentralLeastSquares(
+        design_seed=3, n_samples=40, dim=6, batch_size=8),
+    "least_squares-noise": lambda: CentralLeastSquares(
+        design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
     "mlp-minibatch": lambda: MlpRegression(batch_size=32, **MLP_SMALL),
     "mlp-noise": lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
 }
@@ -1058,7 +1071,7 @@ def test_cli_verify_fail_exit_code(tmp_path, capsys):
 
 
 def test_cli_broken_oracle_is_exit_2_not_diverged(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(Quadratic, "_hvps_exact", broken_hvps)
+    monkeypatch.setattr(Quadratic, "_hvps", broken_hvps)
     cfg = write_config(tmp_path, RUN_DOC)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     captured = capsys.readouterr()
@@ -1072,6 +1085,16 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "banana" in err["message"]
+
+
+def test_cli_removed_hvp_mode_key_is_exit_2(tmp_path, capsys):
+    # every kind has one HVP, so the key that chose between two is unknown
+    doc = {**RUN_DOC, "problem": {**RUN_DOC["problem"], "hvp_mode": "exact"}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TypeError" and "hvp_mode" in err["message"]
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_non_finite_hyperparameter_is_exit_2(tmp_path, capsys):

@@ -2,10 +2,23 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from diagocp.problems import (BatchSeed, Channel, MlpRegression,
-                              NoisyLeastSquares, Quadratic, Rosenbrock2D,
-                              RowBatches, as_integer, as_params, make_problem,
-                              stream_states)
+from diagocp.problems import (_HVP_STEP_SCALE, BatchSeed, Channel, MlpRegression,
+                              NoisyLeastSquares, ProblemOracle, Quadratic,
+                              Rosenbrock2D, RowBatches, as_integer, as_params,
+                              make_problem, stream_states)
+
+
+class CentralRosenbrock(Rosenbrock2D):
+    """Rosenbrock with the base oracle's central-difference HVP in place of
+    its analytic one, so the difference path runs against a closed form."""
+
+    _hvps = ProblemOracle._hvps
+
+
+class CentralLeastSquares(NoisyLeastSquares):
+    """Least squares with the base oracle's central-difference HVP."""
+
+    _hvps = ProblemOracle._hvps
 
 
 def fd_gradient(problem, x, eps=1e-6):
@@ -175,16 +188,15 @@ def test_rosenbrock_gradient_matches_fd():
 
 
 def test_rosenbrock_central_difference_hvp_matches_exact():
-    exact = Rosenbrock2D()
-    approx = Rosenbrock2D(hvp_mode="central_difference")
+    prob = Rosenbrock2D()
     x = np.array([-0.8, 1.4])
     v = np.array([0.6, -1.1])
-    np.testing.assert_allclose(approx.hvp(x, v, None), exact.hvp(x, v, None),
-                               rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(ProblemOracle._hvps(prob, x, v[None], None)[0],
+                               prob.hvp(x, v, None), rtol=1e-6, atol=1e-6)
 
 
 def test_hvp_zero_vector_returns_zero():
-    prob = Rosenbrock2D(hvp_mode="central_difference")
+    prob = CentralRosenbrock()
     out = prob.hvp(np.array([1.0, 1.0]), np.zeros(2), None)
     np.testing.assert_array_equal(out, np.zeros(2))
 
@@ -270,7 +282,7 @@ def test_rosenbrock_stacked_hooks_match_one_point_reference():
     rng = np.random.default_rng(51)
     X = 3.0 * rng.standard_normal((4000, 2))
     V = rng.standard_normal((4000, 1, 2))
-    losses, grads, hvps = prob._losses(X, None), prob._grads(X, None), prob._hvps_exact(X, V)
+    losses, grads, hvps = prob._losses(X, None), prob._grads(X, None), prob._hvps(X, V, None)
     for x, v, loss, g, hv in zip(X, V, losses, grads, hvps):
         loss_ref, g_ref, hv_ref = rosenbrock_one_point(x, v[0])
         np.testing.assert_array_equal(g, g_ref)
@@ -299,7 +311,7 @@ def test_least_squares_stacked_hooks_match_one_point_reference(batch_size):
             np.testing.assert_array_equal(grads[r, j], g_ref)
     A, _ = prob._train_data
     np.testing.assert_array_equal(
-        prob._hvps_exact(X, V),
+        prob._hvps(X, V, None),
         [[(2.0 / len(A)) * (A.T @ (A @ v)) for v in block] for block in V])
 
 
@@ -339,11 +351,6 @@ def test_mlp_hvp_symmetry():
     u, v = rng.standard_normal((2, prob.dim))
     asym = abs(u @ prob.hvp(x, v, None) - v @ prob.hvp(x, u, None))
     assert asym <= 1e-6 * max(1.0, abs(u @ prob.hvp(x, v, None)))
-
-
-def test_mlp_exact_hvp_not_available():
-    with raises(ValueError):
-        MlpRegression(hvp_mode="exact")
 
 
 def test_mlp_two_hidden_layers_supported():
@@ -412,6 +419,105 @@ def test_mlp_kernels_match_rowmajor_reference(layer_sizes, batch_size):
             assert abs(losses[r] - split_ref) <= 1e-12 * split_ref
 
 
+# --- exact MLP HVP reference ------------------------------------------------
+
+def rop_hvp(prob, theta, v, data):
+    """Pearlmutter's R-operator: the exact product of the MLP loss's Hessian
+    at one point theta with one direction v, on the feature-major batch
+    data = (X, Y), in the oracle's parameter packing.
+
+    The forward pass carries each layer's tangent R(z) along v, and
+    backprop carries the tangent R(delta) of each delta. ReLU's second
+    derivative is zero away from its kink, so its mask scales a tangent as
+    it scales the primal.
+    """
+    layers, dirs = prob._unpack(theta), prob._unpack(v)
+    X, Y = data
+    zs, rzs, masks = [X], [np.zeros_like(X)], []
+    for i, ((w, b), (dw, db)) in enumerate(zip(layers, dirs)):
+        a = w @ zs[-1] + b[:, None]
+        ra = dw @ zs[-1] + w @ rzs[-1] + db[:, None]
+        if i < len(layers) - 1:
+            masks.append(a > 0.0)
+            a, ra = a * masks[-1], ra * masks[-1]
+        zs.append(a)
+        rzs.append(ra)
+    n = X.shape[-1]
+    delta, rdelta = (2.0 / n) * (zs[-1] - Y), (2.0 / n) * rzs[-1]
+    parts = []
+    for i in range(len(layers) - 1, -1, -1):
+        (w, _), (dw, _) = layers[i], dirs[i]
+        parts[:0] = [(rdelta @ zs[i].T + delta @ rzs[i].T).ravel(), rdelta.sum(axis=1)]
+        if i > 0:
+            delta, rdelta = ((w.T @ delta) * masks[i - 1],
+                             (dw.T @ delta + w.T @ rdelta) * masks[i - 1])
+    return np.concatenate(parts)
+
+
+def hidden_signs(prob, theta, X):
+    """The sign pattern a > 0 of every hidden pre-activation at theta."""
+    z, signs = X, []
+    for w, b in prob._unpack(theta)[:-1]:
+        a = w @ z + b[:, None]
+        signs.append(a > 0.0)
+        z = a * signs[-1]
+    return signs
+
+
+def crosses_a_kink(prob, theta, step, X):
+    """Whether a hidden pre-activation changes sign between theta +- step,
+    where the gradient jumps and a difference of gradients is no HVP."""
+    return any(np.any(p != m) for p, m in zip(hidden_signs(prob, theta + step, X),
+                                                hidden_signs(prob, theta - step, X)))
+
+
+@pytest.mark.parametrize("layer_sizes", [(3, 4, 2), (3, 5, 4, 2)])
+def test_rop_matches_a_dense_difference_hessian(layer_sizes):
+    prob = MlpRegression(layer_sizes=layer_sizes, n_samples=64)
+    rng = np.random.default_rng(61)
+    theta = prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+    eye = np.eye(prob.dim)
+    H = np.stack([rop_hvp(prob, theta, e, prob._train_data) for e in eye])
+    scale = np.abs(H).max()
+    # the detector fires: every pre-activation is 0 at theta - theta
+    X = prob._train_data[0]
+    assert crosses_a_kink(prob, theta, theta, X)
+    assert not crosses_a_kink(prob, theta, 0.0 * theta, X)
+    assert np.abs(H - H.T).max() <= 1e-14 * scale
+    eps, checked = 1e-5, 0
+    for j, e in enumerate(eye):
+        if crosses_a_kink(prob, theta, eps * e, X):
+            continue
+        col = (prob.eval_grad(theta + eps * e) - prob.eval_grad(theta - eps * e)) / (2 * eps)
+        assert np.abs(col - H[:, j]).max() <= 1e-8 * scale
+        checked += 1
+    assert checked >= prob.dim // 2
+
+
+@pytest.mark.parametrize("layer_sizes", [(3, 4, 2), (3, 5, 4, 2), (8, 16, 2)])
+@pytest.mark.parametrize("batch_size", [None, 32])
+def test_mlp_hvp_matches_the_rop(layer_sizes, batch_size):
+    prob = MlpRegression(layer_sizes=layer_sizes, n_samples=128, batch_size=batch_size)
+    rng = np.random.default_rng(62)
+    X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+                  for _ in range(4)])
+    V = rng.standard_normal((4, 3, prob.dim))
+    seeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in range(4)]
+    out = prob.hvp(X, V, seeds)
+    checked = 0
+    for x, block, seed, products in zip(X, V, seeds, out):
+        data = prob._draw(seed)[0]
+        for v, hv in zip(block, products):
+            # the oracle's displacement along v
+            h = _HVP_STEP_SCALE * (1.0 + np.linalg.norm(x)) / np.linalg.norm(v)
+            if crosses_a_kink(prob, x, h * v, data[0]):
+                continue
+            ref = rop_hvp(prob, x, v, data)
+            assert np.linalg.norm(hv - ref) <= 1e-8 * np.linalg.norm(ref)
+            checked += 1
+    assert checked >= V.shape[0] * V.shape[1] // 2
+
+
 # --- probe blocks ----------------------------------------------------------
 
 def cd_reference(problem, x, v, seed):
@@ -419,7 +525,7 @@ def cd_reference(problem, x, v, seed):
     v_norm = float(np.linalg.norm(v))
     if v_norm == 0.0:
         return np.zeros_like(x)
-    h = problem.hvp_step_scale * (1.0 + float(np.linalg.norm(x))) / (v_norm + 1e-300)
+    h = _HVP_STEP_SCALE * (1.0 + float(np.linalg.norm(x))) / (v_norm + 1e-300)
     return (problem.eval_grad(x + h * v, seed) - problem.eval_grad(x - h * v, seed)) / (2.0 * h)
 
 
@@ -472,8 +578,7 @@ def test_mlp_block_hvp_with_a_zero_probe_row(monkeypatch):
 
 
 def test_least_squares_block_hvp_equals_row_by_row():
-    prob = NoisyLeastSquares(n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
-                             hvp_mode="central_difference")
+    prob = CentralLeastSquares(n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05)
     rng = np.random.default_rng(23)
     x = rng.standard_normal(6)
     V = rng.standard_normal((3, 6))
@@ -494,8 +599,8 @@ def test_block_hvp_rejects_bad_directions():
 def test_hvp_rejects_a_hook_result_in_the_wrong_layout(monkeypatch):
     # the right number of entries, transposed: reshaping it to V's shape
     # would read [[0, 3, 2], [8, 8, 20]] instead of h * V
-    monkeypatch.setattr(Quadratic, "_hvps_exact",
-                        lambda self, x, V: (self.h * V).swapaxes(-1, -2))
+    monkeypatch.setattr(Quadratic, "_hvps",
+                        lambda self, x, V, seed: (self.h * V).swapaxes(-1, -2))
     prob = Quadratic([1.0, 2.0, 4.0])
     with raises(ValueError, match="hvp hook returned shape"):
         prob.hvp(np.ones(3), np.arange(6.0).reshape(2, 3))
@@ -515,12 +620,10 @@ def test_block_hvp_of_a_nonfinite_point_is_nonfinite():
 
 STACK_PROBLEMS = {
     "quadratic-noise": lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
-    "rosenbrock-cd": lambda: Rosenbrock2D(hvp_mode="central_difference",
-                                          noise_std_grad=0.01),
+    "rosenbrock-cd": lambda: CentralRosenbrock(noise_std_grad=0.01),
     "rosenbrock-exact": lambda: Rosenbrock2D(noise_std_grad=0.01),
-    "least_squares-minibatch": lambda: NoisyLeastSquares(
-        design_seed=3, n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05,
-        hvp_mode="central_difference"),
+    "least_squares-minibatch": lambda: CentralLeastSquares(
+        design_seed=3, n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05),
     "least_squares-exact": lambda: NoisyLeastSquares(
         design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
     "least_squares-exact-minibatch": lambda: NoisyLeastSquares(
@@ -741,22 +844,21 @@ SMALL_KINDS = {
 }
 
 
-BAD_ORACLE_NUMERICS = [
-    ("hvp_step_scale", 0.0), ("hvp_step_scale", -1e-5),
-    ("hvp_step_scale", float("nan")), ("hvp_step_scale", float("inf")),
-    ("noise_std_grad", -0.1), ("noise_std_grad", float("nan")),
-    ("noise_std_grad", float("inf")),
-]
+@pytest.mark.parametrize("kind", sorted(SMALL_KINDS))
+def test_constructors_validate_oracle_numerics(kind):
+    # a negative noise level would silently mean no noise
+    for value in (-0.1, float("nan"), float("inf")):
+        with raises(ValueError, match="noise_std_grad"):
+            make_problem(kind, **SMALL_KINDS[kind], noise_std_grad=value)
+    prob = make_problem(kind, **SMALL_KINDS[kind], noise_std_grad=0)
+    assert prob.noise_std_grad == 0.0 and isinstance(prob.noise_std_grad, float)
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_KINDS))
-def test_constructors_validate_oracle_numerics(kind):
-    # a zero step scale makes every central-difference HVP 0/0, and a
-    # negative noise level would silently mean no noise
-    for knob, value in BAD_ORACLE_NUMERICS:
-        with raises(ValueError, match=knob):
+def test_constructors_reject_the_removed_hvp_knobs(kind):
+    # every kind has one HVP; a setting that used to choose another is an
+    # unknown argument, not a silently ignored one
+    for knob, value in (("hvp_mode", "exact"), ("hvp_mode", "central_difference"),
+                        ("hvp_step_scale", 1e-5)):
+        with raises(TypeError, match=knob):
             make_problem(kind, **SMALL_KINDS[kind], **{knob: value})
-    prob = make_problem(kind, **SMALL_KINDS[kind], noise_std_grad=0,
-                        hvp_step_scale=1e-3)
-    assert prob.noise_std_grad == 0.0 and isinstance(prob.noise_std_grad, float)
-    assert prob.hvp_step_scale == 1e-3
