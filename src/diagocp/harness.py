@@ -24,12 +24,14 @@ which the previous iteration evaluated together with the train loss
 recorded at x_{k-1}; at full batch one forward pass serves both. So each
 full-batch step costs one gradient pass plus the probe block, and the
 step-0 gradient is evaluated once. After the last step only the train loss
-is evaluated. Per-step bookkeeping runs on (R,) columns: g.g, the step
-norm, rho, the clamp count and the finiteness mask.
+is evaluated. Bookkeeping writes one record table per stack: each step
+writes its (R,) columns (g.g, the step norm, rho, the clamp count, the
+losses) into a slot the live rows share, and a RunRecord views its row.
 
 Divergence means non-finite numbers: a row whose iterate after a step, or
 whose recorded train or validation loss, is non-finite is marked diverged
-and leaves the stack. A ValueError is a bug, not divergence, and propagates.
+and leaves the stack; a non-finite iterate records inf losses at its step.
+A ValueError is a bug, not divergence, and propagates.
 
 Output schemas (column order is part of the contract):
   steps.csv    run_id,optimizer,lr,mu,seed,step,train_loss,val_loss,
@@ -52,7 +54,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -67,8 +69,12 @@ from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle,
 
 _INIT_STREAM = 3
 
-STEP_HEADER = ("run_id", "optimizer", "lr", "mu", "seed", "step", "train_loss",
-               "val_loss", "grad_norm_sq", "step_norm", "rho", "safeguard_count")
+# The trajectory columns of a RunRecord and of a stack's record table.
+RECORD_COLUMNS = {"steps": np.int64, "train_loss": np.float64, "val_loss": np.float64,
+                  "grad_norm_sq": np.float64, "step_norm": np.float64,
+                  "rho": np.float64, "safeguard_count": np.int64}
+STEP_HEADER = (("run_id", "optimizer", "lr", "mu", "seed", "step")
+               + tuple(RECORD_COLUMNS)[1:])
 AGGREGATE_COLUMNS = ("final_train", "final_val", "min_val", "min_val_step",
                      "diverged")
 SUMMARY_HEADER = ("optimizer", "lr") + AGGREGATE_COLUMNS
@@ -131,20 +137,26 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Recorded trajectory of one replicate plus its summary."""
+    """Recorded trajectory of one replicate plus its summary.
+
+    The trajectory fields are numpy arrays, one entry per recorded step
+    (dtypes in RECORD_COLUMNS), viewing the replicate's row of its stack's
+    record table. rho is NaN at step 0 and for an optimizer that reports
+    none; steps.csv writes those as empty fields and a real step's NaN as nan.
+    """
 
     run_id: str
     optimizer: str
     lr: float
     mu: float | None        # the curvature clip floor, None without a probe
     seed: int
-    steps: list[int] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    grad_norm_sq: list[float] = field(default_factory=list)
-    step_norm: list[float] = field(default_factory=list)
-    rho: list[float | None] = field(default_factory=list)
-    safeguard_count: list[int] = field(default_factory=list)
+    steps: np.ndarray
+    train_loss: np.ndarray
+    val_loss: np.ndarray
+    grad_norm_sq: np.ndarray
+    step_norm: np.ndarray
+    rho: np.ndarray
+    safeguard_count: np.ndarray
     final_train: float = float("nan")
     final_val: float = float("nan")
     min_val: float = float("nan")
@@ -222,16 +234,6 @@ def _init_stack(problem, bases, x0=None):
                      for b in bases])
 
 
-def _record(rec, k, train, val, gns, stepn, rho, n_clamped):
-    rec.steps.append(k)
-    rec.train_loss.append(train)
-    rec.val_loss.append(val)
-    rec.grad_norm_sq.append(gns)
-    rec.step_norm.append(stepn)
-    rec.rho.append(rho)
-    rec.safeguard_count.append(n_clamped)
-
-
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     """Execute cfg.n_seeds replicates; one RunRecord per seed, in seed order.
 
@@ -249,7 +251,9 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
     rep's stream base and steps with lrs[j]; cfg.opt_cfg supplies every
     other setting. Each row's record equals the one it would get run alone.
     Blow-up propagates as inf/NaN; a row whose iterate or recorded loss is
-    non-finite is marked diverged and drops out of the stack.
+    non-finite is marked diverged and drops out of the stack. Live rows
+    share one slot of the record table: every step writes it, and only a
+    recording step moves on. Row r's trajectory is table[name][r, :length[r]].
     """
     problem, opt_cfg = cfg.problem, cfg.opt_cfg
     t_start = time.perf_counter()
@@ -259,49 +263,50 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
     x, state = np.tile(_init_stack(problem, rep_bases, cfg.x0), (len(lrs), 1)), None
     streams = _streams(rep_bases, cfg.max_steps) * len(lrs)
     lr_col = np.repeat(lrs, n)[:, None]
-    mu = None if probe is None else probe.clip_lo
-    recs = []
-    for lr in lrs:
-        tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
-        recs.append([RunRecord(run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer,
-                               lr=lr, mu=mu, seed=rep) for rep in range(n)])
-    flat = [rec for group in recs for rec in group]
-    live = list(flat)   # the record of each stack row
     step = partial(_advance, problem, opt_cfg, probe)
+    # step 0, every cadence step, an off-cadence last step and a divergence
+    n_slots = cfg.max_steps // cfg.record_every + 2
+    table = {name: np.zeros((len(lr_col), n_slots), dtype)
+             for name, dtype in RECORD_COLUMNS.items()}
+    table["rho"].fill(np.nan)
+    length = np.zeros(len(lr_col), np.int64)
+    diverged = np.zeros(len(lr_col), bool)
+    live = np.arange(len(lr_col))   # the table row of each stack row
 
-    def keep(rows):
+    def write(rows, slot, **columns):
+        for name, column in columns.items():
+            table[name][rows, slot] = column
+
+    def leave(ok, n_recorded):
+        """Mark the rows where ok is False diverged with n_recorded slots,
+        and drop them from the stack."""
         nonlocal x, g, state, streams, lr_col, live
-        if len(rows) < len(live):
-            x, g, state = x[rows], g[rows], _take(state, rows)
-            lr_col = lr_col[rows]
-            streams = [streams[i] for i in rows]
-            live = [live[i] for i in rows]
+        out = live[~ok]
+        length[out], diverged[out] = n_recorded, True
+        rows = np.flatnonzero(ok)
+        x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
+        streams = [streams[i] for i in rows]
+        live = live[rows]
 
-    inf = float("inf")
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g, train = problem.grad_and_train_loss(x, _seeds(streams, 0, Channel.GRADIENT))
-        for rec, tr, va, gg in zip(live, train.tolist(), problem.val_loss(x).tolist(),
-                                   _row_dots(g).tolist()):
-            _record(rec, 0, tr, va, gg, 0.0, None, 0)
-
+        write(live, 0, train_loss=train, val_loss=problem.val_loss(x),
+              grad_norm_sq=_row_dots(g))
+        slot = 1
         for k in range(1, cfg.max_steps + 1):
-            x_next, state_next, rho, clamped = step(state, x, g, streams, k, lr_col)
-            n_live = len(live)
-            rows = list(zip(_row_dots(g).tolist(), _row_norms(x_next - x).tolist(),
-                            [None] * n_live if rho is None else rho.tolist(),
-                            [0] * n_live if clamped is None else clamped.tolist()))
-            x, state = x_next, state_next
-            finite = np.isfinite(x).all(axis=-1).tolist()
-            for rec, ok, row in zip(live, finite, rows):
-                if not ok:
-                    rec.diverged = True
-                    _record(rec, k, inf, inf, *row)
-            kept = [i for i, ok in enumerate(finite) if ok]
-            keep(kept)
-            rows = [rows[i] for i in kept]
-            if not live:
-                break
+            x_next, state, rho, clamped = step(state, x, g, streams, k, lr_col)
+            write(live, slot, steps=k, grad_norm_sq=_row_dots(g),
+                  step_norm=_row_norms(x_next - x))
+            if rho is not None:
+                write(live, slot, rho=rho, safeguard_count=clamped)
+            x = x_next
+            ok = np.isfinite(x).all(axis=-1)
+            if not ok.all():
+                write(live[~ok], slot, train_loss=np.inf, val_loss=np.inf)
+                leave(ok, slot + 1)
+                if not live.size:
+                    break
             recording = k % cfg.record_every == 0 or k == cfg.max_steps
             if k == cfg.max_steps:
                 train = problem.train_loss(x)
@@ -311,27 +316,30 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
             else:
                 g = problem.eval_grad(x, _seeds(streams, k, Channel.GRADIENT))
             if recording:
-                ok = []
-                for i, (rec, tr, va, row) in enumerate(
-                        zip(live, train.tolist(), problem.val_loss(x).tolist(), rows)):
-                    _record(rec, k, tr, va, *row)
-                    if math.isfinite(tr) and math.isfinite(va):
-                        ok.append(i)
-                    else:
-                        rec.diverged = True
-                keep(ok)
-                if not live:
-                    break
+                val = problem.val_loss(x)
+                write(live, slot, train_loss=train, val_loss=val)
+                slot += 1
+                ok = np.isfinite(train) & np.isfinite(val)
+                if not ok.all():
+                    leave(ok, slot)
+                    if not live.size:
+                        break
+    length[live] = slot
 
     wall_ms = (time.perf_counter() - t_start) * 1e3
-    for rec in flat:
-        rec.final_train = rec.train_loss[-1]
-        rec.final_val = rec.val_loss[-1]
-        idx = int(np.argmin(rec.val_loss))
-        rec.min_val = rec.val_loss[idx]
-        rec.min_val_step = rec.steps[idx]
-        rec.wall_ms = wall_ms
-    return recs
+    mu = None if probe is None else probe.clip_lo
+
+    def record(row, lr, rep):
+        traj = {name: column[row, :length[row]] for name, column in table.items()}
+        val, best = traj["val_loss"], int(np.argmin(traj["val_loss"]))
+        tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
+        return RunRecord(
+            run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer, lr=lr, mu=mu, seed=rep,
+            **traj, final_train=float(traj["train_loss"][-1]), final_val=float(val[-1]),
+            min_val=float(val[best]), min_val_step=int(traj["steps"][best]),
+            diverged=bool(diverged[row]), wall_ms=wall_ms)
+
+    return [[record(j * n + rep, lr, rep) for rep in range(n)] for j, lr in enumerate(lrs)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,60 +401,46 @@ class SweepResult:
     records: dict                    # lr -> list[RunRecord]
 
 
-def _sweep_metric(records: list[RunRecord], which: str) -> float:
-    vals = [r.min_val if which == "min_val" else r.final_val
-            for r in records if not r.diverged]
-    return float(np.median(vals)) if vals else float("inf")
-
-
 def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     """Stage 1 runs every coarse lr; stage 2 refines the winner's decade.
 
     Each stage is one stack of (lr, replicate) rows: the coarse grid, then
     the refine candidates not run yet, so a sweep makes two stepper runs
     (one when every candidate was already run), and each lr's records equal
-    those of its own run_experiment. Ties go to the larger lr (grids are
-    evaluated in descending order with a strict comparison). Raises if
+    those of its own run_experiment. A stage's metric is its lr's
+    `_aggregate` value of spec.metric, inf when every seed diverged, and ties
+    go to the larger lr (min keeps the first of a descending grid). Raises if
     every coarse run diverged. The refinement set always contains the
     stage-1 winner, so the selected lr's metric is <= every coarse-stage
     metric.
     """
     records: dict = {}
+    aggregates: dict = {}
     metrics: dict = {}
 
     def run_stage(lrs):
         new = [lr for lr in lrs if lr not in records]
         if new:
             for lr, recs in zip(new, _run_stack(base, new)):
-                records[lr] = recs
-                metrics[lr] = _sweep_metric(recs, spec.metric)
+                records[lr], aggregates[lr] = recs, _aggregate(recs)
+                metrics[lr] = aggregates[lr][spec.metric]
 
     run_stage(spec.coarse_grid)
-    best_lr, best_metric = None, float("inf")
-    for lr in spec.coarse_grid:
-        if metrics[lr] < best_metric:
-            best_lr, best_metric = lr, metrics[lr]
-    if best_lr is None or not np.isfinite(best_metric):
+    best_lr = min(spec.coarse_grid, key=metrics.__getitem__)
+    if not np.isfinite(metrics[best_lr]):
         raise ValueError(
             f"all runs diverged across the coarse grid {list(spec.coarse_grid)}")
 
     candidates = sorted({best_lr * f / 10.0 for f in spec.refine_factors},
                         reverse=True)
     run_stage(candidates)
-    selected, selected_metric = None, float("inf")
-    for lr in candidates:
-        if metrics[lr] < selected_metric:
-            selected, selected_metric = lr, metrics[lr]
+    selected = min(candidates, key=metrics.__getitem__)
 
-    rows = []
-    listed = set()
-    for stage, grid in (("coarse", spec.coarse_grid), ("refine", candidates)):
-        for lr in grid:
-            if lr in listed:
-                continue
-            listed.add(lr)
-            agg = _aggregate(records[lr])
-            rows.append({"lr": lr, "stage": stage, "metric": metrics[lr], **agg})
+    stages = dict.fromkeys(spec.coarse_grid, "coarse")
+    for lr in candidates:
+        stages.setdefault(lr, "refine")
+    rows = [{"lr": lr, "stage": stage, "metric": metrics[lr], **aggregates[lr]}
+            for lr, stage in stages.items()]
     return SweepResult(rows=rows, selected_lr=selected, records=records)
 
 
@@ -655,11 +649,14 @@ def compare(entries: list[RunConfig], spec: SweepSpec) -> CompareResult:
 
 
 def _step_rows(records: list[RunRecord]):
+    """steps.csv rows. rho is None, an empty field, at step 0 and for an
+    optimizer that reports no rho; a NaN rho from a real step stays nan."""
     for rec in records:
-        for i, step in enumerate(rec.steps):
-            yield (rec.run_id, rec.optimizer, rec.lr, rec.mu, rec.seed, step,
-                   rec.train_loss[i], rec.val_loss[i], rec.grad_norm_sq[i],
-                   rec.step_norm[i], rec.rho[i], rec.safeguard_count[i])
+        head = (rec.run_id, rec.optimizer, rec.lr, rec.mu, rec.seed)
+        cols = {name: getattr(rec, name).tolist() for name in RECORD_COLUMNS}
+        cols["rho"] = ([None] + cols["rho"][1:] if rec.optimizer == OptimizerConfig.kind
+                       else [None] * len(rec.rho))
+        yield from (head + row for row in zip(*cols.values()))
 
 
 def summary_rows(records: list[RunRecord]) -> list[tuple]:

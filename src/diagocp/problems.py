@@ -219,7 +219,7 @@ class ProblemOracle:
     slice of a result equals the value of its lone point bit for bit.
     `_losses_and_grads` may be overridden where one pass yields both. The
     base `_hvps` central-differences the gradient oracle; a kind with an
-    analytic product overrides it and ignores the seed.
+    analytic product overrides it and reads the seed only for its minibatch.
     """
 
     kind = "?"
@@ -566,8 +566,10 @@ class NoisyLeastSquares(_SampleBased):
         return (2.0 / r.shape[-1]) * (A.swapaxes(-1, -2) @ r[..., None])[..., 0]
 
     def _hvps(self, x, V, seed):
-        A, _ = self._train_data
-        return (2.0 / len(A)) * (A.T @ (A @ V[..., None]))[..., 0]
+        # (2/b) A^T A on the minibatch the seed's gradient draws, if any
+        data = self._train_data if self.batch_size is None else self._draw(seed)[0]
+        A, _ = _batch_for(V, data)
+        return (2.0 / A.shape[-2]) * (A.swapaxes(-1, -2) @ (A @ V[..., None]))[..., 0]
 
     def default_init(self, rng=None):
         return np.zeros(self.dim)

@@ -11,10 +11,11 @@ from diagocp import cli, harness
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
 from diagocp.diag_ocp import (OptimizerConfig, init_state, step_closed_form,
                               update_moments)
-from diagocp.harness import (HEATMAP_HEADER, STEP_HEADER, SUMMARY_HEADER,
-                             CompareResult, RunConfig, RunRecord, SweepSpec,
-                             _aggregate, _init_rng, _replicate_base, ablate_mu,
-                             compare, emit_ablation, emit_heatmap, emit_results,
+from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
+                             SUMMARY_HEADER, CompareResult, RunConfig, RunRecord,
+                             SweepSpec, _aggregate, _init_rng, _replicate_base,
+                             _step_rows, _write_tables, ablate_mu, compare,
+                             emit_ablation, emit_heatmap, emit_results,
                              emit_sweep, lr_sweep, run_experiment, summary_rows,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
@@ -173,11 +174,16 @@ def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
 def test_run_records_step_zero_and_final():
     recs = run_experiment(quad_run(max_steps=23, record_every=7))
     (rec,) = recs
-    assert rec.steps[0] == 0
+    for name, dtype in RECORD_COLUMNS.items():
+        column = getattr(rec, name)
+        assert isinstance(column, np.ndarray) and column.dtype == dtype
+        assert column.shape == (5,)
     assert rec.step_norm[0] == 0.0
-    assert rec.rho[0] is None
+    # step 0 has no rho: NaN in the record, an empty field in steps.csv
+    assert np.isnan(rec.rho[0]) and np.isfinite(rec.rho[1:]).all()
+    assert record_rows(rec)[0][5] is None
     # cadence rows plus the off-cadence final step
-    assert rec.steps == [0, 7, 14, 21, 23]
+    assert rec.steps.tolist() == [0, 7, 14, 21, 23]
     assert rec.final_train == rec.train_loss[-1]
     assert not rec.diverged
 
@@ -186,8 +192,8 @@ def test_run_experiment_is_deterministic():
     a = run_experiment(noisy_run(max_steps=30, n_seeds=3))
     b = run_experiment(noisy_run(max_steps=30, n_seeds=3))
     for ra, rb in zip(a, b):
-        assert ra.train_loss == rb.train_loss
-        assert ra.grad_norm_sq == rb.grad_norm_sq
+        np.testing.assert_array_equal(ra.train_loss, rb.train_loss)
+        np.testing.assert_array_equal(ra.grad_norm_sq, rb.grad_norm_sq)
 
 
 def test_seeds_differ_but_share_the_dataset():
@@ -208,8 +214,9 @@ def test_divergence_is_marked():
 
 def test_diag_ocp_run_reports_rho():
     (rec,) = run_experiment(quad_run(max_steps=5))
-    assert all(r is not None for r in rec.rho[1:])
-    assert all(abs(r) <= OCP.safeguard_rho_max for r in rec.rho[1:])
+    assert np.isfinite(rec.rho[1:]).all()
+    assert (np.abs(rec.rho[1:]) <= OCP.safeguard_rho_max).all()
+    assert all(row[5] is not None for row in record_rows(rec)[1:])
 
 
 def count_streams(monkeypatch):
@@ -318,22 +325,32 @@ def reference_run(cfg, rep):
 
 
 def record_rows(rec):
-    return list(zip(rec.steps, rec.train_loss, rec.val_loss, rec.grad_norm_sq,
-                    rec.step_norm, rec.rho, rec.safeguard_count))
+    """rec's steps.csv rows from the step column on, as `_step_rows` emits
+    them: the row layout of `reference_run`."""
+    return [row[5:] for row in _step_rows([rec])]
 
 
-def assert_matches_reference(cfg):
-    """Every stacked record equals its replicate's reference run exactly;
-    returns the reference divergence paths."""
-    recs = run_experiment(cfg)
+def steps_csv(path, rows):
+    """The bytes of the steps.csv that `_write_tables` writes for rows."""
+    (target,) = _write_tables(path, [("steps", STEP_HEADER, rows)])
+    return target.read_bytes()
+
+
+def assert_matches_reference(path, cfg, recs):
+    """The steps.csv of cfg's stacked records equals, byte for byte, the one
+    written from each replicate's reference run; returns the reference
+    divergence paths."""
     assert [r.seed for r in recs] == list(range(cfg.n_seeds))
-    paths = []
+    rows, paths = [], []
     for rep, rec in enumerate(recs):
-        rows, path = reference_run(cfg, rep)
-        np.testing.assert_equal(record_rows(rec), rows)
-        assert rec.diverged == (path is not None)
-        assert rec.final_val == rows[-1][2]
-        paths.append(path)
+        ref, path_taken = reference_run(cfg, rep)
+        rows += [(rec.run_id, rec.optimizer, rec.lr, rec.mu, rec.seed) + row
+                 for row in ref]
+        assert rec.diverged == (path_taken is not None)
+        assert rec.final_val == ref[-1][2]
+        paths.append(path_taken)
+    assert (steps_csv(path / "stacked", _step_rows(recs))
+            == steps_csv(path / "reference", rows))
     return paths
 
 
@@ -389,11 +406,11 @@ STACK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
-def test_stacked_run_equals_per_replicate_reference(case):
+def test_stacked_run_equals_per_replicate_reference(case, tmp_path):
     make, optimizer, opt_cfg = STACK_CASES[case]
     cfg = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
                     max_steps=12, base_seed=5, n_seeds=3, record_every=5)
-    assert assert_matches_reference(cfg) == [None] * 3
+    assert assert_matches_reference(tmp_path, cfg, run_experiment(cfg)) == [None] * 3
 
 
 # From scattered starts some replicates diverge, at different steps, and the
@@ -408,15 +425,43 @@ DIVERGING = {
 
 
 @pytest.mark.parametrize("case", sorted(DIVERGING))
-def test_stacked_run_drops_diverging_replicates_exactly(case):
+def test_stacked_run_drops_diverging_replicates_exactly(case, tmp_path):
     opt_cfg, expected = DIVERGING[case]
     cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer=case.split("-")[0],
                     opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
                     record_every=10)
-    paths = assert_matches_reference(cfg)
+    paths = assert_matches_reference(tmp_path, cfg, run_experiment(cfg))
     assert set(paths) == expected | {None}
     ends = {rec.steps[-1] for rec in run_experiment(cfg) if rec.diverged}
     assert len(ends) > 1
+
+
+class NanCurvatureQuadratic(Quadratic):
+    """A quadratic from seeded starts in [-2, 2]^dim whose curvature reads
+    NaN where x_0 > 1, so a step from there has a NaN rho and leaves a NaN
+    iterate."""
+
+    def default_init(self, rng=None):
+        return rng.uniform(-2.0, 2.0, self.dim)
+
+    def _hvps(self, x, V, seed):
+        return np.where(x[..., None, :1] > 1.0, np.nan, super()._hvps(x, V, seed))
+
+
+def test_nan_rho_of_a_real_step_is_written_as_nan(tmp_path):
+    cfg = RunConfig(problem=NanCurvatureQuadratic(np.array([1.0, 2.0, 4.0])),
+                    optimizer="diag_ocp", opt_cfg=OCP, max_steps=6, base_seed=2,
+                    n_seeds=6, record_every=3)
+    paths = assert_matches_reference(tmp_path, cfg, run_experiment(cfg))
+    assert set(paths) == {"iterate", None}
+    with open(tmp_path / "stacked" / "steps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    step1 = [r for r in rows if r["step"] == "1"]
+    # a diverged row's step-1 rho is nan, a live row's a number, and step 0
+    # writes an empty field
+    assert {r["rho"] for r in step1 if r["train_loss"] == "inf"} == {"nan"}
+    assert all(float(r["rho"]) < 1.0 for r in step1 if r["train_loss"] != "inf")
+    assert {r["rho"] for r in rows if r["step"] == "0"} == {""}
 
 
 def broken_hvps(self, x, V, seed):
@@ -455,9 +500,9 @@ def test_sparse_recording_records_the_same_rows(batch_size):
     dense = run_experiment(cfg)
     sparse = run_experiment(replace(cfg, record_every=3))
     for a, b in zip(dense, sparse):
-        assert b.steps == [0, 3, 6, 9, 10]
-        rows = dict(zip(a.steps, record_rows(a)))
-        np.testing.assert_equal(record_rows(b), [rows[k] for k in b.steps])
+        assert b.steps.tolist() == [0, 3, 6, 9, 10]
+        rows = {row[0]: row for row in record_rows(a)}
+        np.testing.assert_equal(record_rows(b), [rows[k] for k in b.steps.tolist()])
 
 
 def test_verify_rate_trend_defaults_are_frozen():
@@ -470,7 +515,8 @@ def test_verify_rate_trend_defaults_are_frozen():
 # --- aggregation --------------------------------------------------------------
 
 def fake_record(min_val, min_val_step, diverged=False, final_val=None):
-    rec = RunRecord(run_id="r", optimizer="sgd", lr=0.1, mu=None, seed=0)
+    rec = RunRecord(run_id="r", optimizer="sgd", lr=0.1, mu=None, seed=0,
+                    **{name: np.zeros(0, dtype) for name, dtype in RECORD_COLUMNS.items()})
     rec.min_val = min_val
     rec.min_val_step = min_val_step
     rec.final_val = final_val if final_val is not None else min_val
@@ -621,7 +667,8 @@ def test_lr_sweep_makes_one_stepper_run_per_stage(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(DIVERGING))
-def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypatch):
+def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypatch,
+                                                                  tmp_path):
     # the largest lr diverges on some seeds at different steps, so rows
     # leave a mixed-lr stack while the rest of it keeps stepping
     opt_cfg, expected = DIVERGING[case]
@@ -640,12 +687,7 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
     assert ks == list(range(1, 41)) * 2
     for lr, recs in result.records.items():
         cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
-        paths = []
-        for rep, rec in enumerate(recs):
-            rows, path = reference_run(cfg, rep)
-            np.testing.assert_equal(record_rows(rec), rows)
-            assert rec.diverged == (path is not None)
-            paths.append(path)
+        paths = assert_matches_reference(tmp_path / f"lr{lr:g}", cfg, recs)
         if lr == 0.5:
             assert set(paths) == expected | {None}
             assert len({r.steps[-1] for r in recs if r.diverged}) > 1

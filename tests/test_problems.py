@@ -229,6 +229,22 @@ def test_least_squares_hvp_symmetry():
     assert abs(u @ prob.hvp(x, v, None) - v @ prob.hvp(x, u, None)) <= 1e-10
 
 
+def test_least_squares_minibatch_hvp_uses_the_seeds_minibatch():
+    # it used to multiply by the full training split's (2/n) A^T A at any
+    # seed: 0.72 of the norm of the difference on the seed's minibatch away
+    prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
+    x, e0 = np.ones(6), np.eye(6)[0]
+    seeds = [BatchSeed(b, 0, Channel.HESSIAN_NOISE) for b in (1, 2)]
+    hv = prob.hvp(x, e0, seeds[0])
+    cd = cd_reference(prob, x, e0, seeds[0])
+    assert np.linalg.norm(hv - cd) <= 1e-8 * np.linalg.norm(cd)
+    assert np.any(prob.hvp(x, e0, seeds[1]) != hv)
+    X = np.stack([x, x + 0.5])
+    V = np.eye(6).reshape(2, 3, 6)
+    np.testing.assert_array_equal(
+        prob.hvp(X, V, seeds), np.stack([prob.hvp(X[r], V[r], seeds[r]) for r in range(2)]))
+
+
 def test_least_squares_minibatch_depends_on_seed():
     prob = NoisyLeastSquares(n_samples=64, dim=8, batch_size=8)
     x = np.ones(8)
