@@ -14,8 +14,8 @@ from .harness import (CompareResult, MuAblation, RunConfig, RunRecord,
                       verify_closed_form_equivalence,
                       verify_probe_unbiasedness, verify_rate_trend)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
-from .problems import (BatchSeed, Channel, MlpRegression, NoisyLeastSquares,
-                       ProblemOracle, Quadratic, Rosenbrock2D, make_problem)
+from .problems import (BatchSeed, Channel, MlpRegression, NoisyLeastSquares, ProblemOracle,
+                       Quadratic, Rosenbrock2D, StackSeed, make_problem)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "verify_rate_trend",
     "ProbeConfig", "clip_diag", "hutchinson_diag",
     "BatchSeed", "Channel", "MlpRegression", "NoisyLeastSquares",
-    "ProblemOracle", "Quadratic", "Rosenbrock2D", "make_problem",
+    "ProblemOracle", "Quadratic", "Rosenbrock2D", "StackSeed", "make_problem",
 ]

@@ -169,7 +169,7 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     # 1 - s^t' cancels as s nears 1; log1p must not see s <= 0
     inner = s > 0.0
     coef = -np.expm1(state.t * np.log1p(-ad, out=np.zeros_like(ad), where=inner))
-    np.subtract(1.0, s_safe ** state.t, out=coef, where=~inner)
+    coef[~inner] = 1.0 - s_safe[~inner] ** state.t
     phi = coef / D_hat * m_hat
     x_next = x * (1.0 - alpha * cfg.weight_decay) - phi
     diagnostics = StepDiagnostics(

@@ -6,16 +6,16 @@ Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
 BatchSeed(stream_base, step, channel). A stack builds one stream_states
 table of every replicate's PCG64 seed words at steps 0..max_steps-1 before
-its first step, and each BatchSeed carries its row, so no step hashes a
-SeedSequence; the words, and so the draws, are SeedSequence's own. Each
-replicate owns its state and RNG streams, and each learning rate is only a
-per-row column in the step, so a whole sweep stage runs as one
-(n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Replicate
-r has the same stream base at every lr, so its rows carry equal seeds, and
-each step derives every channel's stream and draws its minibatch, noise
-and probes once per replicate, not once per row. Each row's record is the
-one it would get run alone: it depends neither on the stack height nor on
-which other lrs or replicates share it.
+its first step, so no step hashes a SeedSequence; the words, and so the
+draws, are SeedSequence's own. Each replicate owns its state and RNG
+streams, and each learning rate is only a per-row column in the step, so a
+whole sweep stage runs as one (n_lrs * n_seeds, dim) stack of
+(lr, replicate) rows, lr-major. Each step and channel takes one StackSeed,
+whose row map sends every row to its replicate, so each step derives a
+channel's stream and draws its minibatch, noise or probes once per
+replicate, not once per row. Each row's record is the one it would get run
+alone: it depends neither on the stack height nor on which other lrs or
+replicates share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
 stage pays the per-step Python cost once for all of its rows. Step k
@@ -64,7 +64,7 @@ from .baselines import BaselineConfig, BaselineState, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
                        step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
-from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle,
+from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
                        _row_dots, _row_norms, as_integer, as_params, stream_states)
 
 _INIT_STREAM = 3
@@ -175,17 +175,17 @@ def _init_rng(rep_base: int) -> np.random.Generator:
         np.random.SeedSequence(rep_base & _SEED_MASK, spawn_key=(_INIT_STREAM,)))
 
 
-def _streams(bases, n_steps):
-    """One (base, seed words) pair per replicate base, where the words are
-    the base's stream_states rows for steps 0..n_steps-1: every stream a
-    stack draws, derived in one vectorized pass."""
-    return list(zip(bases, stream_states(bases, range(n_steps))))
+def _streams(bases, n_steps, n_lrs=1):
+    """(bases, their stream_states table for steps 0..n_steps-1, the row
+    map): every stream a stack of n_lrs tiles of the replicates draws,
+    derived in one vectorized pass, and the replicate of each stack row."""
+    return bases, stream_states(bases, range(n_steps)), np.tile(range(len(bases)), n_lrs)
 
 
 def _seeds(streams, k, channel):
-    """One BatchSeed per stack row for 0-based step index k, carrying its
-    stream's seed words."""
-    return [BatchSeed(base, k, channel, words[k, channel]) for base, words in streams]
+    """The StackSeed of the stack's rows for 0-based step index k."""
+    bases, words, rows = streams
+    return StackSeed(bases, k, channel, rows, words[:, k, channel])
 
 
 def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
@@ -193,7 +193,7 @@ def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
 
     g is the (R, dim) gradient at x drawn from seeds(k - 1), `probe` is
     opt_cfg.probe and state is None before the first step. Row r draws its
-    noise from its replicate's streams[r] (see `_streams`) and steps with
+    noise from the streams of its replicate (see `_streams`) and steps with
     lr[r], an (R, 1) column (opt_cfg's lr when None), so it steps exactly
     as it would alone. Returns (x_next, state', rho, clamped) with one rho and
     clamp count per row, both None for the baselines. The full path is
@@ -261,7 +261,7 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
     n, probe = cfg.n_seeds, opt_cfg.probe
     rep_bases = [_replicate_base(cfg.base_seed, rep) for rep in range(n)]
     x, state = np.tile(_init_stack(problem, rep_bases, cfg.x0), (len(lrs), 1)), None
-    streams = _streams(rep_bases, cfg.max_steps) * len(lrs)
+    streams = _streams(rep_bases, cfg.max_steps, len(lrs))
     lr_col = np.repeat(lrs, n)[:, None]
     step = partial(_advance, problem, opt_cfg, probe)
     # step 0, every cadence step, an off-cadence last step and a divergence
@@ -285,8 +285,7 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
         length[out], diverged[out] = n_recorded, True
         rows = np.flatnonzero(ok)
         x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
-        streams = [streams[i] for i in rows]
-        live = live[rows]
+        streams, live = streams[:2] + (streams[2][rows],), live[rows]
 
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -560,8 +559,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     for k in range(1, t_max + 1):
         g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))
         x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
-        for g_true in problem.eval_grad(x, None):
-            acc[k - 1] += float(g_true @ g_true)
+        acc[k - 1] = sum(_row_dots(problem.eval_grad(x, None)).tolist())
     avg = acc / n_seeds
     mins = [float(np.min(avg[:T])) for T in T_list]
     slope = float(np.polyfit(np.log(T_list), np.log(mins), 1)[0])

@@ -6,9 +6,9 @@ for diagonal Hessians (v_i^2 = 1); standard-normal probes are the default.
 The N probes of one estimate are drawn up front as an (N, dim) block, in one
 call to the stream, and handed to the HVP oracle in a single call, so an
 oracle can evaluate them together (one noise draw, one stacked gradient
-pass) instead of one by one. A stack of R estimates hands over one
-(R, N, dim) array of blocks; rows of the stack that carry the same seed
-share one stream derivation and one drawn block.
+pass) instead of one by one. A stack of R estimates takes a StackSeed and
+hands over one (R, N, dim) array of blocks; each replicate the stack reads
+derives its stream and draws its block once, for every row of it.
 Clipping clamps every entry into [clip_lo, clip_hi] so the estimate is a
 positive-definite, bounded diagonal regardless of local curvature.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import BatchSeed, _distinct, as_integer
+from .problems import as_integer
 
 _DISTRIBUTIONS = ("rademacher", "standard_normal")
 
@@ -57,19 +57,14 @@ def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
     All n_probes draws come from the one stream addressed by `seed`, so the
     whole estimate is a deterministic function of (seed, cfg). hvp_fn takes
     the (n_probes, dim) block of probe rows and must return the
-    (n_probes, dim) block of their Hessian-vector products. For a sequence
-    of R seeds each row gets the block of its own seed, hvp_fn gets the
-    (R, n_probes, dim) stack of blocks, and the result is (R, dim); each
-    distinct seed derives its stream and draws its block once.
+    (n_probes, dim) block of their Hessian-vector products. For a StackSeed
+    of R rows each row gets the block of its replicate's stream, hvp_fn
+    gets the (R, n_probes, dim) stack of blocks, and the result is (R, dim).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    shape = (cfg.n_probes, dim)
-    if isinstance(seed, BatchSeed):
-        V = _draw(cfg.distribution, shape, seed.rng())
-    else:
-        distinct, rows = _distinct(seed)
-        V = np.stack([_draw(cfg.distribution, shape, s.rng()) for s in distinct])[rows]
+    gens, rows = seed.generators()
+    V = np.stack([_draw(cfg.distribution, (cfg.n_probes, dim), rng) for rng in gens])[rows]
     HV = np.asarray(hvp_fn(V), dtype=np.float64)
     if HV.shape != V.shape:
         raise ValueError(f"hvp_fn returned shape {HV.shape}, expected {V.shape}")

@@ -55,16 +55,13 @@ class BatchSeed:
     probe block, shared by every gradient it evaluates, so the sampling
     noise cancels in each difference. Oracles derive a stream only when
     they sample a minibatch or add gradient noise; a full-batch, noise-free
-    oracle never calls `rng`. Rows of a stack that carry equal seeds (one
-    replicate at several learning rates) share one derivation and one draw,
-    because equal seeds draw equal numbers anyway.
+    oracle never calls `rng`. A stack of points takes a StackSeed instead.
 
     `words`, when given, are the stream's four PCG64 seed words, a row of
-    `stream_states`: a stack's seeds take them from one table built per
-    stack instead of hashing each triple again. They are not part of the
-    address, so they take no part in equality or hashing. A seed without
-    them (a lone call) hashes its triple through SeedSequence, the
-    reference the table is tested against.
+    `stream_states`, so the triple is not hashed again. They are not part
+    of the address, so they take no part in equality or hashing. A seed
+    without them hashes its triple through SeedSequence, the reference the
+    table is tested against.
     """
 
     base_seed: int
@@ -80,6 +77,40 @@ class BatchSeed:
             spawn_key=(int(self.step_index), int(self.channel)),
         )
         return np.random.default_rng(ss)
+
+    def generators(self):
+        """([this seed's generator], 0), the layout of StackSeed.generators."""
+        return [self.rng()], 0
+
+
+class StackSeed:
+    """The seeds of an (R, dim) stack at one step and channel.
+
+    Row r reads the stream of BatchSeed(bases[rows[r]], step_index,
+    channel). A sweep stage's rows are lr-major tiles of its replicates, so
+    rows starts as np.tile(arange(n_seeds), n_lrs) and loses the rows that
+    leave the stack. `words`, when given, is the (len(bases), 4) slice of
+    the stack's stream_states at this step and channel."""
+
+    def __init__(self, bases, step_index, channel, rows, words=None):
+        self.bases, self.step_index, self.channel = bases, step_index, channel
+        self.rows = np.asarray(rows).astype(np.intp, casting="safe", copy=False)
+        if self.rows.ndim != 1 or not set(self.rows.tolist()) <= set(range(len(bases))):
+            raise ValueError(f"stack rows must index the {len(bases)} replicate bases")
+        if words is not None and np.shape(words) != (len(bases), 4):
+            raise ValueError(f"seed words must be shaped ({len(bases)}, 4)")
+        self.words = [None] * len(bases) if words is None else words
+
+    def __len__(self):
+        return len(self.rows)
+
+    def generators(self):
+        """(one generator per replicate that a row reads, each row's index
+        into them), so a stack draws once per replicate: `draws[rows]`."""
+        used = np.flatnonzero(np.bincount(self.rows, minlength=len(self.bases)))
+        gens = [BatchSeed(self.bases[j], self.step_index, self.channel, self.words[j]).rng()
+                for j in used.tolist()]
+        return gens, np.searchsorted(used, self.rows)
 
 
 class _SeedWords(ISeedSequence):
@@ -205,16 +236,16 @@ def as_scale(value, name) -> float:
 class ProblemOracle:
     """Common interface: eval_loss / eval_grad / hvp plus split evaluation.
 
-    Every public method takes one point x of shape (dim,) or a stack of R
-    points of shape (R, dim). A stack takes a sequence of R seeds, one per
-    row, and each row draws exactly the minibatch and noise it would draw
-    alone. Passing seed=None gives the noise-free full-batch value.
+    Every public method takes one point x of shape (dim,) with a BatchSeed,
+    or a stack of R points of shape (R, dim) with a StackSeed of R rows,
+    and each row draws exactly the minibatch and noise it would draw alone.
+    Passing seed=None gives the noise-free full-batch value.
 
     A kind writes each clean quantity once, for points with any leading
     axes: `_losses(xs, data)` -> xs.shape[:-1], `_grads(xs, data)` ->
     xs.shape, and `_hvps(x, V, seed)`, the products of the Hessian at each
     point of x with its (..., n, dim) block of directions V. `data` is the
-    training split, a sampled minibatch, or RowBatches with one minibatch
+    training split, a sampled minibatch, or a stack of minibatches with one
     per entry of the first axis (None for the deterministic kinds). Each
     slice of a result equals the value of its lone point bit for bit.
     `_losses_and_grads` may be overridden where one pass yields both. The
@@ -290,32 +321,25 @@ class ProblemOracle:
     def _draw(self, seed):
         """Batch data and additive gradient noise for one draw of `seed`.
 
-        For a sequence of seeds (a stack) the noise is an (R, dim) array and
-        sampled minibatches come as one RowBatches, every row's samples
-        gathered in one pass. Each distinct seed of the stack derives its
-        stream and draws once, and every row carrying it gets that draw, so
-        each row still sees exactly what its lone call would. A stream is
-        derived only when the oracle samples a minibatch or adds gradient
-        noise; otherwise the draw is the full training split and no noise,
-        exactly as seed=None gives.
+        Each generator of `seed.generators()` draws once, and each row gets
+        its generator's draw, so it sees exactly what its lone call would:
+        a BatchSeed gives one (dim,) noise and one minibatch, a StackSeed
+        an (R, dim) noise and a stack of R minibatches, every row's samples
+        gathered in one pass. A stream is derived only when the oracle
+        samples a minibatch or adds gradient noise; otherwise the draw is
+        the full training split and no noise, exactly as seed=None gives.
         """
         stochastic = self.batch_size is not None or self.noise_std_grad > 0.0
         if seed is None or not stochastic:
             return self._train_data, None
-        lone = isinstance(seed, BatchSeed)
-        distinct, rows = _distinct([seed] if lone else seed)
+        gens, rows = seed.generators()
         idx, noise = [], []
-        for s in distinct:
-            rng = s.rng()
+        for rng in gens:
             if self.batch_size is not None:
-                idx.append(rng.choice(self._train_idx, size=self.batch_size,
-                                      replace=False))
+                idx.append(rng.choice(self._train_idx, self.batch_size, replace=False))
             if self.noise_std_grad > 0.0:
                 noise.append(self.noise_std_grad * rng.standard_normal(self.dim))
-        if lone:
-            return (self._rows(idx[0]) if idx else self._train_data,
-                    noise[0] if noise else None)
-        return (RowBatches(self._rows(np.array(idx)[rows])) if idx else self._train_data,
+        return (self._rows(np.array(idx)[rows]) if idx else self._train_data,
                 np.array(noise)[rows] if noise else None)
 
     # -- split evaluation for recording ----------------------------------
@@ -367,13 +391,14 @@ class ProblemOracle:
         return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
 
     def _check(self, x, seed=None) -> np.ndarray:
-        """Validate one point, or a stack of R >= 1 points with R seeds."""
+        """Validate one point with a BatchSeed, or a stack of R >= 1 points
+        with a StackSeed of R rows."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and len(x):
             if not np.all(np.isfinite(x)):
                 raise ValueError("parameter stack has non-finite entries")
-            if isinstance(seed, BatchSeed) or seed is not None and len(seed) != len(x):
-                raise ValueError(f"a stack of {len(x)} points needs {len(x)} seeds")
+            if not (seed is None or isinstance(seed, StackSeed) and len(seed) == len(x)):
+                raise ValueError(f"{len(x)} stacked points need a {len(x)}-row StackSeed")
         else:
             x = as_params(x)
             if seed is not None and not isinstance(seed, BatchSeed):
@@ -383,33 +408,15 @@ class ProblemOracle:
         return x
 
 
-def _distinct(seeds):
-    """(the distinct seeds in first-seen order, each row's index into them).
-
-    `seeds` is read once, so any iterable of BatchSeeds will do. Equal seeds
-    address equal draws, so a stack derives each distinct stream once and
-    indexes its draw out to the rows: `draws[rows]`.
-    """
-    first = {}
-    rows = [first.setdefault(s, len(first)) for s in seeds]
-    return list(first), np.array(rows, dtype=np.intp)
-
-
-class RowBatches(tuple):
-    """The sampled minibatches of a stack: the (inputs, targets) arrays of
-    every row, gathered once, each with a leading row axis."""
-
-
 def _batch_for(xs, data):
     """(inputs, targets) broadcastable against the leading axes of xs.
 
-    RowBatches hold one batch per entry of the first axis of xs; their
-    arrays get unit axes for any further stack axes.
+    One batch has 2-d inputs; a stack of them, 3-d inputs with one batch
+    per entry of the first axis of xs, gets unit axes for any further
+    stack axes.
     """
-    if not isinstance(data, RowBatches):
-        return data
-    lead = (len(xs),) + (1,) * (xs.ndim - 2)
-    return tuple(a.reshape(lead + a.shape[1:]) for a in data)
+    return data if data[0].ndim == 2 else tuple(
+        a.reshape((len(xs),) + (1,) * (xs.ndim - 2) + a.shape[1:]) for a in data)
 
 
 def _row_dots(a):

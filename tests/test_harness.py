@@ -22,7 +22,7 @@ from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
 from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
-                              Rosenbrock2D)
+                              Rosenbrock2D, StackSeed, stream_states)
 
 OCP = OptimizerConfig(alpha=0.05, weight_decay=0.0)
 
@@ -713,11 +713,13 @@ def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
 # --- shared stream derivations ----------------------------------------------------
 
 def repeated_seeds(channel):
-    """Seeds a, b, a, c, b: three distinct streams repeated out of order. c
-    has a's base at the next step, so a draw keyed on the base alone would
-    hand c a's numbers."""
-    a, b, c = (BatchSeed(base, k, channel) for base, k in ((11, 4), (12, 4), (11, 5)))
-    return [a, b, a, c, b]
+    """A stack whose rows 0, 1, 0, 2, 1 repeat three replicate bases out of
+    order, with its stream_states words as the harness builds it, and each
+    row's lone BatchSeed."""
+    bases, rows = (11, 12, 13), [0, 1, 0, 2, 1]
+    words = stream_states(bases, [4])[:, 0, channel]
+    return (StackSeed(bases, 4, channel, rows, words),
+            [BatchSeed(bases[r], 4, channel) for r in rows])
 
 
 SHARED_SEED_PROBLEMS = {
@@ -738,11 +740,11 @@ def test_stack_rows_sharing_a_seed_share_one_derivation(case, method, monkeypatc
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(5)])
     args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
-    seeds = repeated_seeds(Channel.GRADIENT)
+    stack, seeds = repeated_seeds(Channel.GRADIENT)
     call = getattr(prob, method)
     alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     channels = count_streams(monkeypatch)
-    stacked = call(*args, seeds)
+    stacked = call(*args, stack)
     # gradient noise never enters a loss, so only a minibatch loss draws
     draws = method != "eval_loss" or prob.batch_size is not None
     assert len(channels) == (3 if draws else 0)
@@ -759,7 +761,7 @@ def test_hutchinson_rows_sharing_a_seed_share_one_probe_block(distribution, monk
     cfg = ProbeConfig(n_probes=3, distribution=distribution)
     a = np.random.default_rng(5).standard_normal((6, 6))
     sym = a + a.T
-    seeds = repeated_seeds(Channel.PROBE)
+    stack, seeds = repeated_seeds(Channel.PROBE)
     blocks = []
 
     def hvp(V):
@@ -769,7 +771,7 @@ def test_hutchinson_rows_sharing_a_seed_share_one_probe_block(distribution, monk
     alone = [hutchinson_diag(hvp, 6, cfg, seed) for seed in seeds]
     lone_blocks = list(blocks)
     channels = count_streams(monkeypatch)
-    est = hutchinson_diag(hvp, 6, cfg, (seed for seed in seeds))   # read once
+    est = hutchinson_diag(hvp, 6, cfg, stack)
     assert len(channels) == 3
     for i, want in enumerate(alone):
         np.testing.assert_array_equal(blocks[-1][i], lone_blocks[i])
@@ -796,6 +798,52 @@ def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
     # channel once per replicate and step (step k's gradient is step k+1's)
     for channel in Channel:
         assert channels.count(channel) == len(stages) * n_seeds * steps
+
+
+def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
+    stages = []
+    run_stack = harness._run_stack
+
+    def counting(cfg, lrs):
+        stages.append(cfg.optimizer)
+        return run_stack(cfg, lrs)
+
+    monkeypatch.setattr(harness, "_run_stack", counting)
+    channels = count_streams(monkeypatch)
+    steps, n_seeds = 5, 3
+    entries = [RunConfig(problem=MlpRegression(**MLP_SMALL), optimizer=opt_cfg.kind,
+                         opt_cfg=opt_cfg, max_steps=steps, base_seed=4, n_seeds=n_seeds)
+               for opt_cfg in (MLP_OCP, BaselineConfig(kind="sgd", lr=0.01),
+                               BaselineConfig(kind="adam", lr=0.01))]
+    result = compare(entries, SweepSpec(coarse_grid=(1e-2, 1e-3)))
+    assert not any(r.diverged for sw in result.sweeps.values()
+                   for recs in sw.records.values() for r in recs)
+    # gradients and HVPs of a full-batch, noise-free problem draw nothing;
+    # each diag_ocp stage derives one probe stream per replicate and step
+    n_probe_stages = stages.count("diag_ocp")
+    assert n_probe_stages == 2 and len(stages) == 6
+    assert channels == [Channel.PROBE] * (n_probe_stages * n_seeds * steps)
+
+
+def test_replicates_that_left_the_stack_derive_no_streams(monkeypatch):
+    derived = []
+    derive = BatchSeed.rng
+
+    def counting(seed):
+        derived.append((seed.base_seed, seed.step_index))
+        return derive(seed)
+
+    monkeypatch.setattr(BatchSeed, "rng", counting)
+    cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
+                    opt_cfg=DIVERGING["diag_ocp-iterate"][0], max_steps=40, base_seed=1,
+                    n_seeds=8, record_every=10)
+    recs = run_experiment(cfg)
+    assert sum(r.diverged for r in recs) > 1
+    # a replicate that stepped through step s drew step s's probe (index
+    # s - 1) and nothing after it
+    want = sorted((_replicate_base(cfg.base_seed, r.seed), k)
+                  for r in recs for k in range(int(r.steps[-1])))
+    assert sorted(derived) == want
 
 
 def count_tables(monkeypatch):

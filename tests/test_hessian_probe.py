@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from pytest import raises
 
 from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
-from diagocp.problems import BatchSeed, Channel, MlpRegression
+from diagocp.problems import BatchSeed, Channel, MlpRegression, StackSeed, stream_states
 
 
 def test_probe_config_validation():
@@ -129,10 +129,14 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
     prob = MlpRegression(n_samples=128, batch_size=32)
     rng = np.random.default_rng(6)
     X = np.stack([prob.default_init(rng) for _ in range(3)])
-    hseeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in (4, 5, 6)]
-    pseeds = [BatchSeed(b, 2, Channel.PROBE) for b in (4, 5, 6)]
+    bases = (4, 5, 6)
+    words = stream_states(bases, [2])[:, 0]
+    hstack, pstack = (StackSeed(bases, 2, c, range(3), words[:, c])
+                      for c in (Channel.HESSIAN_NOISE, Channel.PROBE))
+    hseeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in bases]
+    pseeds = [BatchSeed(b, 2, Channel.PROBE) for b in bases]
     cfg = ProbeConfig(n_probes=4, distribution="rademacher")
-    est = hutchinson_diag(lambda V: prob.hvp(X, V, hseeds), prob.dim, cfg, pseeds)
+    est = hutchinson_diag(lambda V: prob.hvp(X, V, hstack), prob.dim, cfg, pstack)
     alone = [hutchinson_diag(lambda V, x=x, s=s: prob.hvp(x, V, s), prob.dim, cfg, p)
              for x, s, p in zip(X, hseeds, pseeds)]
     np.testing.assert_array_equal(est, np.stack(alone))

@@ -4,8 +4,14 @@ from pytest import raises
 
 from diagocp.problems import (_HVP_STEP_SCALE, BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
-                              Rosenbrock2D, RowBatches, as_integer, as_params,
+                              Rosenbrock2D, StackSeed, as_integer, as_params,
                               make_problem, stream_states)
+
+
+def row_seeds(bases, step, channel):
+    """A StackSeed with one row per base, and each row's lone BatchSeed."""
+    return (StackSeed(bases, step, channel, range(len(bases))),
+            [BatchSeed(b, step, channel) for b in bases])
 
 
 class CentralRosenbrock(Rosenbrock2D):
@@ -84,6 +90,68 @@ def test_seed_with_table_words_draws_as_seed_without(base, step):
         np.testing.assert_array_equal(a.standard_normal(6), b.standard_normal(6))
         np.testing.assert_array_equal(a.choice(40, size=8, replace=False),
                                       b.choice(40, size=8, replace=False))
+
+
+def test_batch_seed_generators_are_its_one_stream():
+    seed = BatchSeed(5, 1, Channel.PROBE)
+    gens, index = seed.generators()
+    assert len(gens) == 1 and index == 0
+    np.testing.assert_array_equal(gens[0].standard_normal(4), seed.rng().standard_normal(4))
+
+
+def test_stack_seed_derives_no_stream_for_a_replicate_no_row_reads(monkeypatch):
+    # rows [2, 0, 2] read replicates 2 and 0, as after replicate 1's rows
+    # left the stack; replicate 1 derives nothing
+    bases, rows = (11, 12, 13), [2, 0, 2]
+    derived = []
+    derive = BatchSeed.rng
+    monkeypatch.setattr(BatchSeed, "rng",
+                        lambda seed: derived.append(seed.base_seed) or derive(seed))
+    table = stream_states(bases, [4])[:, 0, Channel.GRADIENT]
+    for words in (None, table):
+        derived.clear()
+        gens, index = StackSeed(bases, 4, Channel.GRADIENT, rows, words).generators()
+        assert derived == [11, 13]
+        assert index.tolist() == [1, 0, 1]
+        for gen, base in zip(gens, (11, 13)):
+            lone = BatchSeed(base, 4, Channel.GRADIENT).rng()
+            np.testing.assert_array_equal(gen.standard_normal(5), lone.standard_normal(5))
+    prob = MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, batch_size=16,
+                         noise_std_grad=0.1)
+    rng = np.random.default_rng(35)
+    X = np.stack([prob.default_init(rng) for _ in rows])
+    stack = StackSeed(bases, 4, Channel.GRADIENT, rows, table)
+    derived.clear()
+    G = prob.eval_grad(X, stack)
+    assert derived == [11, 13]
+    for r, rep in enumerate(rows):
+        np.testing.assert_array_equal(
+            G[r], prob.eval_grad(X[r], BatchSeed(bases[rep], 4, Channel.GRADIENT)))
+
+
+def test_stack_seed_rejects_bad_rows_words_and_stack_heights():
+    bases = (11, 12, 13)
+    words = stream_states(bases, [4])[:, 0, Channel.PROBE]
+    for rows in ([0, 3], [-1, 0], [[0, 1]]):
+        with raises(ValueError):
+            StackSeed(bases, 4, Channel.PROBE, rows)
+    with raises(TypeError):     # a fractional row is not truncated
+        StackSeed(bases, 4, Channel.PROBE, [0.5, 1.0])
+    for bad in (words[:2], words[:, :3], words[None], words[0]):
+        with raises(ValueError):
+            StackSeed(bases, 4, Channel.PROBE, [0, 1], bad)
+    assert len(StackSeed(bases, 4, Channel.PROBE, [0, 1, 2, 1], words)) == 4
+    prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
+    X, V = np.zeros((3, 6)), np.ones((3, 2, 6))
+    short = StackSeed(bases, 4, Channel.GRADIENT, [0, 1])
+    tall = StackSeed(bases, 4, Channel.GRADIENT, [0, 1, 2, 0])
+    for stack in (short, tall):
+        for bad_call in (lambda: prob.eval_grad(X, stack),
+                         lambda: prob.eval_loss(X, stack),
+                         lambda: prob.grad_and_train_loss(X, stack),
+                         lambda: prob.hvp(X, V, stack)):
+            with raises(ValueError):
+                bad_call()
 
 
 # --- as_params -------------------------------------------------------------
@@ -234,7 +302,7 @@ def test_least_squares_minibatch_hvp_uses_the_seeds_minibatch():
     # seed: 0.72 of the norm of the difference on the seed's minibatch away
     prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
     x, e0 = np.ones(6), np.eye(6)[0]
-    seeds = [BatchSeed(b, 0, Channel.HESSIAN_NOISE) for b in (1, 2)]
+    stack, seeds = row_seeds((1, 2), 0, Channel.HESSIAN_NOISE)
     hv = prob.hvp(x, e0, seeds[0])
     cd = cd_reference(prob, x, e0, seeds[0])
     assert np.linalg.norm(hv - cd) <= 1e-8 * np.linalg.norm(cd)
@@ -242,7 +310,7 @@ def test_least_squares_minibatch_hvp_uses_the_seeds_minibatch():
     X = np.stack([x, x + 0.5])
     V = np.eye(6).reshape(2, 3, 6)
     np.testing.assert_array_equal(
-        prob.hvp(X, V, seeds), np.stack([prob.hvp(X[r], V[r], seeds[r]) for r in range(2)]))
+        prob.hvp(X, V, stack), np.stack([prob.hvp(X[r], V[r], seeds[r]) for r in range(2)]))
 
 
 def test_least_squares_minibatch_depends_on_seed():
@@ -315,7 +383,7 @@ def test_least_squares_stacked_hooks_match_one_point_reference(batch_size):
     rng = np.random.default_rng(52)
     X = 10.0 ** rng.uniform(-3, 3, (3, 1)) * rng.standard_normal((3, prob.dim))
     V = rng.standard_normal((3, 2, prob.dim))
-    data, _ = prob._draw([BatchSeed(b, 0, Channel.GRADIENT) for b in (1, 2, 3)])
+    data, _ = prob._draw(row_seeds((1, 2, 3), 0, Channel.GRADIENT)[0])
     # (R, 2 m, dim) points, as a central-difference block evaluates
     P = np.concatenate((X[:, None] + V, X[:, None] - V), axis=1)
     losses, grads = prob._losses(P, data), prob._grads(P, data)
@@ -417,10 +485,11 @@ def test_mlp_kernels_match_rowmajor_reference(layer_sizes, batch_size):
     rng = np.random.default_rng(41)
     T = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
-    seeds = [BatchSeed(b, 2, Channel.GRADIENT) for b in (5, 6, 7)]
+    seeds = row_seeds((5, 6, 7), 2, Channel.GRADIENT)[0]
     data, _ = prob._draw(seeds)
-    assert isinstance(data, RowBatches) == (batch_size is not None)
-    batches = [tuple(a[r] for a in data) if isinstance(data, RowBatches) else data
+    # a stack of minibatches has 3-d inputs, one (d, n) batch per row
+    assert (data[0].ndim == 3) == (batch_size is not None)
+    batches = [tuple(a[r] for a in data) if data[0].ndim == 3 else data
                for r in range(len(T))]
     G, L = prob.eval_grad(T, seeds), prob.eval_loss(T, seeds)
     splits = [(prob.train_loss(T), prob._train_data), (prob.val_loss(T), prob._val_data)]
@@ -518,8 +587,8 @@ def test_mlp_hvp_matches_the_rop(layer_sizes, batch_size):
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(4)])
     V = rng.standard_normal((4, 3, prob.dim))
-    seeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in range(4)]
-    out = prob.hvp(X, V, seeds)
+    stack, seeds = row_seeds(range(4), 2, Channel.HESSIAN_NOISE)
+    out = prob.hvp(X, V, stack)
     checked = 0
     for x, block, seed, products in zip(X, V, seeds, out):
         data = prob._draw(seed)[0]
@@ -580,11 +649,11 @@ def test_mlp_block_hvp_with_a_zero_probe_row(monkeypatch):
     # pass, and every zero direction's product is +0.0
     X = np.stack([x, prob.default_init(rng), prob.default_init(rng)])
     W = np.stack([np.zeros_like(V), V, V[::-1]])
-    seeds = [BatchSeed(b, 4, Channel.HESSIAN_NOISE) for b in (7, 8, 9)]
+    stack, seeds = row_seeds((7, 8, 9), 4, Channel.HESSIAN_NOISE)
     calls = []
     grads = prob._grads
     monkeypatch.setattr(prob, "_grads", lambda *a: calls.append(1) or grads(*a))
-    stacked = prob.hvp(X, W, seeds)
+    stacked = prob.hvp(X, W, stack)
     assert len(calls) == 1
     zero = np.stack([stacked[0, 0], stacked[1, 1], stacked[2, 2]])
     np.testing.assert_array_equal(zero, 0.0)
@@ -660,19 +729,19 @@ def test_stacked_oracle_equals_row_by_row(case):
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
     V = rng.standard_normal((3, 2, prob.dim))
-    gseeds = [BatchSeed(b, 4, Channel.GRADIENT) for b in (11, 12, 13)]
-    hseeds = [BatchSeed(b, 4, Channel.HESSIAN_NOISE) for b in (11, 12, 13)]
+    gstack, gseeds = row_seeds((11, 12, 13), 4, Channel.GRADIENT)
+    hstack, hseeds = row_seeds((11, 12, 13), 4, Channel.HESSIAN_NOISE)
 
     def rows(fn, *args):
         return np.stack([fn(*row) for row in zip(*args)])
 
-    np.testing.assert_array_equal(prob.eval_grad(X, gseeds), rows(prob.eval_grad, X, gseeds))
+    np.testing.assert_array_equal(prob.eval_grad(X, gstack), rows(prob.eval_grad, X, gseeds))
     np.testing.assert_array_equal(prob.eval_grad(X), rows(prob.eval_grad, X))
-    np.testing.assert_array_equal(prob.eval_loss(X, gseeds), rows(prob.eval_loss, X, gseeds))
+    np.testing.assert_array_equal(prob.eval_loss(X, gstack), rows(prob.eval_loss, X, gseeds))
     np.testing.assert_array_equal(prob.train_loss(X), rows(prob.train_loss, X))
     np.testing.assert_array_equal(prob.val_loss(X), rows(prob.val_loss, X))
-    np.testing.assert_array_equal(prob.hvp(X, V, hseeds), rows(prob.hvp, X, V, hseeds))
-    np.testing.assert_array_equal(prob.hvp(X, V[:, 0], hseeds),
+    np.testing.assert_array_equal(prob.hvp(X, V, hstack), rows(prob.hvp, X, V, hseeds))
+    np.testing.assert_array_equal(prob.hvp(X, V[:, 0], hstack),
                                   rows(prob.hvp, X, V[:, 0], hseeds))
 
 
@@ -682,8 +751,8 @@ def test_grad_and_train_loss_equals_the_separate_calls(case, monkeypatch):
     rng = np.random.default_rng(33)
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
-    seeds = [BatchSeed(b, 5, Channel.GRADIENT) for b in (21, 22, 23)]
-    for x, seed in ((X[0], seeds[0]), (X[0], None), (X, seeds), (X, None)):
+    stack, seeds = row_seeds((21, 22, 23), 5, Channel.GRADIENT)
+    for x, seed in ((X[0], seeds[0]), (X[0], None), (X, stack), (X, None)):
         g, loss = prob.grad_and_train_loss(x, seed)
         np.testing.assert_array_equal(g, prob.eval_grad(x, seed))
         np.testing.assert_array_equal(loss, prob.train_loss(x))
@@ -693,7 +762,7 @@ def test_grad_and_train_loss_equals_the_separate_calls(case, monkeypatch):
         calls = []
         forward = prob._forward
         monkeypatch.setattr(prob, "_forward", lambda *a: calls.append(1) or forward(*a))
-        prob.grad_and_train_loss(X, seeds)
+        prob.grad_and_train_loss(X, stack)
         assert len(calls) == 1
 
 
@@ -708,7 +777,7 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
     V = rng.standard_normal((5, 2, prob.dim))
 
     def seeds(n, channel=Channel.GRADIENT):
-        return [BatchSeed(b, 1, channel) for b in range(n)]
+        return row_seeds(range(n), 1, channel)[0]
 
     calls = [  # interleaved stack shapes (5,), (5, 2), (3,) and a lone point
         lambda p: p.eval_grad(X, seeds(5)),
@@ -738,9 +807,10 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
     # the workspace holds activations only; with two hidden layers the
     # in-place deltas equal an out-of-place backprop bit for bit
     assert {role for role, _ in prob._workspace} == {"act"}
-    for data in (prob._train_data, prob._draw(seeds(5))[0], prob._draw(seeds(1)[0])[0]):
+    lone = BatchSeed(0, 1, Channel.GRADIENT)
+    for data in (prob._train_data, prob._draw(seeds(5))[0], prob._draw(lone)[0]):
         for theta in (X, X[2]):
-            if isinstance(data, RowBatches) and theta.ndim == 1:
+            if data[0].ndim == 3 and theta.ndim == 1:
                 continue
             np.testing.assert_array_equal(prob._grads(theta, data),
                                           out_of_place_grads(prob, theta, data))
@@ -766,8 +836,8 @@ def test_stacked_hvp_with_a_zero_probe_row():
     X = np.stack([prob.default_init(rng) for _ in range(2)])
     V = rng.standard_normal((2, 3, prob.dim))
     V[1, 2] = 0.0
-    seeds = [BatchSeed(b, 0, Channel.HESSIAN_NOISE) for b in (1, 2)]
-    block = prob.hvp(X, V, seeds)
+    stack, seeds = row_seeds((1, 2), 0, Channel.HESSIAN_NOISE)
+    block = prob.hvp(X, V, stack)
     np.testing.assert_array_equal(block[1, 2], np.zeros(prob.dim))
     np.testing.assert_array_equal(
         block, np.stack([prob.hvp(x, v, s) for x, v, s in zip(X, V, seeds)]))
@@ -777,9 +847,11 @@ def test_stack_validation():
     prob = MlpRegression(n_samples=32)
     X = np.zeros((2, prob.dim))
     seed = BatchSeed(0, 0, Channel.GRADIENT)
+    one_row = StackSeed([0], 0, Channel.GRADIENT, [0])
     for bad_call in (lambda: prob.eval_grad(X, seed),          # one seed, two points
-                     lambda: prob.eval_grad(X, [seed]),        # seed count
-                     lambda: prob.eval_grad(X[0], [seed]),     # a sequence for a point
+                     lambda: prob.eval_grad(X, one_row),       # stack rows
+                     lambda: prob.eval_grad(X, [seed, seed]),  # a list of seeds
+                     lambda: prob.eval_grad(X[0], one_row),    # a stack seed for a point
                      lambda: prob.train_loss(np.full((2, prob.dim), np.inf)),
                      lambda: prob.eval_grad(np.zeros((2, prob.dim + 1))),
                      lambda: prob.eval_grad(np.zeros((2, 2, prob.dim))),
