@@ -4,18 +4,21 @@ verification checks, and CSV/JSON emission.
 
 Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
-BatchSeed(stream_base, step, channel). A stack builds one stream_states
-table of every replicate's PCG64 seed words at steps 0..max_steps-1 before
-its first step, so no step hashes a SeedSequence; the words, and so the
-draws, are SeedSequence's own. Each replicate owns its state and RNG
-streams, and each learning rate is only a per-row column in the step, so a
-whole sweep stage runs as one (n_lrs * n_seeds, dim) stack of
-(lr, replicate) rows, lr-major. Each step and channel takes one StackSeed,
-whose row map sends every row to its replicate, so each step derives a
-channel's stream and draws its minibatch, noise or probes once per
-replicate, not once per row. Each row's record is the one it would get run
-alone: it depends neither on the stack height nor on which other lrs or
-replicates share it.
+BatchSeed(stream_base, step, channel). A run, or a whole sweep, builds its
+replicates' streams once before the first step (`_streams`): one
+stream_states table of every replicate's PCG64 seed words at steps
+0..max_steps-1, so no step hashes a SeedSequence, and for a minibatch
+oracle one BatchTable per channel it samples rows on, with every
+(replicate, step) minibatch drawn ahead, so the two stages of a sweep read
+one set of draws. The words, and so the draws, are SeedSequence's own.
+Each replicate owns its state and RNG streams, and each learning rate is
+only a per-row column in the step, so a whole sweep stage runs as one
+(n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Each step
+builds one StackSeed per channel the oracle reads, whose row map sends
+every row to its replicate, so the step gathers its rows' minibatches from
+the table and draws its noise or probes once per replicate, not once per
+row. Each row's record is the one it would get run alone: it depends
+neither on the stack height nor on which other lrs or replicates share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
 stage pays the per-step Python cost once for all of its rows. Step k
@@ -57,6 +60,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,7 +166,7 @@ class RunRecord:
     min_val: float = float("nan")
     min_val_step: int = -1
     diverged: bool = False
-    wall_ms: float = 0.0    # wall time of the whole stack: the sweep stage
+    wall_ms: float = 0.0    # wall time of the stack's steps: the sweep stage
 
 
 def _replicate_base(base_seed: int, rep: int) -> int:
@@ -175,17 +179,49 @@ def _init_rng(rep_base: int) -> np.random.Generator:
         np.random.SeedSequence(rep_base & _SEED_MASK, spawn_key=(_INIT_STREAM,)))
 
 
-def _streams(bases, n_steps, n_lrs=1):
-    """(bases, their stream_states table for steps 0..n_steps-1, the row
-    map): every stream a stack of n_lrs tiles of the replicates draws,
-    derived in one vectorized pass, and the replicate of each stack row."""
-    return bases, stream_states(bases, range(n_steps)), np.tile(range(len(bases)), n_lrs)
+class _Streams(NamedTuple):
+    """Every stream a run's replicates draw on (see `_streams`), and the
+    row map of the stack that reads them."""
+
+    bases: list          # the replicates' stream bases
+    words: np.ndarray    # their stream_states table at steps 0..max_steps-1
+    tables: dict         # each channel the oracle draws on -> BatchTable or None
+    rows: np.ndarray     # the replicate of each stack row
+
+
+def _streams(cfg: RunConfig) -> _Streams:
+    """The streams of cfg's replicates, built once for every stack that
+    steps them: a run's, or both stages of a sweep.
+
+    The stream_states words of every replicate, step and channel come from
+    one vectorized pass. The probe is drawn at each step. The oracle's own
+    channels, GRADIENT and, under a probe, HESSIAN_NOISE, are seeded only
+    when it is stochastic; at a batch_size each one's minibatches are drawn
+    ahead into a BatchTable, so a sweep draws them once, not once per
+    stage. The row map is one tile of the replicates.
+    """
+    problem, bases = cfg.problem, [_replicate_base(cfg.base_seed, rep)
+                                   for rep in range(cfg.n_seeds)]
+    words = stream_states(bases, range(cfg.max_steps))
+    tables = {Channel.PROBE: None}
+    if problem.stochastic:
+        drawn = [Channel.GRADIENT]
+        if cfg.opt_cfg.probe is not None:
+            drawn.append(Channel.HESSIAN_NOISE)
+        for channel in drawn:
+            tables[channel] = (None if problem.batch_size is None
+                               else problem.batch_table(bases, channel, words))
+    return _Streams(bases, words, tables, np.arange(len(bases)))
 
 
 def _seeds(streams, k, channel):
-    """The StackSeed of the stack's rows for 0-based step index k."""
-    bases, words, rows = streams
-    return StackSeed(bases, k, channel, rows, words[:, k, channel])
+    """The StackSeed of the stack's rows for 0-based step index k; None for
+    a channel the oracle does not draw on, which reads it as the
+    full-batch, noise-free draw that such an oracle makes anyway."""
+    if channel not in streams.tables:
+        return None
+    return StackSeed(streams.bases, k, channel, streams.rows,
+                     streams.words[:, k, channel], streams.tables[channel])
 
 
 def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
@@ -239,12 +275,13 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
 
     The one-lr case of the stepper `_run_stack`, at cfg.opt_cfg's lr.
     """
-    return _run_stack(cfg, [cfg.opt_cfg.lr])[0]
+    return _run_stack(cfg, [cfg.opt_cfg.lr], _streams(cfg))[0]
 
 
-def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
+def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
     """Run cfg's replicates at every learning rate of lrs as one stack;
     returns one seed-ordered RunRecord list per lr, in lrs order.
+    `streams` is `_streams(cfg)`, which a sweep shares between its stages.
 
     Row (j, rep) of the (len(lrs) * n_seeds, dim) stack, lr-major, starts
     from replicate rep's initial iterate, draws its noise from replicate
@@ -259,9 +296,8 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
     t_start = time.perf_counter()
     lrs = [opt_cfg.with_lr(lr).lr for lr in lrs]    # with_lr validates each lr
     n, probe = cfg.n_seeds, opt_cfg.probe
-    rep_bases = [_replicate_base(cfg.base_seed, rep) for rep in range(n)]
-    x, state = np.tile(_init_stack(problem, rep_bases, cfg.x0), (len(lrs), 1)), None
-    streams = _streams(rep_bases, cfg.max_steps, len(lrs))
+    x, state = np.tile(_init_stack(problem, streams.bases, cfg.x0), (len(lrs), 1)), None
+    streams = streams._replace(rows=np.tile(streams.rows, len(lrs)))
     lr_col = np.repeat(lrs, n)[:, None]
     step = partial(_advance, problem, opt_cfg, probe)
     # step 0, every cadence step, an off-cadence last step and a divergence
@@ -285,7 +321,7 @@ def _run_stack(cfg: RunConfig, lrs) -> list[list[RunRecord]]:
         length[out], diverged[out] = n_recorded, True
         rows = np.flatnonzero(ok)
         x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
-        streams, live = streams[:2] + (streams[2][rows],), live[rows]
+        streams, live = streams._replace(rows=streams.rows[rows]), live[rows]
 
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -406,7 +442,8 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     Each stage is one stack of (lr, replicate) rows: the coarse grid, then
     the refine candidates not run yet, so a sweep makes two stepper runs
     (one when every candidate was already run), and each lr's records equal
-    those of its own run_experiment. A stage's metric is its lr's
+    those of its own run_experiment. Both stages read one `_streams`, so
+    every minibatch is drawn once per sweep. A stage's metric is its lr's
     `_aggregate` value of spec.metric, inf when every seed diverged, and ties
     go to the larger lr (min keeps the first of a descending grid). Raises if
     every coarse run diverged. The refinement set always contains the
@@ -416,11 +453,12 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     records: dict = {}
     aggregates: dict = {}
     metrics: dict = {}
+    streams = _streams(base)
 
     def run_stage(lrs):
         new = [lr for lr in lrs if lr not in records]
         if new:
-            for lr, recs in zip(new, _run_stack(base, new)):
+            for lr, recs in zip(new, _run_stack(base, new, streams)):
                 records[lr], aggregates[lr] = recs, _aggregate(recs)
                 metrics[lr] = aggregates[lr][spec.metric]
 
@@ -553,8 +591,9 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     t_start = time.perf_counter()
     t_max = T_list[-1]
     probe = opt_cfg.probe
-    bases = [_replicate_base(base_seed, rep) for rep in range(n_seeds)]
-    x, state, streams = _init_stack(problem, bases), None, _streams(bases, t_max)
+    streams = _streams(RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
+                                 max_steps=t_max, base_seed=base_seed, n_seeds=n_seeds))
+    x, state = _init_stack(problem, streams.bases), None
     acc = np.zeros(t_max)
     for k in range(1, t_max + 1):
         g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))

@@ -78,9 +78,27 @@ class BatchSeed:
         )
         return np.random.default_rng(ss)
 
+    # a lone seed has no minibatch drawn ahead (see StackSeed.batch)
+    batch = None
+
     def generators(self):
         """([this seed's generator], 0), the layout of StackSeed.generators."""
         return [self.rng()], 0
+
+
+@dataclass(frozen=True, eq=False)
+class BatchTable:
+    """The minibatches of one channel's streams, drawn ahead for every
+    (replicate, step) of a run (see `_SampleBased.batch_table`).
+
+    indices[i, k] holds the sample indices that the stream of replicate i
+    at step k samples first, in the smallest unsigned dtype that holds every
+    training index. states[i, k], kept only for an oracle that adds
+    gradient noise, is that stream's PCG64 state right after the index
+    draw, packed by `_pack_state`, so the noise draw resumes from it."""
+
+    indices: np.ndarray
+    states: np.ndarray | None = None
 
 
 class StackSeed:
@@ -90,27 +108,63 @@ class StackSeed:
     channel). A sweep stage's rows are lr-major tiles of its replicates, so
     rows starts as np.tile(arange(n_seeds), n_lrs) and loses the rows that
     leave the stack. `words`, when given, is the (len(bases), 4) slice of
-    the stack's stream_states at this step and channel."""
+    the stack's stream_states at this step and channel. `table`, when
+    given, is the channel's BatchTable over the same bases: the rows'
+    minibatches are then read from it, and a later draw on a stream, the
+    gradient noise, resumes from the state its index draw left."""
 
-    def __init__(self, bases, step_index, channel, rows, words=None):
+    def __init__(self, bases, step_index, channel, rows, words=None, table=None):
         self.bases, self.step_index, self.channel = bases, step_index, channel
         self.rows = np.asarray(rows).astype(np.intp, casting="safe", copy=False)
         if self.rows.ndim != 1 or not set(self.rows.tolist()) <= set(range(len(bases))):
             raise ValueError(f"stack rows must index the {len(bases)} replicate bases")
         if words is not None and np.shape(words) != (len(bases), 4):
             raise ValueError(f"seed words must be shaped ({len(bases)}, 4)")
+        if table is not None and len(table.indices) != len(bases):
+            raise ValueError(f"a batch table must hold the {len(bases)} replicate bases")
         self.words = [None] * len(bases) if words is None else words
+        self.table = table
 
     def __len__(self):
         return len(self.rows)
 
+    @property
+    def batch(self):
+        """The (R, batch_size) minibatch indices of the rows, read from the
+        table; None without one."""
+        return None if self.table is None else self.table.indices[self.rows, self.step_index]
+
     def generators(self):
         """(one generator per replicate that a row reads, each row's index
-        into them), so a stack draws once per replicate: `draws[rows]`."""
-        used = np.flatnonzero(np.bincount(self.rows, minlength=len(self.bases)))
-        gens = [BatchSeed(self.bases[j], self.step_index, self.channel, self.words[j]).rng()
-                for j in used.tolist()]
+        into them), so a stack draws once per replicate: `draws[rows]`.
+        With a table each generator resumes where its index draw left the
+        stream, so it gives the draws that follow the minibatch."""
+        used = np.flatnonzero(np.bincount(self.rows, minlength=len(self.bases))).tolist()
+        if self.table is None:
+            gens = [BatchSeed(self.bases[j], self.step_index, self.channel,
+                              self.words[j]).rng() for j in used]
+        else:
+            gens = [_resume(self.table.states[j, self.step_index]) for j in used]
         return gens, np.searchsorted(used, self.rows)
+
+
+def _pack_state(rng):
+    """A generator's PCG64 state as 6 words: the 128-bit state and
+    increment, each high then low, then has_uint32 and uinteger."""
+    st = rng.bit_generator.state
+    state, inc = st["state"]["state"], st["state"]["inc"]
+    return (state >> 64, state & _SEED_MASK, inc >> 64, inc & _SEED_MASK,
+            st["has_uint32"], st["uinteger"])
+
+
+def _resume(words):
+    """A generator at the PCG64 state that `_pack_state` packed into words."""
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = map(int, words)
+    bits = np.random.PCG64(_SeedWords(words[:4]))    # seeded, then overwritten
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                  "has_uint32": has_uint32, "uinteger": uinteger}
+    return np.random.Generator(bits)
 
 
 class _SeedWords(ISeedSequence):
@@ -318,29 +372,37 @@ class ProblemOracle:
                              f"{block.shape} direction block")
         return out.reshape(V.shape)
 
+    @property
+    def stochastic(self):
+        """Whether a draw reads its seed: the oracle samples a minibatch or
+        adds gradient noise."""
+        return self.batch_size is not None or self.noise_std_grad > 0.0
+
     def _draw(self, seed):
         """Batch data and additive gradient noise for one draw of `seed`.
 
-        Each generator of `seed.generators()` draws once, and each row gets
-        its generator's draw, so it sees exactly what its lone call would:
-        a BatchSeed gives one (dim,) noise and one minibatch, a StackSeed
-        an (R, dim) noise and a stack of R minibatches, every row's samples
-        gathered in one pass. A stream is derived only when the oracle
-        samples a minibatch or adds gradient noise; otherwise the draw is
-        the full training split and no noise, exactly as seed=None gives.
+        Each generator of `seed.generators()` draws once, the minibatch
+        first and then the noise, and each row gets its generator's draw,
+        so it sees exactly what its lone call would: a BatchSeed gives one
+        (dim,) noise and one minibatch, a StackSeed an (R, dim) noise and a
+        stack of R minibatches, every row's samples gathered in one pass. A
+        StackSeed with a batch table hands over its rows' minibatches drawn
+        ahead, and its generators resume after them, so a noise-free draw
+        derives no stream. A stream is derived only when the oracle is
+        `stochastic`; otherwise the draw is the full training split and no
+        noise, exactly as seed=None gives.
         """
-        stochastic = self.batch_size is not None or self.noise_std_grad > 0.0
-        if seed is None or not stochastic:
+        if seed is None or not self.stochastic:
             return self._train_data, None
-        gens, rows = seed.generators()
-        idx, noise = [], []
-        for rng in gens:
-            if self.batch_size is not None:
-                idx.append(rng.choice(self._train_idx, self.batch_size, replace=False))
+        batch, noise = seed.batch, None
+        if batch is None or self.noise_std_grad > 0.0:
+            gens, rows = seed.generators()
+            if batch is None and self.batch_size is not None:
+                batch = np.array([self._sample(rng) for rng in gens])[rows]
             if self.noise_std_grad > 0.0:
-                noise.append(self.noise_std_grad * rng.standard_normal(self.dim))
-        return (self._rows(np.array(idx)[rows]) if idx else self._train_data,
-                np.array(noise)[rows] if noise else None)
+                noise = np.array([self.noise_std_grad * rng.standard_normal(self.dim)
+                                  for rng in gens])[rows]
+        return (self._train_data if batch is None else self._rows(batch)), noise
 
     # -- split evaluation for recording ----------------------------------
 
@@ -530,6 +592,32 @@ class _SampleBased(ProblemOracle):
         """The batch of sample indices idx; an (R, n) index array gives one
         batch per row, stacked along a leading axis."""
         raise NotImplementedError
+
+    def _sample(self, rng):
+        """The minibatch indices a stream draws first."""
+        return rng.choice(self._train_idx, self.batch_size, replace=False)
+
+    def batch_table(self, bases, channel, words) -> BatchTable:
+        """The minibatches of `channel`'s streams of every base at steps
+        0..n_steps-1, drawn ahead into one BatchTable.
+
+        words is the (len(bases), n_steps, len(Channel), 4) stream_states
+        table of the bases. Entry (i, k) is the minibatch that
+        BatchSeed(bases[i], k, channel).rng() samples first, derived
+        through that seed, so a table holds exactly the draws a lone seed
+        makes. A noisy oracle also keeps each stream's state after the
+        index draw, from which its noise draw resumes.
+        """
+        indices = np.empty(words.shape[:2] + (self.batch_size,),
+                           np.min_scalar_type(self._train_idx[-1]))
+        states = (np.empty(words.shape[:2] + (6,), np.uint64)
+                  if self.noise_std_grad > 0.0 else None)
+        for i, k in np.ndindex(words.shape[:2]):
+            rng = BatchSeed(bases[i], k, channel, words[i, k, channel]).rng()
+            indices[i, k] = self._sample(rng)
+            if states is not None:
+                states[i, k] = _pack_state(rng)
+        return BatchTable(indices, states)
 
 
 class NoisyLeastSquares(_SampleBased):

@@ -647,17 +647,20 @@ def test_lr_sweep_records_equal_each_lr_run_alone(problem, optimizer):
 
 
 def test_lr_sweep_makes_one_stepper_run_per_stage(monkeypatch):
-    stages = []
+    stages, streams = [], []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs):
+    def counting(cfg, lrs, stage_streams):
         stages.append(list(lrs))
-        return run_stack(cfg, lrs)
+        streams.append(stage_streams)
+        return run_stack(cfg, lrs, stage_streams)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
     result = lr_sweep(spec, quad_run(max_steps=30, n_seeds=2))
     assert len(stages) == 2
+    # both stages step the same replicates, so they read one set of streams
+    assert streams[0] is streams[1]
     assert stages[0] == list(spec.coarse_grid)
     # the winner 0.1 refines to {0.1, 0.05, 0.01}; only 0.05 is new
     assert stages[1] == [0.05]
@@ -694,6 +697,23 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
     assert not all(r.diverged for recs in result.records.values() for r in recs)
 
 
+@pytest.mark.parametrize("case", ["least_squares-minibatch-diag_ocp",
+                                  "least_squares-minibatch-sgd", "mlp-minibatch-radam"])
+def test_lr_sweep_with_noisy_minibatches_matches_the_reference(case, tmp_path):
+    # both stages read one table of minibatches and draw their gradient
+    # noise from the states it kept; every lr must still draw exactly what
+    # the reference's lone per-step seeds draw
+    make, optimizer, opt_cfg = STACK_CASES[case]
+    base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
+                     max_steps=12, base_seed=5, n_seeds=3, record_every=5)
+    spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
+    result = lr_sweep(spec, base)
+    assert len(result.records) > len(spec.coarse_grid)   # the refine stage ran new lrs
+    for lr, recs in result.records.items():
+        cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
+        assert_matches_reference(tmp_path / f"lr{lr:g}", cfg, recs)
+
+
 @pytest.mark.parametrize("cfg", [
     RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
               opt_cfg=MLP_OCP, max_steps=8, base_seed=9, n_seeds=2),
@@ -703,9 +723,10 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
 ], ids=["mlp-minibatch", "diverging"])
 def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
     lrs = [0.5, 0.05, 0.01, 0.005]
-    full = dict(zip(lrs, harness._run_stack(cfg, lrs)))
+    streams = harness._streams(cfg)
+    full = dict(zip(lrs, harness._run_stack(cfg, lrs, streams)))
     for subset in ([0.05], [0.005, 0.5], [0.01, 0.05, 0.5]):
-        for lr, recs in zip(subset, harness._run_stack(cfg, subset)):
+        for lr, recs in zip(subset, harness._run_stack(cfg, subset, streams)):
             assert [r.run_id for r in recs] == [r.run_id for r in full[lr]]
             assert_same_records(recs, full[lr])
 
@@ -782,9 +803,9 @@ def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
     stages = []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs):
+    def counting(cfg, lrs, streams):
         stages.append(list(lrs))
-        return run_stack(cfg, lrs)
+        return run_stack(cfg, lrs, streams)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     channels = count_streams(monkeypatch)
@@ -795,21 +816,31 @@ def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
     assert len(stages) == 2 and len(stages[0]) == 4 and stages[1]
     assert not any(r.diverged for recs in result.records.values() for r in recs)
     # each stage steps every replicate at several lrs, yet derives each
-    # channel once per replicate and step (step k's gradient is step k+1's)
-    for channel in Channel:
-        assert channels.count(channel) == len(stages) * n_seeds * steps
+    # channel once per replicate and step (step k's gradient is step k+1's).
+    # The minibatch channels are drawn ahead once for both stages; the
+    # probes are drawn by each stage.
+    assert channels.count(Channel.GRADIENT) == n_seeds * steps
+    assert channels.count(Channel.HESSIAN_NOISE) == n_seeds * steps
+    assert channels.count(Channel.PROBE) == len(stages) * n_seeds * steps
 
 
 def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
     stages = []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs):
+    def counting(cfg, lrs, streams):
         stages.append(cfg.optimizer)
-        return run_stack(cfg, lrs)
+        return run_stack(cfg, lrs, streams)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
-    channels = count_streams(monkeypatch)
+    channels, seeds = count_streams(monkeypatch), []
+    build = harness.StackSeed
+
+    def counting_seeds(bases, k, channel, *args):
+        seeds.append(channel)
+        return build(bases, k, channel, *args)
+
+    monkeypatch.setattr(harness, "StackSeed", counting_seeds)
     steps, n_seeds = 5, 3
     entries = [RunConfig(problem=MlpRegression(**MLP_SMALL), optimizer=opt_cfg.kind,
                          opt_cfg=opt_cfg, max_steps=steps, base_seed=4, n_seeds=n_seeds)
@@ -823,6 +854,9 @@ def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
     n_probe_stages = stages.count("diag_ocp")
     assert n_probe_stages == 2 and len(stages) == 6
     assert channels == [Channel.PROBE] * (n_probe_stages * n_seeds * steps)
+    # nor is a GRADIENT or HESSIAN_NOISE seed built that no draw reads: one
+    # PROBE seed per diag_ocp stage and step
+    assert seeds == [Channel.PROBE] * (n_probe_stages * steps)
 
 
 def test_replicates_that_left_the_stack_derive_no_streams(monkeypatch):
@@ -846,6 +880,78 @@ def test_replicates_that_left_the_stack_derive_no_streams(monkeypatch):
     assert sorted(derived) == want
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("optimizer", sorted(SWEEP_OPTIMIZERS))
+def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
+    prob = CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+                               noise_std_grad=noise)
+    cfg = RunConfig(problem=prob, optimizer=optimizer, opt_cfg=SWEEP_OPTIMIZERS[optimizer],
+                    max_steps=5, base_seed=2, n_seeds=3)
+    streams = harness._streams(cfg)
+    # the probe is drawn per step; only a probed optimizer reads HESSIAN_NOISE
+    drawn = {Channel.GRADIENT} | ({Channel.HESSIAN_NOISE}
+                                  if optimizer in ("adahessian", "diag_ocp") else set())
+    assert set(streams.tables) == drawn | {Channel.PROBE}
+    assert streams.tables[Channel.PROBE] is None
+    for channel in drawn:
+        table = streams.tables[channel]
+        assert table.indices.shape == (3, 5, 8) and table.indices.dtype == np.uint8
+        assert (table.states is None) == (noise == 0.0)
+        for i, base in enumerate(streams.bases):
+            for k in range(cfg.max_steps):
+                rng = BatchSeed(base, k, channel).rng()
+                np.testing.assert_array_equal(
+                    table.indices[i, k], rng.choice(prob._train_idx, 8, replace=False))
+                if noise:
+                    # the kept state resumes the stream where the index draw left it
+                    (resumed,), _ = StackSeed(streams.bases, k, channel, [i],
+                                              table=table).generators()
+                    np.testing.assert_array_equal(resumed.standard_normal(6),
+                                                  rng.standard_normal(6))
+
+
+@pytest.mark.parametrize("problem, tables", [
+    (lambda: MlpRegression(**MLP_SMALL), {Channel.PROBE: None}),
+    (lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
+     dict.fromkeys(Channel)),
+], ids=["full_batch", "noise"])
+def test_streams_seed_only_the_channels_the_oracle_draws_on(problem, tables):
+    # a full-batch oracle draws only with gradient noise, and then derives
+    # its streams at each step: it has no table
+    cfg = RunConfig(problem=problem(), optimizer="diag_ocp", opt_cfg=MLP_OCP,
+                    max_steps=4, base_seed=2, n_seeds=2)
+    assert harness._streams(cfg).tables == tables
+
+
+@pytest.mark.parametrize("method", ["eval_grad", "grad_and_train_loss", "eval_loss", "hvp"])
+@pytest.mark.parametrize("case", ["least_squares-minibatch", "mlp-minibatch",
+                                  "mlp-minibatch-noise"])
+def test_tabled_stack_seed_draws_what_each_lone_seed_draws(case, method, monkeypatch):
+    prob = (MlpRegression(batch_size=32, noise_std_grad=0.1, **MLP_SMALL)
+            if case == "mlp-minibatch-noise" else SHARED_SEED_PROBLEMS[case]())
+    rng = np.random.default_rng(41)
+    X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
+                  for _ in range(5)])
+    args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
+    untabled, seeds = repeated_seeds(Channel.GRADIENT)
+    words = stream_states(untabled.bases, range(5))
+    stack = StackSeed(untabled.bases, 4, Channel.GRADIENT, untabled.rows,
+                      words[:, 4, Channel.GRADIENT],
+                      prob.batch_table(untabled.bases, Channel.GRADIENT, words))
+    call = getattr(prob, method)
+    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
+    channels = count_streams(monkeypatch)
+    stacked = call(*args, stack)
+    # the minibatches come from the table and the noise from its kept states
+    assert channels == []
+    for i, want in enumerate(alone):
+        if method == "grad_and_train_loss":
+            np.testing.assert_array_equal(stacked[0][i], want[0])
+            assert stacked[1][i] == want[1]
+        else:
+            np.testing.assert_array_equal(stacked[i], want)
+
+
 def count_tables(monkeypatch):
     """Record the (n_bases, n_steps) of every stream table the harness
     builds from now on."""
@@ -860,13 +966,13 @@ def count_tables(monkeypatch):
     return tables
 
 
-def test_lr_sweep_builds_one_stream_table_per_stage(monkeypatch):
+def test_lr_sweep_builds_one_stream_table_per_sweep(monkeypatch):
     stages = []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs):
+    def counting(cfg, lrs, streams):
         stages.append(list(lrs))
-        return run_stack(cfg, lrs)
+        return run_stack(cfg, lrs, streams)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     tables = count_tables(monkeypatch)
@@ -874,9 +980,9 @@ def test_lr_sweep_builds_one_stream_table_per_stage(monkeypatch):
     base = RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
                      opt_cfg=MLP_OCP, max_steps=steps, base_seed=2, n_seeds=n_seeds)
     lr_sweep(SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3, 1e-4)), base)
-    # one table per stage over its replicates, whatever the stage's lrs
+    # one table over the replicates, shared by both stages whatever their lrs
     assert len(stages) == 2
-    assert tables == [(n_seeds, steps)] * 2
+    assert tables == [(n_seeds, steps)]
 
 
 def test_verify_rate_trend_builds_one_stream_table(monkeypatch):

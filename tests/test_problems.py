@@ -142,6 +142,9 @@ def test_stack_seed_rejects_bad_rows_words_and_stack_heights():
             StackSeed(bases, 4, Channel.PROBE, [0, 1], bad)
     assert len(StackSeed(bases, 4, Channel.PROBE, [0, 1, 2, 1], words)) == 4
     prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
+    table = prob.batch_table(bases[:2], Channel.GRADIENT, stream_states(bases[:2], [0]))
+    with raises(ValueError):    # a table over other replicates
+        StackSeed(bases, 0, Channel.GRADIENT, [0, 1], table=table)
     X, V = np.zeros((3, 6)), np.ones((3, 2, 6))
     short = StackSeed(bases, 4, Channel.GRADIENT, [0, 1])
     tall = StackSeed(bases, 4, Channel.GRADIENT, [0, 1, 2, 0])
