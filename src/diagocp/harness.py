@@ -7,10 +7,12 @@ Seeding scheme: every replicate derives its own 64-bit stream base from
 BatchSeed(stream_base, step, channel). A run, or a whole sweep, builds its
 replicates' streams once before the first step (`_streams`): one
 stream_states table of every replicate's PCG64 seed words at steps
-0..max_steps-1, so no step hashes a SeedSequence, and for a minibatch
-oracle one BatchTable per channel it samples rows on, with every
-(replicate, step) minibatch drawn ahead, so the two stages of a sweep read
-one set of draws. The words, and so the draws, are SeedSequence's own.
+0..max_steps-1, so no step hashes a SeedSequence, and for a noise-free
+minibatch oracle one index table per channel it samples rows on, with
+every (replicate, step) minibatch drawn ahead, so the two stages of a sweep
+read one set of draws. An oracle that adds gradient noise derives each
+step's streams and draws its minibatch and then its noise from them. The
+words, and so the draws, are SeedSequence's own.
 Each replicate owns its state and RNG streams, and each learning rate is
 only a per-row column in the step, so a whole sweep stage runs as one
 (n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Each step
@@ -185,7 +187,7 @@ class _Streams(NamedTuple):
 
     bases: list          # the replicates' stream bases
     words: np.ndarray    # their stream_states table at steps 0..max_steps-1
-    tables: dict         # each channel the oracle draws on -> BatchTable or None
+    tables: dict         # each channel the oracle draws on -> index table or None
     rows: np.ndarray     # the replicate of each stack row
 
 
@@ -197,8 +199,9 @@ def _streams(cfg: RunConfig) -> _Streams:
     one vectorized pass. The probe is drawn at each step. The oracle's own
     channels, GRADIENT and, under a probe, HESSIAN_NOISE, are seeded only
     when it is stochastic; at a batch_size each one's minibatches are drawn
-    ahead into a BatchTable, so a sweep draws them once, not once per
-    stage. The row map is one tile of the replicates.
+    ahead into an index table, so a sweep draws them once, not once per
+    stage, unless the oracle adds gradient noise (see `batch_table`). The
+    row map is one tile of the replicates.
     """
     problem, bases = cfg.problem, [_replicate_base(cfg.base_seed, rep)
                                    for rep in range(cfg.n_seeds)]
@@ -443,12 +446,12 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     the refine candidates not run yet, so a sweep makes two stepper runs
     (one when every candidate was already run), and each lr's records equal
     those of its own run_experiment. Both stages read one `_streams`, so
-    every minibatch is drawn once per sweep. A stage's metric is its lr's
-    `_aggregate` value of spec.metric, inf when every seed diverged, and ties
-    go to the larger lr (min keeps the first of a descending grid). Raises if
-    every coarse run diverged. The refinement set always contains the
-    stage-1 winner, so the selected lr's metric is <= every coarse-stage
-    metric.
+    a noise-free oracle's minibatches are drawn once per sweep. A stage's
+    metric is its lr's `_aggregate` value of spec.metric, inf when every
+    seed diverged, and ties go to the larger lr (min keeps the first of a
+    descending grid). Raises if every coarse run diverged. The refinement
+    set always contains the stage-1 winner, so the selected lr's metric is
+    <= every coarse-stage metric.
     """
     records: dict = {}
     aggregates: dict = {}

@@ -86,21 +86,6 @@ class BatchSeed:
         return [self.rng()], 0
 
 
-@dataclass(frozen=True, eq=False)
-class BatchTable:
-    """The minibatches of one channel's streams, drawn ahead for every
-    (replicate, step) of a run (see `_SampleBased.batch_table`).
-
-    indices[i, k] holds the sample indices that the stream of replicate i
-    at step k samples first, in the smallest unsigned dtype that holds every
-    training index. states[i, k], kept only for an oracle that adds
-    gradient noise, is that stream's PCG64 state right after the index
-    draw, packed by `_pack_state`, so the noise draw resumes from it."""
-
-    indices: np.ndarray
-    states: np.ndarray | None = None
-
-
 class StackSeed:
     """The seeds of an (R, dim) stack at one step and channel.
 
@@ -109,9 +94,10 @@ class StackSeed:
     rows starts as np.tile(arange(n_seeds), n_lrs) and loses the rows that
     leave the stack. `words`, when given, is the (len(bases), 4) slice of
     the stack's stream_states at this step and channel. `table`, when
-    given, is the channel's BatchTable over the same bases: the rows'
-    minibatches are then read from it, and a later draw on a stream, the
-    gradient noise, resumes from the state its index draw left."""
+    given, is the channel's (len(bases), n_steps, batch_size) index array
+    from `_SampleBased.batch_table`, over the same bases and covering
+    step_index: the rows' minibatches are then read from it and no stream
+    is derived, so only an oracle without gradient noise takes one."""
 
     def __init__(self, bases, step_index, channel, rows, words=None, table=None):
         self.bases, self.step_index, self.channel = bases, step_index, channel
@@ -120,8 +106,11 @@ class StackSeed:
             raise ValueError(f"stack rows must index the {len(bases)} replicate bases")
         if words is not None and np.shape(words) != (len(bases), 4):
             raise ValueError(f"seed words must be shaped ({len(bases)}, 4)")
-        if table is not None and len(table.indices) != len(bases):
+        if table is not None and len(table) != len(bases):
             raise ValueError(f"a batch table must hold the {len(bases)} replicate bases")
+        if table is not None and not 0 <= step_index < table.shape[1]:
+            raise ValueError(f"a batch table of {table.shape[1]} steps has no "
+                             f"step index {step_index}")
         self.words = [None] * len(bases) if words is None else words
         self.table = table
 
@@ -132,39 +121,15 @@ class StackSeed:
     def batch(self):
         """The (R, batch_size) minibatch indices of the rows, read from the
         table; None without one."""
-        return None if self.table is None else self.table.indices[self.rows, self.step_index]
+        return None if self.table is None else self.table[self.rows, self.step_index]
 
     def generators(self):
         """(one generator per replicate that a row reads, each row's index
-        into them), so a stack draws once per replicate: `draws[rows]`.
-        With a table each generator resumes where its index draw left the
-        stream, so it gives the draws that follow the minibatch."""
+        into them), so a stack draws once per replicate: `draws[rows]`."""
         used = np.flatnonzero(np.bincount(self.rows, minlength=len(self.bases))).tolist()
-        if self.table is None:
-            gens = [BatchSeed(self.bases[j], self.step_index, self.channel,
-                              self.words[j]).rng() for j in used]
-        else:
-            gens = [_resume(self.table.states[j, self.step_index]) for j in used]
+        gens = [BatchSeed(self.bases[j], self.step_index, self.channel,
+                          self.words[j]).rng() for j in used]
         return gens, np.searchsorted(used, self.rows)
-
-
-def _pack_state(rng):
-    """A generator's PCG64 state as 6 words: the 128-bit state and
-    increment, each high then low, then has_uint32 and uinteger."""
-    st = rng.bit_generator.state
-    state, inc = st["state"]["state"], st["state"]["inc"]
-    return (state >> 64, state & _SEED_MASK, inc >> 64, inc & _SEED_MASK,
-            st["has_uint32"], st["uinteger"])
-
-
-def _resume(words):
-    """A generator at the PCG64 state that `_pack_state` packed into words."""
-    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = map(int, words)
-    bits = np.random.PCG64(_SeedWords(words[:4]))    # seeded, then overwritten
-    bits.state = {"bit_generator": "PCG64",
-                  "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-                  "has_uint32": has_uint32, "uinteger": uinteger}
-    return np.random.Generator(bits)
 
 
 class _SeedWords(ISeedSequence):
@@ -319,8 +284,7 @@ class ProblemOracle:
     def eval_loss(self, x, seed=None):
         x = self._check(x, seed)
         # gradient noise never enters a loss: only a minibatch needs the draw
-        data = self._train_data if self.batch_size is None else self._draw(seed)[0]
-        return _per_row(self._losses(x, data))
+        return _per_row(self._losses(x, self._draw(seed, with_noise=False)[0]))
 
     def eval_grad(self, x, seed=None) -> np.ndarray:
         x = self._check(x, seed)
@@ -378,31 +342,33 @@ class ProblemOracle:
         adds gradient noise."""
         return self.batch_size is not None or self.noise_std_grad > 0.0
 
-    def _draw(self, seed):
+    def _draw(self, seed, with_noise=True):
         """Batch data and additive gradient noise for one draw of `seed`.
 
-        Each generator of `seed.generators()` draws once, the minibatch
-        first and then the noise, and each row gets its generator's draw,
-        so it sees exactly what its lone call would: a BatchSeed gives one
-        (dim,) noise and one minibatch, a StackSeed an (R, dim) noise and a
-        stack of R minibatches, every row's samples gathered in one pass. A
-        StackSeed with a batch table hands over its rows' minibatches drawn
-        ahead, and its generators resume after them, so a noise-free draw
-        derives no stream. A stream is derived only when the oracle is
-        `stochastic`; otherwise the draw is the full training split and no
-        noise, exactly as seed=None gives.
+        A StackSeed with a batch table hands over its rows' minibatches
+        drawn ahead and derives no stream (only a noise-free oracle takes
+        a table). Otherwise each generator of `seed.generators()` draws
+        once, the minibatch first and then the noise, and each row gets its
+        generator's draw, so it sees exactly what its lone call would: a
+        BatchSeed gives one (dim,) noise and one minibatch, a StackSeed an
+        (R, dim) noise and a stack of R minibatches, every row's samples
+        gathered in one pass. with_noise=False skips the noise draw, for a
+        caller that reads only the data. A stream is derived only when the
+        draw needs a minibatch or noise; otherwise the draw is the full
+        training split and no noise, exactly as seed=None gives.
         """
-        if seed is None or not self.stochastic:
+        with_noise = with_noise and self.noise_std_grad > 0.0
+        if seed is None or not (self.batch_size is not None or with_noise):
             return self._train_data, None
-        batch, noise = seed.batch, None
-        if batch is None or self.noise_std_grad > 0.0:
-            gens, rows = seed.generators()
-            if batch is None and self.batch_size is not None:
-                batch = np.array([self._sample(rng) for rng in gens])[rows]
-            if self.noise_std_grad > 0.0:
-                noise = np.array([self.noise_std_grad * rng.standard_normal(self.dim)
-                                  for rng in gens])[rows]
-        return (self._train_data if batch is None else self._rows(batch)), noise
+        batch = seed.batch
+        if batch is not None:
+            return self._rows(batch), None
+        gens, rows = seed.generators()
+        data = self._train_data if self.batch_size is None else self._rows(
+            np.array([self._sample(rng) for rng in gens])[rows])
+        noise = None if not with_noise else np.array(
+            [self.noise_std_grad * rng.standard_normal(self.dim) for rng in gens])[rows]
+        return data, noise
 
     # -- split evaluation for recording ----------------------------------
 
@@ -454,13 +420,16 @@ class ProblemOracle:
 
     def _check(self, x, seed=None) -> np.ndarray:
         """Validate one point with a BatchSeed, or a stack of R >= 1 points
-        with a StackSeed of R rows."""
+        with a StackSeed of R rows, tabled only when no noise is added."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and len(x):
             if not np.all(np.isfinite(x)):
                 raise ValueError("parameter stack has non-finite entries")
             if not (seed is None or isinstance(seed, StackSeed) and len(seed) == len(x)):
                 raise ValueError(f"{len(x)} stacked points need a {len(x)}-row StackSeed")
+            if seed is not None and seed.table is not None and self.noise_std_grad > 0.0:
+                raise ValueError("an oracle that adds gradient noise draws it from each "
+                                 "step's stream, so it takes no batch table")
         else:
             x = as_params(x)
             if seed is not None and not isinstance(seed, BatchSeed):
@@ -597,27 +566,27 @@ class _SampleBased(ProblemOracle):
         """The minibatch indices a stream draws first."""
         return rng.choice(self._train_idx, self.batch_size, replace=False)
 
-    def batch_table(self, bases, channel, words) -> BatchTable:
-        """The minibatches of `channel`'s streams of every base at steps
-        0..n_steps-1, drawn ahead into one BatchTable.
+    def batch_table(self, bases, channel, words):
+        """The minibatch indices of `channel`'s streams of every base at
+        steps 0..n_steps-1, drawn ahead into one (len(bases), n_steps,
+        batch_size) array in the smallest unsigned dtype that holds every
+        training index; None for an oracle that adds gradient noise, which
+        it draws from each step's stream right after the minibatch.
 
         words is the (len(bases), n_steps, len(Channel), 4) stream_states
         table of the bases. Entry (i, k) is the minibatch that
         BatchSeed(bases[i], k, channel).rng() samples first, derived
         through that seed, so a table holds exactly the draws a lone seed
-        makes. A noisy oracle also keeps each stream's state after the
-        index draw, from which its noise draw resumes.
+        makes.
         """
-        indices = np.empty(words.shape[:2] + (self.batch_size,),
-                           np.min_scalar_type(self._train_idx[-1]))
-        states = (np.empty(words.shape[:2] + (6,), np.uint64)
-                  if self.noise_std_grad > 0.0 else None)
+        if self.noise_std_grad > 0.0:
+            return None
+        table = np.empty(words.shape[:2] + (self.batch_size,),
+                         np.min_scalar_type(self._train_idx[-1]))
         for i, k in np.ndindex(words.shape[:2]):
-            rng = BatchSeed(bases[i], k, channel, words[i, k, channel]).rng()
-            indices[i, k] = self._sample(rng)
-            if states is not None:
-                states[i, k] = _pack_state(rng)
-        return BatchTable(indices, states)
+            table[i, k] = self._sample(BatchSeed(bases[i], k, channel,
+                                                 words[i, k, channel]).rng())
+        return table
 
 
 class NoisyLeastSquares(_SampleBased):
@@ -662,8 +631,7 @@ class NoisyLeastSquares(_SampleBased):
 
     def _hvps(self, x, V, seed):
         # (2/b) A^T A on the minibatch the seed's gradient draws, if any
-        data = self._train_data if self.batch_size is None else self._draw(seed)[0]
-        A, _ = _batch_for(V, data)
+        A, _ = _batch_for(V, self._draw(seed, with_noise=False)[0])
         return (2.0 / A.shape[-2]) * (A.swapaxes(-1, -2) @ (A @ V[..., None]))[..., 0]
 
     def default_init(self, rng=None):

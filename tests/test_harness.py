@@ -700,9 +700,9 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
 @pytest.mark.parametrize("case", ["least_squares-minibatch-diag_ocp",
                                   "least_squares-minibatch-sgd", "mlp-minibatch-radam"])
 def test_lr_sweep_with_noisy_minibatches_matches_the_reference(case, tmp_path):
-    # both stages read one table of minibatches and draw their gradient
-    # noise from the states it kept; every lr must still draw exactly what
-    # the reference's lone per-step seeds draw
+    # a noisy oracle has no table: both stages derive each step's streams
+    # and draw the minibatch and then the noise from them; every lr must
+    # still draw exactly what the reference's lone per-step seeds draw
     make, optimizer, opt_cfg = STACK_CASES[case]
     base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
                      max_steps=12, base_seed=5, n_seeds=3, record_every=5)
@@ -712,6 +712,39 @@ def test_lr_sweep_with_noisy_minibatches_matches_the_reference(case, tmp_path):
     for lr, recs in result.records.items():
         cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
         assert_matches_reference(tmp_path / f"lr{lr:g}", cfg, recs)
+
+
+# Noise-free minibatch sweeps whose largest lr diverges on every replicate,
+# at different steps, while the other lrs run to the end. Least squares
+# leaves the float range within 12 steps only at a huge lr.
+TABLED_DIVERGING = {
+    "mlp-minibatch-diag_ocp": (
+        lambda: MlpRegression(batch_size=16, **MLP_SMALL), "diag_ocp",
+        OptimizerConfig(alpha=0.01, n_probes=2), (10.0, 1e-2, 1e-3)),
+    "least_squares-minibatch-adahessian": (
+        lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
+        "adahessian", BaselineConfig(kind="adahessian", lr=0.05), (1e30, 1e-2, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLED_DIVERGING))
+def test_tabled_lr_sweep_with_diverging_rows_matches_the_reference(case, tmp_path):
+    # both stages gather their minibatches from one table while the rows of
+    # the largest lr leave the stack mid-stage; every lr must still draw
+    # exactly what the reference's lone per-step seeds draw
+    make, optimizer, opt_cfg, grid = TABLED_DIVERGING[case]
+    base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
+                     max_steps=12, base_seed=5, n_seeds=3, record_every=5)
+    tables = harness._streams(base).tables
+    assert tables[Channel.GRADIENT] is not None and tables[Channel.HESSIAN_NOISE] is not None
+    result = lr_sweep(SweepSpec(coarse_grid=grid), base)
+    assert len(result.records) > len(grid)   # the refine stage ran new lrs
+    for lr, recs in result.records.items():
+        cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
+        paths = assert_matches_reference(tmp_path / f"lr{lr:g}", cfg, recs)
+        assert (None not in paths) == (lr == grid[0])
+    left = [r.steps[-1] for r in result.records[grid[0]]]
+    assert max(left) < base.max_steps and len(set(left)) > 1
 
 
 @pytest.mark.parametrize("cfg", [
@@ -749,6 +782,8 @@ SHARED_SEED_PROBLEMS = {
     "least_squares-noise": lambda: CentralLeastSquares(
         design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
     "mlp-minibatch": lambda: MlpRegression(batch_size=32, **MLP_SMALL),
+    "mlp-minibatch-noise": lambda: MlpRegression(batch_size=32, noise_std_grad=0.1,
+                                                 **MLP_SMALL),
     "mlp-noise": lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
 }
 
@@ -894,20 +929,26 @@ def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
     assert set(streams.tables) == drawn | {Channel.PROBE}
     assert streams.tables[Channel.PROBE] is None
     for channel in drawn:
+        # a noisy oracle draws its noise from each step's stream, right
+        # after the minibatch, so it derives that stream and has no table
         table = streams.tables[channel]
-        assert table.indices.shape == (3, 5, 8) and table.indices.dtype == np.uint8
-        assert (table.states is None) == (noise == 0.0)
-        for i, base in enumerate(streams.bases):
-            for k in range(cfg.max_steps):
+        assert (table is None) == (noise > 0.0)
+        if table is not None:
+            assert table.shape == (3, 5, 8) and table.dtype == np.uint8
+        for k in range(cfg.max_steps):
+            (A, _), drawn_noise = prob._draw(harness._seeds(streams, k, channel))
+            for i, base in enumerate(streams.bases):
                 rng = BatchSeed(base, k, channel).rng()
-                np.testing.assert_array_equal(
-                    table.indices[i, k], rng.choice(prob._train_idx, 8, replace=False))
+                want = rng.choice(prob._train_idx, 8, replace=False)
+                if table is not None:
+                    np.testing.assert_array_equal(table[i, k], want)
+                # the step's draw holds the lone stream's minibatch and then
+                # the normals it draws next
+                np.testing.assert_array_equal(A[i], prob.A[want])
                 if noise:
-                    # the kept state resumes the stream where the index draw left it
-                    (resumed,), _ = StackSeed(streams.bases, k, channel, [i],
-                                              table=table).generators()
-                    np.testing.assert_array_equal(resumed.standard_normal(6),
-                                                  rng.standard_normal(6))
+                    np.testing.assert_array_equal(drawn_noise[i],
+                                                  noise * rng.standard_normal(6))
+            assert (drawn_noise is None) == (noise == 0.0)
 
 
 @pytest.mark.parametrize("problem, tables", [
@@ -927,22 +968,31 @@ def test_streams_seed_only_the_channels_the_oracle_draws_on(problem, tables):
 @pytest.mark.parametrize("case", ["least_squares-minibatch", "mlp-minibatch",
                                   "mlp-minibatch-noise"])
 def test_tabled_stack_seed_draws_what_each_lone_seed_draws(case, method, monkeypatch):
-    prob = (MlpRegression(batch_size=32, noise_std_grad=0.1, **MLP_SMALL)
-            if case == "mlp-minibatch-noise" else SHARED_SEED_PROBLEMS[case]())
+    prob = SHARED_SEED_PROBLEMS[case]()
     rng = np.random.default_rng(41)
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(5)])
     args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
     untabled, seeds = repeated_seeds(Channel.GRADIENT)
     words = stream_states(untabled.bases, range(5))
+    # a noisy oracle builds no table, so it is handed its noise-free twin's
+    twin = SHARED_SEED_PROBLEMS[case.removesuffix("-noise")]()
     stack = StackSeed(untabled.bases, 4, Channel.GRADIENT, untabled.rows,
                       words[:, 4, Channel.GRADIENT],
-                      prob.batch_table(untabled.bases, Channel.GRADIENT, words))
+                      twin.batch_table(untabled.bases, Channel.GRADIENT, words))
     call = getattr(prob, method)
-    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     channels = count_streams(monkeypatch)
+    if prob.noise_std_grad > 0.0:
+        # its noise would come from a fresh stream, not the one the table
+        # stands in for, so the seed is refused before anything is drawn
+        with raises(ValueError, match="batch table"):
+            call(*args, stack)
+        assert channels == []
+        return
+    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
+    channels.clear()
     stacked = call(*args, stack)
-    # the minibatches come from the table and the noise from its kept states
+    # the minibatches come from the table
     assert channels == []
     for i, want in enumerate(alone):
         if method == "grad_and_train_loss":

@@ -129,6 +129,55 @@ def test_stack_seed_derives_no_stream_for_a_replicate_no_row_reads(monkeypatch):
             G[r], prob.eval_grad(X[r], BatchSeed(bases[rep], 4, Channel.GRADIENT)))
 
 
+class RecordingGenerator:
+    """A generator that records the name of every draw made on it."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("make, method", [
+    (lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+                               noise_std_grad=0.05), "eval_loss"),
+    (lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+                               noise_std_grad=0.05), "hvp"),
+    (lambda: MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, batch_size=16,
+                           noise_std_grad=0.1), "eval_loss"),
+], ids=["least_squares-loss", "least_squares-hvp", "mlp-loss"])
+def test_loss_and_least_squares_hvp_draw_no_noise(make, method, monkeypatch):
+    # gradient noise enters neither a loss nor the least-squares HVP, so
+    # each stream draws its minibatch only
+    prob = make()
+    bases, rows = (11, 12, 13), [2, 0, 2, 1]
+    rng = np.random.default_rng(8)
+    X = 0.1 * rng.standard_normal((len(rows), prob.dim))
+    args = (X,) if method == "eval_loss" else (X, rng.standard_normal((len(X), 2, prob.dim)))
+    call = getattr(prob, method)
+    minibatches = [BatchSeed(bases[r], 4, Channel.GRADIENT).rng().choice(
+        prob._train_idx, prob.batch_size, replace=False) for r in rows]
+    calls = []
+    derive = BatchSeed.rng
+    monkeypatch.setattr(BatchSeed, "rng",
+                        lambda seed: RecordingGenerator(derive(seed), calls))
+    stacked = call(*args, StackSeed(bases, 4, Channel.GRADIENT, rows))
+    assert calls == ["choice"] * len(bases)
+    for r, rep in enumerate(rows):
+        calls.clear()
+        alone = call(*(a[r] for a in args), BatchSeed(bases[rep], 4, Channel.GRADIENT))
+        assert calls == ["choice"]
+        # the value is the clean one on the stream's minibatch, bit for bit
+        data = prob._rows(minibatches[r])
+        A = data[0]     # the minibatch's design rows
+        want = (prob._losses(X[r], data) if method == "eval_loss" else
+                (2.0 / len(A)) * (A.T @ (A @ args[1][r][..., None]))[..., 0])
+        np.testing.assert_array_equal(stacked[r], want)
+        np.testing.assert_array_equal(alone, want)
+
+
 def test_stack_seed_rejects_bad_rows_words_and_stack_heights():
     bases = (11, 12, 13)
     words = stream_states(bases, [4])[:, 0, Channel.PROBE]
@@ -145,6 +194,9 @@ def test_stack_seed_rejects_bad_rows_words_and_stack_heights():
     table = prob.batch_table(bases[:2], Channel.GRADIENT, stream_states(bases[:2], [0]))
     with raises(ValueError):    # a table over other replicates
         StackSeed(bases, 0, Channel.GRADIENT, [0, 1], table=table)
+    for step in (1, -1):        # a step the one-step table does not hold
+        with raises(ValueError, match="step"):
+            StackSeed(bases[:2], step, Channel.GRADIENT, [0, 1], table=table)
     X, V = np.zeros((3, 6)), np.ones((3, 2, 6))
     short = StackSeed(bases, 4, Channel.GRADIENT, [0, 1])
     tall = StackSeed(bases, 4, Channel.GRADIENT, [0, 1, 2, 0])
