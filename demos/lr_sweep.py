@@ -28,9 +28,9 @@ for row in result.rows:
           f"{row['diverged']:>8}")
 print(f"\nselected lr: {result.selected_lr:g}")
 
-out = tempfile.mkdtemp(prefix="sweep_demo_")
 flat = [rec for lr in sorted(result.records, reverse=True)
         for rec in result.records[lr]]
-paths = emit_results(flat, "csv", out)
-paths.append(emit_sweep(result, out))
-print("wrote " + ", ".join(str(p) for p in paths))
+with tempfile.TemporaryDirectory(prefix="sweep_demo_") as out:
+    paths = emit_results(flat, "csv", out)
+    paths.append(emit_sweep(result, out))
+    print("wrote " + ", ".join(str(p) for p in paths))

@@ -23,16 +23,17 @@ Config documents are flat JSON objects:
   n_probes/dim/tol) and runs on defaults when --config is omitted.
 
 Problem and optimizer sub-objects accept every keyword of the matching
-constructor; "kind" selects it. Counts and seeds must be integral numbers
-(3.0 is 3; 3.9, "3" and true are errors), noise scales finite and >= 0, and
-a check's tol or ratio_threshold finite and > 0.
+constructor; "kind" selects it. A key a document omits takes the library's
+default, apart from max_steps (100) and base_seed (0). The library checks
+every value: counts and seeds must be integral numbers (3.0 is 3; 3.9, "3"
+and true are errors), noise scales finite and >= 0, and a check's tol or
+ratio_threshold finite and > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -44,7 +45,7 @@ from .harness import (RunConfig, SweepSpec, ablate_mu, compare,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
                       verify_probe_unbiasedness, verify_rate_trend)
-from .problems import as_integer, make_problem
+from .problems import make_problem
 
 
 def _load_config(path: str | None) -> dict:
@@ -57,18 +58,10 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _integer(doc, key, default):
-    """doc[key] (or default) as an int, by the rule of `as_integer`."""
-    return as_integer(doc.get(key, default), key)
-
-
-def _positive(doc, key, default):
-    """doc[key] (or default) as a finite float > 0: a check's tolerance or
-    threshold, which a NaN would turn into a silent FAIL."""
-    value = float(doc.get(key, default))
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{key} must be finite and > 0, got {value}")
-    return value
+def _given(doc, *keys):
+    """The entries of `keys` that a document sets, so that the call they go
+    to supplies its own defaults for the rest."""
+    return {k: doc[k] for k in keys if k in doc}
 
 
 def _build_problem(doc):
@@ -106,21 +99,17 @@ def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
         problem = _build_problem(doc.get("problem"))
     opt_cfg = _build_optimizer(doc.get("optimizer"))
     base_seed = (seed_override if seed_override is not None
-                 else _integer(doc, "base_seed", 0))
+                 else doc.get("base_seed", 0))
     return RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
-                     max_steps=_integer(doc, "max_steps", 100),
-                     base_seed=base_seed,
-                     n_seeds=_integer(doc, "n_seeds", 1),
-                     record_every=_integer(doc, "record_every", 1),
-                     x0=doc.get("x0"))
+                     max_steps=doc.get("max_steps", 100), base_seed=base_seed,
+                     **_given(doc, "n_seeds", "record_every", "x0"))
 
 
 def _build_sweep_spec(doc: dict) -> SweepSpec:
     sw = doc.get("sweep", {})
     if not isinstance(sw, dict):
         raise ValueError("'sweep' must be a JSON object")
-    return SweepSpec(**{k: sw[k] for k in ("coarse_grid", "refine_factors", "metric")
-                        if k in sw})
+    return SweepSpec(**_given(sw, "coarse_grid", "refine_factors", "metric"))
 
 
 def _cmd_run(args) -> int:
@@ -155,8 +144,7 @@ def _cmd_ablate_mu(args) -> int:
     if "mu_values" not in doc:
         raise ValueError("ablate-mu config needs 'mu_values'")
     base = _build_run(doc, args.seed)
-    ablation = ablate_mu(doc["mu_values"], base,
-                         control_clip_lo=float(doc.get("control_clip_lo", 1e-12)))
+    ablation = ablate_mu(doc["mu_values"], base, **_given(doc, "control_clip_lo"))
     paths = emit_ablation(ablation, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(f"{len(ablation.values)} clip floors plus control "
@@ -189,11 +177,9 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     doc = {} if args.config is None else _load_config(args.config)
     seed = (args.seed if args.seed is not None
-            else _integer(doc, "seed", doc.get("base_seed", 0)))
+            else doc.get("seed", doc.get("base_seed", 0)))
     if args.check == "lemma1":
-        report = verify_closed_form_equivalence(
-            trials=_integer(doc, "trials", 200), seed=seed,
-            tol=_positive(doc, "tol", 1e-9))
+        report = verify_closed_form_equivalence(seed=seed, **_given(doc, "trials", "tol"))
         headline = (f"closed-form equivalence: max deviation "
                     f"{report['max_abs_deviation']:.3e} (tol {report['tolerance']:g}, "
                     f"{report['trials']} trials, "
@@ -202,18 +188,15 @@ def _cmd_verify(args) -> int:
         problem = _build_problem(doc["problem"]) if "problem" in doc else None
         opt_cfg = _build_optimizer(doc["optimizer"]) if "optimizer" in doc else None
         report = verify_rate_trend(
-            problem=problem, opt_cfg=opt_cfg,
-            T_list=tuple(doc.get("T_list", (100, 200, 400))),
-            n_seeds=_integer(doc, "n_seeds", 20), base_seed=seed,
-            ratio_threshold=_positive(doc, "ratio_threshold", 0.6))
+            problem=problem, opt_cfg=opt_cfg, base_seed=seed,
+            **_given(doc, "T_list", "n_seeds", "ratio_threshold"))
         headline = (f"rate trend: min-grad-norm^2 ratio "
                     f"{report['ratio_last_to_first']:.3f} over T={report['T_list']} "
                     f"(threshold {report['ratio_threshold']:g}, "
                     f"log-log slope {report['loglog_slope']:.2f})")
     elif args.check == "hutchinson":
         report = verify_probe_unbiasedness(
-            n_probes=_integer(doc, "n_probes", 100_000), seed=seed,
-            dim=_integer(doc, "dim", 8), tol=_positive(doc, "tol", 0.05))
+            seed=seed, **_given(doc, "n_probes", "dim", "tol"))
         headline = (f"probe unbiasedness: max relative error "
                     f"{report['max_relative_error']:.4f} (tol {report['tolerance']:g}), "
                     f"diagonal exact error {report['diagonal_exact_error']:g}")

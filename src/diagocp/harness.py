@@ -71,7 +71,8 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
                        step_recursive_reference, update_moments)
 from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
-                       _row_dots, _row_norms, as_integer, as_params, stream_states)
+                       _row_dots, _row_norms, as_integer, as_params, as_positive,
+                       stream_states)
 
 _INIT_STREAM = 3
 
@@ -116,7 +117,8 @@ class RunConfig:
     problem construction (val_fraction); deterministic problems report the
     train loss as the validation loss. x0 overrides the problem's default
     initial point (replicates of sample-based problems otherwise draw their
-    own seeded initialization). `optimizer` must equal opt_cfg.kind.
+    own seeded initialization). `optimizer` must equal opt_cfg.kind. Counts
+    and the seed are integers (see `as_integer`), and max_steps <= 2**32.
     """
 
     problem: ProblemOracle
@@ -132,8 +134,13 @@ class RunConfig:
         if self.opt_cfg.kind != self.optimizer:
             raise ValueError(f"optimizer key {self.optimizer!r} does not match "
                              f"its config's kind {self.opt_cfg.kind!r}")
-        if self.max_steps < 1 or self.n_seeds < 1 or self.record_every < 1:
-            raise ValueError("max_steps, n_seeds, record_every must be >= 1")
+        for name in ("max_steps", "base_seed", "n_seeds", "record_every"):
+            setattr(self, name, as_integer(getattr(self, name), name))
+        if self.n_seeds < 1 or self.record_every < 1:
+            raise ValueError("n_seeds, record_every must be >= 1")
+        # a stream's step index is one 32-bit spawn-key word (stream_states)
+        if not 1 <= self.max_steps <= 2**32:
+            raise ValueError(f"max_steps must be in [1, 2**32], got {self.max_steps}")
         if self.x0 is not None:
             x0 = as_params(self.x0)
             if x0.size != self.problem.dim:
@@ -506,15 +513,12 @@ def ablate_mu(values, base: RunConfig, control_clip_lo: float = 1e-12) -> MuAbla
     values = tuple(float(v) for v in values)
     if not values:
         raise ValueError("need at least one mu value")
-    if any(v <= 0.0 for v in values):
-        raise ValueError("mu values must be positive")
-    runs = {}
-    for v in values:
-        cfg = replace(base, opt_cfg=replace(base.opt_cfg, mu=v))
-        runs[v] = run_experiment(cfg)
-    control = replace(base, opt_cfg=replace(base.opt_cfg, mu=float(control_clip_lo)))
-    runs["control"] = run_experiment(control)
-    return MuAblation(values=values, control_clip_lo=float(control_clip_lo), runs=runs)
+    # every config first: OptimizerConfig rejects a bad floor before any run
+    control_clip_lo = float(control_clip_lo)
+    cfgs = [replace(base, opt_cfg=replace(base.opt_cfg, mu=v))
+            for v in values + (control_clip_lo,)]
+    runs = dict(zip(values + ("control",), map(run_experiment, cfgs)))
+    return MuAblation(values=values, control_clip_lo=control_clip_lo, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +536,8 @@ def verify_closed_form_equivalence(trials: int = 200, seed: int = 0,
     (the clamped closed form and the raw recursion legitimately differ there)
     and reported separately.
     """
+    trials, seed = as_integer(trials, "trials"), as_integer(seed, "seed")
+    tol = as_positive(tol, "tol")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK,
@@ -578,6 +584,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     largest T is <= ratio_threshold times the value at the smallest T.
     """
     T_list = [as_integer(t, "T_list") for t in T_list]
+    ratio_threshold = as_positive(ratio_threshold, "ratio_threshold")
     if len(T_list) < 2:
         raise ValueError("need at least two T values")
     if sorted(set(T_list)) != T_list or T_list[0] < 1:
@@ -589,13 +596,11 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     if not isinstance(opt_cfg, OptimizerConfig):
         raise ValueError("the rate check runs the Diag-OCP optimizer: "
                          "opt_cfg must be an OptimizerConfig")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    cfg = RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
+                    max_steps=T_list[-1], base_seed=base_seed, n_seeds=n_seeds)
     t_start = time.perf_counter()
-    t_max = T_list[-1]
-    probe = opt_cfg.probe
-    streams = _streams(RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
-                                 max_steps=t_max, base_seed=base_seed, n_seeds=n_seeds))
+    t_max, n_seeds, probe = cfg.max_steps, cfg.n_seeds, opt_cfg.probe
+    streams = _streams(cfg)
     x, state = _init_stack(problem, streams.bases), None
     acc = np.zeros(t_max)
     for k in range(1, t_max + 1):
@@ -625,16 +630,18 @@ def verify_probe_unbiasedness(n_probes: int = 100_000, seed: int = 0,
     """Hutchinson sanity: 5% per-coordinate accuracy on a fixed symmetric
     matrix at n_probes Rademacher draws, and exactness (zero error) on a
     diagonal matrix at a single probe."""
-    if n_probes < 1 or dim < 1:
-        raise ValueError("n_probes and dim must be >= 1")
+    seed, dim = as_integer(seed, "seed"), as_integer(dim, "dim")
+    tol = as_positive(tol, "tol")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    cfg = ProbeConfig(n_probes=n_probes, distribution="rademacher",
+                      clip_lo=1e-12, clip_hi=1e12)
     rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK,
                                                        spawn_key=(202,)))
     t_start = time.perf_counter()
     a = rng.uniform(-0.3, 0.3, (dim, dim))
     a = (a + a.T) / 2.0
     a[np.diag_indices(dim)] = rng.uniform(1.0, 2.0, dim)
-    cfg = ProbeConfig(n_probes=n_probes, distribution="rademacher",
-                      clip_lo=1e-12, clip_hi=1e12)
     est = hutchinson_diag(lambda V: V @ a, dim, cfg,
                           BatchSeed(seed, 0, Channel.PROBE))
     max_rel = float(np.max(np.abs(est - np.diag(a)) / np.abs(np.diag(a))))
@@ -646,7 +653,7 @@ def verify_probe_unbiasedness(n_probes: int = 100_000, seed: int = 0,
     exact_err = float(np.max(np.abs(exact - d)))
     return {
         "check": "probe_unbiasedness",
-        "n_probes": n_probes,
+        "n_probes": cfg.n_probes,
         "dim": dim,
         "max_relative_error": max_rel,
         "tolerance": tol,

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 from dataclasses import fields, replace
 from functools import partial
@@ -58,6 +59,21 @@ def test_run_config_validation():
         quad_run(max_steps=0)
     with raises(ValueError):
         quad_run(x0=[1.0, 2.0])  # dim 2 against a dim-3 problem
+    # a step index past 2**32 - 1 has no stream; only constructed, never run
+    with raises(ValueError, match="max_steps"):
+        quad_run(max_steps=2**32 + 1)
+    assert quad_run(max_steps=2**32).max_steps == 2**32
+
+
+@pytest.mark.parametrize("key", ["max_steps", "base_seed", "n_seeds", "record_every"])
+def test_run_config_counts_and_seed_are_integers(key):
+    # a fractional value used to fail mid-run with a TypeError, and
+    # n_seeds True ran one replicate
+    for bad in (2.5, True, "3"):
+        with raises(ValueError, match=key):
+            quad_run(**{key: bad})
+    value = getattr(quad_run(**{key: 3.0}), key)
+    assert value == 3 and type(value) is int
 
 
 def test_run_config_coerces_x0():
@@ -1053,6 +1069,17 @@ def test_ablate_mu_requires_diag_ocp():
         ablate_mu([0.0], quad_run())
 
 
+@pytest.mark.parametrize("values, control_clip_lo", [
+    ([1e-3, 1e5], 1e-12), ([1e-3, float("nan")], 1e-12), ([1e-3], 0.0), ([1e-3], 1e9),
+], ids=["floor-above-g_d", "nan-floor", "zero-control", "control-above-g_d"])
+def test_ablate_mu_rejects_a_bad_floor_before_any_run(monkeypatch, values, control_clip_lo):
+    # a floor above g_d (1e4) or a bad control used to fail after the
+    # floors before it had run
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    with raises(ValueError, match="mu"):
+        ablate_mu(values, quad_run(), control_clip_lo=control_clip_lo)
+
+
 def test_ablate_mu_runs_values_and_control():
     ablation = ablate_mu([1e-3, 1e-5], quad_run(max_steps=10),
                          control_clip_lo=1e-10)
@@ -1109,6 +1136,31 @@ def test_verify_probe_unbiasedness_small():
     assert report["diagonal_exact_error"] == 0.0
     with raises(ValueError):
         verify_probe_unbiasedness(n_probes=0)
+
+
+# verify subcommand -> (check, its reported knobs: argument -> report key)
+VERIFY_CHECKS = {
+    "lemma1": (verify_closed_form_equivalence, {"trials": "trials", "tol": "tolerance"}),
+    "rate": (verify_rate_trend, {"T_list": "T_list", "n_seeds": "n_seeds",
+                                 "ratio_threshold": "ratio_threshold"}),
+    "hutchinson": (verify_probe_unbiasedness, {"n_probes": "n_probes", "dim": "dim",
+                                               "tol": "tolerance"}),
+}
+
+
+@pytest.mark.parametrize("check, knob, value", [
+    *(("lemma1", "tol", v) for v in (float("nan"), 0.0, float("inf"))),
+    ("lemma1", "trials", 2.5), ("lemma1", "seed", 1.5),
+    *(("rate", "ratio_threshold", v) for v in (float("nan"), 0.0, float("inf"))),
+    ("rate", "n_seeds", 2.5), ("rate", "n_seeds", True), ("rate", "base_seed", 1.5),
+    *(("hutchinson", "tol", v) for v in (float("nan"), 0.0, float("inf"))),
+    ("hutchinson", "n_probes", 2.5), ("hutchinson", "dim", 2.5), ("hutchinson", "seed", 1.5),
+])
+def test_verify_checks_reject_bad_knobs(check, knob, value):
+    # a NaN tolerance used to make a silent FAIL, and a fractional count or
+    # seed a TypeError, or a run
+    with raises(ValueError, match=knob):
+        VERIFY_CHECKS[check][0](**{knob: value})
 
 
 # --- comparison --------------------------------------------------------------------
@@ -1306,6 +1358,18 @@ def test_cli_verify_pass_writes_report(tmp_path, capsys):
     report = json.loads((out / "verify_lemma1.json").read_text())
     assert report["pass"] is True
     assert capsys.readouterr().out.count("PASS") == 1
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_CHECKS))
+def test_cli_verify_without_a_config_runs_the_library_defaults(tmp_path, capsys, check):
+    # the defaults live in the library's signatures, not in the CLI
+    assert cli.main(["verify", check, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / f"verify_{check}.json").read_text())
+    func, knobs = VERIFY_CHECKS[check]
+    params = inspect.signature(func).parameters
+    for name, key in knobs.items():
+        assert report[key] == json.loads(json.dumps(params[name].default))
 
 
 def test_cli_verify_fail_exit_code(tmp_path, capsys):
