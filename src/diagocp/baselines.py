@@ -1,12 +1,10 @@
 """Reference optimizers for head-to-head comparison: SGD (optional heavy-ball
-momentum), Adam, RAdam, and a diagonal AdaHessian.
+momentum), Adam, and a diagonal AdaHessian.
 
-All four use 1-based bias correction where applicable and the same decoupled
+All three use 1-based bias correction where applicable and the same decoupled
 multiplicative weight decay as the main optimizer, x <- x (1 - lr * wd),
 applied before the gradient-based step, so comparisons differ only in the
-preconditioner. RAdam follows the published variance-rectification schedule:
-rectified Adam once rho_t > 4, plain momentum SGD during the warmup.
-AdaHessianDiag scales by sqrt of the EMA of squared clipped Hessian-diagonal
+preconditioner. AdaHessianDiag scales by sqrt of the EMA of squared clipped Hessian-diagonal
 estimates: x <- x - lr * m_hat / (sqrt(v_hat_H) + eps).
 """
 
@@ -19,7 +17,7 @@ import numpy as np
 from .diag_ocp import check_finite
 from .hessian_probe import ProbeConfig
 
-BASELINE_KINDS = ("sgd", "adam", "radam", "adahessian")
+BASELINE_KINDS = ("sgd", "adam", "adahessian")
 
 
 @dataclass(frozen=True)
@@ -111,22 +109,9 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
         v_hat = v / (1.0 - cfg.beta2 ** t)
         return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), BaselineState(t, m, v)
 
-    # adam / radam
+    # adam
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
     m_hat = m / (1.0 - cfg.beta1 ** t)
     v_hat = v / (1.0 - cfg.beta2 ** t)
-    state_next = BaselineState(t, m, v)
-
-    if cfg.kind == "adam":
-        return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), state_next
-
-    rho_inf = 2.0 / (1.0 - cfg.beta2) - 1.0
-    rho_t = rho_inf - 2.0 * t * cfg.beta2 ** t / (1.0 - cfg.beta2 ** t)
-    if rho_t > 4.0:
-        rect = np.sqrt(
-            (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
-            / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
-        )
-        return decayed - lr * rect * m_hat / (np.sqrt(v_hat) + cfg.eps), state_next
-    return decayed - lr * m_hat, state_next
+    return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), BaselineState(t, m, v)

@@ -7,12 +7,12 @@ Seeding scheme: every replicate derives its own 64-bit stream base from
 BatchSeed(stream_base, step, channel). A run, or a whole sweep, builds its
 replicates' streams once before the first step (`_streams`): one
 stream_states table of every replicate's PCG64 seed words at steps
-0..max_steps-1, so no step hashes a SeedSequence, and for a noise-free
-minibatch oracle one index table per channel it samples rows on, with
-every (replicate, step) minibatch drawn ahead, so the two stages of a sweep
-read one set of draws. An oracle that adds gradient noise derives each
-step's streams and draws its minibatch and then its noise from them. The
-words, and so the draws, are SeedSequence's own.
+0..max_steps-1, so no step hashes a SeedSequence, and for a minibatch
+oracle one index table per channel it samples rows on, with every
+(replicate, step) minibatch drawn ahead, so the two stages of a sweep read
+one set of draws. A full-batch oracle that adds gradient noise derives each
+step's GRADIENT streams and draws its noise from them. The words, and so
+the draws, are SeedSequence's own.
 Each replicate owns its state and RNG streams, and each learning rate is
 only a per-row column in the step, so a whole sweep stage runs as one
 (n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Each step
@@ -194,7 +194,7 @@ class _Streams(NamedTuple):
 
     bases: list          # the replicates' stream bases
     words: np.ndarray    # their stream_states table at steps 0..max_steps-1
-    tables: dict         # each channel the oracle draws on -> index table or None
+    tables: dict         # each channel drawn on -> its index table, or None
     rows: np.ndarray     # the replicate of each stack row
 
 
@@ -203,24 +203,25 @@ def _streams(cfg: RunConfig) -> _Streams:
     steps them: a run's, or both stages of a sweep.
 
     The stream_states words of every replicate, step and channel come from
-    one vectorized pass. The probe is drawn at each step. The oracle's own
-    channels, GRADIENT and, under a probe, HESSIAN_NOISE, are seeded only
-    when it is stochastic; at a batch_size each one's minibatches are drawn
-    ahead into an index table, so a sweep draws them once, not once per
-    stage, unless the oracle adds gradient noise (see `batch_table`). The
-    row map is one tile of the replicates.
+    one vectorized pass. The probe is drawn at each step. At a batch_size,
+    GRADIENT and, under a probe, HESSIAN_NOISE draw minibatches, which go
+    ahead into one index table per channel (see `batch_table`), so a sweep
+    draws them once, not once per stage. A noisy full-batch oracle draws
+    only its gradient noise, on GRADIENT at each step; no HVP reads noise,
+    so it seeds no HESSIAN_NOISE. The row map is one tile of the replicates.
     """
     problem, bases = cfg.problem, [_replicate_base(cfg.base_seed, rep)
                                    for rep in range(cfg.n_seeds)]
     words = stream_states(bases, range(cfg.max_steps))
     tables = {Channel.PROBE: None}
-    if problem.stochastic:
+    if problem.batch_size is not None:
         drawn = [Channel.GRADIENT]
         if cfg.opt_cfg.probe is not None:
             drawn.append(Channel.HESSIAN_NOISE)
         for channel in drawn:
-            tables[channel] = (None if problem.batch_size is None
-                               else problem.batch_table(bases, channel, words))
+            tables[channel] = problem.batch_table(bases, channel, words)
+    elif problem.noise_std_grad > 0.0:
+        tables[Channel.GRADIENT] = None
     return _Streams(bases, words, tables, np.arange(len(bases)))
 
 
@@ -506,17 +507,22 @@ def ablate_mu(values, base: RunConfig, control_clip_lo: float = 1e-12) -> MuAbla
     """One run set per clip floor plus an effectively-unclamped control.
 
     The control keeps a tiny positive floor (default 1e-12) so the
-    closed-form division stays defined.
+    closed-form division stays defined. The floors, the control's included,
+    must be distinct, so each run's (run_id, step) rows are written once.
     """
     if not isinstance(base.opt_cfg, OptimizerConfig):
         raise ValueError("the clip-floor ablation needs an OptimizerConfig")
     values = tuple(float(v) for v in values)
     if not values:
         raise ValueError("need at least one mu value")
-    # every config first: OptimizerConfig rejects a bad floor before any run
     control_clip_lo = float(control_clip_lo)
-    cfgs = [replace(base, opt_cfg=replace(base.opt_cfg, mu=v))
-            for v in values + (control_clip_lo,)]
+    floors = values + (control_clip_lo,)
+    # a repeated floor would write its runs' (run_id, step) rows twice
+    if len(set(floors)) != len(floors):
+        raise ValueError(f"the mu values and control_clip_lo must be distinct, got "
+                         f"{list(values)} and {control_clip_lo}")
+    # every config first: OptimizerConfig rejects a bad floor before any run
+    cfgs = [replace(base, opt_cfg=replace(base.opt_cfg, mu=v)) for v in floors]
     runs = dict(zip(values + ("control",), map(run_experiment, cfgs)))
     return MuAblation(values=values, control_clip_lo=control_clip_lo, runs=runs)
 

@@ -14,9 +14,12 @@ noisy_least_squares  f(x) = (1/n) ||A x - y||^2 over a fixed noisy dataset
 mlp_regression       small ReLU network regressed onto a frozen teacher
 
 The first two are deterministic; the last two are sample-based and support a
-train/validation split and optional mini-batching. All kinds additionally
-support an additive i.i.d. Gaussian gradient-noise channel (noise_std_grad),
-which realizes mini-batch-style noise without literal subsampling.
+train/validation split and optional mini-batching. At full batch, every kind
+instead supports an additive i.i.d. Gaussian gradient-noise channel
+(noise_std_grad), which realizes mini-batch-style noise without literal
+subsampling; a sample-based kind takes one or the other, never both. So each
+stream an oracle reads draws one thing: a minibatch's indices, or the
+gradient noise. Neither a loss nor an HVP reads the noise.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ _HVP_STEP_SCALE = 1e-5
 
 
 class Channel(enum.IntEnum):
-    """Independent per-step noise channels."""
+    """Independent per-step streams: the gradient's minibatch or noise, the
+    HVP's minibatch (HESSIAN_NOISE) and the probe block. Each value is a
+    spawn-key word."""
 
     GRADIENT = 0
     HESSIAN_NOISE = 1
@@ -51,8 +56,8 @@ class BatchSeed:
     Identical (base_seed, step_index, channel) triples always yield identical
     draws: the PCG64 stream that numpy's SeedSequence(entropy=base_seed,
     spawn_key=(step_index, channel)) seeds. This is what makes runs
-    replayable, and it lets the central-difference HVP make one draw per
-    probe block, shared by every gradient it evaluates, so the sampling
+    replayable, and it lets the central-difference HVP draw one minibatch
+    per probe block, shared by every gradient it evaluates, so the sampling
     noise cancels in each difference. Oracles derive a stream only when
     they sample a minibatch or add gradient noise; a full-batch, noise-free
     oracle never calls `rng`. A stack of points takes a StackSeed instead.
@@ -97,7 +102,8 @@ class StackSeed:
     given, is the channel's (len(bases), n_steps, batch_size) index array
     from `_SampleBased.batch_table`, over the same bases and covering
     step_index: the rows' minibatches are then read from it and no stream
-    is derived, so only an oracle without gradient noise takes one."""
+    is derived. Only a minibatch oracle reads a table; a noisy full-batch
+    oracle derives its noise from the streams either way."""
 
     def __init__(self, bases, step_index, channel, rows, words=None, table=None):
         self.bases, self.step_index, self.channel = bases, step_index, channel
@@ -277,8 +283,9 @@ class ProblemOracle:
     per entry of the first axis (None for the deterministic kinds). Each
     slice of a result equals the value of its lone point bit for bit.
     `_losses_and_grads` may be overridden where one pass yields both. The
-    base `_hvps` central-differences the gradient oracle; a kind with an
-    analytic product overrides it and reads the seed only for its minibatch.
+    base `_hvps` central-differences the clean gradient; a kind with an
+    analytic product overrides it. Either reads the seed only for its
+    minibatch: only eval_grad and grad_and_train_loss add gradient noise.
     """
 
     kind = "?"
@@ -292,14 +299,11 @@ class ProblemOracle:
 
     def eval_loss(self, x, seed=None):
         x = self._check(x, seed)
-        # gradient noise never enters a loss: only a minibatch needs the draw
-        return _per_row(self._losses(x, self._draw(seed, with_noise=False)[0]))
+        return _per_row(self._losses(x, self._data(seed)))
 
     def eval_grad(self, x, seed=None) -> np.ndarray:
         x = self._check(x, seed)
-        data, noise = self._draw(seed)
-        g = self._grads(x, data)
-        return g if noise is None else g + noise
+        return self._noisy(self._grads(x, self._data(seed)), seed)
 
     def grad_and_train_loss(self, x, seed=None):
         """(eval_grad(x, seed), train_loss(x)), equal to the two calls bit
@@ -309,13 +313,13 @@ class ProblemOracle:
         without gradient noise), one pass yields both.
         """
         x = self._check(x, seed)
-        data, noise = self._draw(seed)
+        data = self._data(seed)
         if data is self._train_data:
             losses, g = self._losses_and_grads(x, data)
         else:
             g = self._grads(x, data)
             losses = self._losses(x, self._train_data)
-        return (g if noise is None else g + noise), _per_row(losses)
+        return self._noisy(g, seed), _per_row(losses)
 
     def hvp(self, x, v, seed=None) -> np.ndarray:
         """Hessian-vector products at x for one direction or a probe block.
@@ -345,39 +349,32 @@ class ProblemOracle:
                              f"{block.shape} direction block")
         return out.reshape(V.shape)
 
-    @property
-    def stochastic(self):
-        """Whether a draw reads its seed: the oracle samples a minibatch or
-        adds gradient noise."""
-        return self.batch_size is not None or self.noise_std_grad > 0.0
-
-    def _draw(self, seed, with_noise=True):
-        """Batch data and additive gradient noise for one draw of `seed`.
-
-        A StackSeed with a batch table hands over its rows' minibatches
-        drawn ahead and derives no stream (only a noise-free oracle takes
-        a table). Otherwise each generator of `seed.generators()` draws
-        once, the minibatch first and then the noise, and each row gets its
-        generator's draw, so it sees exactly what its lone call would: a
-        BatchSeed gives one (dim,) noise and one minibatch, a StackSeed an
-        (R, dim) noise and a stack of R minibatches, every row's samples
-        gathered in one pass. with_noise=False skips the noise draw, for a
-        caller that reads only the data. A stream is derived only when the
-        draw needs a minibatch or noise; otherwise the draw is the full
-        training split and no noise, exactly as seed=None gives.
-        """
-        with_noise = with_noise and self.noise_std_grad > 0.0
-        if seed is None or not (self.batch_size is not None or with_noise):
-            return self._train_data, None
+    def _data(self, seed):
+        """The data of `seed`'s draw: the training split at full batch or
+        for seed=None, else the minibatch of each row. A StackSeed with a
+        batch table hands over its rows' minibatches drawn ahead and
+        derives no stream; otherwise each generator of `seed.generators()`
+        samples once and each row gets its generator's minibatch, so it
+        sees exactly what its lone call would, every row's samples gathered
+        in one pass."""
+        if seed is None or self.batch_size is None:
+            return self._train_data
         batch = seed.batch
-        if batch is not None:
-            return self._rows(batch), None
+        if batch is None:
+            gens, rows = seed.generators()
+            batch = np.array([self._sample(rng) for rng in gens])[rows]
+        return self._rows(batch)
+
+    def _noisy(self, g, seed):
+        """g plus `seed`'s gradient noise: one (dim,) draw per generator of
+        `seed.generators()`, handed to each row of it. A stream is derived
+        only for a noisy oracle (always full batch) and a seed; otherwise g
+        is returned as it is, exactly as seed=None gives."""
+        if seed is None or self.noise_std_grad == 0.0:
+            return g
         gens, rows = seed.generators()
-        data = self._train_data if self.batch_size is None else self._rows(
-            np.array([self._sample(rng) for rng in gens])[rows])
-        noise = None if not with_noise else np.array(
-            [self.noise_std_grad * rng.standard_normal(self.dim) for rng in gens])[rows]
-        return data, noise
+        return g + np.array([self.noise_std_grad * rng.standard_normal(self.dim)
+                             for rng in gens])[rows]
 
     # -- split evaluation for recording ----------------------------------
 
@@ -407,12 +404,12 @@ class ProblemOracle:
         """(g(x + h v) - g(x - h v)) / (2 h) for each direction v of V, with
         h = _HVP_STEP_SCALE (1 + ||x||) / (||v|| + tiny).
 
-        Every gradient of a point's block shares the one minibatch and
-        noise draw addressed by its seed, so the sampling noise cancels in
-        each difference, and all 2 n gradients of every point run as one
-        stacked pass. A zero direction steps by exactly 0, so its two
-        gradients are equal and its product comes out as +0.0; where
-        x +- h v leaves the float range the products come out non-finite.
+        Every gradient of a point's block shares the one minibatch addressed
+        by its seed, so the sampling noise cancels in each difference, and
+        all 2 n gradients of every point run as one stacked pass. A zero
+        direction steps by exactly 0, so its two gradients are equal and its
+        product comes out as +0.0; where x +- h v leaves the float range the
+        products come out non-finite.
         """
         norms = _row_norms(V)
         h = (_HVP_STEP_SCALE * (1.0 + _row_norms(x)[..., None])
@@ -420,25 +417,19 @@ class ProblemOracle:
         steps = h[..., None] * V
         at = x[..., None, :]
         points = np.concatenate((at + steps, at - steps), axis=-2)
-        data, noise = self._draw(seed)
-        grads = self._grads(points, data)
-        if noise is not None:
-            grads = grads + noise[..., None, :]
+        grads = self._grads(points, self._data(seed))
         n = V.shape[-2]
         return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
 
     def _check(self, x, seed=None) -> np.ndarray:
         """Validate one point with a BatchSeed, or a stack of R >= 1 points
-        with a StackSeed of R rows, tabled only when no noise is added."""
+        with a StackSeed of R rows."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and len(x):
             if not np.all(np.isfinite(x)):
                 raise ValueError("parameter stack has non-finite entries")
             if not (seed is None or isinstance(seed, StackSeed) and len(seed) == len(x)):
                 raise ValueError(f"{len(x)} stacked points need a {len(x)}-row StackSeed")
-            if seed is not None and seed.table is not None and self.noise_std_grad > 0.0:
-                raise ValueError("an oracle that adds gradient noise draws it from each "
-                                 "step's stream, so it takes no batch table")
         else:
             x = as_params(x)
             if seed is not None and not isinstance(seed, BatchSeed):
@@ -542,14 +533,18 @@ class Rosenbrock2D(ProblemOracle):
 class _SampleBased(ProblemOracle):
     """Shared dataset plumbing: split and mini-batch selection.
 
-    A batch is the (inputs, targets) pair that the subclass's `_rows`
-    gathers for a set of sample indices, in whatever layout its hooks
-    read. The training and validation splits are gathered once at
-    construction, so full-batch gradients and recorded losses read them
-    without a copy.
+    A minibatch oracle adds no gradient noise: batch_size together with
+    noise_std_grad > 0 is a ValueError at construction. A batch is the
+    (inputs, targets) pair that the subclass's `_rows` gathers for a set of
+    sample indices, in whatever layout its hooks read. The training and
+    validation splits are gathered once at construction, so full-batch
+    gradients and recorded losses read them without a copy.
     """
 
     def _setup_split(self, rng, n_samples, val_fraction, batch_size):
+        if batch_size is not None and self.noise_std_grad > 0.0:
+            raise ValueError("batch_size and noise_std_grad > 0 are exclusive: "
+                             "a minibatch is the gradient noise of a sample-based kind")
         if not 0.0 <= val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
         perm = rng.permutation(n_samples)
@@ -572,24 +567,20 @@ class _SampleBased(ProblemOracle):
         raise NotImplementedError
 
     def _sample(self, rng):
-        """The minibatch indices a stream draws first."""
+        """The minibatch indices a stream draws."""
         return rng.choice(self._train_idx, self.batch_size, replace=False)
 
     def batch_table(self, bases, channel, words):
         """The minibatch indices of `channel`'s streams of every base at
         steps 0..n_steps-1, drawn ahead into one (len(bases), n_steps,
         batch_size) array in the smallest unsigned dtype that holds every
-        training index; None for an oracle that adds gradient noise, which
-        it draws from each step's stream right after the minibatch.
+        training index.
 
         words is the (len(bases), n_steps, len(Channel), 4) stream_states
         table of the bases. Entry (i, k) is the minibatch that
-        BatchSeed(bases[i], k, channel).rng() samples first, derived
-        through that seed, so a table holds exactly the draws a lone seed
-        makes.
+        BatchSeed(bases[i], k, channel).rng() samples, derived through that
+        seed, so a table holds exactly the draws a lone seed makes.
         """
-        if self.noise_std_grad > 0.0:
-            return None
         table = np.empty(words.shape[:2] + (self.batch_size,),
                          np.min_scalar_type(self._train_idx[-1]))
         for i, k in np.ndindex(words.shape[:2]):
@@ -618,8 +609,8 @@ class NoisyLeastSquares(_SampleBased):
         self.A = rng.standard_normal((n_samples, self.dim))
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + noise_std * rng.standard_normal(n_samples)
-        self._setup_split(rng, n_samples, float(val_fraction), batch_size)
         self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
+        self._setup_split(rng, n_samples, float(val_fraction), batch_size)
 
     def _rows(self, idx):
         return self.A[idx], self.y[idx]
@@ -640,7 +631,7 @@ class NoisyLeastSquares(_SampleBased):
 
     def _hvps(self, x, V, seed):
         # (2/b) A^T A on the minibatch the seed's gradient draws, if any
-        A, _ = _batch_for(V, self._draw(seed, with_noise=False)[0])
+        A, _ = _batch_for(V, self._data(seed))
         return (2.0 / A.shape[-2]) * (A.swapaxes(-1, -2) @ (A @ V[..., None]))[..., 0]
 
     def default_init(self, rng=None):
@@ -672,7 +663,8 @@ class MlpRegression(_SampleBased):
     call returns aliases the workspace, but the oracle is therefore not
     safe to call from two threads at once.
 
-    Its HVP is the base class's central difference of the gradient oracle.
+    Its HVP is the base class's central difference of the clean gradient,
+    on the seed's minibatch at a batch_size.
     """
 
     kind = "mlp_regression"

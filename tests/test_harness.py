@@ -93,7 +93,6 @@ INTERFACE = {
                                             clip_lo=1e-3, clip_hi=1e3)),
     "sgd": (BaselineConfig(kind="sgd", lr=0.2, momentum=0.9), 0.2, "lr", None),
     "adam": (BaselineConfig(kind="adam", lr=0.01), 0.01, "lr", None),
-    "radam": (BaselineConfig(kind="radam", lr=0.02), 0.02, "lr", None),
     "adahessian": (BaselineConfig(kind="adahessian", lr=0.1), 0.1, "lr",
                    ProbeConfig(n_probes=1, distribution="rademacher",
                                clip_lo=1e-4, clip_hi=1e4)),
@@ -400,11 +399,16 @@ STACK_CASES = {
         lambda: CentralRosenbrock(noise_std_grad=0.01),
         "adahessian", BaselineConfig(kind="adahessian", lr=0.05)),
     "least_squares-minibatch-sgd": (
-        lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
-                                  noise_std_grad=0.05),
+        lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
+        "sgd", BaselineConfig(kind="sgd", lr=0.05, momentum=0.9)),
+    "least_squares-noise-sgd": (
+        lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
         "sgd", BaselineConfig(kind="sgd", lr=0.05, momentum=0.9)),
     "least_squares-minibatch-diag_ocp": (
-        lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
+        lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
+        "diag_ocp", OptimizerConfig(alpha=0.05, n_probes=3)),
+    "least_squares-noise-diag_ocp": (
+        lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6,
                                     noise_std_grad=0.05),
         "diag_ocp", OptimizerConfig(alpha=0.05, n_probes=3)),
     "mlp-full-diag_ocp": (
@@ -415,9 +419,11 @@ STACK_CASES = {
         BaselineConfig(kind="adam", lr=0.01, weight_decay=0.008)),
     "mlp-minibatch-diag_ocp": (
         lambda: MlpRegression(batch_size=32, **MLP_SMALL), "diag_ocp", MLP_OCP),
-    "mlp-minibatch-radam": (
-        lambda: MlpRegression(batch_size=32, noise_std_grad=0.05, **MLP_SMALL), "radam",
-        BaselineConfig(kind="radam", lr=0.01)),
+    "mlp-minibatch-adam": (
+        lambda: MlpRegression(batch_size=32, **MLP_SMALL), "adam",
+        BaselineConfig(kind="adam", lr=0.01)),
+    "mlp-noise-diag_ocp": (
+        lambda: MlpRegression(noise_std_grad=0.05, **MLP_SMALL), "diag_ocp", MLP_OCP),
 }
 
 
@@ -645,7 +651,7 @@ SWEEP_PROBLEMS = {
 SWEEP_OPTIMIZERS = {
     "diag_ocp": MLP_OCP,   # 4 Rademacher probes
     **{kind: BaselineConfig(kind=kind, lr=0.1, weight_decay=0.008, momentum=0.5)
-       for kind in ("sgd", "adam", "radam", "adahessian")},
+       for kind in ("sgd", "adam", "adahessian")},
 }
 
 
@@ -713,15 +719,16 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
     assert not all(r.diverged for recs in result.records.values() for r in recs)
 
 
-@pytest.mark.parametrize("case", ["least_squares-minibatch-diag_ocp",
-                                  "least_squares-minibatch-sgd", "mlp-minibatch-radam"])
-def test_lr_sweep_with_noisy_minibatches_matches_the_reference(case, tmp_path):
-    # a noisy oracle has no table: both stages derive each step's streams
-    # and draw the minibatch and then the noise from them; every lr must
+@pytest.mark.parametrize("case", ["least_squares-noise-diag_ocp",
+                                  "least_squares-noise-sgd", "mlp-noise-diag_ocp"])
+def test_lr_sweep_with_gradient_noise_matches_the_reference(case, tmp_path):
+    # a noisy oracle has no minibatch to table: both stages derive each
+    # step's GRADIENT streams and draw the noise from them; every lr must
     # still draw exactly what the reference's lone per-step seeds draw
     make, optimizer, opt_cfg = STACK_CASES[case]
     base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
                      max_steps=12, base_seed=5, n_seeds=3, record_every=5)
+    assert harness._streams(base).tables == {Channel.PROBE: None, Channel.GRADIENT: None}
     spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
     result = lr_sweep(spec, base)
     assert len(result.records) > len(spec.coarse_grid)   # the refine stage ran new lrs
@@ -798,8 +805,6 @@ SHARED_SEED_PROBLEMS = {
     "least_squares-noise": lambda: CentralLeastSquares(
         design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
     "mlp-minibatch": lambda: MlpRegression(batch_size=32, **MLP_SMALL),
-    "mlp-minibatch-noise": lambda: MlpRegression(batch_size=32, noise_std_grad=0.1,
-                                                 **MLP_SMALL),
     "mlp-noise": lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
 }
 
@@ -817,8 +822,9 @@ def test_stack_rows_sharing_a_seed_share_one_derivation(case, method, monkeypatc
     alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     channels = count_streams(monkeypatch)
     stacked = call(*args, stack)
-    # gradient noise never enters a loss, so only a minibatch loss draws
-    draws = method != "eval_loss" or prob.batch_size is not None
+    # gradient noise enters neither a loss nor an HVP, so at full batch
+    # only a gradient draws
+    draws = prob.batch_size is not None or method in ("eval_grad", "grad_and_train_loss")
     assert len(channels) == (3 if draws else 0)
     for i, want in enumerate(alone):
         if method == "grad_and_train_loss":
@@ -934,55 +940,60 @@ def test_replicates_that_left_the_stack_derive_no_streams(monkeypatch):
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 @pytest.mark.parametrize("optimizer", sorted(SWEEP_OPTIMIZERS))
 def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
-    prob = CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
-                               noise_std_grad=noise)
+    # each stream draws one thing: a minibatch oracle's minibatch, tabled,
+    # or a full-batch noisy oracle's noise, derived at each step
+    prob = CentralLeastSquares(design_seed=3, n_samples=40, dim=6,
+                               batch_size=None if noise else 8, noise_std_grad=noise)
     cfg = RunConfig(problem=prob, optimizer=optimizer, opt_cfg=SWEEP_OPTIMIZERS[optimizer],
                     max_steps=5, base_seed=2, n_seeds=3)
     streams = harness._streams(cfg)
-    # the probe is drawn per step; only a probed optimizer reads HESSIAN_NOISE
-    drawn = {Channel.GRADIENT} | ({Channel.HESSIAN_NOISE}
-                                  if optimizer in ("adahessian", "diag_ocp") else set())
+    # the probe is drawn per step; only a probed optimizer's minibatch HVP
+    # reads HESSIAN_NOISE, and no HVP reads gradient noise
+    probed = optimizer in ("adahessian", "diag_ocp")
+    drawn = {Channel.GRADIENT} | ({Channel.HESSIAN_NOISE} if probed and not noise else set())
     assert set(streams.tables) == drawn | {Channel.PROBE}
     assert streams.tables[Channel.PROBE] is None
     for channel in drawn:
-        # a noisy oracle draws its noise from each step's stream, right
-        # after the minibatch, so it derives that stream and has no table
         table = streams.tables[channel]
         assert (table is None) == (noise > 0.0)
         if table is not None:
             assert table.shape == (3, 5, 8) and table.dtype == np.uint8
         for k in range(cfg.max_steps):
-            (A, _), drawn_noise = prob._draw(harness._seeds(streams, k, channel))
+            seed = harness._seeds(streams, k, channel)
+            A, _ = prob._data(seed)
+            X = np.zeros((3, 6))
+            G, clean = prob.eval_grad(X, seed), prob.eval_grad(X)
             for i, base in enumerate(streams.bases):
                 rng = BatchSeed(base, k, channel).rng()
-                want = rng.choice(prob._train_idx, 8, replace=False)
-                if table is not None:
-                    np.testing.assert_array_equal(table[i, k], want)
-                # the step's draw holds the lone stream's minibatch and then
-                # the normals it draws next
-                np.testing.assert_array_equal(A[i], prob.A[want])
                 if noise:
-                    np.testing.assert_array_equal(drawn_noise[i],
-                                                  noise * rng.standard_normal(6))
-            assert (drawn_noise is None) == (noise == 0.0)
+                    # the training split's gradient plus the lone stream's normals
+                    assert A is prob._train_data[0]
+                    np.testing.assert_array_equal(G[i],
+                                                  clean[i] + noise * rng.standard_normal(6))
+                    continue
+                want = rng.choice(prob._train_idx, 8, replace=False)
+                np.testing.assert_array_equal(table[i, k], want)
+                np.testing.assert_array_equal(A[i], prob.A[want])
 
 
 @pytest.mark.parametrize("problem, tables", [
     (lambda: MlpRegression(**MLP_SMALL), {Channel.PROBE: None}),
     (lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
-     dict.fromkeys(Channel)),
-], ids=["full_batch", "noise"])
+     {Channel.PROBE: None, Channel.GRADIENT: None}),
+    (lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
+     {Channel.PROBE: None, Channel.GRADIENT: None}),
+], ids=["full_batch", "noise", "mlp-noise"])
 def test_streams_seed_only_the_channels_the_oracle_draws_on(problem, tables):
     # a full-batch oracle draws only with gradient noise, and then derives
-    # its streams at each step: it has no table
+    # its GRADIENT streams at each step: it has no table, and its HVP, the
+    # MLP's central differences included, reads no noise and no seed
     cfg = RunConfig(problem=problem(), optimizer="diag_ocp", opt_cfg=MLP_OCP,
                     max_steps=4, base_seed=2, n_seeds=2)
     assert harness._streams(cfg).tables == tables
 
 
 @pytest.mark.parametrize("method", ["eval_grad", "grad_and_train_loss", "eval_loss", "hvp"])
-@pytest.mark.parametrize("case", ["least_squares-minibatch", "mlp-minibatch",
-                                  "mlp-minibatch-noise"])
+@pytest.mark.parametrize("case", ["least_squares-minibatch", "mlp-minibatch", "mlp-noise"])
 def test_tabled_stack_seed_draws_what_each_lone_seed_draws(case, method, monkeypatch):
     prob = SHARED_SEED_PROBLEMS[case]()
     rng = np.random.default_rng(41)
@@ -991,25 +1002,22 @@ def test_tabled_stack_seed_draws_what_each_lone_seed_draws(case, method, monkeyp
     args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
     untabled, seeds = repeated_seeds(Channel.GRADIENT)
     words = stream_states(untabled.bases, range(5))
-    # a noisy oracle builds no table, so it is handed its noise-free twin's
-    twin = SHARED_SEED_PROBLEMS[case.removesuffix("-noise")]()
+    # a noisy full-batch oracle builds no table, so it is handed a
+    # minibatch twin's
+    twin = prob if prob.batch_size else SHARED_SEED_PROBLEMS["mlp-minibatch"]()
     stack = StackSeed(untabled.bases, 4, Channel.GRADIENT, untabled.rows,
                       words[:, 4, Channel.GRADIENT],
                       twin.batch_table(untabled.bases, Channel.GRADIENT, words))
     call = getattr(prob, method)
     channels = count_streams(monkeypatch)
-    if prob.noise_std_grad > 0.0:
-        # its noise would come from a fresh stream, not the one the table
-        # stands in for, so the seed is refused before anything is drawn
-        with raises(ValueError, match="batch table"):
-            call(*args, stack)
-        assert channels == []
-        return
     alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     channels.clear()
     stacked = call(*args, stack)
-    # the minibatches come from the table
-    assert channels == []
+    # the minibatches come from the table; a noisy oracle reads no table
+    # and derives its gradient noise from the rows' streams
+    noise_draws = prob.noise_std_grad > 0.0 and method in ("eval_grad",
+                                                           "grad_and_train_loss")
+    assert channels == [Channel.GRADIENT] * 3 * noise_draws
     for i, want in enumerate(alone):
         if method == "grad_and_train_loss":
             np.testing.assert_array_equal(stacked[0][i], want[0])
@@ -1057,6 +1065,21 @@ def test_verify_rate_trend_builds_one_stream_table(monkeypatch):
     assert tables == [(4, 10)]
 
 
+def test_verify_rate_trend_builds_no_hessian_noise_seed(monkeypatch):
+    # its noisy quadratic's HVP is exact and reads no seed, so only the
+    # gradient and the probe are seeded: one StackSeed of each per step
+    seeds = []
+    build = harness.StackSeed
+
+    def counting_seeds(bases, k, channel, *args):
+        seeds.append(channel)
+        return build(bases, k, channel, *args)
+
+    monkeypatch.setattr(harness, "StackSeed", counting_seeds)
+    verify_rate_trend(T_list=(5, 10), n_seeds=4)
+    assert sorted(seeds) == [Channel.GRADIENT] * 10 + [Channel.PROBE] * 10
+
+
 # --- clip-floor ablation ---------------------------------------------------------
 
 def test_ablate_mu_requires_diag_ocp():
@@ -1077,6 +1100,17 @@ def test_ablate_mu_rejects_a_bad_floor_before_any_run(monkeypatch, values, contr
     # floors before it had run
     monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
     with raises(ValueError, match="mu"):
+        ablate_mu(values, quad_run(), control_clip_lo=control_clip_lo)
+
+
+@pytest.mark.parametrize("values, control_clip_lo", [
+    ([1e-3, 1e-3], 1e-12), ([1e-3, 1e-4], 1e-4),
+], ids=["repeated-floor", "floor-equal-to-control"])
+def test_ablate_mu_rejects_a_repeated_floor_before_any_run(monkeypatch, values,
+                                                           control_clip_lo):
+    # a repeated floor used to run again and write its (run_id, step) rows twice
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    with raises(ValueError, match="distinct"):
         ablate_mu(values, quad_run(), control_clip_lo=control_clip_lo)
 
 
@@ -1329,6 +1363,16 @@ def test_cli_ablate_mu(tmp_path, capsys):
     assert (out / "ablation.csv").exists()
 
 
+def test_cli_ablate_mu_repeated_value_is_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    cfg = write_config(tmp_path, {**RUN_DOC, "mu_values": [1e-3, 1e-4, 1e-3]})
+    out = tmp_path / "r"
+    assert cli.main(["ablate-mu", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "distinct" in err["message"]
+    assert not out.exists()
+
+
 def test_cli_ablate_mu_missing_values(tmp_path, capsys):
     cfg = write_config(tmp_path, RUN_DOC)
     assert cli.main(["ablate-mu", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -1473,6 +1517,20 @@ def test_cli_non_finite_data_noise_is_exit_2(tmp_path, capsys, kind, key):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and key in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("kind", ["noisy_least_squares", "mlp_regression"])
+def test_cli_minibatch_with_gradient_noise_is_exit_2(tmp_path, capsys, monkeypatch, kind):
+    # a minibatch is a sample-based kind's gradient noise; the two together
+    # are refused at construction, before any run
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    problem = {"kind": kind, "n_samples": 10, "batch_size": 4, "noise_std_grad": 0.05}
+    doc = {**RUN_DOC, "problem": problem, "optimizer": {"kind": "sgd", "lr": 0.01}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "batch_size" in err["message"]
     assert not (tmp_path / "r").exists()
 
 

@@ -116,17 +116,17 @@ def test_stack_seed_derives_no_stream_for_a_replicate_no_row_reads(monkeypatch):
         for gen, base in zip(gens, (11, 13)):
             lone = BatchSeed(base, 4, Channel.GRADIENT).rng()
             np.testing.assert_array_equal(gen.standard_normal(5), lone.standard_normal(5))
-    prob = MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, batch_size=16,
-                         noise_std_grad=0.1)
-    rng = np.random.default_rng(35)
-    X = np.stack([prob.default_init(rng) for _ in rows])
-    stack = StackSeed(bases, 4, Channel.GRADIENT, rows, table)
-    derived.clear()
-    G = prob.eval_grad(X, stack)
-    assert derived == [11, 13]
-    for r, rep in enumerate(rows):
-        np.testing.assert_array_equal(
-            G[r], prob.eval_grad(X[r], BatchSeed(bases[rep], 4, Channel.GRADIENT)))
+    for draw in ({"batch_size": 16}, {"noise_std_grad": 0.1}):
+        prob = MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, **draw)
+        rng = np.random.default_rng(35)
+        X = np.stack([prob.default_init(rng) for _ in rows])
+        stack = StackSeed(bases, 4, Channel.GRADIENT, rows, table)
+        derived.clear()
+        G = prob.eval_grad(X, stack)
+        assert derived == [11, 13]
+        for r, rep in enumerate(rows):
+            np.testing.assert_array_equal(
+                G[r], prob.eval_grad(X[r], BatchSeed(bases[rep], 4, Channel.GRADIENT)))
 
 
 class RecordingGenerator:
@@ -141,16 +141,15 @@ class RecordingGenerator:
 
 
 @pytest.mark.parametrize("make, method", [
-    (lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
-                               noise_std_grad=0.05), "eval_loss"),
-    (lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8,
-                               noise_std_grad=0.05), "hvp"),
-    (lambda: MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, batch_size=16,
-                           noise_std_grad=0.1), "eval_loss"),
+    (lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
+     "eval_loss"),
+    (lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8), "hvp"),
+    (lambda: MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, batch_size=16),
+     "eval_loss"),
 ], ids=["least_squares-loss", "least_squares-hvp", "mlp-loss"])
-def test_loss_and_least_squares_hvp_draw_no_noise(make, method, monkeypatch):
-    # gradient noise enters neither a loss nor the least-squares HVP, so
-    # each stream draws its minibatch only
+def test_minibatch_loss_and_least_squares_hvp_draw_one_minibatch(make, method,
+                                                                 monkeypatch):
+    # each replicate's stream draws its minibatch, once, and nothing else
     prob = make()
     bases, rows = (11, 12, 13), [2, 0, 2, 1]
     rng = np.random.default_rng(8)
@@ -176,6 +175,44 @@ def test_loss_and_least_squares_hvp_draw_no_noise(make, method, monkeypatch):
                 (2.0 / len(A)) * (A.T @ (A @ args[1][r][..., None]))[..., 0])
         np.testing.assert_array_equal(stacked[r], want)
         np.testing.assert_array_equal(alone, want)
+
+
+NOISY_FULL_BATCH = {
+    "quadratic": lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
+    "rosenbrock": lambda: Rosenbrock2D(noise_std_grad=0.01),
+    "rosenbrock-cd": lambda: CentralRosenbrock(noise_std_grad=0.01),
+    "least_squares": lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6,
+                                               noise_std_grad=0.05),
+    "least_squares-cd": lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6,
+                                                    noise_std_grad=0.05),
+    "mlp": lambda: MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, noise_std_grad=0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISY_FULL_BATCH))
+def test_noisy_full_batch_loss_and_hvp_derive_no_stream(case, monkeypatch):
+    # gradient noise enters neither a loss nor any HVP, the MLP's central
+    # differences included: both equal their seed=None values bit for bit
+    # and derive no stream; only the gradient draws, once per replicate
+    prob = NOISY_FULL_BATCH[case]()
+    bases, rows = (11, 12, 13), [2, 0, 2, 1]
+    rng = np.random.default_rng(9)
+    X = prob.default_init(rng) + 0.1 * rng.standard_normal((len(rows), prob.dim))
+    V = rng.standard_normal((len(rows), 2, prob.dim))
+    derived = []
+    derive = BatchSeed.rng
+    monkeypatch.setattr(BatchSeed, "rng",
+                        lambda seed: derived.append(seed.channel) or derive(seed))
+    for channel in (Channel.GRADIENT, Channel.HESSIAN_NOISE):
+        stack = StackSeed(bases, 4, channel, rows)
+        np.testing.assert_array_equal(prob.eval_loss(X, stack), prob.eval_loss(X))
+        np.testing.assert_array_equal(prob.hvp(X, V, stack), prob.hvp(X, V))
+        lone = BatchSeed(bases[0], 4, channel)
+        assert prob.eval_loss(X[0], lone) == prob.eval_loss(X[0])
+        np.testing.assert_array_equal(prob.hvp(X[0], V[0], lone), prob.hvp(X[0], V[0]))
+        assert derived == []
+    prob.eval_grad(X, StackSeed(bases, 4, Channel.GRADIENT, rows))
+    assert derived == [Channel.GRADIENT] * len(bases)
 
 
 def test_stack_seed_rejects_bad_rows_words_and_stack_heights():
@@ -438,7 +475,7 @@ def test_least_squares_stacked_hooks_match_one_point_reference(batch_size):
     rng = np.random.default_rng(52)
     X = 10.0 ** rng.uniform(-3, 3, (3, 1)) * rng.standard_normal((3, prob.dim))
     V = rng.standard_normal((3, 2, prob.dim))
-    data, _ = prob._draw(row_seeds((1, 2, 3), 0, Channel.GRADIENT)[0])
+    data = prob._data(row_seeds((1, 2, 3), 0, Channel.GRADIENT)[0])
     # (R, 2 m, dim) points, as a central-difference block evaluates
     P = np.concatenate((X[:, None] + V, X[:, None] - V), axis=1)
     losses, grads = prob._losses(P, data), prob._grads(P, data)
@@ -541,7 +578,7 @@ def test_mlp_kernels_match_rowmajor_reference(layer_sizes, batch_size):
     T = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
     seeds = row_seeds((5, 6, 7), 2, Channel.GRADIENT)[0]
-    data, _ = prob._draw(seeds)
+    data = prob._data(seeds)
     # a stack of minibatches has 3-d inputs, one (d, n) batch per row
     assert (data[0].ndim == 3) == (batch_size is not None)
     batches = [tuple(a[r] for a in data) if data[0].ndim == 3 else data
@@ -646,7 +683,7 @@ def test_mlp_hvp_matches_the_rop(layer_sizes, batch_size):
     out = prob.hvp(X, V, stack)
     checked = 0
     for x, block, seed, products in zip(X, V, seeds, out):
-        data = prob._draw(seed)[0]
+        data = prob._data(seed)
         for v, hv in zip(block, products):
             # the oracle's displacement along v
             h = _HVP_STEP_SCALE * (1.0 + np.linalg.norm(x)) / np.linalg.norm(v)
@@ -661,7 +698,11 @@ def test_mlp_hvp_matches_the_rop(layer_sizes, batch_size):
 # --- probe blocks ----------------------------------------------------------
 
 def cd_reference(problem, x, v, seed):
-    """Central difference of two single-point gradient calls, per direction."""
+    """Central difference of two single-point gradient calls, per direction,
+    on the seed's minibatch. No HVP reads gradient noise, so at full batch
+    the calls take no seed."""
+    if problem.batch_size is None:
+        seed = None
     v_norm = float(np.linalg.norm(v))
     if v_norm == 0.0:
         return np.zeros_like(x)
@@ -673,8 +714,9 @@ def cd_reference(problem, x, v, seed):
     ((8, 16, 2), {}),
     ((8, 16, 2), {"batch_size": 32}),
     ((8, 16, 2), {"noise_std_grad": 0.1}),
-    ((4, 8, 8, 2), {"batch_size": 32, "noise_std_grad": 0.1}),
-], ids=["full_batch", "minibatch", "grad_noise", "two_hidden"])
+    ((4, 8, 8, 2), {"batch_size": 32}),
+    ((4, 8, 8, 2), {"noise_std_grad": 0.1}),
+], ids=["full_batch", "minibatch", "grad_noise", "two_hidden", "two_hidden_noise"])
 def test_mlp_block_hvp_equals_row_by_row(layer_sizes, kwargs):
     prob = MlpRegression(layer_sizes=layer_sizes, n_samples=128, **kwargs)
     rng = np.random.default_rng(21)
@@ -689,42 +731,44 @@ def test_mlp_block_hvp_equals_row_by_row(layer_sizes, kwargs):
 
 
 def test_mlp_block_hvp_with_a_zero_probe_row(monkeypatch):
-    prob = MlpRegression(n_samples=128, batch_size=32, noise_std_grad=0.1)
-    rng = np.random.default_rng(22)
-    x = prob.default_init(rng)
-    V = (rng.integers(0, 2, size=(4, prob.dim)) * 2 - 1).astype(np.float64)
-    V[1] = 0.0
-    seed = BatchSeed(7, 4, Channel.HESSIAN_NOISE)
-    block = prob.hvp(x, V, seed)
-    np.testing.assert_array_equal(block[1], np.zeros(prob.dim))
-    np.testing.assert_array_equal(block, np.stack([prob.hvp(x, v, seed) for v in V]))
-    np.testing.assert_array_equal(prob.hvp(x, np.zeros((2, prob.dim)), seed),
-                                  np.zeros((2, prob.dim)))
-    # a stack with an all-zero block and zero rows: one stacked gradient
-    # pass, and every zero direction's product is +0.0
-    X = np.stack([x, prob.default_init(rng), prob.default_init(rng)])
-    W = np.stack([np.zeros_like(V), V, V[::-1]])
-    stack, seeds = row_seeds((7, 8, 9), 4, Channel.HESSIAN_NOISE)
-    calls = []
-    grads = prob._grads
-    monkeypatch.setattr(prob, "_grads", lambda *a: calls.append(1) or grads(*a))
-    stacked = prob.hvp(X, W, stack)
-    assert len(calls) == 1
-    zero = np.stack([stacked[0, 0], stacked[1, 1], stacked[2, 2]])
-    np.testing.assert_array_equal(zero, 0.0)
-    assert not np.signbit(zero).any() and not np.signbit(stacked[0]).any()
-    np.testing.assert_array_equal(
-        stacked, np.stack([prob.hvp(xr, Vr, s) for xr, Vr, s in zip(X, W, seeds)]))
+    for draw in ({"batch_size": 32}, {"noise_std_grad": 0.1}):
+        prob = MlpRegression(n_samples=128, **draw)
+        rng = np.random.default_rng(22)
+        x = prob.default_init(rng)
+        V = (rng.integers(0, 2, size=(4, prob.dim)) * 2 - 1).astype(np.float64)
+        V[1] = 0.0
+        seed = BatchSeed(7, 4, Channel.HESSIAN_NOISE)
+        block = prob.hvp(x, V, seed)
+        np.testing.assert_array_equal(block[1], np.zeros(prob.dim))
+        np.testing.assert_array_equal(block, np.stack([prob.hvp(x, v, seed) for v in V]))
+        np.testing.assert_array_equal(prob.hvp(x, np.zeros((2, prob.dim)), seed),
+                                      np.zeros((2, prob.dim)))
+        # a stack with an all-zero block and zero rows: one stacked gradient
+        # pass, and every zero direction's product is +0.0
+        X = np.stack([x, prob.default_init(rng), prob.default_init(rng)])
+        W = np.stack([np.zeros_like(V), V, V[::-1]])
+        stack, seeds = row_seeds((7, 8, 9), 4, Channel.HESSIAN_NOISE)
+        calls = []
+        grads = prob._grads
+        monkeypatch.setattr(prob, "_grads", lambda *a: calls.append(1) or grads(*a))
+        stacked = prob.hvp(X, W, stack)
+        assert len(calls) == 1
+        zero = np.stack([stacked[0, 0], stacked[1, 1], stacked[2, 2]])
+        np.testing.assert_array_equal(zero, 0.0)
+        assert not np.signbit(zero).any() and not np.signbit(stacked[0]).any()
+        np.testing.assert_array_equal(
+            stacked, np.stack([prob.hvp(xr, Vr, s) for xr, Vr, s in zip(X, W, seeds)]))
 
 
 def test_least_squares_block_hvp_equals_row_by_row():
-    prob = CentralLeastSquares(n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05)
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal(6)
-    V = rng.standard_normal((3, 6))
-    seed = BatchSeed(1, 0, Channel.HESSIAN_NOISE)
-    np.testing.assert_array_equal(
-        prob.hvp(x, V, seed), np.stack([cd_reference(prob, x, v, seed) for v in V]))
+    for draw in ({"batch_size": 8}, {"noise_std_grad": 0.05}):
+        prob = CentralLeastSquares(n_samples=40, dim=6, **draw)
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(6)
+        V = rng.standard_normal((3, 6))
+        seed = BatchSeed(1, 0, Channel.HESSIAN_NOISE)
+        np.testing.assert_array_equal(
+            prob.hvp(x, V, seed), np.stack([cd_reference(prob, x, v, seed) for v in V]))
 
 
 def test_block_hvp_rejects_bad_directions():
@@ -763,15 +807,16 @@ STACK_PROBLEMS = {
     "rosenbrock-cd": lambda: CentralRosenbrock(noise_std_grad=0.01),
     "rosenbrock-exact": lambda: Rosenbrock2D(noise_std_grad=0.01),
     "least_squares-minibatch": lambda: CentralLeastSquares(
-        design_seed=3, n_samples=40, dim=6, batch_size=8, noise_std_grad=0.05),
+        design_seed=3, n_samples=40, dim=6, batch_size=8),
+    "least_squares-noise": lambda: CentralLeastSquares(
+        design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
     "least_squares-exact": lambda: NoisyLeastSquares(
         design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
     "least_squares-exact-minibatch": lambda: NoisyLeastSquares(
         design_seed=3, n_samples=40, dim=6, batch_size=8),
     "mlp-full": lambda: MlpRegression(n_samples=128),
     "mlp-full-noise": lambda: MlpRegression(n_samples=128, noise_std_grad=0.1),
-    "mlp-minibatch-noise": lambda: MlpRegression(n_samples=128, batch_size=32,
-                                                 noise_std_grad=0.1),
+    "mlp-minibatch": lambda: MlpRegression(n_samples=128, batch_size=32),
     "mlp-two-hidden-minibatch": lambda: MlpRegression(layer_sizes=(4, 6, 5, 2),
                                                       n_samples=128, batch_size=16),
 }
@@ -823,8 +868,7 @@ def test_grad_and_train_loss_equals_the_separate_calls(case, monkeypatch):
 
 def test_mlp_workspace_calls_equal_a_fresh_oracle():
     def make():
-        return MlpRegression(layer_sizes=(4, 6, 5, 2), n_samples=96, batch_size=24,
-                             noise_std_grad=0.05)
+        return MlpRegression(layer_sizes=(4, 6, 5, 2), n_samples=96, batch_size=24)
 
     prob = make()
     rng = np.random.default_rng(34)
@@ -863,7 +907,7 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
     # in-place deltas equal an out-of-place backprop bit for bit
     assert {role for role, _ in prob._workspace} == {"act"}
     lone = BatchSeed(0, 1, Channel.GRADIENT)
-    for data in (prob._train_data, prob._draw(seeds(5))[0], prob._draw(lone)[0]):
+    for data in (prob._train_data, prob._data(seeds(5)), prob._data(lone)):
         for theta in (X, X[2]):
             if data[0].ndim == 3 and theta.ndim == 1:
                 continue
@@ -886,16 +930,17 @@ def out_of_place_grads(prob, theta, data):
 
 
 def test_stacked_hvp_with_a_zero_probe_row():
-    prob = MlpRegression(n_samples=128, batch_size=32, noise_std_grad=0.1)
-    rng = np.random.default_rng(32)
-    X = np.stack([prob.default_init(rng) for _ in range(2)])
-    V = rng.standard_normal((2, 3, prob.dim))
-    V[1, 2] = 0.0
-    stack, seeds = row_seeds((1, 2), 0, Channel.HESSIAN_NOISE)
-    block = prob.hvp(X, V, stack)
-    np.testing.assert_array_equal(block[1, 2], np.zeros(prob.dim))
-    np.testing.assert_array_equal(
-        block, np.stack([prob.hvp(x, v, s) for x, v, s in zip(X, V, seeds)]))
+    for draw in ({"batch_size": 32}, {"noise_std_grad": 0.1}):
+        prob = MlpRegression(n_samples=128, **draw)
+        rng = np.random.default_rng(32)
+        X = np.stack([prob.default_init(rng) for _ in range(2)])
+        V = rng.standard_normal((2, 3, prob.dim))
+        V[1, 2] = 0.0
+        stack, seeds = row_seeds((1, 2), 0, Channel.HESSIAN_NOISE)
+        block = prob.hvp(X, V, stack)
+        np.testing.assert_array_equal(block[1, 2], np.zeros(prob.dim))
+        np.testing.assert_array_equal(
+            block, np.stack([prob.hvp(x, v, s) for x, v, s in zip(X, V, seeds)]))
 
 
 def test_stack_validation():
@@ -995,6 +1040,19 @@ def test_constructors_validate_oracle_numerics(kind):
             make_problem(kind, **SMALL_KINDS[kind], noise_std_grad=value)
     prob = make_problem(kind, **SMALL_KINDS[kind], noise_std_grad=0)
     assert prob.noise_std_grad == 0.0 and isinstance(prob.noise_std_grad, float)
+
+
+@pytest.mark.parametrize("kind", ["noisy_least_squares", "mlp_regression"])
+def test_sample_based_kinds_reject_a_minibatch_with_gradient_noise(kind):
+    # a minibatch is a sample-based kind's gradient noise: each stream draws
+    # one or the other, never both
+    with raises(ValueError, match="batch_size and noise_std_grad"):
+        make_problem(kind, **SMALL_KINDS[kind], batch_size=4, noise_std_grad=0.05)
+    for draw in ({"batch_size": 4}, {"noise_std_grad": 0.05},
+                 {"batch_size": 4, "noise_std_grad": 0.0}):
+        prob = make_problem(kind, **SMALL_KINDS[kind], **draw)
+        assert (prob.batch_size, prob.noise_std_grad) == (draw.get("batch_size"),
+                                                          draw.get("noise_std_grad", 0.0))
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_KINDS))
