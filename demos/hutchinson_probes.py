@@ -9,7 +9,8 @@ through the off-diagonal cross terms.
 
 import numpy as np
 
-from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
+from diagocp.diag_ocp import OptimizerConfig, clip_diag
+from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
 from diagocp.problems import BatchSeed, Channel
 
 rng = np.random.default_rng(11)
@@ -33,7 +34,8 @@ est = hutchinson_diag(lambda v: d * v, 3,
                       BatchSeed(0, 0, Channel.PROBE))
 print(f"diagonal matrix, single probe: estimate {est} vs truth {d} (exact)")
 
-clipped = clip_diag(est, ProbeConfig(clip_lo=1e-4, clip_hi=1e4))
-print(f"after clipping into [1e-4, 1e4]:  {clipped}")
+cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
+clipped = clip_diag(est, cfg)
+print(f"after Diag-OCP's clip into [mu, g_d] = [{cfg.mu:g}, {cfg.g_d:g}]:  {clipped}")
 print("the negative entry is floored: clipping is what keeps the")
 print("preconditioner positive definite on nonconvex problems")

@@ -31,6 +31,6 @@ print(f"\nselected lr: {result.selected_lr:g}")
 flat = [rec for lr in sorted(result.records, reverse=True)
         for rec in result.records[lr]]
 with tempfile.TemporaryDirectory(prefix="sweep_demo_") as out:
-    paths = emit_results(flat, "csv", out)
+    paths = emit_results(flat, out)
     paths.append(emit_sweep(result, out))
     print("wrote " + ", ".join(str(p) for p in paths))

@@ -4,7 +4,8 @@ Each entry gets the same staged sweep before the comparison is read off, so
 no optimizer is judged at another's learning rate. The per-seed pairing is
 fair too: replicate i of every optimizer starts from the same seeded
 initialization. The budget matches the acceptance protocol (150 steps,
-5 seeds), with diagonal AdaHessian added as a fourth entry.
+5 seeds), with diagonal AdaHessian added as a fourth entry. AdaHessian
+squares the raw Hutchinson estimate, as published; only Diag-OCP clips it.
 """
 
 import numpy as np

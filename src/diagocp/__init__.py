@@ -5,7 +5,7 @@ problems, and a seeded benchmark harness."""
 from .baselines import (BASELINE_KINDS, BaselineConfig, BaselineState,
                         baseline_step, init_baseline_state)
 from .diag_ocp import (OptimizerConfig, OptimizerState, StepDiagnostics,
-                       init_state, stability_margin, step_closed_form,
+                       clip_diag, init_state, stability_margin, step_closed_form,
                        step_recursive_reference, update_moments)
 from .harness import (CompareResult, MuAblation, RunConfig, RunRecord,
                       SweepResult, SweepSpec, ablate_mu, compare,
@@ -13,7 +13,7 @@ from .harness import (CompareResult, MuAblation, RunConfig, RunRecord,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
                       verify_probe_unbiasedness, verify_rate_trend)
-from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
+from .hessian_probe import ProbeConfig, hutchinson_diag
 from .problems import (BatchSeed, Channel, MlpRegression, NoisyLeastSquares, ProblemOracle,
                        Quadratic, Rosenbrock2D, StackSeed, make_problem)
 
@@ -22,15 +22,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BASELINE_KINDS", "BaselineConfig", "BaselineState", "baseline_step",
     "init_baseline_state",
-    "OptimizerConfig", "OptimizerState", "StepDiagnostics", "init_state",
-    "stability_margin", "step_closed_form", "step_recursive_reference",
+    "OptimizerConfig", "OptimizerState", "StepDiagnostics", "clip_diag",
+    "init_state", "stability_margin", "step_closed_form", "step_recursive_reference",
     "update_moments",
     "CompareResult", "MuAblation", "RunConfig", "RunRecord", "SweepResult",
     "SweepSpec", "ablate_mu", "compare", "emit_ablation", "emit_heatmap",
     "emit_results", "emit_sweep", "lr_sweep", "run_experiment",
     "verify_closed_form_equivalence", "verify_probe_unbiasedness",
     "verify_rate_trend",
-    "ProbeConfig", "clip_diag", "hutchinson_diag",
+    "ProbeConfig", "hutchinson_diag",
     "BatchSeed", "Channel", "MlpRegression", "NoisyLeastSquares",
     "ProblemOracle", "Quadratic", "Rosenbrock2D", "StackSeed", "make_problem",
 ]

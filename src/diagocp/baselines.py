@@ -4,8 +4,9 @@ momentum), Adam, and a diagonal AdaHessian.
 All three use 1-based bias correction where applicable and the same decoupled
 multiplicative weight decay as the main optimizer, x <- x (1 - lr * wd),
 applied before the gradient-based step, so comparisons differ only in the
-preconditioner. AdaHessianDiag scales by sqrt of the EMA of squared clipped Hessian-diagonal
-estimates: x <- x - lr * m_hat / (sqrt(v_hat_H) + eps).
+preconditioner. AdaHessianDiag scales by sqrt of the EMA of squared raw
+Hessian-diagonal estimates, unclipped as published (Yao et al., AAAI 2021):
+x <- x - lr * m_hat / (sqrt(v_hat_H) + eps).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
 
     if cfg.kind == "adahessian":
         if h_diag is None:
-            raise ValueError("adahessian requires a clipped Hessian diagonal estimate")
+            raise ValueError("adahessian requires a Hessian diagonal estimate")
         h_diag = np.asarray(h_diag, dtype=np.float64)
         if h_diag.shape != state.m.shape:
             raise ValueError("h_diag dimension mismatch with optimizer state")

@@ -115,7 +115,7 @@ def _build_sweep_spec(doc: dict) -> SweepSpec:
 def _cmd_run(args) -> int:
     cfg = _build_run(_load_config(args.config), args.seed)
     records = run_experiment(cfg)
-    paths = emit_results(records, args.format, args.out)
+    paths = emit_results(records, args.out)
     n_div = sum(r.diverged for r in records)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(f"{len(records)} runs, {n_div} diverged, final val loss "
@@ -130,7 +130,7 @@ def _cmd_sweep(args) -> int:
     result = lr_sweep(spec, base)
     flat = [rec for lr in sorted(result.records, reverse=True)
             for rec in result.records[lr]]
-    paths = emit_results(flat, "csv", args.out)
+    paths = emit_results(flat, args.out)
     paths.append(emit_sweep(result, args.out))
     paths.append(emit_heatmap({base.optimizer: result}, args.out))
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -166,7 +166,7 @@ def _cmd_compare(args) -> int:
         entries.append(_build_run({**doc, "optimizer": opt_doc}, args.seed, problem))
     result = compare(entries, spec)
     flat = [rec for key in sorted(result.records) for rec in result.records[key]]
-    paths = emit_results(flat, "csv", args.out)
+    paths = emit_results(flat, args.out)
     paths.append(emit_heatmap(result.sweeps, args.out))
     print(f"wrote {', '.join(str(p) for p in paths)}")
     chosen = ", ".join(f"{k}={v:g}" for k, v in sorted(result.selected.items()))
@@ -190,10 +190,13 @@ def _cmd_verify(args) -> int:
         report = verify_rate_trend(
             problem=problem, opt_cfg=opt_cfg, base_seed=seed,
             **_given(doc, "T_list", "n_seeds", "ratio_threshold"))
-        headline = (f"rate trend: min-grad-norm^2 ratio "
-                    f"{report['ratio_last_to_first']:.3f} over T={report['T_list']} "
-                    f"(threshold {report['ratio_threshold']:g}, "
-                    f"log-log slope {report['loglog_slope']:.2f})")
+        if report["diverged_step"] is not None:
+            headline = f"rate trend: diverged at step {report['diverged_step']}"
+        else:
+            headline = (f"rate trend: min-grad-norm^2 ratio "
+                        f"{report['ratio_last_to_first']:.3f} over T={report['T_list']} "
+                        f"(threshold {report['ratio_threshold']:g}, "
+                        f"log-log slope {report['loglog_slope']:.2f})")
     elif args.check == "hutchinson":
         report = verify_probe_unbiasedness(
             seed=seed, **_given(doc, "n_probes", "dim", "tol"))
@@ -237,10 +240,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's base seed")
 
-    sp = sub.add_parser("run", help="execute one experiment config")
-    common(sp)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="emission format")
+    common(sub.add_parser("run", help="execute one experiment config"))
     common(sub.add_parser("sweep", help="staged learning-rate sweep"))
     common(sub.add_parser("ablate-mu", help="curvature clip-floor ablation"))
     common(sub.add_parser("compare", help="sweep-tuned optimizer comparison"))

@@ -13,13 +13,14 @@ Per step, with 1-based step count t' and elementwise arithmetic throughout:
 
 The closed form sums the inner recursion phi_l = alpha m_hat + s phi_{l-1},
 phi_0 = alpha m_hat, run t'-1 times; `step_recursive_reference` keeps that
-literal loop as a test oracle. H_t must already be clipped into [mu, G_d],
-which bounds D_hat into the same interval, so s < 1. Bases below -rho_max
-are lifted to it before exponentiation (a divergent geometric series has no
-meaningful partial-sum limit), and the clamp is surfaced in StepDiagnostics.
-Where 0 < s < 1 the coefficient is -expm1(t' log1p(-alpha D_hat)) / D_hat,
-exact in flat directions where 1 - s^t' would cancel. Blow-up is not an
-error: it propagates as inf/NaN through the elementwise update.
+literal loop as a test oracle. H_t must already be clipped into [mu, G_d]
+by `clip_diag`, which bounds D_hat into the same interval, so s < 1. Bases
+below -rho_max are lifted to it before exponentiation (a divergent geometric
+series has no meaningful partial-sum limit), and the clamp is surfaced in
+StepDiagnostics. Where 0 < s < 1 the coefficient is
+-expm1(t' log1p(-alpha D_hat)) / D_hat, exact in flat directions where
+1 - s^t' would cancel. Blow-up is not an error: it propagates as inf/NaN
+through the elementwise update.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def check_finite(cfg):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Diag-OCP hyperparameters. Like BaselineConfig it exposes `kind`,
-    `lr` (the field named by `lr_field`), `with_lr` and `probe`, the
-    Hutchinson and clip settings its curvature estimate uses."""
+    """Diag-OCP hyperparameters. Like BaselineConfig it exposes `kind`, `lr`
+    (the field named by `lr_field`), `with_lr` and `probe`, its Hutchinson
+    settings; `clip_diag` clamps the estimate into [mu, g_d]."""
 
     kind = "diag_ocp"
     lr_field = "alpha"
@@ -72,8 +73,7 @@ class OptimizerConfig:
         if not 0.0 < self.safeguard_rho_max < 1.0:
             raise ValueError("safeguard_rho_max must be in (0, 1)")
         # built once, so bad probe settings fail here rather than mid-run
-        probe = ProbeConfig(n_probes=self.n_probes, distribution=self.probe_distribution,
-                            clip_lo=self.mu, clip_hi=self.g_d)
+        probe = ProbeConfig(n_probes=self.n_probes, distribution=self.probe_distribution)
         object.__setattr__(self, "n_probes", probe.n_probes)
         object.__setattr__(self, "_probe", probe)
 
@@ -120,6 +120,14 @@ def init_state(dim: int, cfg: OptimizerConfig) -> OptimizerState:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return OptimizerState(t=0, m=np.zeros(dim), D=np.zeros(dim))
+
+
+def clip_diag(h, cfg: OptimizerConfig) -> np.ndarray:
+    """Clamp each entry of a raw curvature estimate into [mu, g_d], the
+    precondition of `update_moments`. A NaN entry, the estimate at a
+    blown-up point, passes through, so the step it feeds comes out
+    non-finite and the stepper drops that row."""
+    return np.clip(np.asarray(h, dtype=np.float64), cfg.mu, cfg.g_d)
 
 
 def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig):

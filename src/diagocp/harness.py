@@ -1,6 +1,6 @@
 """Experiment harness: seeded multi-run execution, the staged learning-rate
 sweep, the clip-floor ablation, the optimizer comparison protocol, theory
-verification checks, and CSV/JSON emission.
+verification checks, and CSV emission.
 
 Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
@@ -56,7 +56,6 @@ selection metric; an ablation row's label is its clip floor, or control.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -67,9 +66,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import BaselineConfig, BaselineState, baseline_step
-from .diag_ocp import (OptimizerConfig, OptimizerState, step_closed_form,
+from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_form,
                        step_recursive_reference, update_moments)
-from .hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
+from .hessian_probe import ProbeConfig, hutchinson_diag
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
                        _row_dots, _row_norms, as_integer, as_params, as_positive,
                        stream_states)
@@ -161,7 +160,7 @@ class RunRecord:
     run_id: str
     optimizer: str
     lr: float
-    mu: float | None        # the curvature clip floor, None without a probe
+    mu: float | None        # diag_ocp's curvature clip floor, None for a baseline
     seed: int
     steps: np.ndarray
     train_loss: np.ndarray
@@ -243,25 +242,25 @@ def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
     noise from the streams of its replicate (see `_streams`) and steps with
     lr[r], an (R, 1) column (opt_cfg's lr when None), so it steps exactly
     as it would alone. Returns (x_next, state', rho, clamped) with one rho and
-    clamp count per row, both None for the baselines. The full path is
-    probe -> clip -> moments -> closed-form step; this is the one branch on
-    the optimizer family, because the two step algorithms differ.
+    clamp count per row, both None for the baselines. diag_ocp's path is
+    probe -> clip -> moments -> closed-form step, and adahessian steps on
+    the raw probe estimate; this is the one branch on the optimizer family,
+    because the two step algorithms differ.
     """
-    h_clipped = None
+    raw = None
     if probe is not None:
         hseeds = _seeds(streams, k - 1, Channel.HESSIAN_NOISE)
         raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
                               problem.dim, probe, _seeds(streams, k - 1, Channel.PROBE))
-        h_clipped = clip_diag(raw, probe)
     if isinstance(opt_cfg, OptimizerConfig):
         if state is None:
             state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
-        state, m_hat, d_hat = update_moments(state, g, h_clipped, opt_cfg)
+        state, m_hat, d_hat = update_moments(state, g, clip_diag(raw, opt_cfg), opt_cfg)
         x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg, lr=lr)
         return x_next, state, diag.rho, diag.row_clamped
     if state is None:
         state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
-    x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=h_clipped, lr=lr)
+    x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=raw, lr=lr)
     return x_next, state, None, None
 
 
@@ -373,7 +372,7 @@ def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
     length[live] = slot
 
     wall_ms = (time.perf_counter() - t_start) * 1e3
-    mu = None if probe is None else probe.clip_lo
+    mu = opt_cfg.mu if isinstance(opt_cfg, OptimizerConfig) else None
 
     def record(row, lr, rep):
         traj = {name: column[row, :length[row]] for name, column in table.items()}
@@ -588,6 +587,8 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     optimizer itself still sees its noisy stream). Reports the minima, r(T) =
     T * min, and the log-log slope of min vs T; passes when the value at the
     largest T is <= ratio_threshold times the value at the smallest T.
+    The run stops at the first step that leaves an iterate non-finite
+    (diverged_step, else None) and fails; the statistics past it are None.
     """
     T_list = [as_integer(t, "T_list") for t in T_list]
     ratio_threshold = as_positive(ratio_threshold, "ratio_threshold")
@@ -608,26 +609,35 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     t_max, n_seeds, probe = cfg.max_steps, cfg.n_seeds, opt_cfg.probe
     streams = _streams(cfg)
     x, state = _init_stack(problem, streams.bases), None
-    acc = np.zeros(t_max)
-    for k in range(1, t_max + 1):
-        g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))
-        x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
-        acc[k - 1] = sum(_row_dots(problem.eval_grad(x, None)).tolist())
+    acc, diverged_step = np.zeros(t_max), None
+    # overflow past float range is the divergence signal, as in _run_stack
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, t_max + 1):
+            g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))
+            x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
+            if not np.isfinite(x).all():
+                diverged_step = k
+                break
+            acc[k - 1] = sum(_row_dots(problem.eval_grad(x, None)).tolist())
+    done = t_max if diverged_step is None else diverged_step - 1
     avg = acc / n_seeds
-    mins = [float(np.min(avg[:T])) for T in T_list]
-    slope = float(np.polyfit(np.log(T_list), np.log(mins), 1)[0])
-    ratio = mins[-1] / mins[0]
+    mins = [float(np.min(avg[:T])) if T <= done else None for T in T_list]
+    slope = ratio = None
+    if diverged_step is None:
+        slope = float(np.polyfit(np.log(T_list), np.log(mins), 1)[0])
+        ratio = mins[-1] / mins[0]
     return {
         "check": "rate_trend",
         "T_list": T_list,
         "min_avg_grad_norm_sq": mins,
-        "r": [T * m for T, m in zip(T_list, mins)],
+        "r": [None if m is None else T * m for T, m in zip(T_list, mins)],
         "loglog_slope": slope,
         "ratio_last_to_first": ratio,
         "ratio_threshold": ratio_threshold,
         "n_seeds": n_seeds,
+        "diverged_step": diverged_step,
         "elapsed_s": time.perf_counter() - t_start,
-        "pass": bool(ratio <= ratio_threshold),
+        "pass": ratio is not None and bool(ratio <= ratio_threshold),
     }
 
 
@@ -640,8 +650,7 @@ def verify_probe_unbiasedness(n_probes: int = 100_000, seed: int = 0,
     tol = as_positive(tol, "tol")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    cfg = ProbeConfig(n_probes=n_probes, distribution="rademacher",
-                      clip_lo=1e-12, clip_hi=1e12)
+    cfg = ProbeConfig(n_probes=n_probes, distribution="rademacher")
     rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK,
                                                        spawn_key=(202,)))
     t_start = time.perf_counter()
@@ -722,14 +731,13 @@ def summary_rows(records: list[RunRecord]) -> list[tuple]:
             for opt, lr in sorted(groups, key=lambda k: (k[0], -k[1]))]
 
 
-def emit_results(records: list[RunRecord], fmt: str = "csv", path=".") -> list[Path]:
-    """Write steps.(csv|json) and summary.(csv|json) under `path`; returns
-    the written paths."""
+def emit_results(records: list[RunRecord], path=".") -> list[Path]:
+    """Write steps.csv and summary.csv under `path`; returns the written
+    paths."""
     if not records:
         raise ValueError("no records to emit")
     return _write_tables(path, [("steps", STEP_HEADER, _step_rows(records)),
-                                ("summary", SUMMARY_HEADER, summary_rows(records))],
-                         fmt)
+                                ("summary", SUMMARY_HEADER, summary_rows(records))])
 
 
 def emit_heatmap(sweeps: dict, path) -> Path:
@@ -759,27 +767,19 @@ def emit_ablation(ablation: MuAblation, path) -> list[Path]:
                                 ("ablation", ABLATION_HEADER, rows)])
 
 
-def _write_tables(path, tables, fmt: str = "csv") -> list[Path]:
+def _write_tables(path, tables) -> list[Path]:
     """Create directory `path` and write each (stem, header, rows) table to
-    <stem>.<fmt>; returns the written paths in table order.
-
-    CSV is RFC 4180 (the csv module's excel dialect), with None as an empty
-    field; JSON is a list with one object per row, keyed by the header.
+    <stem>.csv; returns the written paths in table order. CSV is RFC 4180
+    (the csv module's excel dialect), with None as an empty field.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for stem, header, rows in tables:
-        target = out / f"{stem}.{fmt}"
-        if fmt == "csv":
-            with open(target, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        else:
-            target.write_text(json.dumps([dict(zip(header, row)) for row in rows],
-                                         indent=1) + "\n")
+        target = out / f"{stem}.csv"
+        with open(target, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         paths.append(target)
     return paths

@@ -1,16 +1,17 @@
-"""Hutchinson diagonal-Hessian estimation and two-sided diagonal clipping.
+"""Hutchinson diagonal-Hessian estimation.
 
 The estimator is H = (1/N) sum_m v_m * hvp(v_m), elementwise, with probe
 vectors v satisfying E[v v^T] = I. Rademacher probes make the estimate exact
 for diagonal Hessians (v_i^2 = 1); standard-normal probes are the default.
 The N probes of one estimate are drawn up front as an (N, dim) block, in one
 call to the stream, and handed to the HVP oracle in a single call, so an
-oracle can evaluate them together (one noise draw, one stacked gradient
-pass) instead of one by one. A stack of R estimates takes a StackSeed and
+oracle can evaluate them together (one minibatch draw, one stacked
+gradient pass) instead of one by one. A stack of R estimates takes a StackSeed and
 hands over one (R, N, dim) array of blocks; each replicate the stack reads
 derives its stream and draws its block once, for every row of it.
-Clipping clamps every entry into [clip_lo, clip_hi] so the estimate is a
-positive-definite, bounded diagonal regardless of local curvature.
+The estimate is raw: entries may be negative or zero wherever the local
+curvature or the probe noise makes them so. Each optimizer decides what to
+do with that; Diag-OCP clips it (`diag_ocp.clip_diag`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ _DISTRIBUTIONS = ("rademacher", "standard_normal")
 class ProbeConfig:
     n_probes: int = 1
     distribution: str = "standard_normal"
-    clip_lo: float = 1e-4
-    clip_hi: float = 1e4
 
     def __post_init__(self):
         object.__setattr__(self, "n_probes", as_integer(self.n_probes, "n_probes"))
@@ -37,10 +36,6 @@ class ProbeConfig:
             raise ValueError("n_probes must be >= 1")
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown probe distribution {self.distribution!r}")
-        if not self.clip_lo > 0.0:
-            raise ValueError("clip_lo must be > 0")
-        if self.clip_hi < self.clip_lo:
-            raise ValueError("clip_hi must be >= clip_lo")
 
 
 def _draw(distribution: str, shape, rng: np.random.Generator) -> np.ndarray:
@@ -52,7 +47,7 @@ def _draw(distribution: str, shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
-    """Pre-clipping diagonal estimate: average of v * hvp(v) over probes.
+    """Raw diagonal estimate: average of v * hvp(v) over probes.
 
     All n_probes draws come from the one stream addressed by `seed`, so the
     whole estimate is a deterministic function of (seed, cfg). hvp_fn takes
@@ -73,9 +68,3 @@ def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
         acc += V[..., m, :] * HV[..., m, :]
     return acc / cfg.n_probes
 
-
-def clip_diag(h, cfg: ProbeConfig) -> np.ndarray:
-    """Clamp each entry into [clip_lo, clip_hi]. A NaN entry, the estimate
-    at a blown-up point, passes through, so the step it feeds comes out
-    non-finite and the stepper drops that row."""
-    return np.clip(np.asarray(h, dtype=np.float64), cfg.clip_lo, cfg.clip_hi)

@@ -14,11 +14,12 @@ import numpy as np
 
 from diagocp import cli
 from diagocp.baselines import BaselineConfig
-from diagocp.diag_ocp import OptimizerConfig, init_state, step_closed_form, update_moments
+from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
+                              update_moments)
 from diagocp.harness import (RunConfig, SweepSpec, ablate_mu, compare,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
-from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
+from diagocp.hessian_probe import hutchinson_diag
 from diagocp.problems import BatchSeed, Channel, MlpRegression, Quadratic
 
 BENCH_WD = 0.008
@@ -46,16 +47,15 @@ def test_criterion_01_closed_form_equivalence():
 def test_criterion_02_hand_oracle_trajectory():
     # 1-D quadratic with curvature 2, alpha 0.1, no EMA, no decay
     prob = Quadratic(np.array([2.0]))
-    cfg = OptimizerConfig(alpha=0.1, beta1=0.0, beta2=0.0, weight_decay=0.0)
-    pcfg = ProbeConfig(n_probes=1, distribution="rademacher",
-                       clip_lo=cfg.mu, clip_hi=cfg.g_d)
+    cfg = OptimizerConfig(alpha=0.1, beta1=0.0, beta2=0.0, weight_decay=0.0,
+                          probe_distribution="rademacher")
     x = np.array([1.0])
     state = init_state(1, cfg)
     seen = []
     for k in range(2):
         g = prob.eval_grad(x)
-        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), 1, pcfg,
-                                      BatchSeed(0, k, Channel.PROBE)), pcfg)
+        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), 1, cfg.probe,
+                                      BatchSeed(0, k, Channel.PROBE)), cfg)
         state, m_hat, d_hat = update_moments(state, g, h, cfg)
         x, _ = step_closed_form(state, x, m_hat, d_hat, cfg)
         seen.append(x[0])
@@ -88,16 +88,15 @@ def test_criterion_03_first_step_identity():
 
 def test_criterion_04_corrected_curvature_bounds():
     prob = Quadratic(np.linspace(0.5, 8.0, 10), noise_std_grad=0.1)
-    cfg = OptimizerConfig(alpha=0.05, mu=1e-4, g_d=1e4, weight_decay=0.0)
-    pcfg = ProbeConfig(n_probes=1, distribution="rademacher",
-                       clip_lo=cfg.mu, clip_hi=cfg.g_d)
+    cfg = OptimizerConfig(alpha=0.05, mu=1e-4, g_d=1e4, weight_decay=0.0,
+                          probe_distribution="rademacher")
     x = prob.default_init()
     state = init_state(prob.dim, cfg)
     violations = 0
     for k in range(500):
         g = prob.eval_grad(x, BatchSeed(1, k, Channel.GRADIENT))
-        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), prob.dim, pcfg,
-                                      BatchSeed(1, k, Channel.PROBE)), pcfg)
+        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), prob.dim, cfg.probe,
+                                      BatchSeed(1, k, Channel.PROBE)), cfg)
         state, m_hat, d_hat = update_moments(state, g, h, cfg)
         violations += int(np.any(d_hat < cfg.mu) or np.any(d_hat > cfg.g_d))
         x, _ = step_closed_form(state, x, m_hat, d_hat, cfg)

@@ -10,7 +10,7 @@ from pytest import approx, raises
 
 from diagocp import cli, harness
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
-from diagocp.diag_ocp import (OptimizerConfig, init_state, step_closed_form,
+from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
                               update_moments)
 from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
                              SUMMARY_HEADER, CompareResult, RunConfig, RunRecord,
@@ -20,7 +20,7 @@ from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
                              emit_sweep, lr_sweep, run_experiment, summary_rows,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
-from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
+from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
                               Rosenbrock2D, StackSeed, stream_states)
@@ -84,24 +84,22 @@ def test_run_config_coerces_x0():
 
 # --- optimizer interface --------------------------------------------------------
 
-# kind -> (config, lr, lr field, probe), the values the harness used before
-# the configs owned them
+# kind -> (config, lr, lr field, probe, mu), the values the harness used
+# before the configs owned them; only diag_ocp clips, so only it has a mu
 INTERFACE = {
     "diag_ocp": (OptimizerConfig(alpha=0.03, mu=1e-3, g_d=1e3, n_probes=3,
                                  probe_distribution="rademacher"),
-                 0.03, "alpha", ProbeConfig(n_probes=3, distribution="rademacher",
-                                            clip_lo=1e-3, clip_hi=1e3)),
-    "sgd": (BaselineConfig(kind="sgd", lr=0.2, momentum=0.9), 0.2, "lr", None),
-    "adam": (BaselineConfig(kind="adam", lr=0.01), 0.01, "lr", None),
+                 0.03, "alpha", ProbeConfig(n_probes=3, distribution="rademacher"), 1e-3),
+    "sgd": (BaselineConfig(kind="sgd", lr=0.2, momentum=0.9), 0.2, "lr", None, None),
+    "adam": (BaselineConfig(kind="adam", lr=0.01), 0.01, "lr", None, None),
     "adahessian": (BaselineConfig(kind="adahessian", lr=0.1), 0.1, "lr",
-                   ProbeConfig(n_probes=1, distribution="rademacher",
-                               clip_lo=1e-4, clip_hi=1e4)),
+                   ProbeConfig(n_probes=1, distribution="rademacher"), None),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(INTERFACE))
 def test_config_interface_per_kind(kind):
-    cfg, lr, field_name, probe = INTERFACE[kind]
+    cfg, lr, field_name, probe, mu = INTERFACE[kind]
     assert cfg.kind == kind
     assert cfg.lr_field == field_name
     assert cfg.lr == lr == getattr(cfg, field_name)
@@ -110,9 +108,8 @@ def test_config_interface_per_kind(kind):
     assert moved == replace(cfg, **{field_name: 0.5})
     assert type(moved) is type(cfg) and moved.lr == 0.5 and cfg.lr == lr
     (rec,) = run_experiment(quad_run(max_steps=2, optimizer=kind, opt_cfg=cfg))
-    assert rec.mu == (None if probe is None else probe.clip_lo)
-    assert rec.run_id == f"{kind}-lr{lr:g}" + ("" if probe is None
-                                             else f"-mu{probe.clip_lo:g}") + "-s0"
+    assert rec.mu == mu
+    assert rec.run_id == f"{kind}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}") + "-s0"
 
 
 NAN, INF = float("nan"), float("inf")
@@ -152,8 +149,7 @@ def test_optimizer_config_builds_its_probe_once_with_an_int_count():
     assert type(cfg.n_probes) is int and cfg == OptimizerConfig(
         n_probes=3, probe_distribution="rademacher")
     assert cfg.probe is cfg.probe
-    assert cfg.probe == ProbeConfig(n_probes=3, distribution="rademacher",
-                                    clip_lo=cfg.mu, clip_hi=cfg.g_d)
+    assert cfg.probe == ProbeConfig(n_probes=3, distribution="rademacher")
     assert cfg.with_lr(0.01).probe == cfg.probe
 
 
@@ -164,7 +160,7 @@ LAYER_FUNCTIONS = ("hutchinson_diag", "clip_diag", "update_moments",
 @pytest.mark.parametrize("kind, per_step", [
     ("diag_ocp", dict(hutchinson_diag=1, clip_diag=1, update_moments=1,
                       step_closed_form=1, baseline_step=0)),
-    ("adahessian", dict(hutchinson_diag=1, clip_diag=1, update_moments=0,
+    ("adahessian", dict(hutchinson_diag=1, clip_diag=0, update_moments=0,
                         step_closed_form=0, baseline_step=1)),
     ("sgd", dict(hutchinson_diag=0, clip_diag=0, update_moments=0,
                  step_closed_form=0, baseline_step=1)),
@@ -182,6 +178,31 @@ def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
     recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
     assert not any(r.diverged for r in recs)
     assert counts == {name: 7 * n for name, n in per_step.items()}
+
+
+def test_adahessian_steps_on_the_raw_hutchinson_estimate(monkeypatch):
+    # only diag_ocp clips: adahessian used to get the estimate clamped
+    # into [1e-4, 1e4], which no key of its config set
+    raw, received = [], []
+
+    def estimating(*args, _fn=harness.hutchinson_diag):
+        raw.append(_fn(*args))
+        return raw[-1]
+
+    def stepping(*args, _fn=harness.baseline_step, **kwargs):
+        received.append(kwargs["h_diag"])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hutchinson_diag", estimating)
+    monkeypatch.setattr(harness, "baseline_step", stepping)
+    cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer="adahessian",
+                    opt_cfg=BaselineConfig(kind="adahessian", lr=0.01), max_steps=10,
+                    base_seed=1, n_seeds=4)
+    assert not any(r.diverged for r in run_experiment(cfg))
+    assert len(received) == len(raw) == 10
+    for h, r in zip(received, raw):
+        assert h.dtype == r.dtype and h.tobytes() == r.tobytes()
+    assert any((r < 0).any() for r in raw) and any((r > 1e4).any() for r in raw)
 
 
 # --- execution ----------------------------------------------------------------
@@ -300,8 +321,7 @@ def reference_run(cfg, rep):
     base = _replicate_base(cfg.base_seed, rep)
     x = cfg.x0.copy() if cfg.x0 is not None else prob.default_init(_init_rng(base))
     if opt == "diag_ocp":
-        probe = ProbeConfig(n_probes=ocfg.n_probes, distribution=ocfg.probe_distribution,
-                            clip_lo=ocfg.mu, clip_hi=ocfg.g_d)
+        probe = ProbeConfig(n_probes=ocfg.n_probes, distribution=ocfg.probe_distribution)
         state = init_state(prob.dim, ocfg)
     else:
         probe = ProbeConfig(distribution="rademacher") if opt == "adahessian" else None
@@ -315,12 +335,11 @@ def reference_run(cfg, rep):
             g = prob.eval_grad(x, seed(Channel.GRADIENT))
             h = None
             if probe is not None:
-                raw = hutchinson_diag(
+                h = hutchinson_diag(
                     lambda V: prob.hvp(x, V, seed(Channel.HESSIAN_NOISE)),
                     prob.dim, probe, seed(Channel.PROBE))
-                h = clip_diag(raw, probe)
             if opt == "diag_ocp":
-                state, m_hat, d_hat = update_moments(state, g, h, ocfg)
+                state, m_hat, d_hat = update_moments(state, g, clip_diag(h, ocfg), ocfg)
                 x_next, diag = step_closed_form(state, x, m_hat, d_hat, ocfg)
                 rho, n_clamped = diag.rho, diag.n_clamped
             else:
@@ -436,19 +455,23 @@ def test_stacked_run_equals_per_replicate_reference(case, tmp_path):
 
 
 # From scattered starts some replicates diverge, at different steps, and the
-# rest converge. diag_ocp's diverging rows overflow their gradient, so the
-# non-finite m_hat carries into the iterate, and one records an overflowed
-# loss first; adahessian's iterates leave the float range.
+# rest stay finite; each case's lr heads a sweep grid. diag_ocp's diverging
+# rows overflow their gradient, so the non-finite m_hat carries into the
+# iterate, and one records an overflowed loss first. adahessian's step,
+# lr * m_hat / sqrt(v_hat) on the raw estimate, leaves the float range only
+# at a huge lr: at 1.2e26 (its rows split the same way from 1.16e26 to
+# 1.28e26) one row's iterate does at step 5 and three losses overflow.
 DIVERGING = {
     "diag_ocp-iterate": (OptimizerConfig(alpha=0.5, weight_decay=0.0),
-                         {"iterate", "loss"}),
-    "adahessian-iterate": (BaselineConfig(kind="adahessian", lr=0.5), {"iterate"}),
+                         {"iterate", "loss"}, (0.5, 0.05, 0.005)),
+    "adahessian-iterate": (BaselineConfig(kind="adahessian", lr=1.2e26),
+                           {"iterate", "loss"}, (1.2e26, 1e-2, 1e-3)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIVERGING))
 def test_stacked_run_drops_diverging_replicates_exactly(case, tmp_path):
-    opt_cfg, expected = DIVERGING[case]
+    opt_cfg, expected, _ = DIVERGING[case]
     cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer=case.split("-")[0],
                     opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
                     record_every=10)
@@ -696,7 +719,7 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
                                                                   tmp_path):
     # the largest lr diverges on some seeds at different steps, so rows
     # leave a mixed-lr stack while the rest of it keeps stepping
-    opt_cfg, expected = DIVERGING[case]
+    opt_cfg, expected, grid = DIVERGING[case]
     base = RunConfig(problem=RandomStartRosenbrock(), optimizer=case.split("-")[0],
                      opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
                      record_every=10)
@@ -707,13 +730,13 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
         return _advance(*args)
 
     monkeypatch.setattr(harness, "_advance", counting)
-    result = lr_sweep(SweepSpec(coarse_grid=(0.5, 0.05, 0.005)), base)
+    result = lr_sweep(SweepSpec(coarse_grid=grid), base)
     # one stacked call per step and stage: no row is ever re-stepped alone
     assert ks == list(range(1, 41)) * 2
     for lr, recs in result.records.items():
         cfg = replace(base, opt_cfg=opt_cfg.with_lr(lr))
         paths = assert_matches_reference(tmp_path / f"lr{lr:g}", cfg, recs)
-        if lr == 0.5:
+        if lr == grid[0]:
             assert set(paths) == expected | {None}
             assert len({r.steps[-1] for r in recs if r.diverged}) > 1
     assert not all(r.diverged for recs in result.records.values() for r in recs)
@@ -739,14 +762,15 @@ def test_lr_sweep_with_gradient_noise_matches_the_reference(case, tmp_path):
 
 # Noise-free minibatch sweeps whose largest lr diverges on every replicate,
 # at different steps, while the other lrs run to the end. Least squares
-# leaves the float range within 12 steps only at a huge lr.
+# leaves the float range within 12 steps only at a huge lr; adahessian's
+# replicates leave it at different steps only from 2.75e19 to 3.3e19.
 TABLED_DIVERGING = {
     "mlp-minibatch-diag_ocp": (
         lambda: MlpRegression(batch_size=16, **MLP_SMALL), "diag_ocp",
         OptimizerConfig(alpha=0.01, n_probes=2), (10.0, 1e-2, 1e-3)),
     "least_squares-minibatch-adahessian": (
         lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
-        "adahessian", BaselineConfig(kind="adahessian", lr=0.05), (1e30, 1e-2, 1e-3)),
+        "adahessian", BaselineConfig(kind="adahessian", lr=0.05), (3e19, 1e-2, 1e-3)),
 }
 
 
@@ -1143,6 +1167,7 @@ def test_verify_rate_trend_small():
     assert report["loglog_slope"] < 0.0
     assert len(report["min_avg_grad_norm_sq"]) == 2
     assert report["r"][0] == approx(20 * report["min_avg_grad_norm_sq"][0])
+    assert report["diverged_step"] is None
 
 
 def test_verify_rate_trend_validation():
@@ -1230,7 +1255,7 @@ def read_csv(path):
 
 def test_emit_results_csv(tmp_path):
     recs = run_experiment(quad_run(max_steps=5))
-    paths = emit_results(recs, "csv", tmp_path)
+    paths = emit_results(recs, tmp_path)
     steps, summary = read_csv(paths[0]), read_csv(paths[1])
     assert tuple(steps[0]) == STEP_HEADER
     assert tuple(summary[0]) == SUMMARY_HEADER
@@ -1241,22 +1266,9 @@ def test_emit_results_csv(tmp_path):
     assert row["rho"] == ""  # None -> empty cell
 
 
-def test_emit_results_json(tmp_path):
-    recs = run_experiment(quad_run(max_steps=3))
-    paths = emit_results(recs, "json", tmp_path)
-    docs = json.loads(paths[0].read_text())
-    assert docs[0]["rho"] is None
-    assert docs[0]["step"] == 0
-    summary = json.loads(paths[1].read_text())
-    assert summary[0]["optimizer"] == "diag_ocp"
-
-
 def test_emit_results_errors(tmp_path):
     with raises(ValueError):
-        emit_results([], "csv", tmp_path)
-    recs = run_experiment(quad_run(max_steps=2))
-    with raises(ValueError):
-        emit_results(recs, "parquet", tmp_path)
+        emit_results([], tmp_path)
 
 
 def test_summary_rows_ordering():
@@ -1318,13 +1330,15 @@ def test_cli_run(tmp_path, capsys):
     assert "2 runs, 0 diverged" in capsys.readouterr().out
 
 
-def test_cli_run_json_format(tmp_path, capsys):
+def test_cli_run_format_option_is_exit_2(tmp_path, capsys):
+    # run writes CSV only; its JSON tables spelled a diverged loss Infinity
     cfg = write_config(tmp_path, RUN_DOC)
     out = tmp_path / "results"
-    assert cli.main(["run", "--config", cfg, "--out", str(out),
-                     "--format", "json"]) == 0
-    capsys.readouterr()
-    assert (out / "steps.json").exists()
+    with raises(SystemExit) as exc:
+        cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_seed_override_changes_runs(tmp_path, capsys):
@@ -1414,6 +1428,54 @@ def test_cli_verify_without_a_config_runs_the_library_defaults(tmp_path, capsys,
     params = inspect.signature(func).parameters
     for name, key in knobs.items():
         assert report[key] == json.loads(json.dumps(params[name].default))
+
+
+def strict_json(text):
+    """Parse JSON that spells no NaN or Infinity, as a strict parser needs."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+# Diag-OCP pinned at D_hat = 1e-4 with alpha 0.9: every step is ~9e3 * m_hat
+DIVERGING_RATE_DOC = {
+    "problem": {"kind": "rosenbrock", "noise_std_grad": 0.01},
+    "optimizer": {"kind": "diag_ocp", "alpha": 0.9, "mu": 1e-4, "g_d": 1e-4,
+                  "weight_decay": 0.0},
+    "T_list": [50, 100], "n_seeds": 2,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_verify_rate_on_a_diverging_config_fails_with_strict_json(tmp_path, capsys):
+    # its step loop had no errstate: an overflow warning, then a ValueError
+    # on the non-finite stack, and exit 2
+    cfg = write_config(tmp_path, DIVERGING_RATE_DOC)
+    assert cli.main(["verify", "rate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "FAIL rate trend: diverged at step" in capsys.readouterr().out
+    report = strict_json((tmp_path / "verify_rate.json").read_text())
+    assert report["pass"] is False and report["diverged_step"] >= 1
+    assert report["ratio_last_to_first"] is None and report["loglog_slope"] is None
+
+
+def test_verify_rate_trend_stops_at_the_first_diverged_step(monkeypatch):
+    steps = []
+
+    def counting(*args, _advance=harness._advance):
+        steps.append(args[-1])
+        return _advance(*args)
+
+    monkeypatch.setattr(harness, "_advance", counting)
+    opt_cfg = OptimizerConfig(alpha=0.9, mu=1e-4, g_d=1e-4, weight_decay=0.0)
+    report = verify_rate_trend(problem=Rosenbrock2D(noise_std_grad=0.01), opt_cfg=opt_cfg,
+                               T_list=(2, 4, 100), n_seeds=2)
+    k = report["diverged_step"]
+    assert 4 < k < 100 and not report["pass"]
+    assert steps == list(range(1, k + 1))
+    # a horizon the run completed keeps its statistic; the others are None
+    assert [m is not None for m in report["min_avg_grad_norm_sq"]] == [
+        T < k for T in (2, 4, 100)]
+    assert report["r"][0] == 2 * report["min_avg_grad_norm_sq"][0]
 
 
 def test_cli_verify_fail_exit_code(tmp_path, capsys):

@@ -1,10 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
-from diagocp.hessian_probe import ProbeConfig, clip_diag, hutchinson_diag
+from diagocp.diag_ocp import OptimizerConfig, clip_diag
+from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
 from diagocp.problems import BatchSeed, Channel, MlpRegression, StackSeed, stream_states
 
 
@@ -13,10 +16,10 @@ def test_probe_config_validation():
         ProbeConfig(n_probes=0)
     with raises(ValueError):
         ProbeConfig(distribution="uniform")
-    with raises(ValueError):
-        ProbeConfig(clip_lo=-1.0)
-    with raises(ValueError):
-        ProbeConfig(clip_lo=2.0, clip_hi=1.0)
+    # the estimator's settings only: the clip range is Diag-OCP's mu and g_d
+    assert [f.name for f in fields(ProbeConfig)] == ["n_probes", "distribution"]
+    with raises(TypeError):
+        ProbeConfig(clip_lo=1e-4)
 
 
 @pytest.mark.parametrize("n_probes", [2.5, True, "3", float("nan")])
@@ -143,7 +146,7 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
 
 
 def test_clip_diag_spec_example():
-    cfg = ProbeConfig(clip_lo=1e-4, clip_hi=1e4)
+    cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
     out = clip_diag(np.array([-0.5, 0.00005, 2.0]), cfg)
     np.testing.assert_array_equal(out, [1e-4, 1e-4, 2.0])
     out = clip_diag(np.array([1e9]), cfg)
@@ -152,7 +155,7 @@ def test_clip_diag_spec_example():
 
 def test_clip_diag_passes_nan_through():
     # a NaN estimate comes from a blown-up point; the stepper drops its row
-    out = clip_diag(np.array([1.0, np.nan, -np.inf]), ProbeConfig())
+    out = clip_diag(np.array([1.0, np.nan, -np.inf]), OptimizerConfig())
     np.testing.assert_array_equal(out, [1.0, np.nan, 1e-4])
 
 
@@ -161,12 +164,12 @@ def test_clip_diag_passes_nan_through():
                 min_size=1, max_size=32))
 @settings(max_examples=200, deadline=None)
 def test_clip_diag_bounds_and_idempotence(values):
-    cfg = ProbeConfig(clip_lo=1e-4, clip_hi=1e4)
+    cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
     h = np.array(values)
     out = clip_diag(h, cfg)
-    assert np.all(out >= cfg.clip_lo)
-    assert np.all(out <= cfg.clip_hi)
+    assert np.all(out >= cfg.mu)
+    assert np.all(out <= cfg.g_d)
     np.testing.assert_array_equal(clip_diag(out, cfg), out)
     # in-range entries pass through untouched
-    inside = (h >= cfg.clip_lo) & (h <= cfg.clip_hi)
+    inside = (h >= cfg.mu) & (h <= cfg.g_d)
     np.testing.assert_array_equal(out[inside], h[inside])
