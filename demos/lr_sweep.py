@@ -1,7 +1,7 @@
 """The staged learning-rate sweep on a noisy least-squares problem.
 
-Stage one walks a descending coarse grid; stage two refines the winner's
-decade with {x, x/2, x/10}. The selection metric is the median over seeds of
+Stage one walks a descending coarse grid; stage two refines the winner x
+with {x, x/2, x/10}. The selection metric is the median over seeds of
 the minimum validation loss, diverged replicates excluded. Everything the
 sweep ran is cached in the result, so the CSVs cover both stages.
 """

@@ -34,7 +34,7 @@ entries = [
                                      weight_decay=WD), **common),
 ]
 
-result = compare(entries, SweepSpec(metric="min_val"))
+result = compare(entries, SweepSpec())
 
 print(f"{'optimizer':>10}  {'lr':>6}  {'median min val':>15}  {'per-seed min val'}")
 for key in sorted(result.records):

@@ -1,11 +1,13 @@
-"""Reference optimizers for head-to-head comparison: SGD (optional heavy-ball
-momentum), Adam, and a diagonal AdaHessian.
+"""Reference optimizers for head-to-head comparison: plain SGD, Adam, and a
+diagonal AdaHessian.
 
-All three use 1-based bias correction where applicable and the same decoupled
-multiplicative weight decay as the main optimizer, x <- x (1 - lr * wd),
-applied before the gradient-based step, so comparisons differ only in the
-preconditioner. AdaHessianDiag scales by sqrt of the EMA of squared raw
-Hessian-diagonal estimates, unclipped as published (Yao et al., AAAI 2021):
+All three use the same decoupled multiplicative weight decay as the main
+optimizer, x <- x (1 - lr * wd), applied before the gradient-based step, so
+comparisons differ only in the preconditioner; SGD then steps -lr * g.
+Adam (Kingma & Ba, ICLR 2015) and AdaHessian (Yao et al., AAAI 2021) keep
+their published hyperparameters, the constants BETA1, BETA2 and EPS, with
+1-based bias correction. AdaHessianDiag scales by sqrt of the EMA of squared
+raw Hessian-diagonal estimates, unclipped as published:
 x <- x - lr * m_hat / (sqrt(v_hat_H) + eps).
 """
 
@@ -19,6 +21,8 @@ from .diag_ocp import check_finite
 from .hessian_probe import ProbeConfig
 
 BASELINE_KINDS = ("sgd", "adam", "adahessian")
+# Adam's and AdaHessian's published moment factors and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -30,11 +34,7 @@ class BaselineConfig:
 
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    momentum: float = 0.0   # sgd only
 
     def __post_init__(self):
         check_finite(self)
@@ -42,14 +42,8 @@ class BaselineConfig:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if not self.lr > 0.0:
             raise ValueError("lr must be > 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1, beta2 must be in [0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
         if self.weight_decay < 0.0:
             raise ValueError("weight_decay must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
 
     def with_lr(self, lr: float) -> "BaselineConfig":
         return replace(self, **{self.lr_field: lr})
@@ -62,9 +56,9 @@ class BaselineConfig:
 
 @dataclass
 class BaselineState:
-    """t completed steps; m doubles as the SGD momentum buffer; v is the
-    second-moment EMA (squared gradients, or squared Hessian diagonal for
-    adahessian; unused by sgd)."""
+    """t completed steps; m is the gradient EMA and v the second-moment EMA
+    (squared gradients, or squared Hessian diagonal for adahessian); sgd
+    leaves both unused."""
 
     t: int
     m: np.ndarray
@@ -95,8 +89,7 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
     decayed = x * (1.0 - lr * cfg.weight_decay)
 
     if cfg.kind == "sgd":
-        buf = cfg.momentum * state.m + g
-        return decayed - lr * buf, BaselineState(t, buf, state.v)
+        return decayed - lr * g, BaselineState(t, state.m, state.v)
 
     if cfg.kind == "adahessian":
         if h_diag is None:
@@ -104,15 +97,15 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
         h_diag = np.asarray(h_diag, dtype=np.float64)
         if h_diag.shape != state.m.shape:
             raise ValueError("h_diag dimension mismatch with optimizer state")
-        m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * h_diag * h_diag
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), BaselineState(t, m, v)
+        m = BETA1 * state.m + (1.0 - BETA1) * g
+        v = BETA2 * state.v + (1.0 - BETA2) * h_diag * h_diag
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        return decayed - lr * m_hat / (np.sqrt(v_hat) + EPS), BaselineState(t, m, v)
 
     # adam
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    return decayed - lr * m_hat / (np.sqrt(v_hat) + cfg.eps), BaselineState(t, m, v)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return decayed - lr * m_hat / (np.sqrt(v_hat) + EPS), BaselineState(t, m, v)

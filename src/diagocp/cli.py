@@ -14,20 +14,21 @@ Config documents are flat JSON objects:
     {"problem": {"kind": "quadratic", ...},
      "optimizer": {"kind": "diag_ocp", "alpha": 0.05, ...},
      "max_steps": 200, "base_seed": 7, "n_seeds": 3, "record_every": 1}
-  sweep adds      {"sweep": {"coarse_grid": [...], "refine_factors": [...],
-                             "metric": "min_val"}}
-  ablate-mu adds  {"mu_values": [...], "control_clip_lo": 1e-12}
+  sweep adds      {"sweep": {"coarse_grid": [...]}}
+  ablate-mu adds  {"mu_values": [...]}
   compare swaps "optimizer" for "optimizers": [{...}, ...] and takes "sweep"
   (entries may omit lr/alpha there; the sweep sets it)
-  verify reads its check's knobs (trials/tol, T_list/n_seeds/ratio_threshold,
-  n_probes/dim/tol) and runs on defaults when --config is omitted.
+  verify reads "seed" (else "base_seed"); rate also reads "problem",
+  "optimizer", "T_list" and "n_seeds". Each check owns its pass criterion,
+  and every check runs on defaults when --config is omitted.
 
-Problem and optimizer sub-objects accept every keyword of the matching
-constructor; "kind" selects it. A key a document omits takes the library's
+Problem, optimizer and sweep sub-objects accept every keyword of the
+matching constructor; "kind" selects the first two. A top-level key that no
+subcommand reads is an error, exit 2, and so is a sub-object key that its
+constructor does not take. A key a document omits takes the library's
 default, apart from max_steps (100) and base_seed (0). The library checks
 every value: counts and seeds must be integral numbers (3.0 is 3; 3.9, "3"
-and true are errors), noise scales finite and >= 0, and a check's tol or
-ratio_threshold finite and > 0.
+and true are errors) and noise scales finite and >= 0.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ from .harness import (RunConfig, SweepSpec, ablate_mu, compare,
 from .problems import make_problem
 
 
+# every top-level key that some subcommand reads
+_CONFIG_KEYS = frozenset({"problem", "optimizer", "optimizers", "max_steps", "base_seed",
+                          "n_seeds", "record_every", "sweep", "mu_values", "seed",
+                          "T_list"})
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise ValueError("--config is required for this subcommand")
@@ -55,6 +62,9 @@ def _load_config(path: str | None) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     return doc
 
 
@@ -102,14 +112,14 @@ def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
                  else doc.get("base_seed", 0))
     return RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
                      max_steps=doc.get("max_steps", 100), base_seed=base_seed,
-                     **_given(doc, "n_seeds", "record_every", "x0"))
+                     **_given(doc, "n_seeds", "record_every"))
 
 
 def _build_sweep_spec(doc: dict) -> SweepSpec:
     sw = doc.get("sweep", {})
     if not isinstance(sw, dict):
         raise ValueError("'sweep' must be a JSON object")
-    return SweepSpec(**_given(sw, "coarse_grid", "refine_factors", "metric"))
+    return SweepSpec(**sw)
 
 
 def _cmd_run(args) -> int:
@@ -135,7 +145,7 @@ def _cmd_sweep(args) -> int:
     paths.append(emit_heatmap({base.optimizer: result}, args.out))
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(f"selected lr {result.selected_lr:g} for {base.optimizer} "
-          f"({spec.metric} over {len(result.records)} grid points)")
+          f"(min_val over {len(result.records)} grid points)")
     return 0
 
 
@@ -144,7 +154,7 @@ def _cmd_ablate_mu(args) -> int:
     if "mu_values" not in doc:
         raise ValueError("ablate-mu config needs 'mu_values'")
     base = _build_run(doc, args.seed)
-    ablation = ablate_mu(doc["mu_values"], base, **_given(doc, "control_clip_lo"))
+    ablation = ablate_mu(doc["mu_values"], base)
     paths = emit_ablation(ablation, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(f"{len(ablation.values)} clip floors plus control "
@@ -179,7 +189,7 @@ def _cmd_verify(args) -> int:
     seed = (args.seed if args.seed is not None
             else doc.get("seed", doc.get("base_seed", 0)))
     if args.check == "lemma1":
-        report = verify_closed_form_equivalence(seed=seed, **_given(doc, "trials", "tol"))
+        report = verify_closed_form_equivalence(seed=seed)
         headline = (f"closed-form equivalence: max deviation "
                     f"{report['max_abs_deviation']:.3e} (tol {report['tolerance']:g}, "
                     f"{report['trials']} trials, "
@@ -189,7 +199,7 @@ def _cmd_verify(args) -> int:
         opt_cfg = _build_optimizer(doc["optimizer"]) if "optimizer" in doc else None
         report = verify_rate_trend(
             problem=problem, opt_cfg=opt_cfg, base_seed=seed,
-            **_given(doc, "T_list", "n_seeds", "ratio_threshold"))
+            **_given(doc, "T_list", "n_seeds"))
         if report["diverged_step"] is not None:
             headline = f"rate trend: diverged at step {report['diverged_step']}"
         else:
@@ -198,8 +208,7 @@ def _cmd_verify(args) -> int:
                         f"(threshold {report['ratio_threshold']:g}, "
                         f"log-log slope {report['loglog_slope']:.2f})")
     elif args.check == "hutchinson":
-        report = verify_probe_unbiasedness(
-            seed=seed, **_given(doc, "n_probes", "dim", "tol"))
+        report = verify_probe_unbiasedness(seed=seed)
         headline = (f"probe unbiasedness: max relative error "
                     f"{report['max_relative_error']:.4f} (tol {report['tolerance']:g}), "
                     f"diagonal exact error {report['diagonal_exact_error']:g}")

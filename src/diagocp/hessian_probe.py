@@ -63,8 +63,5 @@ def hutchinson_diag(hvp_fn, dim: int, cfg: ProbeConfig, seed) -> np.ndarray:
     HV = np.asarray(hvp_fn(V), dtype=np.float64)
     if HV.shape != V.shape:
         raise ValueError(f"hvp_fn returned shape {HV.shape}, expected {V.shape}")
-    acc = np.zeros(V.shape[:-2] + (dim,))
-    for m in range(cfg.n_probes):
-        acc += V[..., m, :] * HV[..., m, :]
-    return acc / cfg.n_probes
+    return (V * HV).sum(axis=-2) / cfg.n_probes
 

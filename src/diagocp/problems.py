@@ -258,15 +258,6 @@ def as_scale(value, name) -> float:
     return value
 
 
-def as_positive(value, name) -> float:
-    """A check's tolerance or threshold as a float; NaN, which would turn
-    the check into a silent FAIL, inf, 0 and negative values are errors."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
 class ProblemOracle:
     """Common interface: eval_loss / eval_grad / hvp plus split evaluation.
 

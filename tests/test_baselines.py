@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 from pytest import approx, mark, raises
 
-from diagocp.baselines import (BASELINE_KINDS, BaselineConfig, BaselineState,
+from diagocp.baselines import (BASELINE_KINDS, BETA2, EPS, BaselineConfig, BaselineState,
                                baseline_step, init_baseline_state)
 from diagocp.harness import RunConfig, SweepSpec, lr_sweep
 from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
@@ -25,13 +27,16 @@ def test_config_validation():
     with raises(ValueError):
         BaselineConfig(kind="sgd", lr=0.0)
     with raises(ValueError):
-        BaselineConfig(kind="adam", lr=0.1, beta1=1.0)
-    with raises(ValueError):
-        BaselineConfig(kind="adam", lr=0.1, eps=0.0)
-    with raises(ValueError):
         BaselineConfig(kind="sgd", lr=0.1, weight_decay=-1.0)
-    with raises(ValueError):
-        BaselineConfig(kind="sgd", lr=0.1, momentum=1.0)
+
+
+@mark.parametrize("removed", ["beta1", "beta2", "eps", "momentum"])
+def test_config_holds_only_kind_lr_and_weight_decay(removed):
+    # Adam's and AdaHessian's published constants are not settings, and sgd
+    # has no momentum
+    assert [f.name for f in fields(BaselineConfig)] == ["kind", "lr", "weight_decay"]
+    with raises(TypeError, match=removed):
+        BaselineConfig(kind="adam", lr=0.1, **{removed: 0.5})
 
 
 def test_init_state():
@@ -55,18 +60,12 @@ def test_sgd_plain_step():
     x1, state = baseline_step(init_baseline_state(2), x, np.array([2.0, 4.0]), cfg)
     np.testing.assert_allclose(x - x1, [0.2, 0.4], atol=1e-15)
     assert state.t == 1
-
-
-def test_sgd_momentum_buffer():
-    cfg = BaselineConfig(kind="sgd", lr=0.1, momentum=0.9)
-    state = init_baseline_state(1)
-    x = np.array([0.0])
-    x, state = baseline_step(state, x, np.array([1.0]), cfg)
-    assert x[0] == approx(-0.1)
-    x, state = baseline_step(state, x, np.array([1.0]), cfg)
-    # buf = 0.9*1 + 1 = 1.9
-    assert state.m[0] == approx(1.9)
-    assert x[0] == approx(-0.1 - 0.19)
+    # no momentum: the second step is -lr * g again, and the buffers stay zero
+    x2, state = baseline_step(state, x1, np.array([2.0, 4.0]), cfg)
+    np.testing.assert_allclose(x1 - x2, [0.2, 0.4], atol=1e-15)
+    assert state.t == 2
+    np.testing.assert_array_equal(state.m, 0.0)
+    np.testing.assert_array_equal(state.v, 0.0)
 
 
 def test_weight_decay_is_decoupled():
@@ -78,11 +77,13 @@ def test_weight_decay_is_decoupled():
 
 
 def test_adam_first_step_is_signed_lr():
-    # eps -> 0 limit: m_hat = g, sqrt(v_hat) = |g|, step = lr * sign(g)
-    cfg = BaselineConfig(kind="adam", lr=0.01, eps=1e-16)
+    # m_hat = g and sqrt(v_hat) = |g|, so the step is lr * g / (|g| + eps),
+    # lr * sign(g) up to eps / |g|
+    cfg = BaselineConfig(kind="adam", lr=0.01)
     g = np.array([0.3, -7.0, 0.002])
     x1, _ = baseline_step(init_baseline_state(3), np.zeros(3), g, cfg)
-    np.testing.assert_allclose(x1, -cfg.lr * np.sign(g), rtol=1e-12)
+    np.testing.assert_allclose(x1, -cfg.lr * g / (np.abs(g) + EPS), rtol=1e-12)
+    np.testing.assert_allclose(x1, -cfg.lr * np.sign(g), rtol=1e-5)
 
 
 def test_adahessian_exact_diagonal_first_step():
@@ -97,7 +98,7 @@ def test_adahessian_exact_diagonal_first_step():
     np.testing.assert_array_equal(h_est, [4.0])
     cfg = BaselineConfig(kind="adahessian", lr=0.1)
     x1, state = baseline_step(init_baseline_state(1), x, g, cfg, h_diag=h_est)
-    assert state.v[0] / (1 - cfg.beta2) == approx(16.0)  # v_hat_H at t'=1
+    assert state.v[0] / (1 - BETA2) == approx(16.0)  # v_hat_H at t'=1
     np.testing.assert_allclose(x - x1, cfg.lr * g / 4.0, rtol=1e-7)
 
 
@@ -112,7 +113,7 @@ def test_adahessian_requires_diagonal():
 
 @mark.parametrize("kind", BASELINE_KINDS)
 def test_zero_gradient_zero_decay_is_identity(kind):
-    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.0, momentum=0.0)
+    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.0)
     x = np.array([1.5, -2.5])
     kwargs = {"h_diag": np.ones(2)} if kind == "adahessian" else {}
     x1, _ = baseline_step(init_baseline_state(2), x, np.zeros(2), cfg, **kwargs)
@@ -149,7 +150,7 @@ def test_state_is_not_mutated_in_place():
 
 @mark.parametrize("kind", BASELINE_KINDS)
 def test_stacked_step_equals_each_row_alone(kind):
-    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01, momentum=0.5)
+    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01)
     rng = np.random.default_rng(3)
     X, G = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     Hd = rng.uniform(0.1, 2.0, (3, 4))
@@ -168,7 +169,7 @@ def test_stacked_step_equals_each_row_alone(kind):
 @mark.parametrize("t", [0, 2, 10])
 def test_lr_column_step_equals_each_row_at_its_scalar_lr(kind, t):
     lrs = np.array([0.5, 0.1, 3e-3, 1e-4])
-    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01, momentum=0.5)
+    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01)
     rng = np.random.default_rng(5)
     X, G = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
     Hd = rng.uniform(0.1, 2.0, (4, 6))
@@ -192,6 +193,6 @@ def test_adahessian_trains_on_the_criterion_7_protocol():
     base = RunConfig(problem=MlpRegression(), optimizer="adahessian",
                      opt_cfg=BaselineConfig(kind="adahessian", lr=0.1, weight_decay=0.008),
                      max_steps=150, base_seed=42, n_seeds=5)
-    result = lr_sweep(SweepSpec(metric="min_val"), base)
+    result = lr_sweep(SweepSpec(), base)
     median = float(np.median([r.min_val for r in result.records[result.selected_lr]]))
     assert result.selected_lr >= 0.01 and median < 0.5

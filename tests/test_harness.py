@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx, raises
 
 from diagocp import cli, harness
@@ -57,8 +59,9 @@ def test_run_config_validation():
         quad_run(optimizer="adam", opt_cfg=BaselineConfig(kind="sgd", lr=0.1))
     with raises(ValueError):
         quad_run(max_steps=0)
-    with raises(ValueError):
-        quad_run(x0=[1.0, 2.0])  # dim 2 against a dim-3 problem
+    # replicates start from their seeded default_init; there is no x0
+    with raises(TypeError, match="x0"):
+        quad_run(x0=[1.0, 2.0, 3.0])
     # a step index past 2**32 - 1 has no stream; only constructed, never run
     with raises(ValueError, match="max_steps"):
         quad_run(max_steps=2**32 + 1)
@@ -76,12 +79,6 @@ def test_run_config_counts_and_seed_are_integers(key):
     assert value == 3 and type(value) is int
 
 
-def test_run_config_coerces_x0():
-    cfg = quad_run(x0=[1.0, 2.0, 3.0])
-    assert isinstance(cfg.x0, np.ndarray)
-    assert cfg.x0.dtype == np.float64
-
-
 # --- optimizer interface --------------------------------------------------------
 
 # kind -> (config, lr, lr field, probe, mu), the values the harness used
@@ -90,7 +87,7 @@ INTERFACE = {
     "diag_ocp": (OptimizerConfig(alpha=0.03, mu=1e-3, g_d=1e3, n_probes=3,
                                  probe_distribution="rademacher"),
                  0.03, "alpha", ProbeConfig(n_probes=3, distribution="rademacher"), 1e-3),
-    "sgd": (BaselineConfig(kind="sgd", lr=0.2, momentum=0.9), 0.2, "lr", None, None),
+    "sgd": (BaselineConfig(kind="sgd", lr=0.2, weight_decay=0.01), 0.2, "lr", None, None),
     "adam": (BaselineConfig(kind="adam", lr=0.01), 0.01, "lr", None, None),
     "adahessian": (BaselineConfig(kind="adahessian", lr=0.1), 0.1, "lr",
                    ProbeConfig(n_probes=1, distribution="rademacher"), None),
@@ -124,11 +121,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: OptimizerConfig(safeguard_rho_max=NAN),
     lambda: BaselineConfig(kind="sgd", lr=INF),
     lambda: BaselineConfig(kind="adam", lr=0.1, weight_decay=NAN),
-    lambda: BaselineConfig(kind="adam", lr=0.1, eps=INF),
-    lambda: BaselineConfig(kind="sgd", lr=0.1, momentum=NAN),
 ], ids=["ocp-wd-nan", "ocp-alpha-inf", "ocp-mu-nan", "ocp-g_d-inf",
-        "ocp-beta2-neginf", "ocp-rho_max-nan", "sgd-lr-inf", "adam-wd-nan",
-        "adam-eps-inf", "sgd-momentum-nan"])
+        "ocp-beta2-neginf", "ocp-rho_max-nan", "sgd-lr-inf", "adam-wd-nan"])
 def test_configs_reject_non_finite_hyperparameters(make):
     with raises(ValueError, match="must be finite"):
         make()
@@ -319,7 +313,7 @@ def reference_run(cfg, rep):
     recorded loss is non-finite."""
     prob, opt, ocfg = cfg.problem, cfg.optimizer, cfg.opt_cfg
     base = _replicate_base(cfg.base_seed, rep)
-    x = cfg.x0.copy() if cfg.x0 is not None else prob.default_init(_init_rng(base))
+    x = prob.default_init(_init_rng(base))
     if opt == "diag_ocp":
         probe = ProbeConfig(n_probes=ocfg.n_probes, distribution=ocfg.probe_distribution)
         state = init_state(prob.dim, ocfg)
@@ -419,10 +413,10 @@ STACK_CASES = {
         "adahessian", BaselineConfig(kind="adahessian", lr=0.05)),
     "least_squares-minibatch-sgd": (
         lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
-        "sgd", BaselineConfig(kind="sgd", lr=0.05, momentum=0.9)),
+        "sgd", BaselineConfig(kind="sgd", lr=0.05, weight_decay=0.01)),
     "least_squares-noise-sgd": (
         lambda: NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, noise_std_grad=0.05),
-        "sgd", BaselineConfig(kind="sgd", lr=0.05, momentum=0.9)),
+        "sgd", BaselineConfig(kind="sgd", lr=0.05, weight_decay=0.01)),
     "least_squares-minibatch-diag_ocp": (
         lambda: CentralLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8),
         "diag_ocp", OptimizerConfig(alpha=0.05, n_probes=3)),
@@ -603,17 +597,16 @@ def test_sweep_spec_validation():
         SweepSpec(coarse_grid=(1e-3, 1e-2))  # ascending
     with raises(ValueError):
         SweepSpec(coarse_grid=(1e-2, -1e-3))
-    with raises(ValueError):
-        SweepSpec(refine_factors=())
-    with raises(ValueError):
-        SweepSpec(metric="wall_ms")
     for bad in (float("nan"), float("inf")):
         with raises(ValueError, match="finite"):
             SweepSpec(coarse_grid=(bad,))
         with raises(ValueError, match="finite"):
             SweepSpec(coarse_grid=(1e-1, bad))
-        with raises(ValueError, match="finite"):
-            SweepSpec(refine_factors=(1.0, bad))
+    # the refine set and the selection metric are fixed, not settings
+    assert [f.name for f in fields(SweepSpec)] == ["coarse_grid"]
+    for removed in ("refine_factors", "metric"):
+        with raises(TypeError, match=removed):
+            SweepSpec(**{removed: (1.0,)})
 
 
 def test_lr_sweep_selects_and_refines():
@@ -633,11 +626,40 @@ def test_lr_sweep_selects_and_refines():
 
 
 def test_lr_sweep_single_point_grid():
-    spec = SweepSpec(coarse_grid=(0.05,), refine_factors=(10.0,))
-    result = lr_sweep(spec, quad_run(max_steps=30))
-    # refinement of {10 * 0.05 / 10} is the winner itself: one grid point total
-    assert result.selected_lr == 0.05
-    assert list(result.records) == [0.05]
+    result = lr_sweep(SweepSpec(coarse_grid=(0.05,)), quad_run(max_steps=30))
+    # the refine stage adds the winner's x/2 and x/10, and reruns nothing
+    assert list(result.records) == [0.05, 0.025, 0.005]
+    assert [r["stage"] for r in result.rows] == ["coarse", "refine", "refine"]
+    assert result.selected_lr in result.records
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-8.0, max_value=2.0))
+def test_lr_sweep_one_lr_grid_runs_exactly_three_lrs(log_lr):
+    # x * 10 / 10 missed x for about 12% of lrs, and the rerun winner then
+    # wrote a second copy of its rows
+    lr = 10.0 ** log_lr
+    base = quad_run(max_steps=2, optimizer="sgd", opt_cfg=BaselineConfig(kind="sgd", lr=1.0))
+    result = lr_sweep(SweepSpec(coarse_grid=(lr,)), base)
+    assert len(result.records) == len(result.rows) == 3
+    assert lr in result.records
+
+
+def test_lr_sweep_refine_set_contains_the_coarse_winner_itself(tmp_path, capsys):
+    # 0.007 * 10 / 10 is 0.007000000000000001: the refine stage reran the
+    # winner as a fifth lr, selected it, and wrote its run_ids twice
+    doc = {**RUN_DOC, "optimizer": {"kind": "sgd", "lr": 0.1},
+           "sweep": {"coarse_grid": [0.007, 0.0001]}}
+    out = tmp_path / "r"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    assert "selected lr 0.007 for sgd (min_val over 4 grid points)" in capsys.readouterr().out
+    swept = [float(row[0]) for row in read_csv(out / "sweep.csv")[1:]]
+    assert sorted(swept, reverse=True) == [0.007, 0.0035, 0.0007, 0.0001]
+    summary_lrs = [row[1] for row in read_csv(out / "summary.csv")[1:]]
+    assert len(summary_lrs) == len(set(summary_lrs)) == 4
+    keys = [(row[0], row[5]) for row in read_csv(out / "steps.csv")[1:]]
+    assert len(keys) == len(set(keys))
 
 
 def test_lr_sweep_all_diverged():
@@ -673,7 +695,7 @@ SWEEP_PROBLEMS = {
 }
 SWEEP_OPTIMIZERS = {
     "diag_ocp": MLP_OCP,   # 4 Rademacher probes
-    **{kind: BaselineConfig(kind=kind, lr=0.1, weight_decay=0.008, momentum=0.5)
+    **{kind: BaselineConfig(kind=kind, lr=0.1, weight_decay=0.008)
        for kind in ("sgd", "adam", "adahessian")},
 }
 
@@ -1116,46 +1138,42 @@ def test_ablate_mu_requires_diag_ocp():
         ablate_mu([0.0], quad_run())
 
 
-@pytest.mark.parametrize("values, control_clip_lo", [
-    ([1e-3, 1e5], 1e-12), ([1e-3, float("nan")], 1e-12), ([1e-3], 0.0), ([1e-3], 1e9),
-], ids=["floor-above-g_d", "nan-floor", "zero-control", "control-above-g_d"])
-def test_ablate_mu_rejects_a_bad_floor_before_any_run(monkeypatch, values, control_clip_lo):
-    # a floor above g_d (1e4) or a bad control used to fail after the
-    # floors before it had run
+@pytest.mark.parametrize("values", [[1e-3, 1e5], [1e-3, float("nan")]],
+                         ids=["floor-above-g_d", "nan-floor"])
+def test_ablate_mu_rejects_a_bad_floor_before_any_run(monkeypatch, values):
+    # a floor above g_d (1e4) used to fail after the floors before it had run
     monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
     with raises(ValueError, match="mu"):
-        ablate_mu(values, quad_run(), control_clip_lo=control_clip_lo)
+        ablate_mu(values, quad_run())
 
 
-@pytest.mark.parametrize("values, control_clip_lo", [
-    ([1e-3, 1e-3], 1e-12), ([1e-3, 1e-4], 1e-4),
-], ids=["repeated-floor", "floor-equal-to-control"])
-def test_ablate_mu_rejects_a_repeated_floor_before_any_run(monkeypatch, values,
-                                                           control_clip_lo):
+@pytest.mark.parametrize("values", [[1e-3, 1e-3], [1e-3, 1e-12]],
+                         ids=["repeated-floor", "floor-equal-to-control"])
+def test_ablate_mu_rejects_a_repeated_floor_before_any_run(monkeypatch, values):
     # a repeated floor used to run again and write its (run_id, step) rows twice
     monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
     with raises(ValueError, match="distinct"):
-        ablate_mu(values, quad_run(), control_clip_lo=control_clip_lo)
+        ablate_mu(values, quad_run())
 
 
 def test_ablate_mu_runs_values_and_control():
-    ablation = ablate_mu([1e-3, 1e-5], quad_run(max_steps=10),
-                         control_clip_lo=1e-10)
+    ablation = ablate_mu([1e-3, 1e-5], quad_run(max_steps=10))
     assert set(ablation.runs) == {1e-3, 1e-5, "control"}
     assert ablation.runs[1e-3][0].mu == 1e-3
-    assert ablation.runs["control"][0].mu == 1e-10
+    assert ablation.control_clip_lo == harness.CONTROL_CLIP_LO == 1e-12
+    assert ablation.runs["control"][0].mu == 1e-12
+    with raises(TypeError, match="control_clip_lo"):
+        ablate_mu([1e-3], quad_run(), control_clip_lo=1e-10)
 
 
 # --- verification ops -------------------------------------------------------------
 
 def test_verify_closed_form_equivalence():
-    report = verify_closed_form_equivalence(trials=50, seed=1)
+    report = verify_closed_form_equivalence(seed=1)
     assert report["pass"]
     assert report["max_abs_deviation"] <= report["tolerance"]
     # the floor at -rho_max never touches a flat trial, so none is excluded
     assert report["excluded_safeguarded"] == 0
-    with raises(ValueError):
-        verify_closed_form_equivalence(trials=0)
 
 
 def test_verify_rate_trend_small():
@@ -1190,21 +1208,31 @@ def test_verify_rate_trend_rejects_a_baseline_config():
 
 
 def test_verify_probe_unbiasedness_small():
-    report = verify_probe_unbiasedness(n_probes=20_000, seed=0, dim=4, tol=0.1)
+    report = verify_probe_unbiasedness(seed=1)
     assert report["pass"]
+    assert report["max_relative_error"] <= report["tolerance"]
     assert report["diagonal_exact_error"] == 0.0
-    with raises(ValueError):
-        verify_probe_unbiasedness(n_probes=0)
 
 
-# verify subcommand -> (check, its reported knobs: argument -> report key)
+# verify subcommand -> (check, its parameters, the report entries that its
+# defaults and its own pass criterion fix)
 VERIFY_CHECKS = {
-    "lemma1": (verify_closed_form_equivalence, {"trials": "trials", "tol": "tolerance"}),
-    "rate": (verify_rate_trend, {"T_list": "T_list", "n_seeds": "n_seeds",
-                                 "ratio_threshold": "ratio_threshold"}),
-    "hutchinson": (verify_probe_unbiasedness, {"n_probes": "n_probes", "dim": "dim",
-                                               "tol": "tolerance"}),
+    "lemma1": (verify_closed_form_equivalence, ["seed"],
+               {"trials": 200, "tolerance": 1e-9}),
+    "rate": (verify_rate_trend, ["problem", "opt_cfg", "T_list", "n_seeds", "base_seed"],
+             {"T_list": [100, 200, 400], "n_seeds": 20, "ratio_threshold": 0.6}),
+    "hutchinson": (verify_probe_unbiasedness, ["seed"],
+                   {"n_probes": 100_000, "dim": 8, "tolerance": 0.05}),
 }
+# the arguments that set a check's pass criterion or its size, removed so
+# that no caller or config can loosen a release criterion
+REMOVED_CHECK_KNOBS = {"tol", "trials", "ratio_threshold", "n_probes", "dim"}
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_CHECKS))
+def test_verify_checks_own_their_pass_criterion(check):
+    func, params, _ = VERIFY_CHECKS[check]
+    assert list(inspect.signature(func).parameters) == params
 
 
 @pytest.mark.parametrize("check, knob, value", [
@@ -1217,8 +1245,10 @@ VERIFY_CHECKS = {
 ])
 def test_verify_checks_reject_bad_knobs(check, knob, value):
     # a NaN tolerance used to make a silent FAIL, and a fractional count or
-    # seed a TypeError, or a run
-    with raises(ValueError, match=knob):
+    # seed a TypeError, or a run. A tolerance, threshold or size is no
+    # argument now, so no value of it reaches a check
+    error = TypeError if knob in REMOVED_CHECK_KNOBS else ValueError
+    with raises(error, match=knob):
         VERIFY_CHECKS[check][0](**{knob: value})
 
 
@@ -1420,14 +1450,15 @@ def test_cli_verify_pass_writes_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("check", sorted(VERIFY_CHECKS))
 def test_cli_verify_without_a_config_runs_the_library_defaults(tmp_path, capsys, check):
-    # the defaults live in the library's signatures, not in the CLI
+    # the defaults live in the library, not in the CLI
     assert cli.main(["verify", check, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / f"verify_{check}.json").read_text())
-    func, knobs = VERIFY_CHECKS[check]
-    params = inspect.signature(func).parameters
-    for name, key in knobs.items():
-        assert report[key] == json.loads(json.dumps(params[name].default))
+    func, params, fixed = VERIFY_CHECKS[check]
+    for key, value in fixed.items():
+        assert report[key] == value
+        if key in params:
+            assert json.loads(json.dumps(inspect.signature(func).parameters[key].default)) == value
 
 
 def strict_json(text):
@@ -1479,11 +1510,15 @@ def test_verify_rate_trend_stops_at_the_first_diverged_step(monkeypatch):
 
 
 def test_cli_verify_fail_exit_code(tmp_path, capsys):
-    doc = {"T_list": [20, 40], "n_seeds": 1, "ratio_threshold": 1e-12,
-           "problem": {"kind": "quadratic", "h": [1.0, 2.0]}}
+    # at alpha 1e-6 the gradient norm barely moves between T=20 and T=21,
+    # so the ratio stays above the check's 0.6 and nothing diverges
+    doc = {"T_list": [20, 21], "n_seeds": 1,
+           "problem": {"kind": "quadratic", "h": [1.0, 2.0]},
+           "optimizer": {"kind": "diag_ocp", "alpha": 1e-6}}
     cfg = write_config(tmp_path, doc)
     assert cli.main(["verify", "rate", "--config", cfg]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL rate trend: min-grad-norm^2 ratio 1.000" in out and "threshold 0.6" in out
 
 
 def test_cli_broken_oracle_is_exit_2_not_diverged(tmp_path, capsys, monkeypatch):
@@ -1531,10 +1566,14 @@ def test_cli_non_finite_hyperparameter_is_exit_2(tmp_path, capsys):
     ("rate", "ratio_threshold", -0.5),
 ])
 def test_cli_bad_check_knob_is_exit_2(tmp_path, capsys, check, knob, value):
-    # a NaN tolerance made the comparison false: a FAIL with exit 1
-    doc = {"trials": 20, "n_probes": 100, "T_list": [20, 40], "n_seeds": 1, knob: value}
-    assert cli.main(["verify", check, "--config", write_config(tmp_path, doc)]) == 2
-    assert knob in json.loads(capsys.readouterr().err)["message"]
+    # a NaN tolerance made the comparison false: a FAIL with exit 1. A
+    # check's pass criterion is no config key now, whatever its value
+    doc = {"T_list": [20, 40], "n_seeds": 1, knob: value}
+    assert cli.main(["verify", check, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == f"unknown config keys: {knob!r}"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("key", ["max_steps", "n_seeds", "record_every"])
@@ -1604,12 +1643,56 @@ def test_cli_fractional_rate_horizon_is_exit_2(tmp_path, capsys):
 
 
 def test_cli_non_finite_refine_factor_is_exit_2_before_the_sweep(tmp_path, capsys, monkeypatch):
-    # the coarse stage used to run in full before lr NaN failed
+    # the coarse stage used to run in full before lr NaN failed; the refine
+    # set is fixed now, so any refine_factors is an unknown sweep key
     monkeypatch.setattr(cli, "lr_sweep", lambda *a: pytest.fail("sweep ran"))
     doc = {**RUN_DOC, "sweep": {"refine_factors": [float("nan")]}}
     assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "r")]) == 2
-    assert "refine factors" in json.loads(capsys.readouterr().err)["message"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TypeError" and "refine_factors" in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", {**RUN_DOC, "x0": [1.0, 2.0, 3.0]}),
+    ("ablate-mu", {**RUN_DOC, "mu_values": [1e-3], "control_clip_lo": 1e-10}),
+    ("verify", {"trials": 20}), ("verify", {"n_probes": 100}), ("verify", {"dim": 4}),
+], ids=["x0", "control_clip_lo", "trials", "n_probes", "dim"])
+def test_cli_removed_top_level_key_is_exit_2(tmp_path, capsys, monkeypatch, command, doc):
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    argv = [command] + (["hutchinson"] if command == "verify" else [])
+    assert cli.main(argv + ["--config", write_config(tmp_path, doc),
+                            "--out", str(tmp_path / "r")]) == 2
+    (removed,) = set(doc) - set(RUN_DOC) - {"mu_values"}
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"unknown config keys: {removed!r}")
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_removed_sweep_metric_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the sweep object goes whole to SweepSpec, so an unknown key is not
+    # dropped; the sweep always selects by min_val
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    doc = {**RUN_DOC, "sweep": {"coarse_grid": [0.1, 0.01], "metric": "min_val"}}
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TypeError" and "metric" in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate-mu", "compare"])
+def test_cli_misspelled_keys_are_exit_2(tmp_path, capsys, monkeypatch, command):
+    # max_step and n_seed used to be dropped: 1 replicate of 100 steps, exit 0
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    doc = {**COMPARE_DOC, **RUN_DOC, "mu_values": [1e-3], "max_step": 5, "n_seed": 3}
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "unknown config keys: 'max_step', 'n_seed'"}
+    assert not (tmp_path / "r").exists()
 
 
 COMPARE_DOC = {
