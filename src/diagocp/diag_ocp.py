@@ -151,7 +151,7 @@ def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig):
     d_next = cfg.beta2 * state.D + (1.0 - cfg.beta2) * H
     m_hat = m_next / (1.0 - cfg.beta1 ** t_next)
     d_hat = d_next / (1.0 - cfg.beta2 ** t_next)
-    d_hat = np.clip(d_hat, cfg.mu, cfg.g_d)
+    np.minimum(np.maximum(d_hat, cfg.mu, out=d_hat), cfg.g_d, out=d_hat)
     return OptimizerState(t=t_next, m=m_next, D=d_next), m_hat, d_hat
 
 

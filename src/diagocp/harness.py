@@ -7,20 +7,22 @@ Seeding scheme: every replicate derives its own 64-bit stream base from
 BatchSeed(stream_base, step, channel). A run, or a whole sweep, builds its
 replicates' streams once before the first step (`_streams`): one
 stream_states table of every replicate's PCG64 seed words at steps
-0..max_steps-1, so no step hashes a SeedSequence, and for a minibatch
-oracle one index table per channel it samples rows on, with every
-(replicate, step) minibatch drawn ahead, so the two stages of a sweep read
-one set of draws. A full-batch oracle that adds gradient noise derives each
-step's GRADIENT streams and draws its noise from them. The words, and so
-the draws, are SeedSequence's own.
+0..max_steps-1, so no step hashes a SeedSequence; under a probe, one table
+of every (replicate, step) probe block; and for a minibatch oracle one
+index table per channel it samples rows on, with every (replicate, step)
+minibatch drawn ahead. So the two stages of a sweep read one set of draws.
+A full-batch oracle that adds gradient noise derives each step's GRADIENT
+streams and draws its noise from them. The words, and so the draws, are
+SeedSequence's own.
 Each replicate owns its state and RNG streams, and each learning rate is
 only a per-row column in the step, so a whole sweep stage runs as one
 (n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Each step
 builds one StackSeed per channel the oracle reads, whose row map sends
-every row to its replicate, so the step gathers its rows' minibatches from
-the table and draws its noise or probes once per replicate, not once per
-row. Each row's record is the one it would get run alone: it depends
-neither on the stack height nor on which other lrs or replicates share it.
+every row to its replicate, so the step gathers its rows' minibatches and
+probe blocks from the tables and draws its noise once per replicate, not
+once per row. Each row's record is the one it would get run alone: it
+depends neither on the stack height nor on which other lrs or replicates
+share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
 stage pays the per-step Python cost once for all of its rows. Step k
@@ -68,7 +70,7 @@ import numpy as np
 from .baselines import BaselineConfig, BaselineState, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_form,
                        step_recursive_reference, update_moments)
-from .hessian_probe import ProbeConfig, hutchinson_diag
+from .hessian_probe import ProbeConfig, hutchinson_diag, probe_table
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
                        _row_dots, _row_norms, as_integer, stream_states)
 
@@ -186,7 +188,7 @@ class _Streams(NamedTuple):
 
     bases: list          # the replicates' stream bases
     words: np.ndarray    # their stream_states table at steps 0..max_steps-1
-    tables: dict         # each channel drawn on -> its index table, or None
+    tables: dict         # each channel drawn on -> its table of draws, or None
     rows: np.ndarray     # the replicate of each stack row
 
 
@@ -195,20 +197,23 @@ def _streams(cfg: RunConfig) -> _Streams:
     steps them: a run's, or both stages of a sweep.
 
     The stream_states words of every replicate, step and channel come from
-    one vectorized pass. The probe is drawn at each step. At a batch_size,
-    GRADIENT and, under a probe, HESSIAN_NOISE draw minibatches, which go
-    ahead into one index table per channel (see `batch_table`), so a sweep
-    draws them once, not once per stage. A noisy full-batch oracle draws
+    one vectorized pass. Under a probe, every probe block goes ahead into
+    one table (see `probe_table`; None, so each step draws its blocks, when
+    it would be too large to build). At a batch_size, GRADIENT and, under a
+    probe, HESSIAN_NOISE draw minibatches, which go ahead into one index
+    table per channel (see `batch_table`). So a sweep draws each block and
+    minibatch once, not once per stage. A noisy full-batch oracle draws
     only its gradient noise, on GRADIENT at each step; no HVP reads noise,
     so it seeds no HESSIAN_NOISE. The row map is one tile of the replicates.
     """
-    problem, bases = cfg.problem, [_replicate_base(cfg.base_seed, rep)
-                                   for rep in range(cfg.n_seeds)]
+    problem, probe = cfg.problem, cfg.opt_cfg.probe
+    bases = [_replicate_base(cfg.base_seed, rep) for rep in range(cfg.n_seeds)]
     words = stream_states(bases, range(cfg.max_steps))
-    tables = {Channel.PROBE: None}
+    tables = {Channel.PROBE: None if probe is None
+              else probe_table(probe, problem.dim, bases, words)}
     if problem.batch_size is not None:
         drawn = [Channel.GRADIENT]
-        if cfg.opt_cfg.probe is not None:
+        if probe is not None:
             drawn.append(Channel.HESSIAN_NOISE)
         for channel in drawn:
             tables[channel] = problem.batch_table(bases, channel, words)
@@ -234,8 +239,9 @@ def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
     opt_cfg.probe and state is None before the first step. Row r draws its
     noise from the streams of its replicate (see `_streams`) and steps with
     lr[r], an (R, 1) column (opt_cfg's lr when None), so it steps exactly
-    as it would alone. Returns (x_next, state', rho, clamped) with one rho and
-    clamp count per row, both None for the baselines. diag_ocp's path is
+    as it would alone. Returns (x_next, state', step_norm, rho, clamped)
+    with one ||x_next - x||, rho and clamp count per row; rho and clamped
+    are None for the baselines. diag_ocp's path is
     probe -> clip -> moments -> closed-form step, and adahessian steps on
     the raw probe estimate; this is the one branch on the optimizer family,
     because the two step algorithms differ.
@@ -250,11 +256,11 @@ def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
             state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
         state, m_hat, d_hat = update_moments(state, g, clip_diag(raw, opt_cfg), opt_cfg)
         x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg, lr=lr)
-        return x_next, state, diag.rho, diag.row_clamped
+        return x_next, state, diag.step_norm, diag.rho, diag.row_clamped
     if state is None:
         state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
     x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=raw, lr=lr)
-    return x_next, state, None, None
+    return x_next, state, _row_norms(x_next - x), None, None
 
 
 def _take(state, rows):
@@ -270,6 +276,13 @@ def _init_stack(problem, bases):
     """Initial (R, dim) iterate stack: each replicate's seeded default
     initialization."""
     return np.stack([problem.default_init(_init_rng(b)) for b in bases])
+
+
+def _label(value: float) -> str:
+    """value as `:g` prints it when that reads back as the same float, else
+    its repr, so two values never share a run_id."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
@@ -332,9 +345,8 @@ def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
               grad_norm_sq=_row_dots(g))
         slot = 1
         for k in range(1, cfg.max_steps + 1):
-            x_next, state, rho, clamped = step(state, x, g, streams, k, lr_col)
-            write(live, slot, steps=k, grad_norm_sq=_row_dots(g),
-                  step_norm=_row_norms(x_next - x))
+            x_next, state, step_norm, rho, clamped = step(state, x, g, streams, k, lr_col)
+            write(live, slot, steps=k, grad_norm_sq=_row_dots(g), step_norm=step_norm)
             if rho is not None:
                 write(live, slot, rho=rho, safeguard_count=clamped)
             x = x_next
@@ -369,7 +381,7 @@ def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
     def record(row, lr, rep):
         traj = {name: column[row, :length[row]] for name, column in table.items()}
         val, best = traj["val_loss"], int(np.argmin(traj["val_loss"]))
-        tag = f"{cfg.optimizer}-lr{lr:g}" + ("" if mu is None else f"-mu{mu:g}")
+        tag = f"{cfg.optimizer}-lr{_label(lr)}" + ("" if mu is None else f"-mu{_label(mu)}")
         return RunRecord(
             run_id=f"{tag}-s{rep}", optimizer=cfg.optimizer, lr=lr, mu=mu, seed=rep,
             **traj, final_train=float(traj["train_loss"][-1]), final_val=float(val[-1]),
@@ -494,7 +506,9 @@ CONTROL_CLIP_LO = 1e-12
 def ablate_mu(values, base: RunConfig) -> MuAblation:
     """One run set per clip floor plus an effectively-unclamped control at
     CONTROL_CLIP_LO. The floors, the control's included, must be distinct,
-    so each run's (run_id, step) rows are written once.
+    so each run's (run_id, step) rows are written once. The floors differ
+    only in mu, so every run reads one `_streams`: each probe block and
+    minibatch is drawn once per ablation, not once per floor.
     """
     if not isinstance(base.opt_cfg, OptimizerConfig):
         raise ValueError("the clip-floor ablation needs an OptimizerConfig")
@@ -508,7 +522,9 @@ def ablate_mu(values, base: RunConfig) -> MuAblation:
                          f"must be distinct, got {list(values)}")
     # every config first: OptimizerConfig rejects a bad floor before any run
     cfgs = [replace(base, opt_cfg=replace(base.opt_cfg, mu=v)) for v in floors]
-    runs = dict(zip(values + ("control",), map(run_experiment, cfgs)))
+    streams = _streams(base)
+    runs = {key: _run_stack(cfg, [cfg.opt_cfg.lr], streams)[0]
+            for key, cfg in zip(values + ("control",), cfgs)}
     return MuAblation(values=values, control_clip_lo=CONTROL_CLIP_LO, runs=runs)
 
 
@@ -598,7 +614,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, t_max + 1):
             g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))
-            x, state, _, _ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
+            x, state, *_ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
             if not np.isfinite(x).all():
                 diverged_step = k
                 break

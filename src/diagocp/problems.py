@@ -83,8 +83,8 @@ class BatchSeed:
         )
         return np.random.default_rng(ss)
 
-    # a lone seed has no minibatch drawn ahead (see StackSeed.batch)
-    batch = None
+    # a lone seed has nothing drawn ahead (see StackSeed.drawn)
+    drawn = None
 
     def generators(self):
         """([this seed's generator], 0), the layout of StackSeed.generators."""
@@ -99,11 +99,13 @@ class StackSeed:
     rows starts as np.tile(arange(n_seeds), n_lrs) and loses the rows that
     leave the stack. `words`, when given, is the (len(bases), 4) slice of
     the stack's stream_states at this step and channel. `table`, when
-    given, is the channel's (len(bases), n_steps, batch_size) index array
-    from `_SampleBased.batch_table`, over the same bases and covering
-    step_index: the rows' minibatches are then read from it and no stream
-    is derived. Only a minibatch oracle reads a table; a noisy full-batch
-    oracle derives its noise from the streams either way."""
+    given, holds the channel's draws made ahead over the same bases, one
+    per (base, step) and covering step_index: a minibatch channel's
+    (len(bases), n_steps, batch_size) indices from
+    `_SampleBased.batch_table`, or PROBE's (len(bases), n_steps, n_probes,
+    dim) blocks from `hessian_probe.probe_table`. The rows' draws are then
+    read from it and no stream is derived. A noisy full-batch oracle has
+    no table and derives its noise from the streams."""
 
     def __init__(self, bases, step_index, channel, rows, words=None, table=None):
         self.bases, self.step_index, self.channel = bases, step_index, channel
@@ -113,9 +115,9 @@ class StackSeed:
         if words is not None and np.shape(words) != (len(bases), 4):
             raise ValueError(f"seed words must be shaped ({len(bases)}, 4)")
         if table is not None and len(table) != len(bases):
-            raise ValueError(f"a batch table must hold the {len(bases)} replicate bases")
+            raise ValueError(f"a table must hold the {len(bases)} replicate bases")
         if table is not None and not 0 <= step_index < table.shape[1]:
-            raise ValueError(f"a batch table of {table.shape[1]} steps has no "
+            raise ValueError(f"a table of {table.shape[1]} steps has no "
                              f"step index {step_index}")
         self.words = [None] * len(bases) if words is None else words
         self.table = table
@@ -124,9 +126,9 @@ class StackSeed:
         return len(self.rows)
 
     @property
-    def batch(self):
-        """The (R, batch_size) minibatch indices of the rows, read from the
-        table; None without one."""
+    def drawn(self):
+        """The rows' draws read from the table, one per row: minibatch
+        indices or probe blocks. None without a table."""
         return None if self.table is None else self.table[self.rows, self.step_index]
 
     def generators(self):
@@ -350,7 +352,7 @@ class ProblemOracle:
         in one pass."""
         if seed is None or self.batch_size is None:
             return self._train_data
-        batch = seed.batch
+        batch = seed.drawn
         if batch is None:
             gens, rows = seed.generators()
             batch = np.array([self._sample(rng) for rng in gens])[rows]
@@ -407,9 +409,11 @@ class ProblemOracle:
              / np.where(norms == 0.0, 1.0, norms + _TINY))
         steps = h[..., None] * V
         at = x[..., None, :]
-        points = np.concatenate((at + steps, at - steps), axis=-2)
-        grads = self._grads(points, self._data(seed))
         n = V.shape[-2]
+        points = np.empty(V.shape[:-2] + (2 * n, V.shape[-1]))
+        np.add(at, steps, out=points[..., :n, :])
+        np.subtract(at, steps, out=points[..., n:, :])
+        grads = self._grads(points, self._data(seed))
         return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
 
     def _check(self, x, seed=None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
@@ -104,6 +105,18 @@ def test_corrected_d_stays_in_clip_range_over_500_steps():
         scale = 1 - cfg.beta2 ** state.t
         assert np.all(state.D >= cfg.mu * scale - 1e-15)
         assert np.all(state.D <= cfg.g_d * scale + 1e-9)
+
+
+@pytest.mark.parametrize("endpoint", ["mu", "g_d"])
+def test_corrected_d_at_a_clip_endpoint_carries_no_rounding_dust(endpoint):
+    # the bias-corrected EMA of a constant endpoint lands past it by float
+    # rounding at some steps (below mu, above g_d); the final clamp removes it
+    cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
+    value = getattr(cfg, endpoint)
+    state = init_state(1, cfg)
+    for _ in range(2000):
+        state, _, d_hat = update_moments(state, np.zeros(1), np.full(1, value), cfg)
+        assert cfg.mu <= d_hat[0] <= cfg.g_d
 
 
 # --- closed-form step ------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
-from diagocp import cli, harness
+from diagocp import cli, harness, hessian_probe
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
 from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
                               update_moments)
@@ -662,6 +662,26 @@ def test_lr_sweep_refine_set_contains_the_coarse_winner_itself(tmp_path, capsys)
     assert len(keys) == len(set(keys))
 
 
+def test_lrs_that_print_alike_get_distinct_run_ids(tmp_path, capsys):
+    # 0.7 / 10 is 0.06999999999999999, which :g prints as the coarse 0.07,
+    # so both lrs wrote their rows under sgd-lr0.07-s*
+    doc = {**RUN_DOC, "problem": {"kind": "quadratic", "h": [0.5, 1.0]},
+           "optimizer": {"kind": "sgd", "lr": 0.1}, "sweep": {"coarse_grid": [0.7, 0.07]}}
+    out = tmp_path / "r"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    rows = read_csv(out / "steps.csv")[1:]
+    assert len(rows) == 88
+    assert len({(row[0], row[5]) for row in rows}) == 88
+    assert {row[0] for row in rows} >= {"sgd-lr0.07-s0", "sgd-lr0.06999999999999999-s0"}
+
+
+@pytest.mark.parametrize("lr, label", [(0.05, "0.05"), (1e-05, "1e-05"), (0.35, "0.35"),
+                                       (0.1 / 3, "0.03333333333333333")])
+def test_run_ids_print_the_lr_as_g_when_it_reads_back(lr, label):
+    assert harness._label(lr) == label
+
+
 def test_lr_sweep_all_diverged():
     base = quad_run(max_steps=30, optimizer="sgd",
                     opt_cfg=BaselineConfig(kind="sgd", lr=1.0))
@@ -764,16 +784,23 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
     assert not all(r.diverged for recs in result.records.values() for r in recs)
 
 
+def tabled(streams):
+    """Each channel the streams seed -> whether its draws are tabled."""
+    return {channel: table is not None for channel, table in streams.tables.items()}
+
+
 @pytest.mark.parametrize("case", ["least_squares-noise-diag_ocp",
                                   "least_squares-noise-sgd", "mlp-noise-diag_ocp"])
 def test_lr_sweep_with_gradient_noise_matches_the_reference(case, tmp_path):
     # a noisy oracle has no minibatch to table: both stages derive each
-    # step's GRADIENT streams and draw the noise from them; every lr must
-    # still draw exactly what the reference's lone per-step seeds draw
+    # step's GRADIENT streams and draw the noise from them, and read one
+    # probe table; every lr must still draw exactly what the reference's
+    # lone per-step seeds draw
     make, optimizer, opt_cfg = STACK_CASES[case]
     base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
                      max_steps=12, base_seed=5, n_seeds=3, record_every=5)
-    assert harness._streams(base).tables == {Channel.PROBE: None, Channel.GRADIENT: None}
+    assert tabled(harness._streams(base)) == {Channel.PROBE: optimizer == "diag_ocp",
+                                              Channel.GRADIENT: False}
     spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
     result = lr_sweep(spec, base)
     assert len(result.records) > len(spec.coarse_grid)   # the refine stage ran new lrs
@@ -831,6 +858,35 @@ def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
         for lr, recs in zip(subset, harness._run_stack(cfg, subset, streams)):
             assert [r.run_id for r in recs] == [r.run_id for r in full[lr]]
             assert_same_records(recs, full[lr])
+
+
+@pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_run_over_the_probe_table_bound_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                                command, distribution):
+    # over the bound no probe table is built and each step draws its rows'
+    # blocks from their streams, which must be the blocks the table holds
+    doc = {**RUN_DOC, "problem": {"kind": "mlp_regression", "layer_sizes": [4, 8, 2],
+                                  "n_samples": 64, "batch_size": 16},
+           "optimizer": {"kind": "diag_ocp", "alpha": 0.01, "n_probes": 3,
+                         "probe_distribution": distribution},
+           "sweep": {"coarse_grid": [0.1, 0.01]}, "n_seeds": 3}
+    config = write_config(tmp_path, doc)
+    outs = [tmp_path / "tabled", tmp_path / "per_step"]
+    assert cli.main([command, "--config", config, "--out", str(outs[0])]) == 0
+    monkeypatch.setattr(hessian_probe, "_PROBE_TABLE_MAX_BYTES", 0)
+    cfg = RunConfig(problem=MlpRegression(**MLP_SMALL), optimizer="diag_ocp",
+                    opt_cfg=MLP_OCP, max_steps=2, base_seed=0)
+    assert harness._streams(cfg).tables[Channel.PROBE] is None
+    channels = count_streams(monkeypatch)
+    assert cli.main([command, "--config", config, "--out", str(outs[1])]) == 0
+    # each stage of a sweep derives every replicate's probe streams itself
+    n_stages = 2 if command == "sweep" else 1
+    assert channels.count(Channel.PROBE) == n_stages * doc["n_seeds"] * doc["max_steps"]
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # --- shared stream derivations ----------------------------------------------------
@@ -918,13 +974,13 @@ def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
     result = lr_sweep(SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3, 1e-4)), base)
     assert len(stages) == 2 and len(stages[0]) == 4 and stages[1]
     assert not any(r.diverged for recs in result.records.values() for r in recs)
-    # each stage steps every replicate at several lrs, yet derives each
-    # channel once per replicate and step (step k's gradient is step k+1's).
-    # The minibatch channels are drawn ahead once for both stages; the
-    # probes are drawn by each stage.
+    # each stage steps every replicate at several lrs, yet the sweep derives
+    # each channel once per replicate and step (step k's gradient is step
+    # k+1's): the minibatches and the probe blocks are drawn ahead once for
+    # both stages
     assert channels.count(Channel.GRADIENT) == n_seeds * steps
     assert channels.count(Channel.HESSIAN_NOISE) == n_seeds * steps
-    assert channels.count(Channel.PROBE) == len(stages) * n_seeds * steps
+    assert channels.count(Channel.PROBE) == n_seeds * steps
 
 
 def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
@@ -953,34 +1009,43 @@ def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
     assert not any(r.diverged for sw in result.sweeps.values()
                    for recs in sw.records.values() for r in recs)
     # gradients and HVPs of a full-batch, noise-free problem draw nothing;
-    # each diag_ocp stage derives one probe stream per replicate and step
+    # diag_ocp's sweep derives one probe stream per replicate and step, into
+    # the probe table that both of its stages read
     n_probe_stages = stages.count("diag_ocp")
     assert n_probe_stages == 2 and len(stages) == 6
-    assert channels == [Channel.PROBE] * (n_probe_stages * n_seeds * steps)
+    assert channels == [Channel.PROBE] * (n_seeds * steps)
     # nor is a GRADIENT or HESSIAN_NOISE seed built that no draw reads: one
-    # PROBE seed per diag_ocp stage and step
+    # PROBE seed per diag_ocp stage and step, which gathers from the table
     assert seeds == [Channel.PROBE] * (n_probe_stages * steps)
 
 
 def test_replicates_that_left_the_stack_derive_no_streams(monkeypatch):
-    derived = []
-    derive = BatchSeed.rng
+    events = []
+    derive, estimate = BatchSeed.rng, harness.hutchinson_diag
 
     def counting(seed):
-        derived.append((seed.base_seed, seed.step_index))
+        events.append((seed.base_seed, seed.step_index))
         return derive(seed)
 
+    def stepping(*args):
+        events.append("step")
+        return estimate(*args)
+
     monkeypatch.setattr(BatchSeed, "rng", counting)
+    monkeypatch.setattr(harness, "hutchinson_diag", stepping)
     cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
                     opt_cfg=DIVERGING["diag_ocp-iterate"][0], max_steps=40, base_seed=1,
                     n_seeds=8, record_every=10)
     recs = run_experiment(cfg)
     assert sum(r.diverged for r in recs) > 1
-    # a replicate that stepped through step s drew step s's probe (index
-    # s - 1) and nothing after it
-    want = sorted((_replicate_base(cfg.base_seed, r.seed), k)
-                  for r in recs for k in range(int(r.steps[-1])))
-    assert sorted(derived) == want
+    # every replicate's probe block at every step is drawn once, into the
+    # probe table, before step 1; no step derives a stream, whichever
+    # replicates have left the stack
+    first_step = events.index("step")
+    want = sorted((_replicate_base(cfg.base_seed, rep), k)
+                  for rep in range(cfg.n_seeds) for k in range(cfg.max_steps))
+    assert sorted(events[:first_step]) == want
+    assert set(events[first_step:]) == {"step"}
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
@@ -993,12 +1058,13 @@ def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
     cfg = RunConfig(problem=prob, optimizer=optimizer, opt_cfg=SWEEP_OPTIMIZERS[optimizer],
                     max_steps=5, base_seed=2, n_seeds=3)
     streams = harness._streams(cfg)
-    # the probe is drawn per step; only a probed optimizer's minibatch HVP
-    # reads HESSIAN_NOISE, and no HVP reads gradient noise
+    # a probed optimizer's blocks are tabled (see the probe_table tests);
+    # only its minibatch HVP reads HESSIAN_NOISE, and no HVP reads
+    # gradient noise
     probed = optimizer in ("adahessian", "diag_ocp")
     drawn = {Channel.GRADIENT} | ({Channel.HESSIAN_NOISE} if probed and not noise else set())
     assert set(streams.tables) == drawn | {Channel.PROBE}
-    assert streams.tables[Channel.PROBE] is None
+    assert (streams.tables[Channel.PROBE] is None) == (not probed)
     for channel in drawn:
         table = streams.tables[channel]
         assert (table is None) == (noise > 0.0)
@@ -1023,19 +1089,20 @@ def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
 
 
 @pytest.mark.parametrize("problem, tables", [
-    (lambda: MlpRegression(**MLP_SMALL), {Channel.PROBE: None}),
+    (lambda: MlpRegression(**MLP_SMALL), {Channel.PROBE: True}),
     (lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
-     {Channel.PROBE: None, Channel.GRADIENT: None}),
+     {Channel.PROBE: True, Channel.GRADIENT: False}),
     (lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
-     {Channel.PROBE: None, Channel.GRADIENT: None}),
+     {Channel.PROBE: True, Channel.GRADIENT: False}),
 ], ids=["full_batch", "noise", "mlp-noise"])
 def test_streams_seed_only_the_channels_the_oracle_draws_on(problem, tables):
     # a full-batch oracle draws only with gradient noise, and then derives
-    # its GRADIENT streams at each step: it has no table, and its HVP, the
-    # MLP's central differences included, reads no noise and no seed
+    # its GRADIENT streams at each step: it has no minibatch table, and its
+    # HVP, the MLP's central differences included, reads no noise and no
+    # seed. The probe blocks are tabled.
     cfg = RunConfig(problem=problem(), optimizer="diag_ocp", opt_cfg=MLP_OCP,
                     max_steps=4, base_seed=2, n_seeds=2)
-    assert harness._streams(cfg).tables == tables
+    assert tabled(harness._streams(cfg)) == tables
 
 
 @pytest.mark.parametrize("method", ["eval_grad", "grad_and_train_loss", "eval_loss", "hvp"])
@@ -1154,6 +1221,22 @@ def test_ablate_mu_rejects_a_repeated_floor_before_any_run(monkeypatch, values):
     monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
     with raises(ValueError, match="distinct"):
         ablate_mu(values, quad_run())
+
+
+def test_ablate_mu_draws_one_set_of_streams_for_all_floors(monkeypatch):
+    tables = count_tables(monkeypatch)
+    channels = count_streams(monkeypatch)
+    base = RunConfig(problem=MlpRegression(batch_size=32, **MLP_SMALL), optimizer="diag_ocp",
+                     opt_cfg=MLP_OCP, max_steps=6, base_seed=2, n_seeds=3)
+    ablation = ablate_mu([1e-3, 1e-5], base)
+    # the floors differ only in mu: one stream table, and each minibatch and
+    # probe block drawn once for all three run sets
+    assert tables == [(3, 6)]
+    assert sorted(channels) == sorted(list(Channel) * 3 * 6)
+    monkeypatch.undo()
+    for mu, recs in ablation.runs.items():
+        mu = harness.CONTROL_CLIP_LO if mu == "control" else mu
+        assert_same_records(recs, run_experiment(replace(base, opt_cfg=replace(MLP_OCP, mu=mu))))
 
 
 def test_ablate_mu_runs_values_and_control():

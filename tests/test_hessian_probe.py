@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
+from diagocp import hessian_probe
 from diagocp.diag_ocp import OptimizerConfig, clip_diag
-from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
+from diagocp.hessian_probe import ProbeConfig, _draw, hutchinson_diag, probe_table
 from diagocp.problems import BatchSeed, Channel, MlpRegression, StackSeed, stream_states
 
 
@@ -143,6 +144,51 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
     alone = [hutchinson_diag(lambda V, x=x, s=s: prob.hvp(x, V, s), prob.dim, cfg, p)
              for x, s, p in zip(X, hseeds, pseeds)]
     np.testing.assert_array_equal(est, np.stack(alone))
+
+
+@pytest.mark.parametrize("n_probes", [1, 4])
+@pytest.mark.parametrize("distribution, dtype", [("rademacher", np.int8),
+                                                 ("standard_normal", np.float64)])
+def test_probe_table_rows_equal_each_lone_seeds_draw(distribution, dtype, n_probes):
+    cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
+    bases, dim, steps = (4, 5, 6), 7, 5
+    words = stream_states(bases, range(steps))
+    table = probe_table(cfg, dim, bases, words)
+    assert table.shape == (3, steps, n_probes, dim) and table.dtype == dtype
+    a = np.random.default_rng(2).standard_normal((dim, dim))
+    sym = a + a.T
+    for k in range(steps):
+        tabled = StackSeed(bases, k, Channel.PROBE, [2, 0, 2, 1],
+                           words[:, k, Channel.PROBE], table)
+        seen = []
+        est = hutchinson_diag(lambda V: seen.append(V) or V @ sym, dim, cfg, tabled)
+        assert seen[0].dtype == np.float64
+        for i, base in enumerate(bases):
+            seed = BatchSeed(base, k, Channel.PROBE)
+            block = _draw(distribution, (n_probes, dim), seed.rng())
+            np.testing.assert_array_equal(table[i, k], block)
+            alone = hutchinson_diag(lambda V: V @ sym, dim, cfg, seed)
+            for row in np.flatnonzero(tabled.rows == i):
+                np.testing.assert_array_equal(seen[0][row], block)
+                np.testing.assert_array_equal(est[row], alone)
+
+
+def test_probe_table_over_the_size_bound_is_not_built(monkeypatch):
+    cfg = ProbeConfig(n_probes=2, distribution="rademacher")
+    words = stream_states((4, 5), range(3))
+    # 2 bases x 3 steps x 2 probes x 7 entries of one byte each
+    monkeypatch.setattr(hessian_probe, "_PROBE_TABLE_MAX_BYTES", 84)
+    assert probe_table(cfg, 7, (4, 5), words).nbytes == 84
+    monkeypatch.setattr(hessian_probe, "_PROBE_TABLE_MAX_BYTES", 83)
+    assert probe_table(cfg, 7, (4, 5), words) is None
+
+
+def test_hutchinson_rejects_a_table_of_other_blocks():
+    words = stream_states((4, 5), range(3))
+    table = probe_table(ProbeConfig(n_probes=2), 7, (4, 5), words)
+    seed = StackSeed((4, 5), 1, Channel.PROBE, [0, 1], words[:, 1, Channel.PROBE], table)
+    with raises(ValueError, match="probe table"):
+        hutchinson_diag(lambda V: V, 7, ProbeConfig(n_probes=3), seed)
 
 
 def test_clip_diag_spec_example():
