@@ -4,25 +4,21 @@ verification checks, and CSV emission.
 
 Seeding scheme: every replicate derives its own 64-bit stream base from
 (base_seed, replicate_index); per-step noise then flows through
-BatchSeed(stream_base, step, channel). A run, or a whole sweep, builds its
-replicates' streams once before the first step (`_streams`): one
-stream_states table of every replicate's PCG64 seed words at steps
-0..max_steps-1, so no step hashes a SeedSequence; under a probe, one table
-of every (replicate, step) probe block; and for a minibatch oracle one
-index table per channel it samples rows on, with every (replicate, step)
-minibatch drawn ahead. So the two stages of a sweep read one set of draws.
-A full-batch oracle that adds gradient noise derives each step's GRADIENT
-streams and draws its noise from them. The words, and so the draws, are
-SeedSequence's own.
+BatchSeed(stream_base, step, channel). Every draw a stack reads is a table
+row: before its first step, a run, a whole sweep or an ablation draws, for
+each channel it reads, every replicate's draw at every step into one table
+(`_streams`): the probe blocks under a probe, and the minibatch indices or
+the gradient noise of the oracle's streams. The stream_states seed words
+that fill them are SeedSequence's own, so each entry is exactly the draw
+of its lone BatchSeed. Tables over more than BUDGET bytes are filled a
+window of steps at a time instead, as the steps reach each window.
 Each replicate owns its state and RNG streams, and each learning rate is
 only a per-row column in the step, so a whole sweep stage runs as one
 (n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Each step
 builds one StackSeed per channel the oracle reads, whose row map sends
-every row to its replicate, so the step gathers its rows' minibatches and
-probe blocks from the tables and draws its noise once per replicate, not
-once per row. Each row's record is the one it would get run alone: it
-depends neither on the stack height nor on which other lrs or replicates
-share it.
+every row to its replicate, so the step gathers its rows' draws from the
+tables. Each row's record is the one it would get run alone: it depends
+neither on the stack height nor on which other lrs or replicates share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
 stage pays the per-step Python cost once for all of its rows. Step k
@@ -70,11 +66,16 @@ import numpy as np
 from .baselines import BaselineConfig, BaselineState, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_form,
                        step_recursive_reference, update_moments)
-from .hessian_probe import ProbeConfig, hutchinson_diag, probe_table
+from .hessian_probe import ProbeConfig, hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
                        _row_dots, _row_norms, as_integer, stream_states)
 
 _INIT_STREAM = 3
+# A run holds its tables, and the stream_states words that fill them, for
+# a window of steps that takes at most this many bytes; every benchmark
+# workload fits one window. A replicate's words take _WORD_BYTES per step.
+BUDGET = 16 << 20
+_WORD_BYTES = len(Channel) * 4 * 8
 
 # The trajectory columns of a RunRecord and of a stack's record table.
 RECORD_COLUMNS = {"steps": np.int64, "train_loss": np.float64, "val_loss": np.float64,
@@ -182,62 +183,83 @@ def _init_rng(rep_base: int) -> np.random.Generator:
         np.random.SeedSequence(rep_base & _SEED_MASK, spawn_key=(_INIT_STREAM,)))
 
 
+class _Window:
+    """Each channel a run draws on -> its table over the current window of
+    `width` steps from `start`, shared by every stack that reads them."""
+
+    def __init__(self, bases, draws, n_steps):
+        self.bases, self.draws, self.n_steps = bases, draws, n_steps
+        per_step = len(bases) * (_WORD_BYTES + sum(
+            math.prod(d.shape) * np.dtype(d.dtype).itemsize for d in draws.values()))
+        self.width = max(1, BUDGET // per_step)
+        self.start, self.tables = None, {}
+        if draws:
+            self.fill(0)
+
+    def fill(self, start):
+        """Draw every table over the window of steps from start."""
+        steps = range(start, min(start + self.width, self.n_steps))
+        words = stream_states(self.bases, steps)
+        self.start = start
+        self.tables = {channel: draw.table(self.bases, steps, channel, words)
+                       for channel, draw in self.draws.items()}
+
+
 class _Streams(NamedTuple):
     """Every stream a run's replicates draw on (see `_streams`), and the
     row map of the stack that reads them."""
 
-    bases: list          # the replicates' stream bases
-    words: np.ndarray    # their stream_states table at steps 0..max_steps-1
-    tables: dict         # each channel drawn on -> its table of draws, or None
+    window: _Window      # the replicates' draws, a window of steps at a time
     rows: np.ndarray     # the replicate of each stack row
 
 
 def _streams(cfg: RunConfig) -> _Streams:
     """The streams of cfg's replicates, built once for every stack that
-    steps them: a run's, or both stages of a sweep.
+    steps them: a run's, both stages of a sweep, or every floor of an
+    ablation.
 
-    The stream_states words of every replicate, step and channel come from
-    one vectorized pass. Under a probe, every probe block goes ahead into
-    one table (see `probe_table`; None, so each step draws its blocks, when
-    it would be too large to build). At a batch_size, GRADIENT and, under a
-    probe, HESSIAN_NOISE draw minibatches, which go ahead into one index
-    table per channel (see `batch_table`). So a sweep draws each block and
-    minibatch once, not once per stage. A noisy full-batch oracle draws
-    only its gradient noise, on GRADIENT at each step; no HVP reads noise,
-    so it seeds no HESSIAN_NOISE. The row map is one tile of the replicates.
+    Each channel the run reads gets one table of every replicate's draw at
+    every step (see `Draw.table`): under a probe, PROBE's probe blocks; and
+    the oracle's `stream_draw` on GRADIENT and, for a minibatch HVP under a
+    probe, on HESSIAN_NOISE. No HVP reads gradient noise, so a noisy
+    full-batch oracle draws no HESSIAN_NOISE. The tables cover steps
+    0..max_steps-1 at once when they and their words fit in BUDGET bytes,
+    as every benchmark workload does, and otherwise a window of steps at a
+    time (`_seeds`). So a run, or a sweep that fits, draws each entry once.
+    The row map is one tile of the replicates.
     """
     problem, probe = cfg.problem, cfg.opt_cfg.probe
     bases = [_replicate_base(cfg.base_seed, rep) for rep in range(cfg.n_seeds)]
-    words = stream_states(bases, range(cfg.max_steps))
-    tables = {Channel.PROBE: None if probe is None
-              else probe_table(probe, problem.dim, bases, words)}
-    if problem.batch_size is not None:
-        drawn = [Channel.GRADIENT]
-        if probe is not None:
-            drawn.append(Channel.HESSIAN_NOISE)
-        for channel in drawn:
-            tables[channel] = problem.batch_table(bases, channel, words)
-    elif problem.noise_std_grad > 0.0:
-        tables[Channel.GRADIENT] = None
-    return _Streams(bases, words, tables, np.arange(len(bases)))
+    draws, oracle = {}, problem.stream_draw()
+    if probe is not None:
+        draws[Channel.PROBE] = probe_draw(probe, problem.dim)
+    if oracle is not None:
+        draws[Channel.GRADIENT] = oracle
+        if probe is not None and problem.batch_size is not None:
+            draws[Channel.HESSIAN_NOISE] = oracle
+    return _Streams(_Window(bases, draws, cfg.max_steps), np.arange(len(bases)))
 
 
 def _seeds(streams, k, channel):
-    """The StackSeed of the stack's rows for 0-based step index k; None for
-    a channel the oracle does not draw on, which reads it as the
-    full-batch, noise-free draw that such an oracle makes anyway."""
-    if channel not in streams.tables:
+    """The StackSeed of the stack's rows for 0-based step index k, over the
+    window of the tables that holds k, drawn first when k lies outside the
+    current one; None for a channel the oracle does not draw on, which
+    reads it as the full-batch, noise-free draw that such an oracle makes
+    anyway."""
+    window = streams.window
+    if channel not in window.draws:
         return None
-    return StackSeed(streams.bases, k, channel, streams.rows,
-                     streams.words[:, k, channel], streams.tables[channel])
+    if not 0 <= k - window.start < window.width:
+        window.fill(k - k % window.width)
+    return StackSeed(window.tables[channel], k - window.start, streams.rows)
 
 
 def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
     g is the (R, dim) gradient at x drawn from seeds(k - 1), `probe` is
-    opt_cfg.probe and state is None before the first step. Row r draws its
-    noise from the streams of its replicate (see `_streams`) and steps with
+    opt_cfg.probe and state is None before the first step. Row r reads its
+    replicate's draws from the tables (see `_streams`) and steps with
     lr[r], an (R, 1) column (opt_cfg's lr when None), so it steps exactly
     as it would alone. Returns (x_next, state', step_norm, rho, clamped)
     with one ||x_next - x||, rho and clamp count per row; rho and clamped
@@ -311,7 +333,7 @@ def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
     t_start = time.perf_counter()
     lrs = [opt_cfg.with_lr(lr).lr for lr in lrs]    # with_lr validates each lr
     n, probe = cfg.n_seeds, opt_cfg.probe
-    x, state = np.tile(_init_stack(problem, streams.bases), (len(lrs), 1)), None
+    x, state = np.tile(_init_stack(problem, streams.window.bases), (len(lrs), 1)), None
     streams = streams._replace(rows=np.tile(streams.rows, len(lrs)))
     lr_col = np.repeat(lrs, n)[:, None]
     step = partial(_advance, problem, opt_cfg, probe)
@@ -419,7 +441,8 @@ def _aggregate(records: list[RunRecord]) -> dict:
 @dataclass(frozen=True)
 class SweepSpec:
     """Two-stage sweep: a descending coarse grid, then the winner x refined
-    as {x, x/2, x/10}; both stages select by the seed-median min_val."""
+    as {x, x/2, x/10}; both stages select the lr with the fewest diverged
+    seeds, then the lowest median min_val of the rest."""
 
     coarse_grid: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -449,16 +472,17 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     the refine candidates not run yet, so a sweep makes two stepper runs
     (one when every candidate was already run), and each lr's records equal
     those of its own run_experiment. Both stages read one `_streams`, so
-    a noise-free oracle's minibatches are drawn once per sweep. An lr's
-    metric is its `_aggregate` min_val, the median over non-diverged seeds,
-    inf when every seed diverged, and ties go to the larger lr (min keeps
-    the first of a descending grid). Raises if every coarse run diverged.
-    The refinement set contains the stage-1 winner itself, not a rounded
-    copy, so the selected lr's metric is <= every coarse-stage metric.
+    each draw is made once per sweep when its tables fit one window. An
+    lr's metric is its `_aggregate` min_val, the median over non-diverged
+    seeds, inf when every seed diverged. Each stage ranks its lrs by
+    (diverged seeds, metric), so an lr whose few survivors did well does
+    not beat one where every seed survived, and ties go to the larger lr
+    (min keeps the first of a descending grid). Raises if every coarse run
+    diverged. The refinement set contains the stage-1 winner itself, not a
+    rounded copy, so the selected lr ranks no worse than any coarse lr.
     """
     records: dict = {}
     aggregates: dict = {}
-    metrics: dict = {}
     streams = _streams(base)
 
     def run_stage(lrs):
@@ -466,24 +490,26 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
         if new:
             for lr, recs in zip(new, _run_stack(base, new, streams)):
                 records[lr], aggregates[lr] = recs, _aggregate(recs)
-                metrics[lr] = aggregates[lr]["min_val"]
+
+    def rank(lr):
+        return aggregates[lr]["diverged"], aggregates[lr]["min_val"]
 
     run_stage(spec.coarse_grid)
-    best_lr = min(spec.coarse_grid, key=metrics.__getitem__)
-    if not np.isfinite(metrics[best_lr]):
+    best_lr = min(spec.coarse_grid, key=rank)
+    if not np.isfinite(aggregates[best_lr]["min_val"]):
         raise ValueError(
             f"all runs diverged across the coarse grid {list(spec.coarse_grid)}")
 
     # x / 1.0 is x itself, where x * 10 / 10 can round to a near-duplicate lr
     candidates = sorted({best_lr / d for d in (1.0, 2.0, 10.0)}, reverse=True)
     run_stage(candidates)
-    selected = min(candidates, key=metrics.__getitem__)
+    selected = min(candidates, key=rank)
 
     stages = dict.fromkeys(spec.coarse_grid, "coarse")
     for lr in candidates:
         stages.setdefault(lr, "refine")
-    rows = [{"lr": lr, "stage": stage, "metric": metrics[lr], **aggregates[lr]}
-            for lr, stage in stages.items()]
+    rows = [{"lr": lr, "stage": stage, "metric": aggregates[lr]["min_val"],
+             **aggregates[lr]} for lr, stage in stages.items()]
     return SweepResult(rows=rows, selected_lr=selected, records=records)
 
 
@@ -507,8 +533,8 @@ def ablate_mu(values, base: RunConfig) -> MuAblation:
     """One run set per clip floor plus an effectively-unclamped control at
     CONTROL_CLIP_LO. The floors, the control's included, must be distinct,
     so each run's (run_id, step) rows are written once. The floors differ
-    only in mu, so every run reads one `_streams`: each probe block and
-    minibatch is drawn once per ablation, not once per floor.
+    only in mu, so every run reads one `_streams`: each draw is made once
+    per ablation, not once per floor, when its tables fit one window.
     """
     if not isinstance(base.opt_cfg, OptimizerConfig):
         raise ValueError("the clip-floor ablation needs an OptimizerConfig")
@@ -608,7 +634,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     t_start = time.perf_counter()
     t_max, n_seeds, probe = cfg.max_steps, cfg.n_seeds, opt_cfg.probe
     streams = _streams(cfg)
-    x, state = _init_stack(problem, streams.bases), None
+    x, state = _init_stack(problem, streams.window.bases), None
     acc, diverged_step = np.zeros(t_max), None
     # overflow past float range is the divergence signal, as in _run_stack
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

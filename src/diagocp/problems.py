@@ -4,7 +4,10 @@ oracles, plus the seeded noise channels that drive them.
 Every source of randomness flows through a :class:`BatchSeed`, a
 (base_seed, step_index, channel) triple that maps to one deterministic draw.
 Gradient noise, Hessian-probe noise, and probe vectors live on separate
-channels so they are mutually independent at every step.
+channels so they are mutually independent at every step. A stack of points
+reads its draws from a table filled ahead (`Draw.table`), whose every
+entry is the draw of its own BatchSeed: a seed of either kind hands over
+draws through `draws`, and an oracle does not ask how they were made.
 
 Problem kinds
 -------------
@@ -29,6 +32,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -58,15 +62,15 @@ class BatchSeed:
     spawn_key=(step_index, channel)) seeds. This is what makes runs
     replayable, and it lets the central-difference HVP draw one minibatch
     per probe block, shared by every gradient it evaluates, so the sampling
-    noise cancels in each difference. Oracles derive a stream only when
-    they sample a minibatch or add gradient noise; a full-batch, noise-free
-    oracle never calls `rng`. A stack of points takes a StackSeed instead.
+    noise cancels in each difference. Oracles draw only when they sample a
+    minibatch or add gradient noise; a full-batch, noise-free oracle never
+    calls `draws`. A stack of points takes a StackSeed instead.
 
     `words`, when given, are the stream's four PCG64 seed words, a row of
     `stream_states`, so the triple is not hashed again. They are not part
     of the address, so they take no part in equality or hashing. A seed
     without them hashes its triple through SeedSequence, the reference the
-    table is tested against.
+    words are tested against.
     """
 
     base_seed: int
@@ -83,61 +87,55 @@ class BatchSeed:
         )
         return np.random.default_rng(ss)
 
-    # a lone seed has nothing drawn ahead (see StackSeed.drawn)
-    drawn = None
-
-    def generators(self):
-        """([this seed's generator], 0), the layout of StackSeed.generators."""
-        return [self.rng()], 0
+    def draws(self, draw):
+        """draw(rng) on this seed's stream: its one draw."""
+        return draw(self.rng())
 
 
 class StackSeed:
-    """The seeds of an (R, dim) stack at one step and channel.
+    """The draws of an (R, dim) stack at one step and channel.
 
-    Row r reads the stream of BatchSeed(bases[rows[r]], step_index,
-    channel). A sweep stage's rows are lr-major tiles of its replicates, so
-    rows starts as np.tile(arange(n_seeds), n_lrs) and loses the rows that
-    leave the stack. `words`, when given, is the (len(bases), 4) slice of
-    the stack's stream_states at this step and channel. `table`, when
-    given, holds the channel's draws made ahead over the same bases, one
-    per (base, step) and covering step_index: a minibatch channel's
-    (len(bases), n_steps, batch_size) indices from
-    `_SampleBased.batch_table`, or PROBE's (len(bases), n_steps, n_probes,
-    dim) blocks from `hessian_probe.probe_table`. The rows' draws are then
-    read from it and no stream is derived. A noisy full-batch oracle has
-    no table and derives its noise from the streams."""
+    `table` holds the channel's draws made ahead, one per (replicate, step)
+    (see `Draw.table`), and row r reads entry (rows[r], step_index). A
+    sweep stage's rows are lr-major tiles of its replicates, so rows starts
+    as np.tile(arange(n_seeds), n_lrs) and loses the rows that leave the
+    stack."""
 
-    def __init__(self, bases, step_index, channel, rows, words=None, table=None):
-        self.bases, self.step_index, self.channel = bases, step_index, channel
+    def __init__(self, table, step_index, rows):
+        self.table, self.step_index = table, step_index
         self.rows = np.asarray(rows).astype(np.intp, casting="safe", copy=False)
-        if self.rows.ndim != 1 or not set(self.rows.tolist()) <= set(range(len(bases))):
-            raise ValueError(f"stack rows must index the {len(bases)} replicate bases")
-        if words is not None and np.shape(words) != (len(bases), 4):
-            raise ValueError(f"seed words must be shaped ({len(bases)}, 4)")
-        if table is not None and len(table) != len(bases):
-            raise ValueError(f"a table must hold the {len(bases)} replicate bases")
-        if table is not None and not 0 <= step_index < table.shape[1]:
+        if self.rows.ndim != 1 or not set(self.rows.tolist()) <= set(range(len(table))):
+            raise ValueError(f"stack rows must index the table's {len(table)} replicates")
+        if not 0 <= step_index < table.shape[1]:
             raise ValueError(f"a table of {table.shape[1]} steps has no "
                              f"step index {step_index}")
-        self.words = [None] * len(bases) if words is None else words
-        self.table = table
 
     def __len__(self):
         return len(self.rows)
 
-    @property
-    def drawn(self):
-        """The rows' draws read from the table, one per row: minibatch
-        indices or probe blocks. None without a table."""
-        return None if self.table is None else self.table[self.rows, self.step_index]
+    def draws(self, draw):
+        """The rows' draws, one per row, read from the table: `draw` is the
+        one that filled it."""
+        return self.table[self.rows, self.step_index]
 
-    def generators(self):
-        """(one generator per replicate that a row reads, each row's index
-        into them), so a stack draws once per replicate: `draws[rows]`."""
-        used = np.flatnonzero(np.bincount(self.rows, minlength=len(self.bases))).tolist()
-        gens = [BatchSeed(self.bases[j], self.step_index, self.channel,
-                          self.words[j]).rng() for j in used]
-        return gens, np.searchsorted(used, self.rows)
+
+class Draw(NamedTuple):
+    """One stream's draw as a table stores it: fn(rng) gives an entry of
+    `shape`, which `dtype` holds exactly."""
+
+    fn: Callable
+    shape: tuple
+    dtype: type
+
+    def table(self, bases, steps, channel, words) -> np.ndarray:
+        """The (len(bases), len(steps)) + shape array whose entry (i, j) is
+        BatchSeed(bases[i], steps[j], channel).draws(fn), the draw a lone
+        seed makes. words is the stream_states table of bases at steps."""
+        table = np.empty((len(bases), len(steps)) + self.shape, self.dtype)
+        for i, j in np.ndindex(table.shape[:2]):
+            table[i, j] = BatchSeed(bases[i], steps[j], channel,
+                                    words[i, j, channel]).draws(self.fn)
+        return table
 
 
 class _SeedWords(ISeedSequence):
@@ -344,30 +342,34 @@ class ProblemOracle:
 
     def _data(self, seed):
         """The data of `seed`'s draw: the training split at full batch or
-        for seed=None, else the minibatch of each row. A StackSeed with a
-        batch table hands over its rows' minibatches drawn ahead and
-        derives no stream; otherwise each generator of `seed.generators()`
-        samples once and each row gets its generator's minibatch, so it
-        sees exactly what its lone call would, every row's samples gathered
-        in one pass."""
+        for seed=None, else the minibatch of each row, every row's samples
+        gathered in one pass."""
         if seed is None or self.batch_size is None:
             return self._train_data
-        batch = seed.drawn
-        if batch is None:
-            gens, rows = seed.generators()
-            batch = np.array([self._sample(rng) for rng in gens])[rows]
-        return self._rows(batch)
+        return self._rows(seed.draws(self._sample))
 
     def _noisy(self, g, seed):
-        """g plus `seed`'s gradient noise: one (dim,) draw per generator of
-        `seed.generators()`, handed to each row of it. A stream is derived
-        only for a noisy oracle (always full batch) and a seed; otherwise g
-        is returned as it is, exactly as seed=None gives."""
+        """g plus `seed`'s gradient noise, scaled here; g as it is, exactly
+        as seed=None gives, for a noise-free oracle."""
         if seed is None or self.noise_std_grad == 0.0:
             return g
-        gens, rows = seed.generators()
-        return g + np.array([self.noise_std_grad * rng.standard_normal(self.dim)
-                             for rng in gens])[rows]
+        return g + self.noise_std_grad * seed.draws(self._noise)
+
+    def _noise(self, rng):
+        """The unit gradient noise a stream draws."""
+        return rng.standard_normal(self.dim)
+
+    def stream_draw(self) -> Draw | None:
+        """The Draw of each stream this oracle reads: a minibatch's indices
+        at a batch_size, in the smallest unsigned dtype that holds every
+        training index, else its gradient noise; None for a full-batch,
+        noise-free oracle, which draws nothing."""
+        if self.batch_size is not None:
+            return Draw(self._sample, (self.batch_size,),
+                        np.min_scalar_type(self._train_idx[-1]))
+        if self.noise_std_grad > 0.0:
+            return Draw(self._noise, (self.dim,), np.float64)
+        return None
 
     # -- split evaluation for recording ----------------------------------
 
@@ -564,24 +566,6 @@ class _SampleBased(ProblemOracle):
     def _sample(self, rng):
         """The minibatch indices a stream draws."""
         return rng.choice(self._train_idx, self.batch_size, replace=False)
-
-    def batch_table(self, bases, channel, words):
-        """The minibatch indices of `channel`'s streams of every base at
-        steps 0..n_steps-1, drawn ahead into one (len(bases), n_steps,
-        batch_size) array in the smallest unsigned dtype that holds every
-        training index.
-
-        words is the (len(bases), n_steps, len(Channel), 4) stream_states
-        table of the bases. Entry (i, k) is the minibatch that
-        BatchSeed(bases[i], k, channel).rng() samples, derived through that
-        seed, so a table holds exactly the draws a lone seed makes.
-        """
-        table = np.empty(words.shape[:2] + (self.batch_size,),
-                         np.min_scalar_type(self._train_idx[-1]))
-        for i, k in np.ndindex(words.shape[:2]):
-            table[i, k] = self._sample(BatchSeed(bases[i], k, channel,
-                                                 words[i, k, channel]).rng())
-        return table
 
 
 class NoisyLeastSquares(_SampleBased):

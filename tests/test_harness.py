@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
 
@@ -22,7 +23,7 @@ from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
                              emit_sweep, lr_sweep, run_experiment, summary_rows,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
-from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
+from diagocp.hessian_probe import ProbeConfig, hutchinson_diag, probe_draw
 from diagocp.problems import (BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
                               Rosenbrock2D, StackSeed, stream_states)
@@ -259,6 +260,21 @@ def count_streams(monkeypatch):
         return derive(seed)
 
     monkeypatch.setattr(BatchSeed, "rng", counting)
+    return channels
+
+
+def count_seeds(monkeypatch):
+    """Record the channel of every StackSeed the harness builds from now on."""
+    channels = []
+    build = harness._seeds
+
+    def counting(streams, k, channel):
+        seed = build(streams, k, channel)
+        if seed is not None:
+            channels.append(channel)
+        return seed
+
+    monkeypatch.setattr(harness, "_seeds", counting)
     return channels
 
 
@@ -690,6 +706,25 @@ def test_lr_sweep_all_diverged():
         lr_sweep(spec, base)
 
 
+def test_lr_sweep_does_not_select_on_survivors():
+    # at 1.2e26, 5 of 8 replicates diverge and the median of the other 3
+    # beats every lr where all 8 survive; the sweep used to select it
+    opt_cfg, _, grid = DIVERGING["adahessian-iterate"]
+    base = RunConfig(problem=RandomStartRosenbrock(), optimizer="adahessian",
+                     opt_cfg=opt_cfg, max_steps=40, base_seed=1, n_seeds=8,
+                     record_every=10)
+    result = lr_sweep(SweepSpec(coarse_grid=grid), base)
+    rows = {row["lr"]: row for row in result.rows}
+    assert rows[1.2e26]["diverged"] == 5
+    assert rows[1.2e26]["metric"] < min(row["metric"] for row in rows.values()
+                                        if not row["diverged"])
+    # fewest diverged replicates first, then the survivors' median min_val
+    assert result.selected_lr == 0.01
+    assert [row["lr"] for row in result.rows if row["stage"] == "refine"] == [0.005]
+    assert rows[0.01]["diverged"] == rows[0.005]["diverged"] == 0
+    assert rows[0.01]["metric"] < rows[0.005]["metric"]
+
+
 # --- stacked sweep stages ----------------------------------------------------------
 
 def record_fields(rec):
@@ -785,22 +820,24 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
 
 
 def tabled(streams):
-    """Each channel the streams seed -> whether its draws are tabled."""
-    return {channel: table is not None for channel, table in streams.tables.items()}
+    """The channels the streams draw on, each of which has its table."""
+    window = streams.window
+    assert set(window.tables) == set(window.draws)
+    return set(window.tables)
 
 
 @pytest.mark.parametrize("case", ["least_squares-noise-diag_ocp",
                                   "least_squares-noise-sgd", "mlp-noise-diag_ocp"])
 def test_lr_sweep_with_gradient_noise_matches_the_reference(case, tmp_path):
-    # a noisy oracle has no minibatch to table: both stages derive each
-    # step's GRADIENT streams and draw the noise from them, and read one
-    # probe table; every lr must still draw exactly what the reference's
-    # lone per-step seeds draw
+    # a noisy oracle tables its gradient noise as a minibatch oracle tables
+    # its minibatches: both stages read one noise table and one probe
+    # table, and every lr must still draw exactly what the reference's lone
+    # per-step seeds draw
     make, optimizer, opt_cfg = STACK_CASES[case]
     base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
                      max_steps=12, base_seed=5, n_seeds=3, record_every=5)
-    assert tabled(harness._streams(base)) == {Channel.PROBE: optimizer == "diag_ocp",
-                                              Channel.GRADIENT: False}
+    probed = {Channel.PROBE} if optimizer == "diag_ocp" else set()
+    assert tabled(harness._streams(base)) == {Channel.GRADIENT} | probed
     spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
     result = lr_sweep(spec, base)
     assert len(result.records) > len(spec.coarse_grid)   # the refine stage ran new lrs
@@ -831,8 +868,7 @@ def test_tabled_lr_sweep_with_diverging_rows_matches_the_reference(case, tmp_pat
     make, optimizer, opt_cfg, grid = TABLED_DIVERGING[case]
     base = RunConfig(problem=make(), optimizer=optimizer, opt_cfg=opt_cfg,
                      max_steps=12, base_seed=5, n_seeds=3, record_every=5)
-    tables = harness._streams(base).tables
-    assert tables[Channel.GRADIENT] is not None and tables[Channel.HESSIAN_NOISE] is not None
+    assert tabled(harness._streams(base)) >= {Channel.GRADIENT, Channel.HESSIAN_NOISE}
     result = lr_sweep(SweepSpec(coarse_grid=grid), base)
     assert len(result.records) > len(grid)   # the refine stage ran new lrs
     for lr, recs in result.records.items():
@@ -861,43 +897,89 @@ def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
 
 
 @pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate-mu"])
 def test_a_run_over_the_probe_table_bound_writes_the_same_bytes(tmp_path, monkeypatch,
                                                                 command, distribution):
-    # over the bound no probe table is built and each step draws its rows'
-    # blocks from their streams, which must be the blocks the table holds
+    # tables over BUDGET bytes are filled a window of steps at a time, and
+    # each stage fills its own windows: every window must hold the draws
+    # that the one-window run's tables hold
     doc = {**RUN_DOC, "problem": {"kind": "mlp_regression", "layer_sizes": [4, 8, 2],
                                   "n_samples": 64, "batch_size": 16},
            "optimizer": {"kind": "diag_ocp", "alpha": 0.01, "n_probes": 3,
                          "probe_distribution": distribution},
-           "sweep": {"coarse_grid": [0.1, 0.01]}, "n_seeds": 3}
+           "sweep": {"coarse_grid": [0.1, 0.01]}, "mu_values": [1e-3], "n_seeds": 3}
     config = write_config(tmp_path, doc)
-    outs = [tmp_path / "tabled", tmp_path / "per_step"]
-    assert cli.main([command, "--config", config, "--out", str(outs[0])]) == 0
-    monkeypatch.setattr(hessian_probe, "_PROBE_TABLE_MAX_BYTES", 0)
-    cfg = RunConfig(problem=MlpRegression(**MLP_SMALL), optimizer="diag_ocp",
-                    opt_cfg=MLP_OCP, max_steps=2, base_seed=0)
-    assert harness._streams(cfg).tables[Channel.PROBE] is None
-    channels = count_streams(monkeypatch)
-    assert cli.main([command, "--config", config, "--out", str(outs[1])]) == 0
-    # each stage of a sweep derives every replicate's probe streams itself
-    n_stages = 2 if command == "sweep" else 1
-    assert channels.count(Channel.PROBE) == n_stages * doc["n_seeds"] * doc["max_steps"]
-    files = sorted(p.name for p in outs[0].iterdir())
-    assert files == sorted(p.name for p in outs[1].iterdir())
-    for name in files:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    cfg = cli._build_run(doc, None)
+    steps, window = doc["max_steps"], harness._streams(cfg).window
+    assert window.width >= steps
+    per_step = sum(t[:, 0].nbytes for t in window.tables.values())
+    per_step += doc["n_seeds"] * harness._WORD_BYTES
+    outs = {steps: tmp_path / "whole"}
+    assert cli.main([command, "--config", config, "--out", str(outs[steps])]) == 0
+    for width in (1, 3):
+        monkeypatch.setattr(harness, "BUDGET", (width + 1) * per_step - 1)
+        assert harness._streams(cfg).window.width == width
+        channels = count_streams(monkeypatch)
+        outs[width] = tmp_path / f"width{width}"
+        assert cli.main([command, "--config", config, "--out", str(outs[width])]) == 0
+        # each stage draws every channel once per replicate and step
+        n_stages = 1 if command == "run" else 2
+        assert sorted(channels) == sorted(list(Channel) * n_stages * doc["n_seeds"] * steps)
+        files = sorted(p.name for p in outs[steps].iterdir())
+        assert files == sorted(p.name for p in outs[width].iterdir())
+        for name in files:
+            assert (outs[steps] / name).read_bytes() == (outs[width] / name).read_bytes()
+
+
+@pytest.mark.parametrize("problem, opt_cfg", [
+    (dict(batch_size=16), BaselineConfig(kind="sgd", lr=0.01)),
+    (dict(noise_std_grad=0.1), BaselineConfig(kind="sgd", lr=0.01)),
+    ({}, MLP_OCP),
+], ids=["minibatch", "noise", "probe"])
+def test_no_stream_is_derived_while_stepping(problem, opt_cfg, monkeypatch):
+    events = []
+    derive, advance = BatchSeed.rng, harness._advance
+    monkeypatch.setattr(BatchSeed, "rng", lambda seed: events.append(seed.channel)
+                        or derive(seed))
+    monkeypatch.setattr(harness, "_advance",
+                        lambda *a: events.append("step") or advance(*a))
+    cfg = RunConfig(problem=MlpRegression(**MLP_SMALL, **problem), optimizer=opt_cfg.kind,
+                    opt_cfg=opt_cfg, max_steps=6, base_seed=2, n_seeds=3)
+    run_experiment(cfg)
+    # each case draws on one channel, every replicate at every step, into
+    # its table before the first step
+    first_step = events.index("step")
+    assert len(events[:first_step]) == 3 * 6 and len(set(events[:first_step])) == 1
+    assert set(events[first_step:]) == {"step"}
+
+
+def test_streams_of_a_long_run_hold_at_most_the_budget():
+    # 5 seeds x 200,000 steps: the seed words alone would take 96 MB
+    cfg = RunConfig(problem=MlpRegression(noise_std_grad=0.1), optimizer="diag_ocp",
+                    opt_cfg=OptimizerConfig(n_probes=4), max_steps=200_000, base_seed=0,
+                    n_seeds=5)
+    tracemalloc.start()
+    try:
+        window = harness._streams(cfg).window
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.nbytes for t in window.tables.values())
+    assert held + 5 * harness._WORD_BYTES * window.width <= harness.BUDGET
+    assert window.width == harness.BUDGET // (5 * (harness._WORD_BYTES + 178 * 8 * 5))
+    # the window's tables and words, and the transients of one fill
+    assert peak <= harness.BUDGET + (1 << 20)
 
 
 # --- shared stream derivations ----------------------------------------------------
 
-def repeated_seeds(channel):
+def repeated_seeds(draw, channel, steps=(4,)):
     """A stack whose rows 0, 1, 0, 2, 1 repeat three replicate bases out of
-    order, with its stream_states words as the harness builds it, and each
-    row's lone BatchSeed."""
+    order, reading step 4 from a table of `draw` over steps as the harness
+    fills it, and each row's lone BatchSeed."""
     bases, rows = (11, 12, 13), [0, 1, 0, 2, 1]
-    words = stream_states(bases, [4])[:, 0, channel]
-    return (StackSeed(bases, 4, channel, rows, words),
+    table = draw.table(bases, steps, channel, stream_states(bases, steps))
+    return (StackSeed(table, list(steps).index(4), rows),
             [BatchSeed(bases[r], 4, channel) for r in rows])
 
 
@@ -919,15 +1001,16 @@ def test_stack_rows_sharing_a_seed_share_one_derivation(case, method, monkeypatc
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(5)])
     args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
-    stack, seeds = repeated_seeds(Channel.GRADIENT)
-    call = getattr(prob, method)
-    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     channels = count_streams(monkeypatch)
+    stack, seeds = repeated_seeds(prob.stream_draw(), Channel.GRADIENT)
+    # the table derives each replicate's stream once, for all of its rows,
+    # and the stacked call derives none
+    assert channels == [Channel.GRADIENT] * 3
+    channels.clear()
+    call = getattr(prob, method)
     stacked = call(*args, stack)
-    # gradient noise enters neither a loss nor an HVP, so at full batch
-    # only a gradient draws
-    draws = prob.batch_size is not None or method in ("eval_grad", "grad_and_train_loss")
-    assert len(channels) == (3 if draws else 0)
+    assert channels == []
+    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     for i, want in enumerate(alone):
         if method == "grad_and_train_loss":
             np.testing.assert_array_equal(stacked[0][i], want[0])
@@ -941,20 +1024,20 @@ def test_hutchinson_rows_sharing_a_seed_share_one_probe_block(distribution, monk
     cfg = ProbeConfig(n_probes=3, distribution=distribution)
     a = np.random.default_rng(5).standard_normal((6, 6))
     sym = a + a.T
-    stack, seeds = repeated_seeds(Channel.PROBE)
+    channels = count_streams(monkeypatch)
+    stack, seeds = repeated_seeds(probe_draw(cfg, 6), Channel.PROBE)
+    assert channels == [Channel.PROBE] * 3
     blocks = []
 
     def hvp(V):
         blocks.append(V)
         return V @ sym
 
-    alone = [hutchinson_diag(hvp, 6, cfg, seed) for seed in seeds]
-    lone_blocks = list(blocks)
-    channels = count_streams(monkeypatch)
     est = hutchinson_diag(hvp, 6, cfg, stack)
-    assert len(channels) == 3
+    assert channels == [Channel.PROBE] * 3
+    alone = [hutchinson_diag(hvp, 6, cfg, seed) for seed in seeds]
     for i, want in enumerate(alone):
-        np.testing.assert_array_equal(blocks[-1][i], lone_blocks[i])
+        np.testing.assert_array_equal(blocks[0][i], blocks[1 + i])
         np.testing.assert_array_equal(est[i], want)
 
 
@@ -992,14 +1075,7 @@ def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
         return run_stack(cfg, lrs, streams)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
-    channels, seeds = count_streams(monkeypatch), []
-    build = harness.StackSeed
-
-    def counting_seeds(bases, k, channel, *args):
-        seeds.append(channel)
-        return build(bases, k, channel, *args)
-
-    monkeypatch.setattr(harness, "StackSeed", counting_seeds)
+    channels, seeds = count_streams(monkeypatch), count_seeds(monkeypatch)
     steps, n_seeds = 5, 3
     entries = [RunConfig(problem=MlpRegression(**MLP_SMALL), optimizer=opt_cfg.kind,
                          opt_cfg=opt_cfg, max_steps=steps, base_seed=4, n_seeds=n_seeds)
@@ -1051,37 +1127,36 @@ def test_replicates_that_left_the_stack_derive_no_streams(monkeypatch):
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 @pytest.mark.parametrize("optimizer", sorted(SWEEP_OPTIMIZERS))
 def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
-    # each stream draws one thing: a minibatch oracle's minibatch, tabled,
-    # or a full-batch noisy oracle's noise, derived at each step
+    # each stream draws one thing, and it is tabled: a minibatch oracle's
+    # minibatch, or a full-batch noisy oracle's noise
     prob = CentralLeastSquares(design_seed=3, n_samples=40, dim=6,
                                batch_size=None if noise else 8, noise_std_grad=noise)
     cfg = RunConfig(problem=prob, optimizer=optimizer, opt_cfg=SWEEP_OPTIMIZERS[optimizer],
                     max_steps=5, base_seed=2, n_seeds=3)
     streams = harness._streams(cfg)
-    # a probed optimizer's blocks are tabled (see the probe_table tests);
+    # a probed optimizer's blocks are tabled (see the probe table tests);
     # only its minibatch HVP reads HESSIAN_NOISE, and no HVP reads
     # gradient noise
     probed = optimizer in ("adahessian", "diag_ocp")
     drawn = {Channel.GRADIENT} | ({Channel.HESSIAN_NOISE} if probed and not noise else set())
-    assert set(streams.tables) == drawn | {Channel.PROBE}
-    assert (streams.tables[Channel.PROBE] is None) == (not probed)
+    assert tabled(streams) == drawn | ({Channel.PROBE} if probed else set())
     for channel in drawn:
-        table = streams.tables[channel]
-        assert (table is None) == (noise > 0.0)
-        if table is not None:
-            assert table.shape == (3, 5, 8) and table.dtype == np.uint8
+        table = streams.window.tables[channel]
+        assert (table.shape, table.dtype) == (((3, 5, 6), np.float64) if noise
+                                              else ((3, 5, 8), np.uint8))
         for k in range(cfg.max_steps):
             seed = harness._seeds(streams, k, channel)
             A, _ = prob._data(seed)
             X = np.zeros((3, 6))
             G, clean = prob.eval_grad(X, seed), prob.eval_grad(X)
-            for i, base in enumerate(streams.bases):
+            for i, base in enumerate(streams.window.bases):
                 rng = BatchSeed(base, k, channel).rng()
                 if noise:
                     # the training split's gradient plus the lone stream's normals
                     assert A is prob._train_data[0]
-                    np.testing.assert_array_equal(G[i],
-                                                  clean[i] + noise * rng.standard_normal(6))
+                    z = rng.standard_normal(6)
+                    np.testing.assert_array_equal(table[i, k], z)
+                    np.testing.assert_array_equal(G[i], clean[i] + noise * z)
                     continue
                 want = rng.choice(prob._train_idx, 8, replace=False)
                 np.testing.assert_array_equal(table[i, k], want)
@@ -1089,17 +1164,16 @@ def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
 
 
 @pytest.mark.parametrize("problem, tables", [
-    (lambda: MlpRegression(**MLP_SMALL), {Channel.PROBE: True}),
+    (lambda: MlpRegression(**MLP_SMALL), {Channel.PROBE}),
     (lambda: Quadratic(np.array([1.0, 2.0, 4.0]), noise_std_grad=0.1),
-     {Channel.PROBE: True, Channel.GRADIENT: False}),
+     {Channel.PROBE, Channel.GRADIENT}),
     (lambda: MlpRegression(noise_std_grad=0.1, **MLP_SMALL),
-     {Channel.PROBE: True, Channel.GRADIENT: False}),
+     {Channel.PROBE, Channel.GRADIENT}),
 ], ids=["full_batch", "noise", "mlp-noise"])
 def test_streams_seed_only_the_channels_the_oracle_draws_on(problem, tables):
-    # a full-batch oracle draws only with gradient noise, and then derives
-    # its GRADIENT streams at each step: it has no minibatch table, and its
+    # a full-batch oracle draws only with gradient noise, on GRADIENT: its
     # HVP, the MLP's central differences included, reads no noise and no
-    # seed. The probe blocks are tabled.
+    # seed, so it has no HESSIAN_NOISE table. The probe blocks are tabled.
     cfg = RunConfig(problem=problem(), optimizer="diag_ocp", opt_cfg=MLP_OCP,
                     max_steps=4, base_seed=2, n_seeds=2)
     assert tabled(harness._streams(cfg)) == tables
@@ -1108,29 +1182,20 @@ def test_streams_seed_only_the_channels_the_oracle_draws_on(problem, tables):
 @pytest.mark.parametrize("method", ["eval_grad", "grad_and_train_loss", "eval_loss", "hvp"])
 @pytest.mark.parametrize("case", ["least_squares-minibatch", "mlp-minibatch", "mlp-noise"])
 def test_tabled_stack_seed_draws_what_each_lone_seed_draws(case, method, monkeypatch):
+    # a window's table starts at its first step, so step 4 of a window over
+    # steps 2..6 is its entry 2
     prob = SHARED_SEED_PROBLEMS[case]()
     rng = np.random.default_rng(41)
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(5)])
     args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
-    untabled, seeds = repeated_seeds(Channel.GRADIENT)
-    words = stream_states(untabled.bases, range(5))
-    # a noisy full-batch oracle builds no table, so it is handed a
-    # minibatch twin's
-    twin = prob if prob.batch_size else SHARED_SEED_PROBLEMS["mlp-minibatch"]()
-    stack = StackSeed(untabled.bases, 4, Channel.GRADIENT, untabled.rows,
-                      words[:, 4, Channel.GRADIENT],
-                      twin.batch_table(untabled.bases, Channel.GRADIENT, words))
+    stack, seeds = repeated_seeds(prob.stream_draw(), Channel.GRADIENT, range(2, 7))
+    assert stack.step_index == 2
     call = getattr(prob, method)
     channels = count_streams(monkeypatch)
-    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
-    channels.clear()
     stacked = call(*args, stack)
-    # the minibatches come from the table; a noisy oracle reads no table
-    # and derives its gradient noise from the rows' streams
-    noise_draws = prob.noise_std_grad > 0.0 and method in ("eval_grad",
-                                                           "grad_and_train_loss")
-    assert channels == [Channel.GRADIENT] * 3 * noise_draws
+    assert channels == []
+    alone = [call(*(a[i] for a in args), seed) for i, seed in enumerate(seeds)]
     for i, want in enumerate(alone):
         if method == "grad_and_train_loss":
             np.testing.assert_array_equal(stacked[0][i], want[0])
@@ -1181,14 +1246,7 @@ def test_verify_rate_trend_builds_one_stream_table(monkeypatch):
 def test_verify_rate_trend_builds_no_hessian_noise_seed(monkeypatch):
     # its noisy quadratic's HVP is exact and reads no seed, so only the
     # gradient and the probe are seeded: one StackSeed of each per step
-    seeds = []
-    build = harness.StackSeed
-
-    def counting_seeds(bases, k, channel, *args):
-        seeds.append(channel)
-        return build(bases, k, channel, *args)
-
-    monkeypatch.setattr(harness, "StackSeed", counting_seeds)
+    seeds = count_seeds(monkeypatch)
     verify_rate_trend(T_list=(5, 10), n_seeds=4)
     assert sorted(seeds) == [Channel.GRADIENT] * 10 + [Channel.PROBE] * 10
 

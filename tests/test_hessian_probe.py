@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
-from diagocp import hessian_probe
+from diagocp import harness
 from diagocp.diag_ocp import OptimizerConfig, clip_diag
-from diagocp.hessian_probe import ProbeConfig, _draw, hutchinson_diag, probe_table
-from diagocp.problems import BatchSeed, Channel, MlpRegression, StackSeed, stream_states
+from diagocp.hessian_probe import ProbeConfig, _draw, hutchinson_diag, probe_draw
+from diagocp.problems import (BatchSeed, Channel, MlpRegression, Quadratic, StackSeed,
+                              stream_states)
 
 
 def test_probe_config_validation():
@@ -134,12 +135,13 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
     rng = np.random.default_rng(6)
     X = np.stack([prob.default_init(rng) for _ in range(3)])
     bases = (4, 5, 6)
-    words = stream_states(bases, [2])[:, 0]
-    hstack, pstack = (StackSeed(bases, 2, c, range(3), words[:, c])
-                      for c in (Channel.HESSIAN_NOISE, Channel.PROBE))
+    cfg = ProbeConfig(n_probes=4, distribution="rademacher")
+    words = stream_states(bases, [2])
+    hstack, pstack = (StackSeed(draw.table(bases, [2], c, words), 0, range(3))
+                      for draw, c in ((prob.stream_draw(), Channel.HESSIAN_NOISE),
+                                      (probe_draw(cfg, prob.dim), Channel.PROBE)))
     hseeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in bases]
     pseeds = [BatchSeed(b, 2, Channel.PROBE) for b in bases]
-    cfg = ProbeConfig(n_probes=4, distribution="rademacher")
     est = hutchinson_diag(lambda V: prob.hvp(X, V, hstack), prob.dim, cfg, pstack)
     alone = [hutchinson_diag(lambda V, x=x, s=s: prob.hvp(x, V, s), prob.dim, cfg, p)
              for x, s, p in zip(X, hseeds, pseeds)]
@@ -153,13 +155,12 @@ def test_probe_table_rows_equal_each_lone_seeds_draw(distribution, dtype, n_prob
     cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
     bases, dim, steps = (4, 5, 6), 7, 5
     words = stream_states(bases, range(steps))
-    table = probe_table(cfg, dim, bases, words)
+    table = probe_draw(cfg, dim).table(bases, range(steps), Channel.PROBE, words)
     assert table.shape == (3, steps, n_probes, dim) and table.dtype == dtype
     a = np.random.default_rng(2).standard_normal((dim, dim))
     sym = a + a.T
     for k in range(steps):
-        tabled = StackSeed(bases, k, Channel.PROBE, [2, 0, 2, 1],
-                           words[:, k, Channel.PROBE], table)
+        tabled = StackSeed(table, k, [2, 0, 2, 1])
         seen = []
         est = hutchinson_diag(lambda V: seen.append(V) or V @ sym, dim, cfg, tabled)
         assert seen[0].dtype == np.float64
@@ -174,21 +175,24 @@ def test_probe_table_rows_equal_each_lone_seeds_draw(distribution, dtype, n_prob
 
 
 def test_probe_table_over_the_size_bound_is_not_built(monkeypatch):
-    cfg = ProbeConfig(n_probes=2, distribution="rademacher")
-    words = stream_states((4, 5), range(3))
-    # 2 bases x 3 steps x 2 probes x 7 entries of one byte each
-    monkeypatch.setattr(hessian_probe, "_PROBE_TABLE_MAX_BYTES", 84)
-    assert probe_table(cfg, 7, (4, 5), words).nbytes == 84
-    monkeypatch.setattr(hessian_probe, "_PROBE_TABLE_MAX_BYTES", 83)
-    assert probe_table(cfg, 7, (4, 5), words) is None
+    # tables over the budget are not built whole but a window of steps at a
+    # time: here 2 replicates x (96 bytes of seed words + 2 probes x 7
+    # one-byte entries) = 220 bytes per step
+    opt_cfg = OptimizerConfig(n_probes=2, probe_distribution="rademacher")
+    cfg = harness.RunConfig(problem=Quadratic(np.ones(7)), optimizer="diag_ocp",
+                            opt_cfg=opt_cfg, max_steps=3, base_seed=0, n_seeds=2)
+    for budget, steps in ((660, 3), (659, 2), (219, 1)):
+        monkeypatch.setattr(harness, "BUDGET", budget)
+        table = harness._streams(cfg).window.tables[Channel.PROBE]
+        assert table.shape == (2, steps, 2, 7) and table.nbytes == 28 * steps
 
 
 def test_hutchinson_rejects_a_table_of_other_blocks():
-    words = stream_states((4, 5), range(3))
-    table = probe_table(ProbeConfig(n_probes=2), 7, (4, 5), words)
-    seed = StackSeed((4, 5), 1, Channel.PROBE, [0, 1], words[:, 1, Channel.PROBE], table)
-    with raises(ValueError, match="probe table"):
-        hutchinson_diag(lambda V: V, 7, ProbeConfig(n_probes=3), seed)
+    table = probe_draw(ProbeConfig(n_probes=2), 7).table(
+        (4, 5), range(3), Channel.PROBE, stream_states((4, 5), range(3)))
+    with raises(ValueError, match="probe blocks"):
+        hutchinson_diag(lambda V: V, 7, ProbeConfig(n_probes=3),
+                        StackSeed(table, 1, [0, 1]))
 
 
 def test_clip_diag_spec_example():

@@ -8,10 +8,16 @@ from diagocp.problems import (_HVP_STEP_SCALE, BatchSeed, Channel, MlpRegression
                               make_problem, stream_states)
 
 
-def row_seeds(bases, step, channel):
-    """A StackSeed with one row per base, and each row's lone BatchSeed."""
-    return (StackSeed(bases, step, channel, range(len(bases))),
-            [BatchSeed(b, step, channel) for b in bases])
+def row_seeds(prob, bases, step, channel, rows=None):
+    """A StackSeed whose row r reads bases[rows[r]] (each base once, in
+    order, by default) at step, from a one-step table of prob's draws on
+    channel, and each row's lone BatchSeed. A full-batch, noise-free prob
+    draws nothing, so its table holds nothing."""
+    rows = range(len(bases)) if rows is None else rows
+    draw = prob.stream_draw()
+    table = (np.zeros((len(bases), 1)) if draw is None
+             else draw.table(bases, [step], channel, stream_states(bases, [step])))
+    return StackSeed(table, 0, rows), [BatchSeed(bases[r], step, channel) for r in rows]
 
 
 class CentralRosenbrock(Rosenbrock2D):
@@ -92,41 +98,65 @@ def test_seed_with_table_words_draws_as_seed_without(base, step):
                                       b.choice(40, size=8, replace=False))
 
 
-def test_batch_seed_generators_are_its_one_stream():
+def test_batch_seed_draws_are_its_one_streams_draw():
     seed = BatchSeed(5, 1, Channel.PROBE)
-    gens, index = seed.generators()
-    assert len(gens) == 1 and index == 0
-    np.testing.assert_array_equal(gens[0].standard_normal(4), seed.rng().standard_normal(4))
+    got = seed.draws(lambda rng: rng.standard_normal(4))
+    np.testing.assert_array_equal(got, seed.rng().standard_normal(4))
 
 
 def test_stack_seed_derives_no_stream_for_a_replicate_no_row_reads(monkeypatch):
     # rows [2, 0, 2] read replicates 2 and 0, as after replicate 1's rows
-    # left the stack; replicate 1 derives nothing
+    # left the stack: the rows' draws come from the table, filled once per
+    # replicate, and the stacked call derives no stream at all
     bases, rows = (11, 12, 13), [2, 0, 2]
     derived = []
     derive = BatchSeed.rng
     monkeypatch.setattr(BatchSeed, "rng",
                         lambda seed: derived.append(seed.base_seed) or derive(seed))
-    table = stream_states(bases, [4])[:, 0, Channel.GRADIENT]
-    for words in (None, table):
-        derived.clear()
-        gens, index = StackSeed(bases, 4, Channel.GRADIENT, rows, words).generators()
-        assert derived == [11, 13]
-        assert index.tolist() == [1, 0, 1]
-        for gen, base in zip(gens, (11, 13)):
-            lone = BatchSeed(base, 4, Channel.GRADIENT).rng()
-            np.testing.assert_array_equal(gen.standard_normal(5), lone.standard_normal(5))
     for draw in ({"batch_size": 16}, {"noise_std_grad": 0.1}):
         prob = MlpRegression(layer_sizes=(4, 8, 2), n_samples=64, **draw)
         rng = np.random.default_rng(35)
         X = np.stack([prob.default_init(rng) for _ in rows])
-        stack = StackSeed(bases, 4, Channel.GRADIENT, rows, table)
+        derived.clear()
+        table = prob.stream_draw().table(bases, range(5), Channel.GRADIENT,
+                                         stream_states(bases, range(5)))
+        assert sorted(derived) == sorted(list(bases) * 5)
+        stack = StackSeed(table, 4, rows)
+        np.testing.assert_array_equal(stack.draws(None), table[[2, 0, 2], 4])
         derived.clear()
         G = prob.eval_grad(X, stack)
-        assert derived == [11, 13]
+        assert derived == []
         for r, rep in enumerate(rows):
             np.testing.assert_array_equal(
                 G[r], prob.eval_grad(X[r], BatchSeed(bases[rep], 4, Channel.GRADIENT)))
+
+
+@pytest.mark.parametrize("case", ["quadratic", "rosenbrock", "least_squares", "mlp"])
+def test_noise_table_rows_equal_each_lone_seeds_noise(case, monkeypatch):
+    prob = NOISY_FULL_BATCH[case]()
+    draw = prob.stream_draw()
+    assert draw == (prob._noise, (prob.dim,), np.float64)
+    bases, steps = (3, 4), [2, 7, 9]
+    table = draw.table(bases, steps, Channel.GRADIENT, stream_states(bases, steps))
+    assert table.shape == (2, 3, prob.dim) and table.dtype == np.float64
+    X = prob.default_init(np.random.default_rng(1)) + np.zeros((2, prob.dim))
+    for i, base in enumerate(bases):
+        for j, step in enumerate(steps):
+            seed = BatchSeed(base, step, Channel.GRADIENT)
+            np.testing.assert_array_equal(table[i, j], seed.draws(prob._noise))
+            np.testing.assert_array_equal(table[i, j], seed.rng().standard_normal(prob.dim))
+            # the stack adds its scaled row as the lone call adds its draw
+            stacked = prob.eval_grad(X, StackSeed(table, j, [1 - i, i]))
+            np.testing.assert_array_equal(stacked[1], prob.eval_grad(X[1], seed))
+
+
+def test_a_full_batch_noise_free_oracle_has_no_stream_draw():
+    assert Quadratic(np.ones(3)).stream_draw() is None
+    assert MlpRegression(layer_sizes=(4, 8, 2), n_samples=64).stream_draw() is None
+    for n_samples, dtype in ((40, np.uint8), (400, np.uint16)):
+        prob = NoisyLeastSquares(design_seed=3, n_samples=n_samples, dim=6, batch_size=8)
+        # the smallest unsigned type that holds every training index
+        assert prob.stream_draw() == (prob._sample, (8,), dtype)
 
 
 class RecordingGenerator:
@@ -162,8 +192,11 @@ def test_minibatch_loss_and_least_squares_hvp_draw_one_minibatch(make, method,
     derive = BatchSeed.rng
     monkeypatch.setattr(BatchSeed, "rng",
                         lambda seed: RecordingGenerator(derive(seed), calls))
-    stacked = call(*args, StackSeed(bases, 4, Channel.GRADIENT, rows))
+    stack, _ = row_seeds(prob, bases, 4, Channel.GRADIENT, rows)
     assert calls == ["choice"] * len(bases)
+    calls.clear()
+    stacked = call(*args, stack)
+    assert calls == []
     for r, rep in enumerate(rows):
         calls.clear()
         alone = call(*(a[r] for a in args), BatchSeed(bases[rep], 4, Channel.GRADIENT))
@@ -192,8 +225,9 @@ NOISY_FULL_BATCH = {
 @pytest.mark.parametrize("case", sorted(NOISY_FULL_BATCH))
 def test_noisy_full_batch_loss_and_hvp_derive_no_stream(case, monkeypatch):
     # gradient noise enters neither a loss nor any HVP, the MLP's central
-    # differences included: both equal their seed=None values bit for bit
-    # and derive no stream; only the gradient draws, once per replicate
+    # differences included: both equal their seed=None values bit for bit,
+    # stacked or alone, and a lone seed derives no stream for them; only
+    # the gradient draws
     prob = NOISY_FULL_BATCH[case]()
     bases, rows = (11, 12, 13), [2, 0, 2, 1]
     rng = np.random.default_rng(9)
@@ -204,39 +238,38 @@ def test_noisy_full_batch_loss_and_hvp_derive_no_stream(case, monkeypatch):
     monkeypatch.setattr(BatchSeed, "rng",
                         lambda seed: derived.append(seed.channel) or derive(seed))
     for channel in (Channel.GRADIENT, Channel.HESSIAN_NOISE):
-        stack = StackSeed(bases, 4, channel, rows)
+        stack, _ = row_seeds(prob, bases, 4, channel, rows)
+        derived.clear()
         np.testing.assert_array_equal(prob.eval_loss(X, stack), prob.eval_loss(X))
         np.testing.assert_array_equal(prob.hvp(X, V, stack), prob.hvp(X, V))
         lone = BatchSeed(bases[0], 4, channel)
         assert prob.eval_loss(X[0], lone) == prob.eval_loss(X[0])
         np.testing.assert_array_equal(prob.hvp(X[0], V[0], lone), prob.hvp(X[0], V[0]))
         assert derived == []
-    prob.eval_grad(X, StackSeed(bases, 4, Channel.GRADIENT, rows))
-    assert derived == [Channel.GRADIENT] * len(bases)
+    prob.eval_grad(X, stack)
+    assert derived == []
+    prob.eval_grad(X[0], BatchSeed(bases[0], 4, Channel.GRADIENT))
+    assert derived == [Channel.GRADIENT]
 
 
-def test_stack_seed_rejects_bad_rows_words_and_stack_heights():
-    bases = (11, 12, 13)
-    words = stream_states(bases, [4])[:, 0, Channel.PROBE]
-    for rows in ([0, 3], [-1, 0], [[0, 1]]):
-        with raises(ValueError):
-            StackSeed(bases, 4, Channel.PROBE, rows)
-    with raises(TypeError):     # a fractional row is not truncated
-        StackSeed(bases, 4, Channel.PROBE, [0.5, 1.0])
-    for bad in (words[:2], words[:, :3], words[None], words[0]):
-        with raises(ValueError):
-            StackSeed(bases, 4, Channel.PROBE, [0, 1], bad)
-    assert len(StackSeed(bases, 4, Channel.PROBE, [0, 1, 2, 1], words)) == 4
+def test_stack_seed_rejects_bad_rows_steps_and_stack_heights():
     prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
-    table = prob.batch_table(bases[:2], Channel.GRADIENT, stream_states(bases[:2], [0]))
-    with raises(ValueError):    # a table over other replicates
-        StackSeed(bases, 0, Channel.GRADIENT, [0, 1], table=table)
+    table = prob.stream_draw().table((11, 12, 13), [4], Channel.GRADIENT,
+                                     stream_states((11, 12, 13), [4]))
+    for rows in ([0, 3], [-1, 0], [[0, 1]]):
+        with raises(ValueError, match="rows"):
+            StackSeed(table, 0, rows)
+    with raises(TypeError):     # a fractional row is not truncated
+        StackSeed(table, 0, [0.5, 1.0])
+    assert len(StackSeed(table, 0, [0, 1, 2, 1])) == 4
+    with raises(ValueError, match="rows"):    # a table over fewer replicates
+        StackSeed(table[:2], 0, [0, 2])
     for step in (1, -1):        # a step the one-step table does not hold
         with raises(ValueError, match="step"):
-            StackSeed(bases[:2], step, Channel.GRADIENT, [0, 1], table=table)
+            StackSeed(table, step, [0, 1])
     X, V = np.zeros((3, 6)), np.ones((3, 2, 6))
-    short = StackSeed(bases, 4, Channel.GRADIENT, [0, 1])
-    tall = StackSeed(bases, 4, Channel.GRADIENT, [0, 1, 2, 0])
+    short = StackSeed(table, 0, [0, 1])
+    tall = StackSeed(table, 0, [0, 1, 2, 0])
     for stack in (short, tall):
         for bad_call in (lambda: prob.eval_grad(X, stack),
                          lambda: prob.eval_loss(X, stack),
@@ -394,7 +427,7 @@ def test_least_squares_minibatch_hvp_uses_the_seeds_minibatch():
     # seed: 0.72 of the norm of the difference on the seed's minibatch away
     prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
     x, e0 = np.ones(6), np.eye(6)[0]
-    stack, seeds = row_seeds((1, 2), 0, Channel.HESSIAN_NOISE)
+    stack, seeds = row_seeds(prob, (1, 2), 0, Channel.HESSIAN_NOISE)
     hv = prob.hvp(x, e0, seeds[0])
     cd = cd_reference(prob, x, e0, seeds[0])
     assert np.linalg.norm(hv - cd) <= 1e-8 * np.linalg.norm(cd)
@@ -475,7 +508,7 @@ def test_least_squares_stacked_hooks_match_one_point_reference(batch_size):
     rng = np.random.default_rng(52)
     X = 10.0 ** rng.uniform(-3, 3, (3, 1)) * rng.standard_normal((3, prob.dim))
     V = rng.standard_normal((3, 2, prob.dim))
-    data = prob._data(row_seeds((1, 2, 3), 0, Channel.GRADIENT)[0])
+    data = prob._data(row_seeds(prob, (1, 2, 3), 0, Channel.GRADIENT)[0])
     # (R, 2 m, dim) points, as a central-difference block evaluates
     P = np.concatenate((X[:, None] + V, X[:, None] - V), axis=1)
     losses, grads = prob._losses(P, data), prob._grads(P, data)
@@ -577,7 +610,7 @@ def test_mlp_kernels_match_rowmajor_reference(layer_sizes, batch_size):
     rng = np.random.default_rng(41)
     T = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
-    seeds = row_seeds((5, 6, 7), 2, Channel.GRADIENT)[0]
+    seeds = row_seeds(prob, (5, 6, 7), 2, Channel.GRADIENT)[0]
     data = prob._data(seeds)
     # a stack of minibatches has 3-d inputs, one (d, n) batch per row
     assert (data[0].ndim == 3) == (batch_size is not None)
@@ -679,7 +712,7 @@ def test_mlp_hvp_matches_the_rop(layer_sizes, batch_size):
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(4)])
     V = rng.standard_normal((4, 3, prob.dim))
-    stack, seeds = row_seeds(range(4), 2, Channel.HESSIAN_NOISE)
+    stack, seeds = row_seeds(prob, range(4), 2, Channel.HESSIAN_NOISE)
     out = prob.hvp(X, V, stack)
     checked = 0
     for x, block, seed, products in zip(X, V, seeds, out):
@@ -747,7 +780,7 @@ def test_mlp_block_hvp_with_a_zero_probe_row(monkeypatch):
         # pass, and every zero direction's product is +0.0
         X = np.stack([x, prob.default_init(rng), prob.default_init(rng)])
         W = np.stack([np.zeros_like(V), V, V[::-1]])
-        stack, seeds = row_seeds((7, 8, 9), 4, Channel.HESSIAN_NOISE)
+        stack, seeds = row_seeds(prob, (7, 8, 9), 4, Channel.HESSIAN_NOISE)
         calls = []
         grads = prob._grads
         monkeypatch.setattr(prob, "_grads", lambda *a: calls.append(1) or grads(*a))
@@ -829,8 +862,8 @@ def test_stacked_oracle_equals_row_by_row(case):
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
     V = rng.standard_normal((3, 2, prob.dim))
-    gstack, gseeds = row_seeds((11, 12, 13), 4, Channel.GRADIENT)
-    hstack, hseeds = row_seeds((11, 12, 13), 4, Channel.HESSIAN_NOISE)
+    gstack, gseeds = row_seeds(prob, (11, 12, 13), 4, Channel.GRADIENT)
+    hstack, hseeds = row_seeds(prob, (11, 12, 13), 4, Channel.HESSIAN_NOISE)
 
     def rows(fn, *args):
         return np.stack([fn(*row) for row in zip(*args)])
@@ -851,7 +884,7 @@ def test_grad_and_train_loss_equals_the_separate_calls(case, monkeypatch):
     rng = np.random.default_rng(33)
     X = np.stack([prob.default_init(rng) + 0.1 * rng.standard_normal(prob.dim)
                   for _ in range(3)])
-    stack, seeds = row_seeds((21, 22, 23), 5, Channel.GRADIENT)
+    stack, seeds = row_seeds(prob, (21, 22, 23), 5, Channel.GRADIENT)
     for x, seed in ((X[0], seeds[0]), (X[0], None), (X, stack), (X, None)):
         g, loss = prob.grad_and_train_loss(x, seed)
         np.testing.assert_array_equal(g, prob.eval_grad(x, seed))
@@ -876,7 +909,7 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
     V = rng.standard_normal((5, 2, prob.dim))
 
     def seeds(n, channel=Channel.GRADIENT):
-        return row_seeds(range(n), 1, channel)[0]
+        return row_seeds(prob, range(n), 1, channel)[0]
 
     calls = [  # interleaved stack shapes (5,), (5, 2), (3,) and a lone point
         lambda p: p.eval_grad(X, seeds(5)),
@@ -936,7 +969,7 @@ def test_stacked_hvp_with_a_zero_probe_row():
         X = np.stack([prob.default_init(rng) for _ in range(2)])
         V = rng.standard_normal((2, 3, prob.dim))
         V[1, 2] = 0.0
-        stack, seeds = row_seeds((1, 2), 0, Channel.HESSIAN_NOISE)
+        stack, seeds = row_seeds(prob, (1, 2), 0, Channel.HESSIAN_NOISE)
         block = prob.hvp(X, V, stack)
         np.testing.assert_array_equal(block[1, 2], np.zeros(prob.dim))
         np.testing.assert_array_equal(
@@ -947,7 +980,7 @@ def test_stack_validation():
     prob = MlpRegression(n_samples=32)
     X = np.zeros((2, prob.dim))
     seed = BatchSeed(0, 0, Channel.GRADIENT)
-    one_row = StackSeed([0], 0, Channel.GRADIENT, [0])
+    one_row = StackSeed(np.zeros((1, 1)), 0, [0])
     for bad_call in (lambda: prob.eval_grad(X, seed),          # one seed, two points
                      lambda: prob.eval_grad(X, one_row),       # stack rows
                      lambda: prob.eval_grad(X, [seed, seed]),  # a list of seeds
