@@ -14,7 +14,7 @@ the three floors and the control land close together.
 import numpy as np
 
 from diagocp.diag_ocp import OptimizerConfig
-from diagocp.harness import RunConfig, ablate_mu
+from diagocp.harness import CONTROL_CLIP_LO, RunConfig, ablate_mu
 from diagocp.problems import MlpRegression
 
 base = RunConfig(
@@ -30,7 +30,7 @@ for key in list(ablation.values) + ["control"]:
     ok = [r.final_val for r in runs if not r.diverged]
     med = f"{float(np.median(ok)):.5f}" if ok else "--"
     n_div = sum(r.diverged for r in runs)
-    label = f"{key:g}" if key != "control" else f"control ({ablation.control_clip_lo:g})"
+    label = f"{key:g}" if key != "control" else f"control ({CONTROL_CLIP_LO:g})"
     print(f"{label:>16}  {med:>16}  {n_div:>6}/{len(runs)}")
 
 print()

@@ -10,7 +10,7 @@ through the off-diagonal cross terms.
 import numpy as np
 
 from diagocp.diag_ocp import OptimizerConfig, clip_diag
-from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
+from diagocp.hessian_probe import hutchinson_diag, probe_draw
 from diagocp.problems import BatchSeed, Channel
 
 rng = np.random.default_rng(11)
@@ -22,15 +22,14 @@ a[np.diag_indices(dim)] = rng.uniform(1.0, 3.0, dim)
 print(f"dense symmetric {dim}x{dim}, diagonal in [1, 3]")
 print(f"{'probes':>8}  {'max rel error':>14}")
 for n in (1, 10, 100, 1_000, 10_000, 100_000):
-    cfg = ProbeConfig(n_probes=n, distribution="rademacher")
-    est = hutchinson_diag(lambda V: V @ a, dim, cfg, BatchSeed(0, 0, Channel.PROBE))
+    probe = probe_draw(n, "rademacher", dim)
+    est = hutchinson_diag(lambda V: V @ a, probe, BatchSeed(0, 0, Channel.PROBE))
     err = np.max(np.abs(est - np.diag(a)) / np.diag(a))
     print(f"{n:>8}  {err:>14.5f}")
 
 print()
 d = np.array([3.0, -5.0, 0.25])
-est = hutchinson_diag(lambda v: d * v, 3,
-                      ProbeConfig(n_probes=1, distribution="rademacher"),
+est = hutchinson_diag(lambda v: d * v, probe_draw(1, "rademacher", 3),
                       BatchSeed(0, 0, Channel.PROBE))
 print(f"diagonal matrix, single probe: estimate {est} vs truth {d} (exact)")
 

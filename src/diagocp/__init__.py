@@ -13,7 +13,7 @@ from .harness import (CompareResult, MuAblation, RunConfig, RunRecord,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
                       verify_probe_unbiasedness, verify_rate_trend)
-from .hessian_probe import ProbeConfig, hutchinson_diag
+from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (BatchSeed, Channel, MlpRegression, NoisyLeastSquares, ProblemOracle,
                        Quadratic, Rosenbrock2D, StackSeed, make_problem)
 
@@ -30,7 +30,7 @@ __all__ = [
     "emit_results", "emit_sweep", "lr_sweep", "run_experiment",
     "verify_closed_form_equivalence", "verify_probe_unbiasedness",
     "verify_rate_trend",
-    "ProbeConfig", "hutchinson_diag",
+    "hutchinson_diag", "probe_draw",
     "BatchSeed", "Channel", "MlpRegression", "NoisyLeastSquares",
     "ProblemOracle", "Quadratic", "Rosenbrock2D", "StackSeed", "make_problem",
 ]

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diag_ocp import check_finite
-from .hessian_probe import ProbeConfig
+from .hessian_probe import probe_draw
+from .problems import Draw
 
 BASELINE_KINDS = ("sgd", "adam", "adahessian")
 # Adam's and AdaHessian's published moment factors and denominator offset
@@ -28,7 +29,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 @dataclass(frozen=True)
 class BaselineConfig:
     """Hyperparameters of one baseline; `kind` picks it. Exposes the same
-    `kind`, `lr`, `with_lr` and `probe` as OptimizerConfig."""
+    `kind`, `lr`, `with_lr` and `probe(dim)` as OptimizerConfig."""
 
     lr_field = "lr"
 
@@ -48,10 +49,9 @@ class BaselineConfig:
     def with_lr(self, lr: float) -> "BaselineConfig":
         return replace(self, **{self.lr_field: lr})
 
-    @property
-    def probe(self) -> ProbeConfig | None:
+    def probe(self, dim: int) -> Draw | None:
         """One Rademacher probe for adahessian (the published choice), else None."""
-        return ProbeConfig(distribution="rademacher") if self.kind == "adahessian" else None
+        return probe_draw(1, "rademacher", dim) if self.kind == "adahessian" else None
 
 
 @dataclass

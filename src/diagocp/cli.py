@@ -28,7 +28,8 @@ subcommand reads is an error, exit 2, and so is a sub-object key that its
 constructor does not take. A key a document omits takes the library's
 default, apart from max_steps (100) and base_seed (0). The library checks
 every value: counts and seeds must be integral numbers (3.0 is 3; 3.9, "3"
-and true are errors) and noise scales finite and >= 0.
+and true are errors), real values must be numbers ("0.1" and true are
+errors) and noise scales finite and >= 0.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 from .baselines import BASELINE_KINDS, BaselineConfig
 from .diag_ocp import OptimizerConfig
-from .harness import (RunConfig, SweepSpec, ablate_mu, compare,
+from .harness import (CONTROL_CLIP_LO, RunConfig, SweepSpec, ablate_mu, compare,
                       emit_ablation, emit_heatmap, emit_results, emit_sweep,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
@@ -158,7 +159,7 @@ def _cmd_ablate_mu(args) -> int:
     paths = emit_ablation(ablation, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(f"{len(ablation.values)} clip floors plus control "
-          f"(clip_lo {ablation.control_clip_lo:g})")
+          f"(clip_lo {CONTROL_CLIP_LO:g})")
     return 0
 
 

@@ -30,22 +30,25 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .hessian_probe import ProbeConfig
-from .problems import _per_row, _row_norms
+from .hessian_probe import probe_draw
+from .problems import Draw, _per_row, _row_norms, as_real
 
 
 def check_finite(cfg):
-    """Reject NaN or infinite float fields, which JSON configs can spell."""
+    """Reject a float field that holds a bool, NaN or an infinity, each of
+    which a JSON config can spell: true would run as 1.0."""
     for f in fields(cfg):
-        if isinstance(value := getattr(cfg, f.name), float) and not math.isfinite(value):
+        value = getattr(cfg, f.name)
+        if f.type == "float" and not math.isfinite(as_real(value, f.name)):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Diag-OCP hyperparameters. Like BaselineConfig it exposes `kind`, `lr`
-    (the field named by `lr_field`), `with_lr` and `probe`, its Hutchinson
-    settings; `clip_diag` clamps the estimate into [mu, g_d]."""
+    (the field named by `lr_field`), `with_lr` and `probe(dim)`, the Draw
+    of its Hutchinson probe block; `clip_diag` clamps the estimate into
+    [mu, g_d]."""
 
     kind = "diag_ocp"
     lr_field = "alpha"
@@ -72,10 +75,8 @@ class OptimizerConfig:
             raise ValueError("need weight_decay >= 0 and alpha*weight_decay < 1")
         if not 0.0 < self.safeguard_rho_max < 1.0:
             raise ValueError("safeguard_rho_max must be in (0, 1)")
-        # built once, so bad probe settings fail here rather than mid-run
-        probe = ProbeConfig(n_probes=self.n_probes, distribution=self.probe_distribution)
-        object.__setattr__(self, "n_probes", probe.n_probes)
-        object.__setattr__(self, "_probe", probe)
+        # bad probe settings fail here rather than mid-run
+        object.__setattr__(self, "n_probes", self.probe(1).shape[0])
 
     @property
     def lr(self) -> float:
@@ -84,9 +85,8 @@ class OptimizerConfig:
     def with_lr(self, lr: float) -> "OptimizerConfig":
         return replace(self, **{self.lr_field: lr})
 
-    @property
-    def probe(self) -> ProbeConfig:
-        return self._probe
+    def probe(self, dim: int) -> Draw:
+        return probe_draw(self.n_probes, self.probe_distribution, dim)
 
 
 @dataclass
@@ -106,10 +106,9 @@ class OptimizerState:
 @dataclass(frozen=True)
 class StepDiagnostics:
     """What one step did. For an (R, dim) stack, the per-row fields hold one
-    value per row, while safeguard_triggered and n_clamped cover the stack."""
+    value per row, while n_clamped covers the stack."""
 
     rho: float | np.ndarray     # max_i |s_i| after the -rho_max floor
-    safeguard_triggered: bool
     n_clamped: int              # clamped bases, summed over a stack
     step_norm: float | np.ndarray
     corrected_m_norm: float | np.ndarray
@@ -182,7 +181,6 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     x_next = x * (1.0 - alpha * cfg.weight_decay) - phi
     diagnostics = StepDiagnostics(
         rho=_per_row(np.max(np.abs(s_safe), axis=-1)),
-        safeguard_triggered=n_clamped > 0,
         n_clamped=n_clamped,
         step_norm=_per_row(_row_norms(x_next - x)),
         corrected_m_norm=_per_row(_row_norms(m_hat)),

@@ -59,16 +59,15 @@ import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .baselines import BaselineConfig, BaselineState, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_form,
                        step_recursive_reference, update_moments)
-from .hessian_probe import ProbeConfig, hutchinson_diag, probe_draw
+from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
-                       _row_dots, _row_norms, as_integer, stream_states)
+                       _row_dots, _row_norms, as_integer, as_real, stream_states)
 
 _INIT_STREAM = 3
 # A run holds its tables, and the stream_states words that fill them, for
@@ -185,7 +184,9 @@ def _init_rng(rep_base: int) -> np.random.Generator:
 
 class _Window:
     """Each channel a run draws on -> its table over the current window of
-    `width` steps from `start`, shared by every stack that reads them."""
+    `width` steps from `start`, shared by every stack that reads them.
+    `draws` maps each channel to the Draw that fills its table: the one
+    record of what the run draws."""
 
     def __init__(self, bases, draws, n_steps):
         self.bases, self.draws, self.n_steps = bases, draws, n_steps
@@ -205,74 +206,67 @@ class _Window:
                        for channel, draw in self.draws.items()}
 
 
-class _Streams(NamedTuple):
-    """Every stream a run's replicates draw on (see `_streams`), and the
-    row map of the stack that reads them."""
-
-    window: _Window      # the replicates' draws, a window of steps at a time
-    rows: np.ndarray     # the replicate of each stack row
-
-
-def _streams(cfg: RunConfig) -> _Streams:
+def _streams(cfg: RunConfig) -> _Window:
     """The streams of cfg's replicates, built once for every stack that
     steps them: a run's, both stages of a sweep, or every floor of an
     ablation.
 
-    Each channel the run reads gets one table of every replicate's draw at
-    every step (see `Draw.table`): under a probe, PROBE's probe blocks; and
-    the oracle's `stream_draw` on GRADIENT and, for a minibatch HVP under a
-    probe, on HESSIAN_NOISE. No HVP reads gradient noise, so a noisy
-    full-batch oracle draws no HESSIAN_NOISE. The tables cover steps
-    0..max_steps-1 at once when they and their words fit in BUDGET bytes,
-    as every benchmark workload does, and otherwise a window of steps at a
-    time (`_seeds`). So a run, or a sweep that fits, draws each entry once.
-    The row map is one tile of the replicates.
+    Each channel the run reads gets its Draw, built here once, and one
+    table of every replicate's draw at every step (see `Draw.table`):
+    PROBE's probe blocks under opt_cfg.probe(dim); and the oracle's
+    `stream_draw` on GRADIENT and, for a minibatch HVP under a probe, on
+    HESSIAN_NOISE. No HVP reads gradient noise, so a noisy full-batch
+    oracle draws no HESSIAN_NOISE. The tables cover steps 0..max_steps-1
+    at once when they and their words fit in BUDGET bytes, as every
+    benchmark workload does, and otherwise a window of steps at a time
+    (`_seeds`). So a run, or a sweep that fits, draws each entry once.
     """
-    problem, probe = cfg.problem, cfg.opt_cfg.probe
+    problem, probe = cfg.problem, cfg.opt_cfg.probe(cfg.problem.dim)
     bases = [_replicate_base(cfg.base_seed, rep) for rep in range(cfg.n_seeds)]
     draws, oracle = {}, problem.stream_draw()
     if probe is not None:
-        draws[Channel.PROBE] = probe_draw(probe, problem.dim)
+        draws[Channel.PROBE] = probe
     if oracle is not None:
         draws[Channel.GRADIENT] = oracle
         if probe is not None and problem.batch_size is not None:
             draws[Channel.HESSIAN_NOISE] = oracle
-    return _Streams(_Window(bases, draws, cfg.max_steps), np.arange(len(bases)))
+    return _Window(bases, draws, cfg.max_steps)
 
 
-def _seeds(streams, k, channel):
-    """The StackSeed of the stack's rows for 0-based step index k, over the
-    window of the tables that holds k, drawn first when k lies outside the
-    current one; None for a channel the oracle does not draw on, which
-    reads it as the full-batch, noise-free draw that such an oracle makes
-    anyway."""
-    window = streams.window
+def _seeds(window, k, channel, rows):
+    """The StackSeed for 0-based step index k of a stack whose row r reads
+    replicate rows[r], over the window of the tables that holds k, drawn
+    first when k lies outside the current one; None for a channel the
+    oracle does not draw on, which reads it as the full-batch, noise-free
+    draw that such an oracle makes anyway."""
     if channel not in window.draws:
         return None
     if not 0 <= k - window.start < window.width:
         window.fill(k - k % window.width)
-    return StackSeed(window.tables[channel], k - window.start, streams.rows)
+    return StackSeed(window.tables[channel], k - window.start, rows)
 
 
-def _advance(problem, opt_cfg, probe, state, x, g, streams, k, lr=None):
+def _advance(problem, opt_cfg, state, x, g, window, rows, k, lr=None):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
-    g is the (R, dim) gradient at x drawn from seeds(k - 1), `probe` is
-    opt_cfg.probe and state is None before the first step. Row r reads its
-    replicate's draws from the tables (see `_streams`) and steps with
-    lr[r], an (R, 1) column (opt_cfg's lr when None), so it steps exactly
-    as it would alone. Returns (x_next, state', step_norm, rho, clamped)
-    with one ||x_next - x||, rho and clamp count per row; rho and clamped
-    are None for the baselines. diag_ocp's path is
-    probe -> clip -> moments -> closed-form step, and adahessian steps on
-    the raw probe estimate; this is the one branch on the optimizer family,
-    because the two step algorithms differ.
+    g is the (R, dim) gradient at x drawn at step index k - 1 and state is
+    None before the first step. Row r reads replicate rows[r]'s draws from
+    the window's tables (see `_streams`) and steps with lr[r], an (R, 1)
+    column (opt_cfg's lr when None), so it steps exactly as it would alone.
+    The stack probes when the run draws on PROBE, and hands
+    `hutchinson_diag` the Draw that filled the probe table. Returns
+    (x_next, state', step_norm, rho, clamped) with one ||x_next - x||, rho
+    and clamp count per row; rho and clamped are None for the baselines.
+    diag_ocp's path is probe -> clip -> moments -> closed-form step, and
+    adahessian steps on the raw probe estimate; this is the one branch on
+    the optimizer family, because the two step algorithms differ.
     """
     raw = None
-    if probe is not None:
-        hseeds = _seeds(streams, k - 1, Channel.HESSIAN_NOISE)
+    if Channel.PROBE in window.draws:
+        hseeds = _seeds(window, k - 1, Channel.HESSIAN_NOISE, rows)
         raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
-                              problem.dim, probe, _seeds(streams, k - 1, Channel.PROBE))
+                              window.draws[Channel.PROBE],
+                              _seeds(window, k - 1, Channel.PROBE, rows))
     if isinstance(opt_cfg, OptimizerConfig):
         if state is None:
             state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
@@ -315,28 +309,29 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     return _run_stack(cfg, [cfg.opt_cfg.lr], _streams(cfg))[0]
 
 
-def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
+def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     """Run cfg's replicates at every learning rate of lrs as one stack;
     returns one seed-ordered RunRecord list per lr, in lrs order.
-    `streams` is `_streams(cfg)`, which a sweep shares between its stages.
+    `window` is `_streams(cfg)`, which a sweep shares between its stages.
 
     Row (j, rep) of the (len(lrs) * n_seeds, dim) stack, lr-major, starts
     from replicate rep's initial iterate, draws its noise from replicate
     rep's stream base and steps with lrs[j]; cfg.opt_cfg supplies every
     other setting. Each row's record equals the one it would get run alone.
     Blow-up propagates as inf/NaN; a row whose iterate or recorded loss is
-    non-finite is marked diverged and drops out of the stack. Live rows
-    share one slot of the record table: every step writes it, and only a
-    recording step moves on. Row r's trajectory is table[name][r, :length[r]].
+    non-finite is marked diverged and drops out of the stack. `live` maps
+    each stack row to its table row, so stack row r reads replicate
+    live[r] % n_seeds. Live rows share one slot of the record table: every
+    step writes it, and only a recording step moves on. Row r's trajectory
+    is table[name][r, :length[r]].
     """
     problem, opt_cfg = cfg.problem, cfg.opt_cfg
     t_start = time.perf_counter()
     lrs = [opt_cfg.with_lr(lr).lr for lr in lrs]    # with_lr validates each lr
-    n, probe = cfg.n_seeds, opt_cfg.probe
-    x, state = np.tile(_init_stack(problem, streams.window.bases), (len(lrs), 1)), None
-    streams = streams._replace(rows=np.tile(streams.rows, len(lrs)))
+    n = cfg.n_seeds
+    x, state = np.tile(_init_stack(problem, window.bases), (len(lrs), 1)), None
     lr_col = np.repeat(lrs, n)[:, None]
-    step = partial(_advance, problem, opt_cfg, probe)
+    step = partial(_advance, problem, opt_cfg)
     # step 0, every cadence step, an off-cadence last step and a divergence
     n_slots = cfg.max_steps // cfg.record_every + 2
     table = {name: np.zeros((len(lr_col), n_slots), dtype)
@@ -353,21 +348,23 @@ def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
     def leave(ok, n_recorded):
         """Mark the rows where ok is False diverged with n_recorded slots,
         and drop them from the stack."""
-        nonlocal x, g, state, streams, lr_col, live
+        nonlocal x, g, state, lr_col, live
         out = live[~ok]
         length[out], diverged[out] = n_recorded, True
         rows = np.flatnonzero(ok)
         x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
-        streams, live = streams._replace(rows=streams.rows[rows]), live[rows]
+        live = live[rows]
 
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g, train = problem.grad_and_train_loss(x, _seeds(streams, 0, Channel.GRADIENT))
+        g, train = problem.grad_and_train_loss(x, _seeds(window, 0, Channel.GRADIENT,
+                                                          live % n))
         write(live, 0, train_loss=train, val_loss=problem.val_loss(x),
               grad_norm_sq=_row_dots(g))
         slot = 1
         for k in range(1, cfg.max_steps + 1):
-            x_next, state, step_norm, rho, clamped = step(state, x, g, streams, k, lr_col)
+            x_next, state, step_norm, rho, clamped = step(state, x, g, window, live % n,
+                                                          k, lr_col)
             write(live, slot, steps=k, grad_norm_sq=_row_dots(g), step_norm=step_norm)
             if rho is not None:
                 write(live, slot, rho=rho, safeguard_count=clamped)
@@ -383,9 +380,9 @@ def _run_stack(cfg: RunConfig, lrs, streams: _Streams) -> list[list[RunRecord]]:
                 train = problem.train_loss(x)
             elif recording:
                 g, train = problem.grad_and_train_loss(
-                    x, _seeds(streams, k, Channel.GRADIENT))
+                    x, _seeds(window, k, Channel.GRADIENT, live % n))
             else:
-                g = problem.eval_grad(x, _seeds(streams, k, Channel.GRADIENT))
+                g = problem.eval_grad(x, _seeds(window, k, Channel.GRADIENT, live % n))
             if recording:
                 val = problem.val_loss(x)
                 write(live, slot, train_loss=train, val_loss=val)
@@ -447,7 +444,7 @@ class SweepSpec:
     coarse_grid: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):
-        grid = tuple(float(v) for v in self.coarse_grid)
+        grid = tuple(as_real(v, "coarse_grid") for v in self.coarse_grid)
         if not grid:
             raise ValueError("coarse grid must be nonempty")
         if not all(0.0 < v < math.inf for v in grid):
@@ -483,12 +480,12 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
     """
     records: dict = {}
     aggregates: dict = {}
-    streams = _streams(base)
+    window = _streams(base)
 
     def run_stage(lrs):
         new = [lr for lr in lrs if lr not in records]
         if new:
-            for lr, recs in zip(new, _run_stack(base, new, streams)):
+            for lr, recs in zip(new, _run_stack(base, new, window)):
                 records[lr], aggregates[lr] = recs, _aggregate(recs)
 
     def rank(lr):
@@ -520,7 +517,6 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
 @dataclass
 class MuAblation:
     values: tuple
-    control_clip_lo: float
     runs: dict   # float mu -> records, plus "control" -> records
 
 
@@ -538,7 +534,7 @@ def ablate_mu(values, base: RunConfig) -> MuAblation:
     """
     if not isinstance(base.opt_cfg, OptimizerConfig):
         raise ValueError("the clip-floor ablation needs an OptimizerConfig")
-    values = tuple(float(v) for v in values)
+    values = tuple(as_real(v, "mu_values") for v in values)
     if not values:
         raise ValueError("need at least one mu value")
     floors = values + (CONTROL_CLIP_LO,)
@@ -548,10 +544,10 @@ def ablate_mu(values, base: RunConfig) -> MuAblation:
                          f"must be distinct, got {list(values)}")
     # every config first: OptimizerConfig rejects a bad floor before any run
     cfgs = [replace(base, opt_cfg=replace(base.opt_cfg, mu=v)) for v in floors]
-    streams = _streams(base)
-    runs = {key: _run_stack(cfg, [cfg.opt_cfg.lr], streams)[0]
+    window = _streams(base)
+    runs = {key: _run_stack(cfg, [cfg.opt_cfg.lr], window)[0]
             for key, cfg in zip(values + ("control",), cfgs)}
-    return MuAblation(values=values, control_clip_lo=CONTROL_CLIP_LO, runs=runs)
+    return MuAblation(values=values, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +583,7 @@ def verify_closed_form_equivalence(seed: int = 0) -> dict:
         cfg = OptimizerConfig(alpha=alpha, mu=1e-14, g_d=1e6, weight_decay=0.0)
         state = OptimizerState(t=t_prime, m=m_hat.copy(), D=d_hat.copy())
         x_closed, diag = step_closed_form(state, x, m_hat, d_hat, cfg)
-        if diag.safeguard_triggered:
+        if diag.n_clamped:
             excluded += 1
             continue
         x_rec = step_recursive_reference(state, x, m_hat, d_hat, cfg)
@@ -632,15 +628,15 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     cfg = RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
                     max_steps=T_list[-1], base_seed=base_seed, n_seeds=n_seeds)
     t_start = time.perf_counter()
-    t_max, n_seeds, probe = cfg.max_steps, cfg.n_seeds, opt_cfg.probe
-    streams = _streams(cfg)
-    x, state = _init_stack(problem, streams.window.bases), None
+    t_max, n_seeds = cfg.max_steps, cfg.n_seeds
+    window, rows = _streams(cfg), np.arange(n_seeds)
+    x, state = _init_stack(problem, window.bases), None
     acc, diverged_step = np.zeros(t_max), None
     # overflow past float range is the divergence signal, as in _run_stack
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, t_max + 1):
-            g = problem.eval_grad(x, _seeds(streams, k - 1, Channel.GRADIENT))
-            x, state, *_ = _advance(problem, opt_cfg, probe, state, x, g, streams, k)
+            g = problem.eval_grad(x, _seeds(window, k - 1, Channel.GRADIENT, rows))
+            x, state, *_ = _advance(problem, opt_cfg, state, x, g, window, rows, k)
             if not np.isfinite(x).all():
                 diverged_step = k
                 break
@@ -673,25 +669,23 @@ def verify_probe_unbiasedness(seed: int = 0) -> dict:
     on a diagonal matrix at a single probe."""
     seed = as_integer(seed, "seed")
     dim, tol = 8, 0.05
-    cfg = ProbeConfig(n_probes=100_000, distribution="rademacher")
+    probe = probe_draw(100_000, "rademacher", dim)
     rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK,
                                                        spawn_key=(202,)))
     t_start = time.perf_counter()
     a = rng.uniform(-0.3, 0.3, (dim, dim))
     a = (a + a.T) / 2.0
     a[np.diag_indices(dim)] = rng.uniform(1.0, 2.0, dim)
-    est = hutchinson_diag(lambda V: V @ a, dim, cfg,
-                          BatchSeed(seed, 0, Channel.PROBE))
+    est = hutchinson_diag(lambda V: V @ a, probe, BatchSeed(seed, 0, Channel.PROBE))
     max_rel = float(np.max(np.abs(est - np.diag(a)) / np.abs(np.diag(a))))
 
     d = np.array([3.0, 5.0])
-    exact = hutchinson_diag(lambda v: d * v, 2,
-                            ProbeConfig(n_probes=1, distribution="rademacher"),
+    exact = hutchinson_diag(lambda v: d * v, probe_draw(1, "rademacher", 2),
                             BatchSeed(seed, 1, Channel.PROBE))
     exact_err = float(np.max(np.abs(exact - d)))
     return {
         "check": "probe_unbiasedness",
-        "n_probes": cfg.n_probes,
+        "n_probes": probe.shape[0],
         "dim": dim,
         "max_relative_error": max_rel,
         "tolerance": tol,
@@ -786,7 +780,7 @@ def emit_ablation(ablation: MuAblation, path) -> list[Path]:
     for key in list(ablation.values) + ["control"]:
         records = ablation.runs[key]
         all_records.extend(records)
-        mu = ablation.control_clip_lo if key == "control" else key
+        mu = CONTROL_CLIP_LO if key == "control" else key
         rows.append((str(key), mu) + tuple(_aggregate(records).values()))
     return _write_tables(path, [("steps", STEP_HEADER, _step_rows(all_records)),
                                 ("ablation", ABLATION_HEADER, rows)])

@@ -249,10 +249,19 @@ def as_integer(value, name) -> int:
     return int(value)
 
 
+def as_real(value, name) -> float:
+    """A real number as a float. As for `as_integer`, a bool, a string or
+    any other type is an error, not a silent conversion: a JSON config's
+    true would otherwise run as 1.0."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def as_scale(value, name) -> float:
-    """A noise standard deviation as a float; NaN, inf and negative values
-    are errors."""
-    value = float(value)
+    """A noise standard deviation as a float; a bool, NaN, inf and negative
+    values are errors."""
+    value = as_real(value, name)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
@@ -542,6 +551,7 @@ class _SampleBased(ProblemOracle):
         if batch_size is not None and self.noise_std_grad > 0.0:
             raise ValueError("batch_size and noise_std_grad > 0 are exclusive: "
                              "a minibatch is the gradient noise of a sample-based kind")
+        val_fraction = as_real(val_fraction, "val_fraction")
         if not 0.0 <= val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
         perm = rng.permutation(n_samples)
@@ -589,7 +599,7 @@ class NoisyLeastSquares(_SampleBased):
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + noise_std * rng.standard_normal(n_samples)
         self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
-        self._setup_split(rng, n_samples, float(val_fraction), batch_size)
+        self._setup_split(rng, n_samples, val_fraction, batch_size)
 
     def _rows(self, idx):
         return self.A[idx], self.y[idx]
@@ -618,11 +628,12 @@ class NoisyLeastSquares(_SampleBased):
 
 
 class MlpRegression(_SampleBased):
-    """ReLU network (at most two hidden layers) fit to a frozen teacher.
+    """ReLU network of any depth fit to a frozen teacher.
 
-    layer_sizes = [d_in, hidden..., d_out]; the flat parameter vector packs
-    (W_1, b_1, ..., W_L, b_L) so dim = sum_l (fan_in_l * fan_out_l +
-    fan_out_l). Inputs are standard normal, targets are the teacher's
+    layer_sizes = [d_in, hidden..., d_out], with at least one hidden
+    layer; the forward pass and backprop loop over the layers. The flat
+    parameter vector packs (W_1, b_1, ..., W_L, b_L) so dim = sum_l
+    (fan_in_l * fan_out_l + fan_out_l). Inputs are standard normal, targets are the teacher's
     outputs plus label noise, all drawn once from teacher_seed. The loss is
     the mean over samples of the summed squared output error, and the
     gradient is manual backprop with the ReLU subgradient at 0 taken as 0.
@@ -652,8 +663,8 @@ class MlpRegression(_SampleBased):
                  label_noise_std=0.05, val_fraction=0.2, batch_size=None,
                  noise_std_grad=0.0):
         sizes = [as_integer(s, "layer_sizes") for s in layer_sizes]
-        if len(sizes) < 3 or len(sizes) > 4:
-            raise ValueError("layer_sizes must describe 1 or 2 hidden layers")
+        if len(sizes) < 3:
+            raise ValueError("layer_sizes must describe at least one hidden layer")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
         n_samples = as_integer(n_samples, "n_samples")
@@ -673,7 +684,7 @@ class MlpRegression(_SampleBased):
         teacher = self._kaiming(rng)
         self.Y = self._forward(self._unpack(teacher), self.X)[-1]
         self.Y += label_noise_std * rng.standard_normal((n_samples, sizes[-1])).T
-        self._setup_split(rng, n_samples, float(val_fraction), batch_size)
+        self._setup_split(rng, n_samples, val_fraction, batch_size)
 
     # -- parameter packing ------------------------------------------------
 

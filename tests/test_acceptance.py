@@ -56,7 +56,7 @@ def test_criterion_02_hand_oracle_trajectory():
     seen = []
     for k in range(2):
         g = prob.eval_grad(x)
-        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), 1, cfg.probe,
+        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), cfg.probe(1),
                                       BatchSeed(0, k, Channel.PROBE)), cfg)
         state, m_hat, d_hat = update_moments(state, g, h, cfg)
         x, _ = step_closed_form(state, x, m_hat, d_hat, cfg)
@@ -97,7 +97,7 @@ def test_criterion_04_corrected_curvature_bounds():
     violations = 0
     for k in range(500):
         g = prob.eval_grad(x, BatchSeed(1, k, Channel.GRADIENT))
-        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), prob.dim, cfg.probe,
+        h = clip_diag(hutchinson_diag(lambda v: prob.hvp(x, v), cfg.probe(prob.dim),
                                       BatchSeed(1, k, Channel.PROBE)), cfg)
         state, m_hat, d_hat = update_moments(state, g, h, cfg)
         violations += int(np.any(d_hat < cfg.mu) or np.any(d_hat > cfg.g_d))

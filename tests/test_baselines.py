@@ -6,7 +6,7 @@ from pytest import approx, mark, raises
 from diagocp.baselines import (BASELINE_KINDS, BETA2, EPS, BaselineConfig, BaselineState,
                                baseline_step, init_baseline_state)
 from diagocp.harness import RunConfig, SweepSpec, lr_sweep
-from diagocp.hessian_probe import ProbeConfig, hutchinson_diag
+from diagocp.hessian_probe import hutchinson_diag, probe_draw
 from diagocp.problems import BatchSeed, Channel, MlpRegression, Quadratic
 
 H = np.array([1.0, 2.0, 4.0])
@@ -92,8 +92,7 @@ def test_adahessian_exact_diagonal_first_step():
     prob = Quadratic(np.array([4.0]))
     x = np.array([1.0])
     g = prob.eval_grad(x)
-    h_est = hutchinson_diag(lambda v: prob.hvp(x, v), 1,
-                            ProbeConfig(n_probes=1, distribution="rademacher"),
+    h_est = hutchinson_diag(lambda v: prob.hvp(x, v), probe_draw(1, "rademacher", 1),
                             BatchSeed(0, 0, Channel.PROBE))
     np.testing.assert_array_equal(h_est, [4.0])
     cfg = BaselineConfig(kind="adahessian", lr=0.1)

@@ -23,8 +23,8 @@ from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
                              emit_sweep, lr_sweep, run_experiment, summary_rows,
                              verify_closed_form_equivalence,
                              verify_probe_unbiasedness, verify_rate_trend)
-from diagocp.hessian_probe import ProbeConfig, hutchinson_diag, probe_draw
-from diagocp.problems import (BatchSeed, Channel, MlpRegression,
+from diagocp.hessian_probe import hutchinson_diag, probe_draw
+from diagocp.problems import (BatchSeed, Channel, Draw, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
                               Rosenbrock2D, StackSeed, stream_states)
 
@@ -82,17 +82,26 @@ def test_run_config_counts_and_seed_are_integers(key):
 
 # --- optimizer interface --------------------------------------------------------
 
-# kind -> (config, lr, lr field, probe, mu), the values the harness used
-# before the configs owned them; only diag_ocp clips, so only it has a mu
+# kind -> (config, lr, lr field, probe settings, mu), the values the
+# harness used before the configs owned them; only diag_ocp clips, so only
+# it has a mu
 INTERFACE = {
     "diag_ocp": (OptimizerConfig(alpha=0.03, mu=1e-3, g_d=1e3, n_probes=3,
                                  probe_distribution="rademacher"),
-                 0.03, "alpha", ProbeConfig(n_probes=3, distribution="rademacher"), 1e-3),
+                 0.03, "alpha", (3, "rademacher"), 1e-3),
     "sgd": (BaselineConfig(kind="sgd", lr=0.2, weight_decay=0.01), 0.2, "lr", None, None),
     "adam": (BaselineConfig(kind="adam", lr=0.01), 0.01, "lr", None, None),
     "adahessian": (BaselineConfig(kind="adahessian", lr=0.1), 0.1, "lr",
-                   ProbeConfig(n_probes=1, distribution="rademacher"), None),
+                   (1, "rademacher"), None),
 }
+
+
+def assert_same_draw(draw, want):
+    """Two Draws describe one draw: a Draw compares its fn by identity, so
+    compare shape, dtype and the values each draws from one stream."""
+    assert (draw.shape, draw.dtype) == (want.shape, want.dtype)
+    np.testing.assert_array_equal(draw.fn(np.random.default_rng(7)),
+                                  want.fn(np.random.default_rng(7)))
 
 
 @pytest.mark.parametrize("kind", sorted(INTERFACE))
@@ -101,7 +110,10 @@ def test_config_interface_per_kind(kind):
     assert cfg.kind == kind
     assert cfg.lr_field == field_name
     assert cfg.lr == lr == getattr(cfg, field_name)
-    assert cfg.probe == probe
+    if probe is None:
+        assert cfg.probe(5) is None
+    else:
+        assert_same_draw(cfg.probe(5), probe_draw(*probe, 5))
     moved = cfg.with_lr(0.5)
     assert moved == replace(cfg, **{field_name: 0.5})
     assert type(moved) is type(cfg) and moved.lr == 0.5 and cfg.lr == lr
@@ -143,9 +155,8 @@ def test_optimizer_config_builds_its_probe_once_with_an_int_count():
     cfg = OptimizerConfig(n_probes=3.0, probe_distribution="rademacher")
     assert type(cfg.n_probes) is int and cfg == OptimizerConfig(
         n_probes=3, probe_distribution="rademacher")
-    assert cfg.probe is cfg.probe
-    assert cfg.probe == ProbeConfig(n_probes=3, distribution="rademacher")
-    assert cfg.with_lr(0.01).probe == cfg.probe
+    assert_same_draw(cfg.probe(7), probe_draw(3, "rademacher", 7))
+    assert_same_draw(cfg.with_lr(0.01).probe(7), cfg.probe(7))
 
 
 LAYER_FUNCTIONS = ("hutchinson_diag", "clip_diag", "update_moments",
@@ -173,6 +184,36 @@ def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
     recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
     assert not any(r.diverged for r in recs)
     assert counts == {name: 7 * n for name, n in per_step.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(INTERFACE))
+def test_the_draw_that_fills_the_probe_table_is_the_one_each_estimate_gets(kind,
+                                                                           monkeypatch):
+    # a run builds its probe Draw once: every step hands hutchinson_diag
+    # the object that filled the run's probe table, so each block the step
+    # reads is checked against the Draw that made it
+    filled, handed = [], []
+    fill, estimate = Draw.table, harness.hutchinson_diag
+
+    def filling(draw, bases, steps, channel, words):
+        if channel == Channel.PROBE:
+            filled.append(draw)
+        return fill(draw, bases, steps, channel, words)
+
+    def estimating(hvp_fn, draw, seed):
+        handed.append(draw)
+        return estimate(hvp_fn, draw, seed)
+
+    monkeypatch.setattr(Draw, "table", filling)
+    monkeypatch.setattr(harness, "hutchinson_diag", estimating)
+    cfg, _, _, probe, _ = INTERFACE[kind]
+    run_experiment(quad_run(max_steps=4, n_seeds=2, optimizer=kind, opt_cfg=cfg))
+    if probe is None:
+        assert filled == handed == []
+        return
+    (draw,) = filled
+    assert len(handed) == 4 and all(d is draw for d in handed)
+    assert_same_draw(draw, probe_draw(*probe, 3))
 
 
 def test_adahessian_steps_on_the_raw_hutchinson_estimate(monkeypatch):
@@ -268,8 +309,8 @@ def count_seeds(monkeypatch):
     channels = []
     build = harness._seeds
 
-    def counting(streams, k, channel):
-        seed = build(streams, k, channel)
+    def counting(window, k, channel, rows):
+        seed = build(window, k, channel, rows)
         if seed is not None:
             channels.append(channel)
         return seed
@@ -331,10 +372,10 @@ def reference_run(cfg, rep):
     base = _replicate_base(cfg.base_seed, rep)
     x = prob.default_init(_init_rng(base))
     if opt == "diag_ocp":
-        probe = ProbeConfig(n_probes=ocfg.n_probes, distribution=ocfg.probe_distribution)
+        probe = probe_draw(ocfg.n_probes, ocfg.probe_distribution, prob.dim)
         state = init_state(prob.dim, ocfg)
     else:
-        probe = ProbeConfig(distribution="rademacher") if opt == "adahessian" else None
+        probe = probe_draw(1, "rademacher", prob.dim) if opt == "adahessian" else None
         state = init_baseline_state(prob.dim)
     inf = float("inf")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -347,7 +388,7 @@ def reference_run(cfg, rep):
             if probe is not None:
                 h = hutchinson_diag(
                     lambda V: prob.hvp(x, V, seed(Channel.HESSIAN_NOISE)),
-                    prob.dim, probe, seed(Channel.PROBE))
+                    probe, seed(Channel.PROBE))
             if opt == "diag_ocp":
                 state, m_hat, d_hat = update_moments(state, g, clip_diag(h, ocfg), ocfg)
                 x_next, diag = step_closed_form(state, x, m_hat, d_hat, ocfg)
@@ -769,20 +810,20 @@ def test_lr_sweep_records_equal_each_lr_run_alone(problem, optimizer):
 
 
 def test_lr_sweep_makes_one_stepper_run_per_stage(monkeypatch):
-    stages, streams = [], []
+    stages, windows = [], []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs, stage_streams):
+    def counting(cfg, lrs, window):
         stages.append(list(lrs))
-        streams.append(stage_streams)
-        return run_stack(cfg, lrs, stage_streams)
+        windows.append(window)
+        return run_stack(cfg, lrs, window)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     spec = SweepSpec(coarse_grid=(1e-1, 1e-2, 1e-3))
     result = lr_sweep(spec, quad_run(max_steps=30, n_seeds=2))
     assert len(stages) == 2
     # both stages step the same replicates, so they read one set of streams
-    assert streams[0] is streams[1]
+    assert windows[0] is windows[1]
     assert stages[0] == list(spec.coarse_grid)
     # the winner 0.1 refines to {0.1, 0.05, 0.01}; only 0.05 is new
     assert stages[1] == [0.05]
@@ -819,9 +860,8 @@ def test_lr_sweep_stage_with_diverging_rows_matches_the_reference(case, monkeypa
     assert not all(r.diverged for recs in result.records.values() for r in recs)
 
 
-def tabled(streams):
-    """The channels the streams draw on, each of which has its table."""
-    window = streams.window
+def tabled(window):
+    """The channels the window draws on, each of which has its table."""
     assert set(window.tables) == set(window.draws)
     return set(window.tables)
 
@@ -888,10 +928,10 @@ def test_tabled_lr_sweep_with_diverging_rows_matches_the_reference(case, tmp_pat
 ], ids=["mlp-minibatch", "diverging"])
 def test_lr_records_do_not_depend_on_the_other_lrs_of_the_stage(cfg):
     lrs = [0.5, 0.05, 0.01, 0.005]
-    streams = harness._streams(cfg)
-    full = dict(zip(lrs, harness._run_stack(cfg, lrs, streams)))
+    window = harness._streams(cfg)
+    full = dict(zip(lrs, harness._run_stack(cfg, lrs, window)))
     for subset in ([0.05], [0.005, 0.5], [0.01, 0.05, 0.5]):
-        for lr, recs in zip(subset, harness._run_stack(cfg, subset, streams)):
+        for lr, recs in zip(subset, harness._run_stack(cfg, subset, window)):
             assert [r.run_id for r in recs] == [r.run_id for r in full[lr]]
             assert_same_records(recs, full[lr])
 
@@ -910,7 +950,7 @@ def test_a_run_over_the_probe_table_bound_writes_the_same_bytes(tmp_path, monkey
            "sweep": {"coarse_grid": [0.1, 0.01]}, "mu_values": [1e-3], "n_seeds": 3}
     config = write_config(tmp_path, doc)
     cfg = cli._build_run(doc, None)
-    steps, window = doc["max_steps"], harness._streams(cfg).window
+    steps, window = doc["max_steps"], harness._streams(cfg)
     assert window.width >= steps
     per_step = sum(t[:, 0].nbytes for t in window.tables.values())
     per_step += doc["n_seeds"] * harness._WORD_BYTES
@@ -918,7 +958,7 @@ def test_a_run_over_the_probe_table_bound_writes_the_same_bytes(tmp_path, monkey
     assert cli.main([command, "--config", config, "--out", str(outs[steps])]) == 0
     for width in (1, 3):
         monkeypatch.setattr(harness, "BUDGET", (width + 1) * per_step - 1)
-        assert harness._streams(cfg).window.width == width
+        assert harness._streams(cfg).width == width
         channels = count_streams(monkeypatch)
         outs[width] = tmp_path / f"width{width}"
         assert cli.main([command, "--config", config, "--out", str(outs[width])]) == 0
@@ -960,7 +1000,7 @@ def test_streams_of_a_long_run_hold_at_most_the_budget():
                     n_seeds=5)
     tracemalloc.start()
     try:
-        window = harness._streams(cfg).window
+        window = harness._streams(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1021,11 +1061,11 @@ def test_stack_rows_sharing_a_seed_share_one_derivation(case, method, monkeypatc
 
 @pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
 def test_hutchinson_rows_sharing_a_seed_share_one_probe_block(distribution, monkeypatch):
-    cfg = ProbeConfig(n_probes=3, distribution=distribution)
+    probe = probe_draw(3, distribution, 6)
     a = np.random.default_rng(5).standard_normal((6, 6))
     sym = a + a.T
     channels = count_streams(monkeypatch)
-    stack, seeds = repeated_seeds(probe_draw(cfg, 6), Channel.PROBE)
+    stack, seeds = repeated_seeds(probe, Channel.PROBE)
     assert channels == [Channel.PROBE] * 3
     blocks = []
 
@@ -1033,9 +1073,9 @@ def test_hutchinson_rows_sharing_a_seed_share_one_probe_block(distribution, monk
         blocks.append(V)
         return V @ sym
 
-    est = hutchinson_diag(hvp, 6, cfg, stack)
+    est = hutchinson_diag(hvp, probe, stack)
     assert channels == [Channel.PROBE] * 3
-    alone = [hutchinson_diag(hvp, 6, cfg, seed) for seed in seeds]
+    alone = [hutchinson_diag(hvp, probe, seed) for seed in seeds]
     for i, want in enumerate(alone):
         np.testing.assert_array_equal(blocks[0][i], blocks[1 + i])
         np.testing.assert_array_equal(est[i], want)
@@ -1045,9 +1085,9 @@ def test_lr_sweep_derives_each_channel_once_per_replicate_and_step(monkeypatch):
     stages = []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs, streams):
+    def counting(cfg, lrs, window):
         stages.append(list(lrs))
-        return run_stack(cfg, lrs, streams)
+        return run_stack(cfg, lrs, window)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     channels = count_streams(monkeypatch)
@@ -1070,9 +1110,9 @@ def test_full_batch_compare_derives_only_probe_streams(monkeypatch):
     stages = []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs, streams):
+    def counting(cfg, lrs, window):
         stages.append(cfg.optimizer)
-        return run_stack(cfg, lrs, streams)
+        return run_stack(cfg, lrs, window)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     channels, seeds = count_streams(monkeypatch), count_seeds(monkeypatch)
@@ -1133,23 +1173,23 @@ def test_batch_table_rows_equal_each_lone_seeds_draw(optimizer, noise):
                                batch_size=None if noise else 8, noise_std_grad=noise)
     cfg = RunConfig(problem=prob, optimizer=optimizer, opt_cfg=SWEEP_OPTIMIZERS[optimizer],
                     max_steps=5, base_seed=2, n_seeds=3)
-    streams = harness._streams(cfg)
+    window = harness._streams(cfg)
     # a probed optimizer's blocks are tabled (see the probe table tests);
     # only its minibatch HVP reads HESSIAN_NOISE, and no HVP reads
     # gradient noise
     probed = optimizer in ("adahessian", "diag_ocp")
     drawn = {Channel.GRADIENT} | ({Channel.HESSIAN_NOISE} if probed and not noise else set())
-    assert tabled(streams) == drawn | ({Channel.PROBE} if probed else set())
+    assert tabled(window) == drawn | ({Channel.PROBE} if probed else set())
     for channel in drawn:
-        table = streams.window.tables[channel]
+        table = window.tables[channel]
         assert (table.shape, table.dtype) == (((3, 5, 6), np.float64) if noise
                                               else ((3, 5, 8), np.uint8))
         for k in range(cfg.max_steps):
-            seed = harness._seeds(streams, k, channel)
+            seed = harness._seeds(window, k, channel, np.arange(3))
             A, _ = prob._data(seed)
             X = np.zeros((3, 6))
             G, clean = prob.eval_grad(X, seed), prob.eval_grad(X)
-            for i, base in enumerate(streams.window.bases):
+            for i, base in enumerate(window.bases):
                 rng = BatchSeed(base, k, channel).rng()
                 if noise:
                     # the training split's gradient plus the lone stream's normals
@@ -1222,9 +1262,9 @@ def test_lr_sweep_builds_one_stream_table_per_sweep(monkeypatch):
     stages = []
     run_stack = harness._run_stack
 
-    def counting(cfg, lrs, streams):
+    def counting(cfg, lrs, window):
         stages.append(list(lrs))
-        return run_stack(cfg, lrs, streams)
+        return run_stack(cfg, lrs, window)
 
     monkeypatch.setattr(harness, "_run_stack", counting)
     tables = count_tables(monkeypatch)
@@ -1301,8 +1341,9 @@ def test_ablate_mu_runs_values_and_control():
     ablation = ablate_mu([1e-3, 1e-5], quad_run(max_steps=10))
     assert set(ablation.runs) == {1e-3, 1e-5, "control"}
     assert ablation.runs[1e-3][0].mu == 1e-3
-    assert ablation.control_clip_lo == harness.CONTROL_CLIP_LO == 1e-12
-    assert ablation.runs["control"][0].mu == 1e-12
+    # the control floor is the constant, which the ablation does not copy
+    assert [f.name for f in fields(harness.MuAblation)] == ["values", "runs"]
+    assert ablation.runs["control"][0].mu == harness.CONTROL_CLIP_LO == 1e-12
     with raises(TypeError, match="control_clip_lo"):
         ablate_mu([1e-3], quad_run(), control_clip_lo=1e-10)
 
@@ -1843,6 +1884,36 @@ COMPARE_DOC = {
     "max_steps": 5,
     "n_seeds": 1,
 }
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("run", {**RUN_DOC, "optimizer": {**RUN_DOC["optimizer"], "alpha": True}}, "alpha"),
+    ("run", {**RUN_DOC, "optimizer": {"kind": "sgd", "lr": True}}, "lr"),
+    ("run", {**RUN_DOC, "optimizer": {**RUN_DOC["optimizer"], "weight_decay": False}},
+     "weight_decay"),
+    ("sweep", {**RUN_DOC, "sweep": {"coarse_grid": [True, 0.1]}}, "coarse_grid"),
+    ("run", {**RUN_DOC, "problem": {"kind": "noisy_least_squares", "noise_std": True}},
+     "noise_std"),
+    ("run", {**RUN_DOC, "problem": {"kind": "mlp_regression", "val_fraction": False}},
+     "val_fraction"),
+    ("run", {**RUN_DOC, "problem": {**RUN_DOC["problem"], "noise_std_grad": "0.1"}},
+     "noise_std_grad"),
+    ("sweep", {**RUN_DOC, "sweep": {"coarse_grid": ["0.1", 0.01]}}, "coarse_grid"),
+    ("ablate-mu", {**RUN_DOC, "mu_values": [1e-3, True]}, "mu_values"),
+], ids=["alpha", "lr", "weight_decay", "coarse_grid", "noise_std", "val_fraction",
+        "noise_std_grad-string", "coarse_grid-string", "mu_values"])
+def test_cli_non_numeric_real_value_is_exit_2(tmp_path, capsys, monkeypatch, command, doc,
+                                              key):
+    # json's true and false used to pass as 1.0 and 0.0, and a string as
+    # the number it spells: "alpha": true ran at alpha 1. Counts and seeds
+    # already refused both
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{key} must be a real number, got ")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("probe", [{"probe_distribution": "bogus"}, {"n_probes": 2.5},

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,39 +6,45 @@ from pytest import raises
 
 from diagocp import harness
 from diagocp.diag_ocp import OptimizerConfig, clip_diag
-from diagocp.hessian_probe import ProbeConfig, _draw, hutchinson_diag, probe_draw
+from diagocp.hessian_probe import _draw, hutchinson_diag, probe_draw
 from diagocp.problems import (BatchSeed, Channel, MlpRegression, Quadratic, StackSeed,
                               stream_states)
 
 
 def test_probe_config_validation():
-    with raises(ValueError):
-        ProbeConfig(n_probes=0)
-    with raises(ValueError):
-        ProbeConfig(distribution="uniform")
+    # probe_draw checks the probe settings it is given
+    with raises(ValueError, match="n_probes"):
+        probe_draw(0, "standard_normal", 4)
+    with raises(ValueError, match="probe distribution"):
+        probe_draw(1, "uniform", 4)
+    with raises(ValueError, match="dim"):
+        probe_draw(1, "standard_normal", 0)
     # the estimator's settings only: the clip range is Diag-OCP's mu and g_d
-    assert [f.name for f in fields(ProbeConfig)] == ["n_probes", "distribution"]
     with raises(TypeError):
-        ProbeConfig(clip_lo=1e-4)
+        probe_draw(1, "standard_normal", 4, clip_lo=1e-4)
 
 
 @pytest.mark.parametrize("n_probes", [2.5, True, "3", float("nan")])
 def test_probe_config_rejects_a_non_integral_probe_count(n_probes):
     with raises(ValueError, match="n_probes"):
-        ProbeConfig(n_probes=n_probes)
+        probe_draw(n_probes, "standard_normal", 4)
 
 
 def test_probe_config_reads_an_integral_float_probe_count_as_an_int():
+    want = probe_draw(3, "rademacher", 5)
     for n_probes in (3.0, np.int64(3)):
-        cfg = ProbeConfig(n_probes=n_probes)
-        assert type(cfg.n_probes) is int and cfg == ProbeConfig(n_probes=3)
+        draw = probe_draw(n_probes, "rademacher", 5)
+        assert draw.shape == want.shape == (3, 5) and type(draw.shape[0]) is int
+        assert draw.dtype == want.dtype == np.int8
+        np.testing.assert_array_equal(draw.fn(np.random.default_rng(1)),
+                                      want.fn(np.random.default_rng(1)))
 
 
 def probe_block(distribution, dim, seed, n_probes=1):
     """The probe block that hutchinson_diag hands its hvp_fn."""
     seen = []
-    cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
-    hutchinson_diag(lambda V: seen.append(V) or V, dim, cfg, seed)
+    hutchinson_diag(lambda V: seen.append(V) or V,
+                    probe_draw(n_probes, distribution, dim), seed)
     return seen[0]
 
 
@@ -60,8 +64,8 @@ def test_probe_block_deterministic_by_seed():
 
 def test_hutchinson_exact_on_diagonal_with_rademacher():
     d = np.array([3.0, -1.0, 0.5, 7.0])
-    cfg = ProbeConfig(n_probes=1, distribution="rademacher")
-    est = hutchinson_diag(lambda v: d * v, 4, cfg, BatchSeed(0, 0, Channel.PROBE))
+    est = hutchinson_diag(lambda v: d * v, probe_draw(1, "rademacher", 4),
+                          BatchSeed(0, 0, Channel.PROBE))
     # v_i^2 = 1 makes the single-probe estimate exact
     np.testing.assert_array_equal(est, d)
 
@@ -71,24 +75,24 @@ def test_hutchinson_unbiased_on_dense_symmetric():
     a = rng.uniform(-0.3, 0.3, (8, 8))
     a = (a + a.T) / 2.0
     a[np.diag_indices(8)] = rng.uniform(1.0, 2.0, 8)
-    cfg = ProbeConfig(n_probes=100_000, distribution="rademacher")
-    est = hutchinson_diag(lambda V: V @ a, 8, cfg, BatchSeed(3, 0, Channel.PROBE))
+    est = hutchinson_diag(lambda V: V @ a, probe_draw(100_000, "rademacher", 8),
+                          BatchSeed(3, 0, Channel.PROBE))
     rel = np.abs(est - np.diag(a)) / np.abs(np.diag(a))
     assert rel.max() <= 0.05
 
 
 def test_hutchinson_standard_normal_converges():
     d = np.array([2.0, 5.0])
-    cfg = ProbeConfig(n_probes=50_000, distribution="standard_normal")
-    est = hutchinson_diag(lambda v: d * v, 2, cfg, BatchSeed(9, 0, Channel.PROBE))
+    est = hutchinson_diag(lambda v: d * v, probe_draw(50_000, "standard_normal", 2),
+                          BatchSeed(9, 0, Channel.PROBE))
     # var per probe is 2*d_i^2 for gaussian probes
     np.testing.assert_allclose(est, d, rtol=0.05)
 
 
 def test_hutchinson_rejects_bad_hvp_shape():
-    cfg = ProbeConfig()
-    with raises(ValueError):
-        hutchinson_diag(lambda V: V[:, :2], 4, cfg, BatchSeed(0, 0, Channel.PROBE))
+    with raises(ValueError, match="hvp_fn returned"):
+        hutchinson_diag(lambda V: V[:, :2], probe_draw(1, "standard_normal", 4),
+                        BatchSeed(0, 0, Channel.PROBE))
 
 
 def test_hutchinson_block_equals_per_probe_loop():
@@ -97,28 +101,28 @@ def test_hutchinson_block_equals_per_probe_loop():
     hseed = BatchSeed(5, 2, Channel.HESSIAN_NOISE)
     pseed = BatchSeed(5, 2, Channel.PROBE)
     for distribution in ("rademacher", "standard_normal"):
-        cfg = ProbeConfig(n_probes=4, distribution=distribution)
-        est = hutchinson_diag(lambda V: prob.hvp(x, V, hseed), prob.dim, cfg, pseed)
+        est = hutchinson_diag(lambda V: prob.hvp(x, V, hseed),
+                              probe_draw(4, distribution, prob.dim), pseed)
         rng = pseed.rng()
         acc = np.zeros(prob.dim)
-        for _ in range(cfg.n_probes):
+        for _ in range(4):
             if distribution == "rademacher":
                 v = (rng.integers(0, 2, size=prob.dim) * 2 - 1).astype(np.float64)
             else:
                 v = rng.standard_normal(prob.dim)
             acc += v * prob.hvp(x, v, hseed)
-        np.testing.assert_array_equal(est, acc / cfg.n_probes)
+        np.testing.assert_array_equal(est, acc / 4)
 
 
 @pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
 def test_probe_block_is_one_draw_equal_to_per_probe_draws(distribution):
     for dim in (1, 2, 7, 178):
         for n_probes in (1, 3, 4):
-            cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
+            probe = probe_draw(n_probes, distribution, dim)
             for base in range(10):
                 seed = BatchSeed(base, 1, Channel.PROBE)
                 seen = []
-                hutchinson_diag(lambda V: seen.append(V) or V, dim, cfg, seed)
+                hutchinson_diag(lambda V: seen.append(V) or V, probe, seed)
                 rng = seed.rng()
                 expected = []
                 for _ in range(n_probes):
@@ -135,15 +139,15 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
     rng = np.random.default_rng(6)
     X = np.stack([prob.default_init(rng) for _ in range(3)])
     bases = (4, 5, 6)
-    cfg = ProbeConfig(n_probes=4, distribution="rademacher")
+    probe = probe_draw(4, "rademacher", prob.dim)
     words = stream_states(bases, [2])
     hstack, pstack = (StackSeed(draw.table(bases, [2], c, words), 0, range(3))
                       for draw, c in ((prob.stream_draw(), Channel.HESSIAN_NOISE),
-                                      (probe_draw(cfg, prob.dim), Channel.PROBE)))
+                                      (probe, Channel.PROBE)))
     hseeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in bases]
     pseeds = [BatchSeed(b, 2, Channel.PROBE) for b in bases]
-    est = hutchinson_diag(lambda V: prob.hvp(X, V, hstack), prob.dim, cfg, pstack)
-    alone = [hutchinson_diag(lambda V, x=x, s=s: prob.hvp(x, V, s), prob.dim, cfg, p)
+    est = hutchinson_diag(lambda V: prob.hvp(X, V, hstack), probe, pstack)
+    alone = [hutchinson_diag(lambda V, x=x, s=s: prob.hvp(x, V, s), probe, p)
              for x, s, p in zip(X, hseeds, pseeds)]
     np.testing.assert_array_equal(est, np.stack(alone))
 
@@ -152,23 +156,23 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
 @pytest.mark.parametrize("distribution, dtype", [("rademacher", np.int8),
                                                  ("standard_normal", np.float64)])
 def test_probe_table_rows_equal_each_lone_seeds_draw(distribution, dtype, n_probes):
-    cfg = ProbeConfig(n_probes=n_probes, distribution=distribution)
     bases, dim, steps = (4, 5, 6), 7, 5
+    probe = probe_draw(n_probes, distribution, dim)
     words = stream_states(bases, range(steps))
-    table = probe_draw(cfg, dim).table(bases, range(steps), Channel.PROBE, words)
+    table = probe.table(bases, range(steps), Channel.PROBE, words)
     assert table.shape == (3, steps, n_probes, dim) and table.dtype == dtype
     a = np.random.default_rng(2).standard_normal((dim, dim))
     sym = a + a.T
     for k in range(steps):
         tabled = StackSeed(table, k, [2, 0, 2, 1])
         seen = []
-        est = hutchinson_diag(lambda V: seen.append(V) or V @ sym, dim, cfg, tabled)
+        est = hutchinson_diag(lambda V: seen.append(V) or V @ sym, probe, tabled)
         assert seen[0].dtype == np.float64
         for i, base in enumerate(bases):
             seed = BatchSeed(base, k, Channel.PROBE)
             block = _draw(distribution, (n_probes, dim), seed.rng())
             np.testing.assert_array_equal(table[i, k], block)
-            alone = hutchinson_diag(lambda V: V @ sym, dim, cfg, seed)
+            alone = hutchinson_diag(lambda V: V @ sym, probe, seed)
             for row in np.flatnonzero(tabled.rows == i):
                 np.testing.assert_array_equal(seen[0][row], block)
                 np.testing.assert_array_equal(est[row], alone)
@@ -183,15 +187,15 @@ def test_probe_table_over_the_size_bound_is_not_built(monkeypatch):
                             opt_cfg=opt_cfg, max_steps=3, base_seed=0, n_seeds=2)
     for budget, steps in ((660, 3), (659, 2), (219, 1)):
         monkeypatch.setattr(harness, "BUDGET", budget)
-        table = harness._streams(cfg).window.tables[Channel.PROBE]
+        table = harness._streams(cfg).tables[Channel.PROBE]
         assert table.shape == (2, steps, 2, 7) and table.nbytes == 28 * steps
 
 
 def test_hutchinson_rejects_a_table_of_other_blocks():
-    table = probe_draw(ProbeConfig(n_probes=2), 7).table(
+    table = probe_draw(2, "standard_normal", 7).table(
         (4, 5), range(3), Channel.PROBE, stream_states((4, 5), range(3)))
     with raises(ValueError, match="probe blocks"):
-        hutchinson_diag(lambda V: V, 7, ProbeConfig(n_probes=3),
+        hutchinson_diag(lambda V: V, probe_draw(3, "standard_normal", 7),
                         StackSeed(table, 1, [0, 1]))
 
 

@@ -5,7 +5,7 @@ from pytest import raises
 from diagocp.problems import (_HVP_STEP_SCALE, BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
                               Rosenbrock2D, StackSeed, as_integer, as_params,
-                              make_problem, stream_states)
+                              as_real, make_problem, stream_states)
 
 
 def row_seeds(prob, bases, step, channel, rows=None):
@@ -533,10 +533,14 @@ def test_mlp_dimension():
 
 
 def test_mlp_layer_sizes_validation():
-    with raises(ValueError):
-        MlpRegression(layer_sizes=(8, 2))
-    with raises(ValueError):
-        MlpRegression(layer_sizes=(8, 16, 16, 16, 2))
+    # a net needs a hidden layer; past that its depth is not capped
+    for sizes in ((8, 2), (8,), ()):
+        with raises(ValueError, match="at least one hidden layer"):
+            MlpRegression(layer_sizes=sizes)
+    with raises(ValueError, match="positive"):
+        MlpRegression(layer_sizes=(8, 16, 0, 2))
+    prob = MlpRegression(layer_sizes=(8, 16, 16, 16, 2), n_samples=16)
+    assert prob.dim == 8 * 16 + 16 + 2 * (16 * 16 + 16) + 16 * 2 + 2
 
 
 def test_mlp_gradient_matches_fd():
@@ -563,14 +567,18 @@ def test_mlp_hvp_symmetry():
 
 
 def test_mlp_two_hidden_layers_supported():
-    prob = MlpRegression(layer_sizes=(4, 8, 8, 2), n_samples=32)
-    assert prob.dim == 4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2
-    x = prob.default_init(np.random.default_rng(0))
-    g = prob.eval_grad(x, None)
-    e = np.zeros(prob.dim)
-    e[5] = 1e-6
-    fd = (prob.eval_loss(x + e, None) - prob.eval_loss(x - e, None)) / 2e-6
-    assert abs(fd - g[5]) <= 1e-4 * max(1.0, abs(g[5]))
+    # and a third: the forward pass and backprop loop over the layers
+    for sizes, dim in (((4, 8, 8, 2), 4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2),
+                       ((4, 6, 5, 5, 2), 4 * 6 + 6 + 6 * 5 + 5 + 5 * 5 + 5 + 5 * 2 + 2)):
+        prob = MlpRegression(layer_sizes=sizes, n_samples=32)
+        assert prob.dim == dim
+        x = prob.default_init(np.random.default_rng(0))
+        g = prob.eval_grad(x, None)
+        for i in (5, prob.dim - 7):
+            e = np.zeros(prob.dim)
+            e[i] = 1e-6
+            fd = (prob.eval_loss(x + e, None) - prob.eval_loss(x - e, None)) / 2e-6
+            assert abs(fd - g[i]) <= 1e-4 * max(1.0, abs(g[i]))
 
 
 def test_mlp_val_loss_differs_from_train():
@@ -852,6 +860,8 @@ STACK_PROBLEMS = {
     "mlp-minibatch": lambda: MlpRegression(n_samples=128, batch_size=32),
     "mlp-two-hidden-minibatch": lambda: MlpRegression(layer_sizes=(4, 6, 5, 2),
                                                       n_samples=128, batch_size=16),
+    "mlp-three-hidden-minibatch": lambda: MlpRegression(layer_sizes=(4, 6, 5, 5, 2),
+                                                        n_samples=128, batch_size=16),
 }
 
 
@@ -1042,6 +1052,15 @@ def test_as_integer():
     for bad in ("12", "3.0", True, False, np.bool_(True), None, [3], 3 + 0j):
         with raises(ValueError, match="n must be an integer"):
             as_integer(bad, "n")
+
+
+def test_as_real():
+    for good in (0.5, 2, np.float32(0.25), np.int64(3), float("inf")):
+        value = as_real(good, "x")
+        assert value == float(good) and type(value) is float
+    for bad in (True, False, np.bool_(True), "0.1", None, [0.1], 1 + 0j):
+        with raises(ValueError, match="x must be a real number"):
+            as_real(bad, "x")
 
 
 @pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std"),
