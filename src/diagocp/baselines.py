@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diag_ocp import check_finite
+from .diag_ocp import _ema, check_finite
 from .hessian_probe import probe_draw
-from .problems import Draw
+from .problems import Draw, _buffer
 
 BASELINE_KINDS = ("sgd", "adam", "adahessian")
 # Adam's and AdaHessian's published moment factors and denominator offset
@@ -72,40 +72,45 @@ def init_baseline_state(dim: int) -> BaselineState:
 
 
 def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
-                  h_diag=None, lr=None):
+                  h_diag=None, lr=None, out=None):
     """One update of cfg.kind; returns (x_next, state').
 
     x, g, h_diag and the state's buffers may be (R, dim) stacks of
     replicates sharing t; the update is elementwise, row by row. `lr`, when
     given, replaces cfg.lr: an (R, 1) column gives each row its own, and
-    each row equals its step with that lr as a scalar bit for bit.
+    each row equals its step with that lr as a scalar bit for bit. `out` is
+    a buffer dict as `diag_ocp.update_moments` takes: x_next and the
+    moments alternate between two buffers each by the parity of t, so no
+    argument is written.
     """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.shape != state.m.shape or g.shape != state.m.shape:
-        raise ValueError("x/g dimension mismatch with optimizer state")
+    x, g, h_diag = _check_inputs(state, x, g, h_diag, cfg)
     lr = cfg.lr if lr is None else lr
     t = state.t + 1
-    decayed = x * (1.0 - lr * cfg.weight_decay)
-
+    x_next = np.multiply(x, 1.0 - lr * cfg.weight_decay, out=_buffer(out, ("x", t % 2), x.shape))
     if cfg.kind == "sgd":
-        return decayed - lr * g, BaselineState(t, state.m, state.v)
+        step = np.multiply(lr, g, out=_buffer(out, "step", x.shape))
+        state = BaselineState(t, state.m, state.v)
+    else:
+        # adahessian's second moment squares the raw curvature, adam's the gradient
+        m = _ema(state.m, BETA1, g, out, ("m", t % 2))
+        v = _ema(state.v, BETA2, h_diag if cfg.kind == "adahessian" else g, out, ("v", t % 2),
+                 square=True)
+        step = np.divide(m, 1.0 - BETA1 ** t, out=_buffer(out, "step", x.shape))
+        np.multiply(lr, step, out=step)
+        denom = np.divide(v, 1.0 - BETA2 ** t, out=_buffer(out, "denom", x.shape))
+        np.divide(step, np.add(np.sqrt(denom, out=denom), EPS, out=denom), out=step)
+        state = BaselineState(t, m, v)
+    return np.subtract(x_next, step, out=x_next), state
 
+
+def _check_inputs(state, x, g, h_diag, cfg):
+    x, g = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    if x.shape != state.m.shape or g.shape != state.m.shape:
+        raise ValueError("x/g dimension mismatch with optimizer state")
     if cfg.kind == "adahessian":
         if h_diag is None:
             raise ValueError("adahessian requires a Hessian diagonal estimate")
         h_diag = np.asarray(h_diag, dtype=np.float64)
         if h_diag.shape != state.m.shape:
             raise ValueError("h_diag dimension mismatch with optimizer state")
-        m = BETA1 * state.m + (1.0 - BETA1) * g
-        v = BETA2 * state.v + (1.0 - BETA2) * h_diag * h_diag
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        return decayed - lr * m_hat / (np.sqrt(v_hat) + EPS), BaselineState(t, m, v)
-
-    # adam
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    return decayed - lr * m_hat / (np.sqrt(v_hat) + EPS), BaselineState(t, m, v)
+    return x, g, h_diag

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .hessian_probe import probe_draw
-from .problems import Draw, _per_row, _row_norms, as_real
+from .problems import Draw, _buffer, _per_row, _row_norms, as_real
 
 
 def check_finite(cfg):
@@ -121,15 +121,27 @@ def init_state(dim: int, cfg: OptimizerConfig) -> OptimizerState:
     return OptimizerState(t=0, m=np.zeros(dim), D=np.zeros(dim))
 
 
-def clip_diag(h, cfg: OptimizerConfig) -> np.ndarray:
+def clip_diag(h, cfg: OptimizerConfig, out=None) -> np.ndarray:
     """Clamp each entry of a raw curvature estimate into [mu, g_d], the
     precondition of `update_moments`. A NaN entry, the estimate at a
     blown-up point, passes through, so the step it feeds comes out
-    non-finite and the stepper drops that row."""
-    return np.clip(np.asarray(h, dtype=np.float64), cfg.mu, cfg.g_d)
+    non-finite and the stepper drops that row. `out` is a buffer dict as
+    `update_moments` takes; h itself is never written."""
+    h = np.asarray(h, dtype=np.float64)
+    return np.clip(h, cfg.mu, cfg.g_d, out=_buffer(out, "H", h.shape))
 
 
-def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig):
+def _ema(prev, beta, new, out, role, square=False):
+    """beta prev + (1 - beta) new, or + (1 - beta) new new when square,
+    into out's buffer for role, rounded as that expression rounds."""
+    scratch = np.multiply(1.0 - beta, new, out=_buffer(out, "scratch", new.shape))
+    if square:
+        scratch *= new
+    result = np.multiply(beta, prev, out=_buffer(out, role, new.shape))
+    return np.add(result, scratch, out=result)
+
+
+def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig, out=None):
     """Advance both EMAs one step and return (state', m_hat, D_hat).
 
     H must already be clipped into [mu, g_d]; rejecting unclipped input here
@@ -138,24 +150,26 @@ def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig):
     D_hat is a convex combination of clipped entries, so it lies in
     [mu, g_d]; the final clip only removes float rounding dust at the
     interval endpoints.
+
+    `out`, a dict that a stepper keeps from step to step, holds the
+    buffers every result is written into (see `problems._buffer`), so a
+    step allocates none; each call overwrites the last one's m_hat and
+    D_hat. The moments alternate between two buffers by the parity of t,
+    so the state passed in is never written. Without `out` every result
+    is a fresh array.
     """
-    g = np.asarray(g, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    if g.shape != state.m.shape or H.shape != state.m.shape:
-        raise ValueError("g/H dimension mismatch with optimizer state")
-    if np.any(H < cfg.mu) or np.any(H > cfg.g_d):
-        raise ValueError("H must be clipped into [mu, g_d] before the EMA update")
-    t_next = state.t + 1
-    m_next = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    d_next = cfg.beta2 * state.D + (1.0 - cfg.beta2) * H
-    m_hat = m_next / (1.0 - cfg.beta1 ** t_next)
-    d_hat = d_next / (1.0 - cfg.beta2 ** t_next)
+    g, H = _check_moment_inputs(state, g, H, cfg)
+    t = state.t + 1
+    m = _ema(state.m, cfg.beta1, g, out, ("m", t % 2))
+    d = _ema(state.D, cfg.beta2, H, out, ("D", t % 2))
+    m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, out=_buffer(out, "m_hat", g.shape))
+    d_hat = np.divide(d, 1.0 - cfg.beta2 ** t, out=_buffer(out, "d_hat", g.shape))
     np.minimum(np.maximum(d_hat, cfg.mu, out=d_hat), cfg.g_d, out=d_hat)
-    return OptimizerState(t=t_next, m=m_next, D=d_next), m_hat, d_hat
+    return OptimizerState(t=t, m=m, D=d), m_hat, d_hat
 
 
 def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfig,
-                     lr=None):
+                     lr=None, out=None):
     """Production update: x (1 - alpha lambda) - (1 - s^t')/D_hat * m_hat.
 
     `state` is the post-update_moments state, so state.t is the 1-based step
@@ -165,28 +179,37 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     step_norm is ||x_next - x|| (per row), and each row's diagnostics equal
     the ones it gets stepped alone with its alpha as a scalar. Shapes are
     checked; values are not, so a non-finite input gives a non-finite x_next.
+    `out` is a buffer dict as `update_moments` takes; x_next alternates
+    between two buffers by the parity of t', so x is never written.
     """
     x, m_hat, D_hat = _check_step_inputs(state, x, m_hat, D_hat)
-    alpha = cfg.alpha if lr is None else lr
-    ad = alpha * D_hat
-    s = 1.0 - ad
-    s_safe = np.maximum(s, -cfg.safeguard_rho_max)
-    row_clamped = np.count_nonzero(s_safe != s, axis=-1)
-    n_clamped = int(np.sum(row_clamped))
-    # 1 - s^t' cancels as s nears 1; log1p must not see s <= 0
-    inner = s > 0.0
-    coef = -np.expm1(state.t * np.log1p(-ad, out=np.zeros_like(ad), where=inner))
-    coef[~inner] = 1.0 - s_safe[~inner] ** state.t
-    phi = coef / D_hat * m_hat
-    x_next = x * (1.0 - alpha * cfg.weight_decay) - phi
-    diagnostics = StepDiagnostics(
-        rho=_per_row(np.max(np.abs(s_safe), axis=-1)),
+    alpha, t = (cfg.alpha if lr is None else lr), state.t
+    ad = np.multiply(alpha, D_hat, out=_buffer(out, "ad", x.shape))
+    s = np.subtract(1.0, ad, out=_buffer(out, "s", x.shape))
+    # a base is clamped where max(s, -rho_max) != s: below -rho_max, or NaN
+    mask = np.greater_equal(s, -cfg.safeguard_rho_max, out=_buffer(out, "mask", x.shape, bool))
+    n_clamped = mask.size - np.count_nonzero(mask)
+    row_clamped = x.shape[-1] - mask.sum(axis=-1) if n_clamped else np.zeros(x.shape[:-1], int)
+    np.maximum(s, -cfg.safeguard_rho_max, out=s)
+    # 1 - s^t' cancels as s nears 1, so the coefficient is -expm1(t'
+    # log1p(-ad)). log1p must not see a base s <= 0 (or NaN): it reads 0
+    # there, and on the steps that have such bases they take the plain power
+    outer = np.logical_not(np.greater(s, 0.0, out=mask), out=mask)
+    coef = np.negative(ad, out=ad)
+    np.copyto(coef, 0.0, where=outer)
+    np.negative(np.expm1(np.multiply(t, np.log1p(coef, out=coef), out=coef), out=coef), out=coef)
+    if outer.any():
+        coef[outer] = 1.0 - s[outer] ** t
+    phi = np.multiply(np.divide(coef, D_hat, out=coef), m_hat, out=coef)
+    x_next = _buffer(out, ("x", t % 2), x.shape)
+    np.subtract(np.multiply(x, 1.0 - alpha * cfg.weight_decay, out=x_next), phi, out=x_next)
+    return x_next, StepDiagnostics(
+        rho=_per_row(np.maximum.reduce(np.abs(s, out=s), axis=-1)),
         n_clamped=n_clamped,
-        step_norm=_per_row(_row_norms(x_next - x)),
+        step_norm=_per_row(_row_norms(np.subtract(x_next, x, out=phi))),
         corrected_m_norm=_per_row(_row_norms(m_hat)),
         row_clamped=_per_row(row_clamped, int),
     )
-    return x_next, diagnostics
 
 
 def step_recursive_reference(state: OptimizerState, x, m_hat, D_hat,
@@ -215,12 +238,19 @@ def stability_margin(D_hat, cfg: OptimizerConfig) -> float:
     return float(np.max(np.abs(1.0 - cfg.alpha * D_hat)))
 
 
+def _check_moment_inputs(state, g, H, cfg):
+    g, H = np.asarray(g, dtype=np.float64), np.asarray(H, dtype=np.float64)
+    if g.shape != state.m.shape or H.shape != state.m.shape:
+        raise ValueError("g/H dimension mismatch with optimizer state")
+    if (H < cfg.mu).any() or (H > cfg.g_d).any():
+        raise ValueError("H must be clipped into [mu, g_d] before the EMA update")
+    return g, H
+
+
 def _check_step_inputs(state, x, m_hat, D_hat):
     if state.t < 1:
         raise ValueError("no moments yet: update_moments must run before stepping")
-    x = np.asarray(x, dtype=np.float64)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    D_hat = np.asarray(D_hat, dtype=np.float64)
+    x, m_hat, D_hat = (np.asarray(a, dtype=np.float64) for a in (x, m_hat, D_hat))
     if not (x.shape == m_hat.shape == D_hat.shape == state.m.shape):
         raise ValueError("x/m_hat/D_hat dimension mismatch with optimizer state")
     return x, m_hat, D_hat

@@ -30,6 +30,12 @@ step-0 gradient is evaluated once. After the last step only the train loss
 is evaluated. Bookkeeping writes one record table per stack: each step
 writes its (R,) columns (g.g, the step norm, rho, the clamp count, the
 losses) into a slot the live rows share, and a RunRecord views its row.
+The stepper owns one dict of buffers that clip_diag, update_moments,
+step_closed_form and baseline_step write their (R, dim) results into (their
+`out`), so a step allocates no stack-sized array of its own; when rows
+leave, the dict is emptied and the next step makes its buffers at the new
+height. Those layers are the public functions, called by their names in
+this module, and each keeps its checks, so every check runs once per step.
 
 Divergence means non-finite numbers: a row whose iterate after a step, or
 whose recorded train or validation loss, is non-finite is marked diverged
@@ -67,7 +73,7 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_f
                        step_recursive_reference, update_moments)
 from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
-                       _row_dots, _row_norms, as_integer, as_real, stream_states)
+                       _buffer, _row_dots, _row_norms, as_integer, as_real, stream_states)
 
 _INIT_STREAM = 3
 # A run holds its tables, and the stream_states words that fill them, for
@@ -246,7 +252,7 @@ def _seeds(window, k, channel, rows):
     return StackSeed(window.tables[channel], k - window.start, rows)
 
 
-def _advance(problem, opt_cfg, state, x, g, window, rows, k, lr=None):
+def _advance(problem, opt_cfg, work, state, x, g, window, rows, k, lr=None):
     """One optimizer step of the (R, dim) stack x at 1-based step index k.
 
     g is the (R, dim) gradient at x drawn at step index k - 1 and state is
@@ -259,7 +265,9 @@ def _advance(problem, opt_cfg, state, x, g, window, rows, k, lr=None):
     and clamp count per row; rho and clamped are None for the baselines.
     diag_ocp's path is probe -> clip -> moments -> closed-form step, and
     adahessian steps on the raw probe estimate; this is the one branch on
-    the optimizer family, because the two step algorithms differ.
+    the optimizer family, because the two step algorithms differ. Every
+    layer writes its (R, dim) results into the stepper's buffer dict
+    `work`, so x_next and state' live there until the step after next.
     """
     raw = None
     if Channel.PROBE in window.draws:
@@ -270,22 +278,22 @@ def _advance(problem, opt_cfg, state, x, g, window, rows, k, lr=None):
     if isinstance(opt_cfg, OptimizerConfig):
         if state is None:
             state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
-        state, m_hat, d_hat = update_moments(state, g, clip_diag(raw, opt_cfg), opt_cfg)
-        x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg, lr=lr)
+        state, m_hat, d_hat = update_moments(state, g, clip_diag(raw, opt_cfg, out=work),
+                                             opt_cfg, out=work)
+        x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg, lr=lr, out=work)
         return x_next, state, diag.step_norm, diag.rho, diag.row_clamped
     if state is None:
         state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
-    x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=raw, lr=lr)
-    return x_next, state, _row_norms(x_next - x), None, None
+    x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=raw, lr=lr, out=work)
+    diff = np.subtract(x_next, x, out=_buffer(work, "diff", x.shape))
+    return x_next, state, _row_norms(diff), None, None
 
 
 def _take(state, rows):
     """Rows `rows` of a state's (R, dim) buffers (None before the first
     step); the step count t is shared."""
-    if state is None:
-        return None
-    return replace(state, **{f.name: getattr(state, f.name)[rows]
-                             for f in fields(state) if f.name != "t"})
+    return None if state is None else replace(state, **{
+        f.name: getattr(state, f.name)[rows] for f in fields(state) if f.name != "t"})
 
 
 def _init_stack(problem, bases):
@@ -331,7 +339,8 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     n = cfg.n_seeds
     x, state = np.tile(_init_stack(problem, window.bases), (len(lrs), 1)), None
     lr_col = np.repeat(lrs, n)[:, None]
-    step = partial(_advance, problem, opt_cfg)
+    work = {}   # the stepper's buffers (see `_advance`)
+    step = partial(_advance, problem, opt_cfg, work)
     # step 0, every cadence step, an off-cadence last step and a divergence
     n_slots = cfg.max_steps // cfg.record_every + 2
     table = {name: np.zeros((len(lr_col), n_slots), dtype)
@@ -354,6 +363,7 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
         rows = np.flatnonzero(ok)
         x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
         live = live[rows]
+        work.clear()    # the buffers are made afresh at the new height
 
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -363,13 +373,11 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
               grad_norm_sq=_row_dots(g))
         slot = 1
         for k in range(1, cfg.max_steps + 1):
-            x_next, state, step_norm, rho, clamped = step(state, x, g, window, live % n,
-                                                          k, lr_col)
+            x, state, step_norm, rho, clamped = step(state, x, g, window, live % n, k, lr_col)
             write(live, slot, steps=k, grad_norm_sq=_row_dots(g), step_norm=step_norm)
             if rho is not None:
                 write(live, slot, rho=rho, safeguard_count=clamped)
-            x = x_next
-            ok = np.isfinite(x).all(axis=-1)
+            ok = np.isfinite(x, out=_buffer(work, "finite", x.shape, bool)).all(axis=-1)
             if not ok.all():
                 write(live[~ok], slot, train_loss=np.inf, val_loss=np.inf)
                 leave(ok, slot + 1)
@@ -629,14 +637,14 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
                     max_steps=T_list[-1], base_seed=base_seed, n_seeds=n_seeds)
     t_start = time.perf_counter()
     t_max, n_seeds = cfg.max_steps, cfg.n_seeds
-    window, rows = _streams(cfg), np.arange(n_seeds)
+    window, rows, work = _streams(cfg), np.arange(n_seeds), {}
     x, state = _init_stack(problem, window.bases), None
     acc, diverged_step = np.zeros(t_max), None
     # overflow past float range is the divergence signal, as in _run_stack
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, t_max + 1):
             g = problem.eval_grad(x, _seeds(window, k - 1, Channel.GRADIENT, rows))
-            x, state, *_ = _advance(problem, opt_cfg, state, x, g, window, rows, k)
+            x, state, *_ = _advance(problem, opt_cfg, work, state, x, g, window, rows, k)
             if not np.isfinite(x).all():
                 diverged_step = k
                 break
@@ -733,7 +741,9 @@ def _step_rows(records: list[RunRecord]):
     """steps.csv rows. rho is None, an empty field, at step 0 and for an
     optimizer that reports no rho; a NaN rho from a real step stays nan."""
     for rec in records:
-        head = (rec.run_id, rec.optimizer, rec.lr, rec.mu, rec.seed)
+        # csv writes a float as str(float): lr and mu (None for a baseline,
+        # else > 0) are formatted once per record, not once per row
+        head = (rec.run_id, rec.optimizer, str(rec.lr), rec.mu and str(rec.mu), rec.seed)
         cols = {name: getattr(rec, name).tolist() for name in RECORD_COLUMNS}
         cols["rho"] = ([None] + cols["rho"][1:] if rec.optimizer == OptimizerConfig.kind
                        else [None] * len(rec.rho))

@@ -425,7 +425,8 @@ class ProblemOracle:
         np.add(at, steps, out=points[..., :n, :])
         np.subtract(at, steps, out=points[..., n:, :])
         grads = self._grads(points, self._data(seed))
-        return (grads[..., :n, :] - grads[..., n:, :]) / (2.0 * h[..., None])
+        diff = grads[..., :n, :] - grads[..., n:, :]
+        return np.divide(diff, 2.0 * h[..., None], out=diff)
 
     def _check(self, x, seed=None) -> np.ndarray:
         """Validate one point with a BatchSeed, or a stack of R >= 1 points
@@ -469,6 +470,17 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a))
 
 
+def _buffer(work, role, shape, dtype=np.float64):
+    """A view of `shape` on the buffer that the dict `work` keeps for
+    `role`, grown to the largest request so far; the next request for the
+    same role overwrites it. With work None, a fresh array."""
+    work, size = {} if work is None else work, math.prod(shape)
+    buf = work.get(role)
+    if buf is None or buf.size < size:
+        buf = work[role] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _per_row(value, scalar=float):
     """A lone point's 0-d result as a Python `scalar`; a stack's per-row
     array as it is."""
@@ -481,9 +493,11 @@ class Quadratic(ProblemOracle):
     kind = "quadratic"
 
     def __init__(self, h, noise_std_grad=0.0):
-        h = np.asarray(h, dtype=np.float64)
+        h = np.asarray(h, dtype=object)
         if h.ndim != 1 or h.size == 0:
             raise ValueError("h must be a nonempty 1-d array")
+        # each entry as `as_real` reads it: a JSON true is not a curvature
+        h = np.array([as_real(v, "h") for v in h])
         if not np.all((h > 0.0) & (h < np.inf)):
             raise ValueError("quadratic requires all h_i finite and > 0")
         self.h = h
@@ -713,21 +727,10 @@ class MlpRegression(_SampleBased):
 
     def _rows(self, idx):
         """Feature-major inputs and targets of the samples idx, each one
-        C-contiguous gather: (d, n) for an index vector, (R, d, n) for an
-        (R, n) index array."""
-        return tuple(a.ravel().take(np.arange(0, a.size, a.shape[1])[:, None]
-                                    + idx[..., None, :])
+        column gather and one C-contiguous copy: (d, n) for an index
+        vector, (R, d, n) for an (R, n) index array."""
+        return tuple(np.ascontiguousarray(a.take(idx, axis=1).swapaxes(0, -2))
                      for a in (self.X, self.Y))
-
-    def _work(self, role, shape):
-        """A view of `shape` on the workspace buffer of `role`, which grows
-        to the largest request; its contents are overwritten by the next
-        request for the same role."""
-        size = math.prod(shape)
-        buf = self._workspace.get(role)
-        if buf is None or buf.size < size:
-            buf = self._workspace[role] = np.empty(size)
-        return buf[:size].reshape(shape)
 
     def _forward(self, layers, X):
         """Return the list of (..., units, n) layer outputs, ending with the
@@ -741,7 +744,8 @@ class MlpRegression(_SampleBased):
         z = X
         for i, (w, b) in enumerate(layers):
             hidden = i < len(layers) - 1
-            out = self._work(("act", i), w.shape[:-1] + z.shape[-1:]) if hidden else None
+            out = (_buffer(self._workspace, ("act", i), w.shape[:-1] + z.shape[-1:])
+                   if hidden else None)
             z = np.matmul(w, z, out=out)
             z += b[..., :, None]
             if hidden:
@@ -765,20 +769,23 @@ class MlpRegression(_SampleBased):
         return np.mean(np.sum(diff * diff, axis=-2), axis=-1)
 
     def _backprop(self, layers, outs, diff):
-        """The flat gradient of the mean squared error from one pass."""
+        """The flat gradient of the mean squared error from one pass; each
+        layer writes its part straight into its slice of the (..., dim)
+        result, in the layout `_unpack` reads."""
         delta = (2.0 / diff.shape[-1]) * diff
-        grads = [None] * len(layers)
+        grad = np.empty(diff.shape[:-2] + (self.dim,))
+        parts = self._unpack(grad)
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            gw = delta @ outs[i].swapaxes(-1, -2)
-            grads[i] = (gw.reshape(gw.shape[:-2] + (-1,)), delta.sum(axis=-1))
+            np.matmul(delta, outs[i].swapaxes(-1, -2), out=parts[i][0])
+            delta.sum(axis=-1, out=parts[i][1])
             if i > 0:
                 # outs[i] is read for the last time here, so its activation
                 # buffer takes the next delta once the ReLU mask is taken
                 mask = outs[i] > 0.0
                 delta = np.matmul(w.swapaxes(-1, -2), delta, out=outs[i])
                 delta *= mask
-        return np.concatenate([part for pair in grads for part in pair], axis=-1)
+        return grad
 
     def _losses(self, theta, data):
         return self._mse(self._pass(theta, data)[2])

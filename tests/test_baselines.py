@@ -195,3 +195,34 @@ def test_adahessian_trains_on_the_criterion_7_protocol():
     result = lr_sweep(SweepSpec(), base)
     median = float(np.median([r.min_val for r in result.records[result.selected_lr]]))
     assert result.selected_lr >= 0.01 and median < 0.5
+
+
+@mark.parametrize("kind", BASELINE_KINDS)
+def test_buffered_step_equals_the_public_step_bit_for_bit(kind):
+    # the stepper hands baseline_step one buffer dict for the whole run and
+    # feeds each step's buffers to the next; each step must equal a fresh
+    # call's through an lr column, a NaN row and a stack that shrinks as
+    # rows leave, and no call may write into an argument
+    cfg = BaselineConfig(kind=kind, lr=0.1, weight_decay=0.01)
+    rng = np.random.default_rng(14)
+    lr = np.array([0.5, 0.1, 3e-3, 1e-4])[:, None]
+    X = XB = rng.standard_normal((4, 6))
+    state = buffered = BaselineState(0, np.zeros(X.shape), np.zeros(X.shape))
+    work = {}
+    for k in range(1, 8):
+        G, Hd = rng.standard_normal(X.shape), rng.standard_normal(X.shape)
+        if k == 3:
+            G[1] = np.nan
+        args = (X, XB, G, Hd, state.m, state.v, buffered.m, buffered.v)
+        before = [a.copy() for a in args]
+        X, state = baseline_step(state, X, G, cfg, h_diag=Hd, lr=lr)
+        XB, buffered = baseline_step(buffered, XB, G, cfg, h_diag=Hd, lr=lr, out=work)
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(XB, X)
+        np.testing.assert_array_equal(buffered.m, state.m)
+        np.testing.assert_array_equal(buffered.v, state.v)
+        if k == 4:                          # rows leave; the buffers stay as they are
+            X, XB, lr = X[1:], XB[1:], lr[1:]
+            state, buffered = (BaselineState(s.t, s.m[1:], s.v[1:]) for s in (state, buffered))
+    assert np.isnan(X[0]).all() and np.isfinite(X[1:]).all()

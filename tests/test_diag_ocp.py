@@ -1,11 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
-from diagocp.diag_ocp import (OptimizerConfig, OptimizerState, init_state,
-                              stability_margin, step_closed_form,
+from diagocp.diag_ocp import (OptimizerConfig, OptimizerState, StepDiagnostics, clip_diag,
+                              init_state, stability_margin, step_closed_form,
                               step_recursive_reference, update_moments)
 
 
@@ -398,3 +400,70 @@ def test_lr_column_step_equals_each_row_at_its_scalar_alpha():
     # lr=None is the config's own alpha
     x_cfg, _ = step_closed_form(state, X, m_hat, d_hat, cfg)
     np.testing.assert_array_equal(x_next[1], x_cfg[1])
+
+
+# --- the stepper's buffers -----------------------------------------------------
+
+def test_buffered_calls_equal_the_public_functions_bit_for_bit():
+    # the stepper hands clip_diag, update_moments and step_closed_form one
+    # buffer dict for the whole run and feeds each step's buffers to the
+    # next; every result must equal that of fresh calls, through clamped
+    # bases, bases <= 0, a NaN row, an (R, 1) lr column and a stack that
+    # shrinks, as a stack does when rows leave
+    cfg = OptimizerConfig(alpha=0.05, mu=1e-3, g_d=50.0, weight_decay=0.01,
+                          safeguard_rho_max=0.9)
+    rng = np.random.default_rng(12)
+    lr = np.array([0.5, 0.1, 0.03, 0.02, 0.01, 1e-4])[:, None]
+    X = XB = rng.standard_normal((len(lr), 9))
+    state = buffered = OptimizerState(0, np.zeros(X.shape), np.zeros(X.shape))
+    work, seen = {}, set()
+    with np.errstate(invalid="ignore"):
+        for k in range(1, 10):
+            G, raw = rng.standard_normal(X.shape), rng.uniform(-5.0, 80.0, X.shape)
+            if k == 4:
+                raw[2] = np.nan             # a blown-up point's estimate
+            H = clip_diag(raw, cfg)
+            np.testing.assert_array_equal(clip_diag(raw, cfg, out=work), H)
+            state, m_hat, d_hat = update_moments(state, G, H, cfg)
+            buffered, mb, db = update_moments(buffered, G, clip_diag(raw, cfg, out=work),
+                                              cfg, out=work)
+            for a, b in ((state.m, buffered.m), (state.D, buffered.D), (m_hat, mb),
+                         (d_hat, db)):
+                np.testing.assert_array_equal(b, a)
+            X, diag = step_closed_form(state, X, m_hat, d_hat, cfg, lr=lr)
+            XB, diag_b = step_closed_form(buffered, XB, mb, db, cfg, lr=lr, out=work)
+            np.testing.assert_array_equal(XB, X)
+            for f in fields(StepDiagnostics):
+                np.testing.assert_array_equal(getattr(diag_b, f.name), getattr(diag, f.name))
+            seen |= {"clamped"} if diag.n_clamped else set()
+            seen |= {"s <= 0"} if np.any(lr * d_hat >= 1.0) else set()
+            seen |= {"nan"} if np.isnan(X).any() else set()
+            if k in (3, 6):                 # rows leave; the buffers stay as they are
+                X, XB, lr = X[1:], XB[1:], lr[1:]
+                state, buffered = (OptimizerState(s.t, s.m[1:], s.D[1:])
+                                   for s in (state, buffered))
+    assert seen == {"clamped", "s <= 0", "nan"} and X.shape == (4, 9)
+
+
+def test_public_functions_write_into_no_argument():
+    # with and without buffers, the state, g, the raw estimate and x are
+    # read, never written, and a step's state and x_next survive the next
+    # step, whose state and x are theirs
+    cfg = OptimizerConfig(alpha=0.5, mu=1e-3, g_d=10.0, safeguard_rho_max=0.5)
+    rng = np.random.default_rng(13)
+    state = OptimizerState(2, rng.standard_normal((3, 4)), rng.uniform(1e-3, 10.0, (3, 4)))
+    G, raw, X = rng.standard_normal((3, 4)), rng.uniform(-1.0, 20.0, (3, 4)), np.ones((3, 4))
+    args = (state.m, state.D, G, raw, X)
+    before = [a.copy() for a in args]
+    for out in (None, {}):
+        H = clip_diag(raw, cfg, out=out)
+        new, m_hat, d_hat = update_moments(state, G, H, cfg, out=out)
+        x_next, _ = step_closed_form(new, X, m_hat, d_hat, cfg, out=out)
+        assert not any(np.shares_memory(r, a) for r in (H, new.m, new.D, m_hat, d_hat, x_next)
+                       for a in args)
+        held = [new.m.copy(), new.D.copy(), x_next.copy()]
+        later, m_hat, d_hat = update_moments(new, G, H, cfg, out=out)
+        step_closed_form(later, x_next, m_hat, d_hat, cfg, out=out)
+        for a, b in zip(args + (new.m, new.D, x_next), before + held):
+            np.testing.assert_array_equal(a, b)
+    assert state.t == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
-from diagocp import cli, harness, hessian_probe
+from diagocp import baselines, cli, diag_ocp, harness, hessian_probe
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
 from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
                               update_moments)
@@ -180,6 +180,30 @@ def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, counting)
+    cfg = INTERFACE[kind][0]
+    recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
+    assert not any(r.diverged for r in recs)
+    assert counts == {name: 7 * n for name, n in per_step.items()}
+
+
+CHECK_HELPERS = ((diag_ocp, "_check_moment_inputs"), (diag_ocp, "_check_step_inputs"),
+                 (baselines, "_check_inputs"))
+
+
+@pytest.mark.parametrize("kind, per_step", [
+    ("diag_ocp", dict(_check_moment_inputs=1, _check_step_inputs=1, _check_inputs=0)),
+    ("adahessian", dict(_check_moment_inputs=0, _check_step_inputs=0, _check_inputs=1)),
+    ("adam", dict(_check_moment_inputs=0, _check_step_inputs=0, _check_inputs=1)),
+])
+def test_each_stepper_check_runs_once_per_step(monkeypatch, kind, per_step):
+    # the stepper calls the public functions, which keep every check, and
+    # no check runs twice in one step of the stack
+    counts = dict.fromkeys(per_step, 0)
+    for module, name in CHECK_HELPERS:
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
     cfg = INTERFACE[kind][0]
     recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
     assert not any(r.diverged for r in recs)
@@ -1900,8 +1924,9 @@ COMPARE_DOC = {
      "noise_std_grad"),
     ("sweep", {**RUN_DOC, "sweep": {"coarse_grid": ["0.1", 0.01]}}, "coarse_grid"),
     ("ablate-mu", {**RUN_DOC, "mu_values": [1e-3, True]}, "mu_values"),
+    ("run", {**RUN_DOC, "problem": {"kind": "quadratic", "h": [True, 2]}}, "h"),
 ], ids=["alpha", "lr", "weight_decay", "coarse_grid", "noise_std", "val_fraction",
-        "noise_std_grad-string", "coarse_grid-string", "mu_values"])
+        "noise_std_grad-string", "coarse_grid-string", "mu_values", "h"])
 def test_cli_non_numeric_real_value_is_exit_2(tmp_path, capsys, monkeypatch, command, doc,
                                               key):
     # json's true and false used to pass as 1.0 and 0.0, and a string as

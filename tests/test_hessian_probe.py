@@ -134,6 +134,23 @@ def test_probe_block_is_one_draw_equal_to_per_probe_draws(distribution):
                 np.testing.assert_array_equal(seen[0], np.stack(expected))
 
 
+@pytest.mark.parametrize("hvp", [lambda V: V, lambda V: 2.0 * V], ids=["identity", "scaled"])
+@pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
+def test_hutchinson_writes_into_no_probe_block(distribution, hvp):
+    # hvp_fn may keep the block it is handed, or hand it back: the average
+    # is formed in an array of its own, for a lone seed and for a table
+    probe = probe_draw(3, distribution, 5)
+    table = probe.table((4, 5), range(2), Channel.PROBE, stream_states((4, 5), range(2)))
+    kept = table.copy()
+    for seed in (BatchSeed(1, 0, Channel.PROBE), StackSeed(table, 1, [1, 0, 1])):
+        seen = []
+        est = hutchinson_diag(lambda V: seen.append((V, V.copy())) or hvp(V), probe, seed)
+        ((V, at_call),) = seen
+        np.testing.assert_array_equal(V, at_call)
+        assert not np.shares_memory(est, V)
+    np.testing.assert_array_equal(table, kept)
+
+
 def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
     prob = MlpRegression(n_samples=128, batch_size=32)
     rng = np.random.default_rng(6)

@@ -322,6 +322,13 @@ def test_quadratic_requires_positive_curvature():
         Quadratic([np.nan, 1.0])
 
 
+@pytest.mark.parametrize("h", [[True, 2.0], ["0.5", 1], [1.0, np.bool_(True)]])
+def test_quadratic_curvatures_are_real_numbers(h):
+    # they were read through asarray(h, float64): True ran as 1.0 and "0.5" as 0.5
+    with raises(ValueError, match="h must be a real number, got "):
+        Quadratic(h)
+
+
 def test_quadratic_gradient_matches_fd():
     prob = Quadratic([0.5, 1.0, 3.0])
     x = np.array([0.3, -1.2, 2.0])
