@@ -111,7 +111,6 @@ class StepDiagnostics:
     rho: float | np.ndarray     # max_i |s_i| after the -rho_max floor
     n_clamped: int              # clamped bases, summed over a stack
     step_norm: float | np.ndarray
-    corrected_m_norm: float | np.ndarray
     row_clamped: int | np.ndarray   # clamped bases per row
 
 
@@ -164,7 +163,7 @@ def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig, out=None):
     d = _ema(state.D, cfg.beta2, H, out, ("D", t % 2))
     m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, out=_buffer(out, "m_hat", g.shape))
     d_hat = np.divide(d, 1.0 - cfg.beta2 ** t, out=_buffer(out, "d_hat", g.shape))
-    np.minimum(np.maximum(d_hat, cfg.mu, out=d_hat), cfg.g_d, out=d_hat)
+    np.clip(d_hat, cfg.mu, cfg.g_d, out=d_hat)
     return OptimizerState(t=t, m=m, D=d), m_hat, d_hat
 
 
@@ -186,11 +185,13 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
     alpha, t = (cfg.alpha if lr is None else lr), state.t
     ad = np.multiply(alpha, D_hat, out=_buffer(out, "ad", x.shape))
     s = np.subtract(1.0, ad, out=_buffer(out, "s", x.shape))
-    # a base is clamped where max(s, -rho_max) != s: below -rho_max, or NaN
+    # a base is clamped where max(s, -rho_max) != s: below -rho_max, or
+    # NaN; only a step that has one lifts s to the floor
     mask = np.greater_equal(s, -cfg.safeguard_rho_max, out=_buffer(out, "mask", x.shape, bool))
     n_clamped = mask.size - np.count_nonzero(mask)
     row_clamped = x.shape[-1] - mask.sum(axis=-1) if n_clamped else np.zeros(x.shape[:-1], int)
-    np.maximum(s, -cfg.safeguard_rho_max, out=s)
+    if n_clamped:
+        np.maximum(s, -cfg.safeguard_rho_max, out=s)
     # 1 - s^t' cancels as s nears 1, so the coefficient is -expm1(t'
     # log1p(-ad)). log1p must not see a base s <= 0 (or NaN): it reads 0
     # there, and on the steps that have such bases they take the plain power
@@ -207,7 +208,6 @@ def step_closed_form(state: OptimizerState, x, m_hat, D_hat, cfg: OptimizerConfi
         rho=_per_row(np.maximum.reduce(np.abs(s, out=s), axis=-1)),
         n_clamped=n_clamped,
         step_norm=_per_row(_row_norms(np.subtract(x_next, x, out=phi))),
-        corrected_m_norm=_per_row(_row_norms(m_hat)),
         row_clamped=_per_row(row_clamped, int),
     )
 

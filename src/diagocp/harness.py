@@ -32,10 +32,15 @@ writes its (R,) columns (g.g, the step norm, rho, the clamp count, the
 losses) into a slot the live rows share, and a RunRecord views its row.
 The stepper owns one dict of buffers that clip_diag, update_moments,
 step_closed_form and baseline_step write their (R, dim) results into (their
-`out`), so a step allocates no stack-sized array of its own; when rows
-leave, the dict is emptied and the next step makes its buffers at the new
-height. Those layers are the public functions, called by their names in
-this module, and each keeps its checks, so every check runs once per step.
+`out`), so a step allocates no stack-sized array of its own. What a step
+can derive from the stack height alone is derived once per height: each
+buffer's view at that height (`problems._buffer`), the row map from stack
+rows to replicates, checked once and read by every StackSeed of the
+height, and the record table's rows, a plain slice until a row leaves.
+When rows leave, the dict is emptied, and the next step makes its buffers
+and views at the new height. Those layers are the public functions, called
+by their names in this module, and each keeps its checks, so every check
+runs once per step, and the row map's once per height.
 
 Divergence means non-finite numbers: a row whose iterate after a step, or
 whose recorded train or validation loss, is non-finite is marked diverged
@@ -73,7 +78,8 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_f
                        step_recursive_reference, update_moments)
 from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
-                       _buffer, _row_dots, _row_norms, as_integer, as_real, stream_states)
+                       _buffer, _check_rows, _row_dots, _row_norms, as_integer, as_real,
+                       stream_states)
 
 _INIT_STREAM = 3
 # A run holds its tables, and the stream_states words that fill them, for
@@ -244,12 +250,13 @@ def _seeds(window, k, channel, rows):
     replicate rows[r], over the window of the tables that holds k, drawn
     first when k lies outside the current one; None for a channel the
     oracle does not draw on, which reads it as the full-batch, noise-free
-    draw that such an oracle makes anyway."""
+    draw that such an oracle makes anyway. rows is a row map that
+    `_check_rows` has passed for the window's replicates."""
     if channel not in window.draws:
         return None
     if not 0 <= k - window.start < window.width:
         window.fill(k - k % window.width)
-    return StackSeed(window.tables[channel], k - window.start, rows)
+    return StackSeed._checked(window.tables[channel], k - window.start, rows)
 
 
 def _advance(problem, opt_cfg, work, state, x, g, window, rows, k, lr=None):
@@ -329,9 +336,11 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     Blow-up propagates as inf/NaN; a row whose iterate or recorded loss is
     non-finite is marked diverged and drops out of the stack. `live` maps
     each stack row to its table row, so stack row r reads replicate
-    live[r] % n_seeds. Live rows share one slot of the record table: every
-    step writes it, and only a recording step moves on. Row r's trajectory
-    is table[name][r, :length[r]].
+    reps[r] = live[r] % n_seeds; both, and `at`, the table rows written
+    (every row until one leaves), change only with the stack height. Live
+    rows share one slot of the record table: every step writes it, and
+    only a recording step moves on. Row r's trajectory is
+    table[name][r, :length[r]].
     """
     problem, opt_cfg = cfg.problem, cfg.opt_cfg
     t_start = time.perf_counter()
@@ -349,6 +358,7 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     length = np.zeros(len(lr_col), np.int64)
     diverged = np.zeros(len(lr_col), bool)
     live = np.arange(len(lr_col))   # the table row of each stack row
+    at, reps = slice(None), _check_rows(live % n, n)
 
     def write(rows, slot, **columns):
         for name, column in columns.items():
@@ -357,28 +367,28 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     def leave(ok, n_recorded):
         """Mark the rows where ok is False diverged with n_recorded slots,
         and drop them from the stack."""
-        nonlocal x, g, state, lr_col, live
+        nonlocal x, g, state, lr_col, live, at, reps
         out = live[~ok]
         length[out], diverged[out] = n_recorded, True
         rows = np.flatnonzero(ok)
         x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
-        live = live[rows]
+        at = live = live[rows]
+        reps = _check_rows(live % n, n)
         work.clear()    # the buffers are made afresh at the new height
 
     # overflow past float range is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g, train = problem.grad_and_train_loss(x, _seeds(window, 0, Channel.GRADIENT,
-                                                          live % n))
-        write(live, 0, train_loss=train, val_loss=problem.val_loss(x),
-              grad_norm_sq=_row_dots(g))
+        g, train = problem.grad_and_train_loss(x, _seeds(window, 0, Channel.GRADIENT, reps))
+        write(at, 0, train_loss=train, val_loss=problem.val_loss(x), grad_norm_sq=_row_dots(g))
         slot = 1
         for k in range(1, cfg.max_steps + 1):
-            x, state, step_norm, rho, clamped = step(state, x, g, window, live % n, k, lr_col)
-            write(live, slot, steps=k, grad_norm_sq=_row_dots(g), step_norm=step_norm)
+            x, state, step_norm, rho, clamped = step(state, x, g, window, reps, k, lr_col)
+            write(at, slot, steps=k, grad_norm_sq=_row_dots(g), step_norm=step_norm)
             if rho is not None:
-                write(live, slot, rho=rho, safeguard_count=clamped)
-            ok = np.isfinite(x, out=_buffer(work, "finite", x.shape, bool)).all(axis=-1)
-            if not ok.all():
+                write(at, slot, rho=rho, safeguard_count=clamped)
+            finite = np.isfinite(x, out=_buffer(work, "finite", x.shape, bool))
+            if not finite.all():
+                ok = finite.all(axis=-1)
                 write(live[~ok], slot, train_loss=np.inf, val_loss=np.inf)
                 leave(ok, slot + 1)
                 if not live.size:
@@ -387,13 +397,13 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
             if k == cfg.max_steps:
                 train = problem.train_loss(x)
             elif recording:
-                g, train = problem.grad_and_train_loss(
-                    x, _seeds(window, k, Channel.GRADIENT, live % n))
+                g, train = problem.grad_and_train_loss(x, _seeds(window, k, Channel.GRADIENT,
+                                                                 reps))
             else:
-                g = problem.eval_grad(x, _seeds(window, k, Channel.GRADIENT, live % n))
+                g = problem.eval_grad(x, _seeds(window, k, Channel.GRADIENT, reps))
             if recording:
                 val = problem.val_loss(x)
-                write(live, slot, train_loss=train, val_loss=val)
+                write(at, slot, train_loss=train, val_loss=val)
                 slot += 1
                 ok = np.isfinite(train) & np.isfinite(val)
                 if not ok.all():
@@ -637,7 +647,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
                     max_steps=T_list[-1], base_seed=base_seed, n_seeds=n_seeds)
     t_start = time.perf_counter()
     t_max, n_seeds = cfg.max_steps, cfg.n_seeds
-    window, rows, work = _streams(cfg), np.arange(n_seeds), {}
+    window, rows, work = _streams(cfg), _check_rows(np.arange(n_seeds), n_seeds), {}
     x, state = _init_stack(problem, window.bases), None
     acc, diverged_step = np.zeros(t_max), None
     # overflow past float range is the divergence signal, as in _run_stack

@@ -103,12 +103,19 @@ class StackSeed:
 
     def __init__(self, table, step_index, rows):
         self.table, self.step_index = table, step_index
-        self.rows = np.asarray(rows).astype(np.intp, casting="safe", copy=False)
-        if self.rows.ndim != 1 or not set(self.rows.tolist()) <= set(range(len(table))):
-            raise ValueError(f"stack rows must index the table's {len(table)} replicates")
+        self.rows = _check_rows(rows, len(table))
         if not 0 <= step_index < table.shape[1]:
             raise ValueError(f"a table of {table.shape[1]} steps has no "
                              f"step index {step_index}")
+
+    @classmethod
+    def _checked(cls, table, step_index, rows):
+        """The seed of a row map that `_check_rows` has passed for the
+        table's replicates, at a step the table holds: a stepper checks its
+        row map once per stack height, not once per seed."""
+        seed = object.__new__(cls)
+        seed.table, seed.step_index, seed.rows = table, step_index, rows
+        return seed
 
     def __len__(self):
         return len(self.rows)
@@ -117,6 +124,14 @@ class StackSeed:
         """The rows' draws, one per row, read from the table: `draw` is the
         one that filled it."""
         return self.table[self.rows, self.step_index]
+
+
+def _check_rows(rows, n_replicates) -> np.ndarray:
+    """A stack's row map as an intp array, each entry one of n_replicates."""
+    rows = np.asarray(rows).astype(np.intp, casting="safe", copy=False)
+    if rows.ndim != 1 or not set(rows.tolist()) <= set(range(n_replicates)):
+        raise ValueError(f"stack rows must index the table's {n_replicates} replicates")
+    return rows
 
 
 class Draw(NamedTuple):
@@ -473,12 +488,19 @@ def _row_norms(a):
 def _buffer(work, role, shape, dtype=np.float64):
     """A view of `shape` on the buffer that the dict `work` keeps for
     `role`, grown to the largest request so far; the next request for the
-    same role overwrites it. With work None, a fresh array."""
-    work, size = {} if work is None else work, math.prod(shape)
-    buf = work.get(role)
-    if buf is None or buf.size < size:
-        buf = work[role] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
+    same role overwrites it. work[role] maps None to the buffer and each
+    shape requested to its view, made once; a grown buffer starts a new
+    map, so no view of the old one is handed out. With work None, a fresh
+    array."""
+    work = {} if work is None else work
+    views = work.get(role)
+    view = None if views is None else views.get(shape)
+    if view is None:
+        size = math.prod(shape)
+        if views is None or views[None].size < size:
+            views = work[role] = {None: np.empty(size, dtype)}
+        view = views[shape] = views[None][:size].reshape(shape)
+    return view
 
 
 def _per_row(value, scalar=float):
@@ -685,7 +707,11 @@ class MlpRegression(_SampleBased):
         if n_samples < 2:
             raise ValueError("need n_samples >= 2")
         self.sizes = sizes
-        self.dim = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+        # layer l's (W_l, b_l) as (W start, W end = b start, W shape, b end)
+        self._layout, self.dim = [], 0
+        for a, b in zip(sizes, sizes[1:]):
+            self._layout.append((self.dim, self.dim + a * b, (b, a), self.dim + a * b + b))
+            self.dim += a * b + b
         self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
         self._workspace = {}
 
@@ -705,14 +731,8 @@ class MlpRegression(_SampleBased):
     def _unpack(self, theta):
         """(W_l, b_l) views of theta, or stacks of them when theta has
         leading stack axes."""
-        lead = theta.shape[:-1]
-        layers, off = [], 0
-        for a, b in zip(self.sizes, self.sizes[1:]):
-            w = theta[..., off:off + a * b].reshape(lead + (b, a))
-            off += a * b
-            layers.append((w, theta[..., off:off + b]))
-            off += b
-        return layers
+        return [(theta[..., w0:w1].reshape(theta.shape[:-1] + shape), theta[..., w1:b1])
+                for w0, w1, shape, b1 in self._layout]
 
     def _kaiming(self, rng):
         """Kaiming-uniform weights, zero biases, flattened."""
@@ -765,8 +785,9 @@ class MlpRegression(_SampleBased):
 
     @staticmethod
     def _mse(diff):
-        """Mean over samples of the summed squared error, one per point."""
-        return np.mean(np.sum(diff * diff, axis=-2), axis=-1)
+        """Mean over samples of the summed squared error, one per point:
+        the two reductions and the division `np.mean(np.sum(...))` makes."""
+        return np.add.reduce(np.add.reduce(diff * diff, axis=-2), axis=-1) / diff.shape[-1]
 
     def _backprop(self, layers, outs, diff):
         """The flat gradient of the mean squared error from one pass; each

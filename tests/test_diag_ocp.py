@@ -355,8 +355,14 @@ def test_stacked_moments_and_step_equal_each_row_alone():
     assert diag.n_clamped == sum(diag.row_clamped) > 0
 
 
+# every field of StepDiagnostics but the stack-wide n_clamped: one value per row
+PER_ROW_DIAGNOSTICS = ("rho", "step_norm", "row_clamped")
+
+
 def test_stacked_step_diagnostics_equal_lone_rows():
-    # an axis=-1 norm of a stack rounds differently from a lone row's norm
+    # an axis=-1 norm of a stack rounds differently from a lone row's norm;
+    # the corrected-moment norm, which nothing read, is no longer a field
+    assert {f.name for f in fields(StepDiagnostics)} == {"n_clamped", *PER_ROW_DIAGNOSTICS}
     cfg = OptimizerConfig(alpha=0.05, weight_decay=0.01)
     rng = np.random.default_rng(9)
     for dim in (5, 178, 1000):
@@ -370,10 +376,8 @@ def test_stacked_step_diagnostics_equal_lone_rows():
             alone = OptimizerState(t=3, m=m_hat[r], D=d_hat[r])
             _, diag_r = step_closed_form(alone, X[r], m_hat[r], d_hat[r], cfg)
             assert type(diag_r.step_norm) is float
-            assert diag.step_norm[r] == diag_r.step_norm
-            assert diag.corrected_m_norm[r] == diag_r.corrected_m_norm
-            assert diag.rho[r] == diag_r.rho
-            assert diag.row_clamped[r] == diag_r.row_clamped
+            for name in PER_ROW_DIAGNOSTICS:
+                assert getattr(diag, name)[r] == getattr(diag_r, name)
 
 
 def test_lr_column_step_equals_each_row_at_its_scalar_alpha():
@@ -392,10 +396,8 @@ def test_lr_column_step_equals_each_row_at_its_scalar_alpha():
         x_r, diag_r = step_closed_form(alone, X[r], m_hat[r], d_hat[r],
                                        cfg.with_lr(alpha))
         np.testing.assert_array_equal(x_next[r], x_r)
-        assert diag.rho[r] == diag_r.rho
-        assert diag.step_norm[r] == diag_r.step_norm
-        assert diag.corrected_m_norm[r] == diag_r.corrected_m_norm
-        assert diag.row_clamped[r] == diag_r.row_clamped
+        for name in PER_ROW_DIAGNOSTICS:
+            assert getattr(diag, name)[r] == getattr(diag_r, name)
     assert diag.row_clamped[0] > 0 and diag.row_clamped[-1] == 0
     # lr=None is the config's own alpha
     x_cfg, _ = step_closed_form(state, X, m_hat, d_hat, cfg)
@@ -467,3 +469,64 @@ def test_public_functions_write_into_no_argument():
         for a, b in zip(args + (new.m, new.D, x_next), before + held):
             np.testing.assert_array_equal(a, b)
     assert state.t == 2
+
+
+def test_corrected_d_is_clipped_as_max_then_min():
+    # one np.clip lifts D_hat to mu and caps it at g_d exactly as
+    # minimum(maximum(D_hat, mu), g_d) does: NaN rows pass through, and
+    # values at, below and above both bounds land on the same bits
+    cfg = OptimizerConfig(mu=1e-3, g_d=10.0)
+    t, rng = 3, np.random.default_rng(14)
+    scale = 1.0 - cfg.beta2 ** t
+    D = rng.uniform(-1.0, 20.0, (5, 8)) * scale
+    D[0, :4] = [cfg.mu * scale, cfg.g_d * scale, 0.0, -0.0]
+    D[2] = np.nan
+    state = OptimizerState(t - 1, np.zeros(D.shape), D / cfg.beta2)
+    H = np.full(D.shape, cfg.mu)
+    H[3] = np.nan                     # a blown-up point's clipped estimate
+    new, _, d_hat = update_moments(state, np.zeros(D.shape), H, cfg)
+    want = np.minimum(np.maximum(new.D / scale, cfg.mu), cfg.g_d)
+    np.testing.assert_array_equal(d_hat, want)
+    assert np.isnan(d_hat[2]).all() and np.isnan(d_hat[3]).all()
+    raw = new.D / scale
+    assert (raw < cfg.mu).any() and (raw > cfg.g_d).any()
+    assert (d_hat == cfg.mu).any() and (d_hat == cfg.g_d).any()
+
+
+def always_floored_step(state, x, m_hat, D_hat, cfg, lr):
+    """The closed-form step with every base lifted to -rho_max, on every
+    step, as the reference for a step that floors only when some base is
+    clamped: (x_next, rho, row_clamped)."""
+    t, ad = state.t, lr * D_hat
+    clamped = ~(1.0 - ad >= -cfg.safeguard_rho_max)
+    s = np.maximum(1.0 - ad, -cfg.safeguard_rho_max)
+    with np.errstate(invalid="ignore"):
+        coef = np.where(s > 0.0, -np.expm1(t * np.log1p(np.where(s > 0.0, -ad, 0.0))),
+                        1.0 - s ** t)
+    x_next = x * (1.0 - lr * cfg.weight_decay) - coef / D_hat * m_hat
+    return x_next, np.abs(s).max(axis=-1), clamped.sum(axis=-1)
+
+
+@pytest.mark.parametrize("d_max, nan_row, clamped", [(50.0, False, True), (30.0, False, False),
+                                                     (30.0, True, True)])
+def test_step_floors_bases_only_when_one_is_clamped(d_max, nan_row, clamped):
+    # the floor max(s, -rho_max) is the identity on a step with no clamped
+    # base, so skipping it there leaves every bit of the step as it was; at
+    # lr 0.05 a D_hat above 38 clamps its base, and a NaN base counts
+    cfg = OptimizerConfig(alpha=0.05, mu=1e-3, g_d=50.0, weight_decay=0.01,
+                          safeguard_rho_max=0.9)
+    rng = np.random.default_rng(15)
+    lr = np.array([0.05, 0.02, 0.01, 1e-4])[:, None]
+    X, m_hat = rng.standard_normal((2, 4, 9))
+    D_hat = rng.uniform(cfg.mu, d_max, X.shape)
+    if nan_row:
+        D_hat[1] = np.nan
+    state = OptimizerState(7, m_hat, D_hat)
+    with np.errstate(invalid="ignore"):
+        x_next, diag = step_closed_form(state, X, m_hat, D_hat, cfg, lr=lr)
+    want, rho, row_clamped = always_floored_step(state, X, m_hat, D_hat, cfg, lr)
+    np.testing.assert_array_equal(x_next, want)
+    np.testing.assert_array_equal(diag.rho, rho)
+    np.testing.assert_array_equal(diag.row_clamped, row_clamped)
+    assert (diag.n_clamped > 0) == clamped
+    assert (lr * D_hat >= 1.0).any()     # bases <= 0 take the plain power either way

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
-from diagocp import baselines, cli, diag_ocp, harness, hessian_probe
+from diagocp import baselines, cli, diag_ocp, harness, hessian_probe, problems
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
 from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
                               update_moments)
@@ -186,8 +186,11 @@ def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
     assert counts == {name: 7 * n for name, n in per_step.items()}
 
 
+# _check_rows is patched in problems, where StackSeed calls it, and in harness,
+# which imports it
 CHECK_HELPERS = ((diag_ocp, "_check_moment_inputs"), (diag_ocp, "_check_step_inputs"),
-                 (baselines, "_check_inputs"))
+                 (baselines, "_check_inputs"), (problems, "_check_rows"),
+                 (harness, "_check_rows"))
 
 
 @pytest.mark.parametrize("kind, per_step", [
@@ -197,8 +200,9 @@ CHECK_HELPERS = ((diag_ocp, "_check_moment_inputs"), (diag_ocp, "_check_step_inp
 ])
 def test_each_stepper_check_runs_once_per_step(monkeypatch, kind, per_step):
     # the stepper calls the public functions, which keep every check, and
-    # no check runs twice in one step of the stack
-    counts = dict.fromkeys(per_step, 0)
+    # no check runs twice in one step of the stack; the row map that every
+    # StackSeed reads is checked once per stack height, here once per run
+    counts = dict.fromkeys(per_step, 0) | {"_check_rows": 0}
     for module, name in CHECK_HELPERS:
         def counting(*args, _fn=getattr(module, name), _name=name):
             counts[_name] += 1
@@ -207,7 +211,33 @@ def test_each_stepper_check_runs_once_per_step(monkeypatch, kind, per_step):
     cfg = INTERFACE[kind][0]
     recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
     assert not any(r.diverged for r in recs)
-    assert counts == {name: 7 * n for name, n in per_step.items()}
+    assert counts == {name: 7 * n for name, n in per_step.items()} | {"_check_rows": 1}
+
+
+def test_the_row_map_is_checked_once_per_stack_height(monkeypatch):
+    # rows leave a diverging stack at several steps; the row map of each
+    # height is checked once, when the stack reaches it, and never by a seed
+    checked, stepped = [], []
+    check, moments = problems._check_rows, harness.update_moments
+
+    def checking(rows, n_replicates):
+        checked.append(len(rows))
+        return check(rows, n_replicates)
+
+    def stepping(state, g, *args, **kwargs):
+        stepped.append(len(g))
+        return moments(state, g, *args, **kwargs)
+
+    for module in (problems, harness):
+        monkeypatch.setattr(module, "_check_rows", checking)
+    monkeypatch.setattr(harness, "update_moments", stepping)
+    cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
+                    opt_cfg=DIVERGING["diag_ocp-iterate"][0], max_steps=40, base_seed=1,
+                    n_seeds=8, record_every=10)
+    recs = run_experiment(cfg)
+    assert len({rec.steps[-1] for rec in recs if rec.diverged}) > 1
+    assert checked[0] == 8 and checked == sorted(set(checked), reverse=True)
+    assert set(stepped) <= set(checked) and len(set(stepped)) > 2
 
 
 @pytest.mark.parametrize("kind", sorted(INTERFACE))

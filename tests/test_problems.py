@@ -4,7 +4,7 @@ from pytest import raises
 
 from diagocp.problems import (_HVP_STEP_SCALE, BatchSeed, Channel, MlpRegression,
                               NoisyLeastSquares, ProblemOracle, Quadratic,
-                              Rosenbrock2D, StackSeed, as_integer, as_params,
+                              Rosenbrock2D, StackSeed, _buffer, as_integer, as_params,
                               as_real, make_problem, stream_states)
 
 
@@ -944,7 +944,8 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
             got, fresh = (got,), (fresh,)
         for out, ref in zip(got, fresh):
             np.testing.assert_array_equal(out, ref)
-            assert not any(np.shares_memory(out, buf) for buf in prob._workspace.values())
+            assert not any(np.shares_memory(out, buf) for views in prob._workspace.values()
+                           for buf in views.values())
     # results the caller mutates do not reach the next call
     g, loss = prob.grad_and_train_loss(X, seeds(5))
     g[...] = np.nan
@@ -963,6 +964,71 @@ def test_mlp_workspace_calls_equal_a_fresh_oracle():
                 continue
             np.testing.assert_array_equal(prob._grads(theta, data),
                                           out_of_place_grads(prob, theta, data))
+
+
+def test_buffer_views_are_made_once_per_role_and_shape():
+    work = {}
+    a = _buffer(work, "a", (3, 4))
+    assert _buffer(work, "a", (3, 4)) is a
+    # no memory is handed to two roles, whatever their shapes and dtypes
+    views = [("a", a), ("b", _buffer(work, "b", (3, 4))),
+             (("a", 1), _buffer(work, ("a", 1), (3, 4))),
+             (("a", 1), _buffer(work, ("a", 1), (12,))),
+             ("mask", _buffer(work, "mask", (3, 4), bool))]
+    assert views[-1][1].dtype == bool and views[3][1].shape == (12,)
+    assert not any(np.shares_memory(u, v) for i, (role, u) in enumerate(views)
+                   for other, v in views[i + 1:] if role != other)
+    small = _buffer(work, "a", (2, 3))
+    assert np.shares_memory(small, a)
+    # growing a role's buffer drops every view of the old one; the other
+    # roles keep theirs
+    big = _buffer(work, "a", (5, 4))
+    for shape in ((3, 4), (2, 3), (5, 4)):
+        view = _buffer(work, "a", shape)
+        assert view.shape == shape and np.shares_memory(view, big)
+        assert not np.shares_memory(view, a)
+    assert not any(np.shares_memory(kept, a) for kept in work["a"].values())
+    assert _buffer(work, "b", (3, 4)) is views[1][1]
+    # a cleared dict makes every buffer afresh, and None a fresh array each call
+    work.clear()
+    assert not np.shares_memory(_buffer(work, "a", (3, 4)), big)
+    assert _buffer(None, "a", (3, 4)) is not _buffer(None, "a", (3, 4))
+
+
+def offset_loop_unpack(sizes, theta):
+    """The (W_l, b_l) views of theta as an offset loop over the layers finds them."""
+    lead, layers, off = theta.shape[:-1], [], 0
+    for a, b in zip(sizes, sizes[1:]):
+        w = theta[..., off:off + a * b].reshape(lead + (b, a))
+        off += a * b
+        layers.append((w, theta[..., off:off + b]))
+        off += b
+    return layers
+
+
+@pytest.mark.parametrize("sizes", [(3, 4, 2), (3, 4, 5, 2), (2, 3, 4, 3, 2)])
+def test_mlp_unpack_layout_equals_the_offset_loop(sizes):
+    prob = MlpRegression(layer_sizes=sizes, n_samples=8)
+    for lead in ((), (4,), (2, 3)):
+        # distinct entries, so equal values are equal positions
+        theta = np.arange(np.prod(lead, dtype=int) * prob.dim, dtype=float).reshape(
+            lead + (prob.dim,))
+        got, want = prob._unpack(theta), offset_loop_unpack(sizes, theta)
+        assert len(got) == len(want) == len(sizes) - 1
+        for pair, ref in zip(got, want):
+            for part, ref_part in zip(pair, ref):
+                assert part.shape == ref_part.shape and np.shares_memory(part, theta)
+                np.testing.assert_array_equal(part, ref_part)
+
+
+def test_mlp_mse_equals_mean_of_sums():
+    rng = np.random.default_rng(35)
+    for shape in ((2, 205), (3, 2, 51), (3, 8, 2, 32)):
+        d = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        got = MlpRegression._mse(d)
+        want = np.mean(np.sum(d * d, axis=-2), axis=-1)
+        np.testing.assert_array_equal(got, want)
+        assert type(got) is type(want) and np.shape(got) == shape[:-2]
 
 
 def out_of_place_grads(prob, theta, data):
