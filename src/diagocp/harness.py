@@ -15,9 +15,9 @@ window of steps at a time instead, as the steps reach each window.
 Each replicate owns its state and RNG streams, and each learning rate is
 only a per-row column in the step, so a whole sweep stage runs as one
 (n_lrs * n_seeds, dim) stack of (lr, replicate) rows, lr-major. Each step
-builds one StackSeed per channel the oracle reads, whose row map sends
-every row to its replicate, so the step gathers its rows' draws from the
-tables. Each row's record is the one it would get run alone: it depends
+builds one StackSeed per channel the oracle reads, which holds every row's
+draw, gathered from the entries of the row's replicate in the channel's
+table. Each row's record is the one it would get run alone: it depends
 neither on the stack height nor on which other lrs or replicates share it.
 
 Step loop: one stepper advances the whole (lr, replicate) stack, so a
@@ -34,13 +34,12 @@ The stepper owns one dict of buffers that clip_diag, update_moments,
 step_closed_form and baseline_step write their (R, dim) results into (their
 `out`), so a step allocates no stack-sized array of its own. What a step
 can derive from the stack height alone is derived once per height: each
-buffer's view at that height (`problems._buffer`), the row map from stack
-rows to replicates, checked once and read by every StackSeed of the
-height, and the record table's rows, a plain slice until a row leaves.
-When rows leave, the dict is emptied, and the next step makes its buffers
-and views at the new height. Those layers are the public functions, called
-by their names in this module, and each keeps its checks, so every check
-runs once per step, and the row map's once per height.
+buffer's view at that height (`problems._buffer`), each stack row's
+replicate, by which every StackSeed of the height gathers its draws, and
+the record table's rows, a plain slice until a row leaves. When rows
+leave, the dict is emptied, and the next step makes its buffers and views
+at the new height. Those layers are the public functions, called by their names in
+this module, and each keeps its checks, so every check runs once per step.
 
 Divergence means non-finite numbers: a row whose iterate after a step, or
 whose recorded train or validation loss, is non-finite is marked diverged
@@ -78,8 +77,7 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_f
                        step_recursive_reference, update_moments)
 from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
-                       _buffer, _check_rows, _row_dots, _row_norms, as_integer, as_real,
-                       stream_states)
+                       _buffer, _row_dots, _row_norms, as_integer, as_real, stream_states)
 
 _INIT_STREAM = 3
 # A run holds its tables, and the stream_states words that fill them, for
@@ -247,16 +245,16 @@ def _streams(cfg: RunConfig) -> _Window:
 
 def _seeds(window, k, channel, rows):
     """The StackSeed for 0-based step index k of a stack whose row r reads
-    replicate rows[r], over the window of the tables that holds k, drawn
-    first when k lies outside the current one; None for a channel the
-    oracle does not draw on, which reads it as the full-batch, noise-free
-    draw that such an oracle makes anyway. rows is a row map that
-    `_check_rows` has passed for the window's replicates."""
+    replicate rows[r]: the rows' entries of the channel's table at k,
+    gathered from the window that holds k, drawn first when k lies outside
+    the current one. None for a channel the oracle does not draw on, which
+    reads it as the full-batch, noise-free draw that such an oracle makes
+    anyway."""
     if channel not in window.draws:
         return None
     if not 0 <= k - window.start < window.width:
         window.fill(k - k % window.width)
-    return StackSeed._checked(window.tables[channel], k - window.start, rows)
+    return StackSeed(window.tables[channel][rows, k - window.start])
 
 
 def _advance(problem, opt_cfg, work, state, x, g, window, rows, k, lr=None):
@@ -335,11 +333,11 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     other setting. Each row's record equals the one it would get run alone.
     Blow-up propagates as inf/NaN; a row whose iterate or recorded loss is
     non-finite is marked diverged and drops out of the stack. `live` maps
-    each stack row to its table row, so stack row r reads replicate
-    reps[r] = live[r] % n_seeds; both, and `at`, the table rows written
-    (every row until one leaves), change only with the stack height. Live
-    rows share one slot of the record table: every step writes it, and
-    only a recording step moves on. Row r's trajectory is
+    each stack row to its table row, so stack row r reads the draws of
+    replicate reps[r] = live[r] % n_seeds; both, and `at`, the table rows
+    written (every row until one leaves), change only with the stack
+    height. Live rows share one slot of the record table: every step
+    writes it, and only a recording step moves on. Row r's trajectory is
     table[name][r, :length[r]].
     """
     problem, opt_cfg = cfg.problem, cfg.opt_cfg
@@ -358,7 +356,7 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
     length = np.zeros(len(lr_col), np.int64)
     diverged = np.zeros(len(lr_col), bool)
     live = np.arange(len(lr_col))   # the table row of each stack row
-    at, reps = slice(None), _check_rows(live % n, n)
+    at, reps = slice(None), live % n
 
     def write(rows, slot, **columns):
         for name, column in columns.items():
@@ -373,7 +371,7 @@ def _run_stack(cfg: RunConfig, lrs, window: _Window) -> list[list[RunRecord]]:
         rows = np.flatnonzero(ok)
         x, g, state, lr_col = x[rows], g[rows], _take(state, rows), lr_col[rows]
         at = live = live[rows]
-        reps = _check_rows(live % n, n)
+        reps = live % n
         work.clear()    # the buffers are made afresh at the new height
 
     # overflow past float range is the divergence signal, not a warning
@@ -647,7 +645,7 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
                     max_steps=T_list[-1], base_seed=base_seed, n_seeds=n_seeds)
     t_start = time.perf_counter()
     t_max, n_seeds = cfg.max_steps, cfg.n_seeds
-    window, rows, work = _streams(cfg), _check_rows(np.arange(n_seeds), n_seeds), {}
+    window, rows, work = _streams(cfg), np.arange(n_seeds), {}
     x, state = _init_stack(problem, window.bases), None
     acc, diverged_step = np.zeros(t_max), None
     # overflow past float range is the divergence signal, as in _run_stack

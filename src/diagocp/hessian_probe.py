@@ -7,8 +7,9 @@ A probe block is its Draw (`probe_draw`): the N probes of one estimate are
 drawn up front as an (N, dim) block, in one call to the stream, and handed
 to the HVP oracle in a single call, so an oracle can evaluate them together
 (one minibatch draw, one stacked gradient pass) instead of one by one. A
-stack of R estimates takes a StackSeed and hands over one (R, N, dim) array
-of blocks, read from the table that the harness fills with the same Draw.
+stack of R estimates takes a StackSeed, which holds one (R, N, dim) array
+of blocks, gathered from the table that the harness fills with the same
+Draw, and hands it over in one call.
 The estimate is raw: entries may be negative or zero wherever the local
 curvature or the probe noise makes them so. Each optimizer decides what to
 do with that; Diag-OCP clips it (`diag_ocp.clip_diag`).
@@ -58,10 +59,10 @@ def hutchinson_diag(hvp_fn, draw: Draw, seed) -> np.ndarray:
     All the block's probes come from the one stream addressed by `seed`, so
     the whole estimate is a deterministic function of (seed, draw). hvp_fn
     takes the (n_probes, dim) block of probe rows and must return the
-    (n_probes, dim) block of their Hessian-vector products. For a StackSeed
-    of R rows each row gets its replicate's block from the seed's table,
-    which must hold blocks of the draw's shape, hvp_fn gets the
-    (R, n_probes, dim) stack of blocks, and the result is (R, dim).
+    (n_probes, dim) block of their Hessian-vector products. A StackSeed of
+    R rows holds one block per row, which must have the draw's shape;
+    hvp_fn gets the (R, n_probes, dim) stack of blocks, and the result is
+    (R, dim).
     """
     V = np.asarray(seed.draws(draw.fn), dtype=np.float64)
     if V.shape[-2:] != draw.shape:

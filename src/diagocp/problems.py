@@ -5,9 +5,10 @@ Every source of randomness flows through a :class:`BatchSeed`, a
 (base_seed, step_index, channel) triple that maps to one deterministic draw.
 Gradient noise, Hessian-probe noise, and probe vectors live on separate
 channels so they are mutually independent at every step. A stack of points
-reads its draws from a table filled ahead (`Draw.table`), whose every
-entry is the draw of its own BatchSeed: a seed of either kind hands over
-draws through `draws`, and an oracle does not ask how they were made.
+takes a StackSeed, which holds one draw per row, gathered from a table
+filled ahead (`Draw.table`) whose every entry is the draw of its own
+BatchSeed: a seed of either kind hands over draws through `draws`, and an
+oracle does not ask how they were made.
 
 Problem kinds
 -------------
@@ -93,45 +94,19 @@ class BatchSeed:
 
 
 class StackSeed:
-    """The draws of an (R, dim) stack at one step and channel.
+    """The draws of an (R, dim) stack at one step and channel, one entry
+    per row: row r's is the draw its own BatchSeed makes, gathered from a
+    table that `Draw.table` filled ahead."""
 
-    `table` holds the channel's draws made ahead, one per (replicate, step)
-    (see `Draw.table`), and row r reads entry (rows[r], step_index). A
-    sweep stage's rows are lr-major tiles of its replicates, so rows starts
-    as np.tile(arange(n_seeds), n_lrs) and loses the rows that leave the
-    stack."""
-
-    def __init__(self, table, step_index, rows):
-        self.table, self.step_index = table, step_index
-        self.rows = _check_rows(rows, len(table))
-        if not 0 <= step_index < table.shape[1]:
-            raise ValueError(f"a table of {table.shape[1]} steps has no "
-                             f"step index {step_index}")
-
-    @classmethod
-    def _checked(cls, table, step_index, rows):
-        """The seed of a row map that `_check_rows` has passed for the
-        table's replicates, at a step the table holds: a stepper checks its
-        row map once per stack height, not once per seed."""
-        seed = object.__new__(cls)
-        seed.table, seed.step_index, seed.rows = table, step_index, rows
-        return seed
+    def __init__(self, draws):
+        self._draws = draws
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._draws)
 
     def draws(self, draw):
-        """The rows' draws, one per row, read from the table: `draw` is the
-        one that filled it."""
-        return self.table[self.rows, self.step_index]
-
-
-def _check_rows(rows, n_replicates) -> np.ndarray:
-    """A stack's row map as an intp array, each entry one of n_replicates."""
-    rows = np.asarray(rows).astype(np.intp, casting="safe", copy=False)
-    if rows.ndim != 1 or not set(rows.tolist()) <= set(range(n_replicates)):
-        raise ValueError(f"stack rows must index the table's {n_replicates} replicates")
-    return rows
+        """The rows' draws, one per row: `draw` is the one that made them."""
+        return self._draws
 
 
 class Draw(NamedTuple):
@@ -836,6 +811,6 @@ def make_problem(kind: str, **params) -> ProblemOracle:
     """Construct a problem oracle by kind string (see _PROBLEM_KINDS)."""
     try:
         cls = _PROBLEM_KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown problem kind {kind!r}") from None
     return cls(**params)

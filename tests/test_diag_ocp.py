@@ -50,6 +50,8 @@ def test_init_state_zeroed():
     assert state.t == 0
     np.testing.assert_array_equal(state.m, np.zeros(3))
     np.testing.assert_array_equal(state.D, np.zeros(3))
+    with raises(ValueError, match="dim must be >= 1"):
+        init_state(0, cfg)
 
 
 # --- moment updates --------------------------------------------------------
@@ -62,6 +64,14 @@ def test_update_moments_requires_clipped_h():
         update_moments(state, g, np.array([1.0, 1e-5]), cfg)  # below mu
     with raises(ValueError):
         update_moments(state, g, np.array([1.0, 2e4]), cfg)   # above g_d
+
+
+def test_update_moments_rejects_inputs_of_another_shape():
+    cfg = OptimizerConfig()
+    state = init_state(2, cfg)
+    for g, h in ((np.zeros(3), np.ones(2)), (np.zeros(2), np.ones(3))):
+        with raises(ValueError, match="dimension mismatch"):
+            update_moments(state, g, h, cfg)
 
 
 def test_update_moments_hand_values():
@@ -241,6 +251,8 @@ def test_stability_margin_spec_values():
     assert stability_margin(np.array([2.0, 4.0]), cfg) == approx(0.8)
     # exact Newton scaling: alpha*d = 1 everywhere
     assert stability_margin(np.array([10.0, 10.0]), cfg) == approx(0.0)
+    with raises(ValueError, match="nonempty"):
+        stability_margin(np.array([]), cfg)
 
 
 @given(st.integers(min_value=1, max_value=200),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
-from diagocp import baselines, cli, diag_ocp, harness, hessian_probe, problems
+from diagocp import baselines, cli, diag_ocp, harness
 from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
 from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
                               update_moments)
@@ -186,11 +186,8 @@ def test_stepper_calls_the_harness_layer_functions(monkeypatch, kind, per_step):
     assert counts == {name: 7 * n for name, n in per_step.items()}
 
 
-# _check_rows is patched in problems, where StackSeed calls it, and in harness,
-# which imports it
 CHECK_HELPERS = ((diag_ocp, "_check_moment_inputs"), (diag_ocp, "_check_step_inputs"),
-                 (baselines, "_check_inputs"), (problems, "_check_rows"),
-                 (harness, "_check_rows"))
+                 (baselines, "_check_inputs"))
 
 
 @pytest.mark.parametrize("kind, per_step", [
@@ -200,9 +197,8 @@ CHECK_HELPERS = ((diag_ocp, "_check_moment_inputs"), (diag_ocp, "_check_step_inp
 ])
 def test_each_stepper_check_runs_once_per_step(monkeypatch, kind, per_step):
     # the stepper calls the public functions, which keep every check, and
-    # no check runs twice in one step of the stack; the row map that every
-    # StackSeed reads is checked once per stack height, here once per run
-    counts = dict.fromkeys(per_step, 0) | {"_check_rows": 0}
+    # no check runs twice in one step of the stack
+    counts = dict.fromkeys(per_step, 0)
     for module, name in CHECK_HELPERS:
         def counting(*args, _fn=getattr(module, name), _name=name):
             counts[_name] += 1
@@ -211,33 +207,7 @@ def test_each_stepper_check_runs_once_per_step(monkeypatch, kind, per_step):
     cfg = INTERFACE[kind][0]
     recs = run_experiment(quad_run(max_steps=7, n_seeds=3, optimizer=kind, opt_cfg=cfg))
     assert not any(r.diverged for r in recs)
-    assert counts == {name: 7 * n for name, n in per_step.items()} | {"_check_rows": 1}
-
-
-def test_the_row_map_is_checked_once_per_stack_height(monkeypatch):
-    # rows leave a diverging stack at several steps; the row map of each
-    # height is checked once, when the stack reaches it, and never by a seed
-    checked, stepped = [], []
-    check, moments = problems._check_rows, harness.update_moments
-
-    def checking(rows, n_replicates):
-        checked.append(len(rows))
-        return check(rows, n_replicates)
-
-    def stepping(state, g, *args, **kwargs):
-        stepped.append(len(g))
-        return moments(state, g, *args, **kwargs)
-
-    for module in (problems, harness):
-        monkeypatch.setattr(module, "_check_rows", checking)
-    monkeypatch.setattr(harness, "update_moments", stepping)
-    cfg = RunConfig(problem=RandomStartRosenbrock(), optimizer="diag_ocp",
-                    opt_cfg=DIVERGING["diag_ocp-iterate"][0], max_steps=40, base_seed=1,
-                    n_seeds=8, record_every=10)
-    recs = run_experiment(cfg)
-    assert len({rec.steps[-1] for rec in recs if rec.diverged}) > 1
-    assert checked[0] == 8 and checked == sorted(set(checked), reverse=True)
-    assert set(stepped) <= set(checked) and len(set(stepped)) > 2
+    assert counts == {name: 7 * n for name, n in per_step.items()}
 
 
 @pytest.mark.parametrize("kind", sorted(INTERFACE))
@@ -336,6 +306,21 @@ def test_divergence_is_marked():
     assert rec.diverged
     assert rec.final_val == float("inf")
     assert rec.steps[-1] <= 200
+
+
+def test_a_stack_whose_every_row_leaves_on_a_non_finite_iterate_stops():
+    # the first step overflows every row's iterate, so the last rows leave
+    # the stack there and the run stops after one step
+    cfg = RunConfig(problem=Quadratic(np.array([1.0, 2.0])), optimizer="sgd",
+                    opt_cfg=BaselineConfig(kind="sgd", lr=1e308), max_steps=5,
+                    base_seed=0, n_seeds=3)
+    recs = run_experiment(cfg)
+    assert len(recs) == 3
+    for rec in recs:
+        assert rec.diverged
+        assert rec.steps.tolist() == [0, 1]
+        assert rec.train_loss.tolist() == rec.val_loss.tolist() == [1.5, INF]
+        assert rec.step_norm.tolist() == [0.0, INF]
 
 
 def test_diag_ocp_run_reports_rho():
@@ -1073,7 +1058,7 @@ def repeated_seeds(draw, channel, steps=(4,)):
     fills it, and each row's lone BatchSeed."""
     bases, rows = (11, 12, 13), [0, 1, 0, 2, 1]
     table = draw.table(bases, steps, channel, stream_states(bases, steps))
-    return (StackSeed(table, list(steps).index(4), rows),
+    return (StackSeed(table[rows, list(steps).index(4)]),
             [BatchSeed(bases[r], 4, channel) for r in rows])
 
 
@@ -1284,7 +1269,6 @@ def test_tabled_stack_seed_draws_what_each_lone_seed_draws(case, method, monkeyp
                   for _ in range(5)])
     args = (X,) if method != "hvp" else (X, rng.standard_normal((5, 2, prob.dim)))
     stack, seeds = repeated_seeds(prob.stream_draw(), Channel.GRADIENT, range(2, 7))
-    assert stack.step_index == 2
     call = getattr(prob, method)
     channels = count_streams(monkeypatch)
     stacked = call(*args, stack)
@@ -1772,6 +1756,32 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "banana" in err["message"]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("run", ["not", "an", "object"], "config must be a JSON object"),
+    ("run", {**RUN_DOC, "problem": {"h": [1.0]}}, "problem config needs a 'kind' key"),
+    ("run", {**RUN_DOC, "problem": {"kind": ["quadratic"]}},
+     "unknown problem kind ['quadratic']"),
+    ("run", {**RUN_DOC, "optimizer": {"lr": 0.1}}, "optimizer config needs a 'kind' key"),
+    ("run", {**RUN_DOC, "optimizer": {"kind": "lbfgs"}}, "unknown optimizer kind 'lbfgs'"),
+    ("run", {**RUN_DOC, "optimizer": {"kind": ["sgd"]}}, "unknown optimizer kind ['sgd']"),
+    ("sweep", {**RUN_DOC, "sweep": [0.1, 0.01]}, "'sweep' must be a JSON object"),
+    ("compare", {**RUN_DOC, "sweep": {"coarse_grid": [0.1]}},
+     "compare config needs an 'optimizers' list"),
+    ("compare", {**RUN_DOC, "optimizers": {"kind": "sgd"}},
+     "compare config needs an 'optimizers' list"),
+], ids=["document", "problem-kind", "problem-kind-list", "optimizer-kind",
+        "optimizer-unknown", "optimizer-kind-list", "sweep", "compare-missing",
+        "compare-object"])
+def test_cli_config_structure_error_is_exit_2(tmp_path, capsys, monkeypatch, command, doc,
+                                              message):
+    # a malformed document is one JSON error line that names what is wrong
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_removed_hvp_mode_key_is_exit_2(tmp_path, capsys):

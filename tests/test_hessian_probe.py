@@ -138,17 +138,19 @@ def test_probe_block_is_one_draw_equal_to_per_probe_draws(distribution):
 @pytest.mark.parametrize("distribution", ["rademacher", "standard_normal"])
 def test_hutchinson_writes_into_no_probe_block(distribution, hvp):
     # hvp_fn may keep the block it is handed, or hand it back: the average
-    # is formed in an array of its own, for a lone seed and for a table
+    # is formed in an array of its own, for a lone seed and for a stack's
+    # blocks, which stay as they were drawn
     probe = probe_draw(3, distribution, 5)
     table = probe.table((4, 5), range(2), Channel.PROBE, stream_states((4, 5), range(2)))
-    kept = table.copy()
-    for seed in (BatchSeed(1, 0, Channel.PROBE), StackSeed(table, 1, [1, 0, 1])):
+    stack = StackSeed(table[[1, 0, 1], 1])
+    kept = stack.draws(probe.fn).copy()
+    for seed in (BatchSeed(1, 0, Channel.PROBE), stack):
         seen = []
         est = hutchinson_diag(lambda V: seen.append((V, V.copy())) or hvp(V), probe, seed)
         ((V, at_call),) = seen
         np.testing.assert_array_equal(V, at_call)
         assert not np.shares_memory(est, V)
-    np.testing.assert_array_equal(table, kept)
+    np.testing.assert_array_equal(stack.draws(probe.fn), kept)
 
 
 def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
@@ -158,7 +160,7 @@ def test_hutchinson_on_a_seed_stack_equals_each_seed_alone():
     bases = (4, 5, 6)
     probe = probe_draw(4, "rademacher", prob.dim)
     words = stream_states(bases, [2])
-    hstack, pstack = (StackSeed(draw.table(bases, [2], c, words), 0, range(3))
+    hstack, pstack = (StackSeed(draw.table(bases, [2], c, words)[:, 0])
                       for draw, c in ((prob.stream_draw(), Channel.HESSIAN_NOISE),
                                       (probe, Channel.PROBE)))
     hseeds = [BatchSeed(b, 2, Channel.HESSIAN_NOISE) for b in bases]
@@ -180,8 +182,9 @@ def test_probe_table_rows_equal_each_lone_seeds_draw(distribution, dtype, n_prob
     assert table.shape == (3, steps, n_probes, dim) and table.dtype == dtype
     a = np.random.default_rng(2).standard_normal((dim, dim))
     sym = a + a.T
+    rows = np.array([2, 0, 2, 1])
     for k in range(steps):
-        tabled = StackSeed(table, k, [2, 0, 2, 1])
+        tabled = StackSeed(table[rows, k])
         seen = []
         est = hutchinson_diag(lambda V: seen.append(V) or V @ sym, probe, tabled)
         assert seen[0].dtype == np.float64
@@ -190,7 +193,7 @@ def test_probe_table_rows_equal_each_lone_seeds_draw(distribution, dtype, n_prob
             block = _draw(distribution, (n_probes, dim), seed.rng())
             np.testing.assert_array_equal(table[i, k], block)
             alone = hutchinson_diag(lambda V: V @ sym, probe, seed)
-            for row in np.flatnonzero(tabled.rows == i):
+            for row in np.flatnonzero(rows == i):
                 np.testing.assert_array_equal(seen[0][row], block)
                 np.testing.assert_array_equal(est[row], alone)
 
@@ -213,7 +216,7 @@ def test_hutchinson_rejects_a_table_of_other_blocks():
         (4, 5), range(3), Channel.PROBE, stream_states((4, 5), range(3)))
     with raises(ValueError, match="probe blocks"):
         hutchinson_diag(lambda V: V, probe_draw(3, "standard_normal", 7),
-                        StackSeed(table, 1, [0, 1]))
+                        StackSeed(table[[0, 1], 1]))
 
 
 def test_clip_diag_spec_example():

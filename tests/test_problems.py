@@ -13,11 +13,11 @@ def row_seeds(prob, bases, step, channel, rows=None):
     order, by default) at step, from a one-step table of prob's draws on
     channel, and each row's lone BatchSeed. A full-batch, noise-free prob
     draws nothing, so its table holds nothing."""
-    rows = range(len(bases)) if rows is None else rows
+    rows = list(range(len(bases)) if rows is None else rows)
     draw = prob.stream_draw()
     table = (np.zeros((len(bases), 1)) if draw is None
              else draw.table(bases, [step], channel, stream_states(bases, [step])))
-    return StackSeed(table, 0, rows), [BatchSeed(bases[r], step, channel) for r in rows]
+    return StackSeed(table[rows, 0]), [BatchSeed(bases[r], step, channel) for r in rows]
 
 
 class CentralRosenbrock(Rosenbrock2D):
@@ -121,8 +121,7 @@ def test_stack_seed_derives_no_stream_for_a_replicate_no_row_reads(monkeypatch):
         table = prob.stream_draw().table(bases, range(5), Channel.GRADIENT,
                                          stream_states(bases, range(5)))
         assert sorted(derived) == sorted(list(bases) * 5)
-        stack = StackSeed(table, 4, rows)
-        np.testing.assert_array_equal(stack.draws(None), table[[2, 0, 2], 4])
+        stack = StackSeed(table[rows, 4])
         derived.clear()
         G = prob.eval_grad(X, stack)
         assert derived == []
@@ -146,7 +145,7 @@ def test_noise_table_rows_equal_each_lone_seeds_noise(case, monkeypatch):
             np.testing.assert_array_equal(table[i, j], seed.draws(prob._noise))
             np.testing.assert_array_equal(table[i, j], seed.rng().standard_normal(prob.dim))
             # the stack adds its scaled row as the lone call adds its draw
-            stacked = prob.eval_grad(X, StackSeed(table, j, [1 - i, i]))
+            stacked = prob.eval_grad(X, StackSeed(table[[1 - i, i], j]))
             np.testing.assert_array_equal(stacked[1], prob.eval_grad(X[1], seed))
 
 
@@ -252,24 +251,14 @@ def test_noisy_full_batch_loss_and_hvp_derive_no_stream(case, monkeypatch):
     assert derived == [Channel.GRADIENT]
 
 
-def test_stack_seed_rejects_bad_rows_steps_and_stack_heights():
+def test_oracle_rejects_a_stack_seed_of_another_height():
     prob = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
     table = prob.stream_draw().table((11, 12, 13), [4], Channel.GRADIENT,
                                      stream_states((11, 12, 13), [4]))
-    for rows in ([0, 3], [-1, 0], [[0, 1]]):
-        with raises(ValueError, match="rows"):
-            StackSeed(table, 0, rows)
-    with raises(TypeError):     # a fractional row is not truncated
-        StackSeed(table, 0, [0.5, 1.0])
-    assert len(StackSeed(table, 0, [0, 1, 2, 1])) == 4
-    with raises(ValueError, match="rows"):    # a table over fewer replicates
-        StackSeed(table[:2], 0, [0, 2])
-    for step in (1, -1):        # a step the one-step table does not hold
-        with raises(ValueError, match="step"):
-            StackSeed(table, step, [0, 1])
+    assert len(StackSeed(table[[0, 1, 2, 1], 0])) == 4
     X, V = np.zeros((3, 6)), np.ones((3, 2, 6))
-    short = StackSeed(table, 0, [0, 1])
-    tall = StackSeed(table, 0, [0, 1, 2, 0])
+    short = StackSeed(table[[0, 1], 0])
+    tall = StackSeed(table[[0, 1, 2, 0], 0])
     for stack in (short, tall):
         for bad_call in (lambda: prob.eval_grad(X, stack),
                          lambda: prob.eval_loss(X, stack),
@@ -1063,7 +1052,7 @@ def test_stack_validation():
     prob = MlpRegression(n_samples=32)
     X = np.zeros((2, prob.dim))
     seed = BatchSeed(0, 0, Channel.GRADIENT)
-    one_row = StackSeed(np.zeros((1, 1)), 0, [0])
+    one_row = StackSeed(np.zeros((1, 1)))
     for bad_call in (lambda: prob.eval_grad(X, seed),          # one seed, two points
                      lambda: prob.eval_grad(X, one_row),       # stack rows
                      lambda: prob.eval_grad(X, [seed, seed]),  # a list of seeds
@@ -1086,6 +1075,9 @@ def test_make_problem_kinds():
     assert isinstance(make_problem("mlp_regression"), MlpRegression)
     with raises(ValueError):
         make_problem("simulated_annealing")
+    # an unhashable kind is an unknown kind too, not a TypeError
+    with raises(ValueError, match="unknown problem kind"):
+        make_problem(["quadratic"])
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -1101,6 +1093,20 @@ def test_make_problem_kinds():
 def test_constructors_reject_fractional_counts(kind, params):
     # int() used to truncate: n_samples 40.9 built 40 samples
     with raises(ValueError, match=next(iter(params))):
+        make_problem(kind, **params)
+
+
+@pytest.mark.parametrize("kind, params, match", [
+    ("noisy_least_squares", dict(dim=0), "dim >= 1"),
+    ("noisy_least_squares", dict(n_samples=1), "n_samples >= 2"),
+    ("mlp_regression", dict(n_samples=1), "n_samples >= 2"),
+    ("noisy_least_squares", dict(val_fraction=1.0), "val_fraction must be in"),
+    ("mlp_regression", dict(val_fraction=-0.1), "val_fraction must be in"),
+    ("noisy_least_squares", dict(n_samples=2, val_fraction=0.9), "no training samples"),
+], ids=["ls-dim", "ls-n_samples", "mlp-n_samples", "ls-val_fraction-1",
+        "mlp-val_fraction-negative", "ls-empty-train-split"])
+def test_constructors_reject_bad_sizes_and_splits(kind, params, match):
+    with raises(ValueError, match=match):
         make_problem(kind, **params)
 
 
