@@ -14,7 +14,7 @@ the three floors and the control land close together.
 import numpy as np
 
 from diagocp.diag_ocp import OptimizerConfig
-from diagocp.harness import CONTROL_CLIP_LO, RunConfig, ablate_mu
+from diagocp.harness import RunConfig, ablate_mu
 from diagocp.problems import MlpRegression
 
 base = RunConfig(
@@ -22,15 +22,15 @@ base = RunConfig(
     opt_cfg=OptimizerConfig(alpha=0.01, weight_decay=0.008),
     max_steps=150, base_seed=42, n_seeds=3)
 
+# {floor: records} for each floor in order, then {"control": records}
 ablation = ablate_mu([1e-3, 1e-4, 1e-5], base)
 
 print(f"{'floor':>16}  {'median final val':>16}  {'diverged':>8}")
-for key in list(ablation.values) + ["control"]:
-    runs = ablation.runs[key]
+for key, runs in ablation.items():
     ok = [r.final_val for r in runs if not r.diverged]
     med = f"{float(np.median(ok)):.5f}" if ok else "--"
     n_div = sum(r.diverged for r in runs)
-    label = f"{key:g}" if key != "control" else f"control ({CONTROL_CLIP_LO:g})"
+    label = f"{key:g}" if key != "control" else f"control ({runs[0].mu:g})"
     print(f"{label:>16}  {med:>16}  {n_div:>6}/{len(runs)}")
 
 print()

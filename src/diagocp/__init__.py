@@ -7,8 +7,8 @@ from .baselines import (BASELINE_KINDS, BaselineConfig, BaselineState,
 from .diag_ocp import (OptimizerConfig, OptimizerState, StepDiagnostics,
                        clip_diag, init_state, stability_margin, step_closed_form,
                        step_recursive_reference, update_moments)
-from .harness import (CompareResult, MuAblation, RunConfig, RunRecord,
-                      SweepResult, SweepSpec, ablate_mu, compare,
+from .harness import (CompareResult, RunConfig, RunRecord, SweepResult,
+                      SweepSpec, ablate_mu, compare,
                       emit_ablation, emit_heatmap, emit_results, emit_sweep,
                       lr_sweep, run_experiment,
                       verify_closed_form_equivalence,
@@ -25,7 +25,7 @@ __all__ = [
     "OptimizerConfig", "OptimizerState", "StepDiagnostics", "clip_diag",
     "init_state", "stability_margin", "step_closed_form", "step_recursive_reference",
     "update_moments",
-    "CompareResult", "MuAblation", "RunConfig", "RunRecord", "SweepResult",
+    "CompareResult", "RunConfig", "RunRecord", "SweepResult",
     "SweepSpec", "ablate_mu", "compare", "emit_ablation", "emit_heatmap",
     "emit_results", "emit_sweep", "lr_sweep", "run_experiment",
     "verify_closed_form_equivalence", "verify_probe_unbiasedness",

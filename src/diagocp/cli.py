@@ -17,19 +17,21 @@ Config documents are flat JSON objects:
   sweep adds      {"sweep": {"coarse_grid": [...]}}
   ablate-mu adds  {"mu_values": [...]}
   compare swaps "optimizer" for "optimizers": [{...}, ...] and takes "sweep"
-  (entries may omit lr/alpha there; the sweep sets it)
-  verify reads "seed" (else "base_seed"); rate also reads "problem",
-  "optimizer", "T_list" and "n_seeds". Each check owns its pass criterion,
-  and every check runs on defaults when --config is omitted.
+  (entries may omit lr/alpha there; the sweep sets it); each entry's
+  records are labelled with its kind
+  verify reads "seed" (else "base_seed"); rate also reads "T_list" and
+  "n_seeds". Each check owns its pass criterion and runs its own problem
+  and optimizer, and every check runs on defaults when --config is omitted.
 
 Problem, optimizer and sweep sub-objects accept every keyword of the
 matching constructor; "kind" selects the first two. A top-level key that no
-subcommand reads is an error, exit 2, and so is a sub-object key that its
-constructor does not take. A key a document omits takes the library's
-default, apart from max_steps (100) and base_seed (0). The library checks
-every value: counts and seeds must be integral numbers (3.0 is 3; 3.9, "3"
-and true are errors), real values must be numbers ("0.1" and true are
-errors) and noise scales finite and >= 0.
+subcommand reads is an error, exit 2, and so is a "problem" or "optimizer"
+key given to verify, and a sub-object key that its constructor does not
+take. A key a document omits takes the library's default, apart from
+max_steps (100) and base_seed (0). The library checks every value: counts
+and seeds must be integral numbers (3.0 is 3; 3.9, "3" and true are
+errors), real values must be numbers ("0.1" and true are errors), lists
+must be lists (a lone 0.1 is an error) and noise scales finite and >= 0.
 """
 
 from __future__ import annotations
@@ -56,12 +58,12 @@ _CONFIG_KEYS = frozenset({"problem", "optimizer", "optimizers", "max_steps", "ba
                           "T_list"})
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys=_CONFIG_KEYS) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(set(doc) - keys)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     return doc
@@ -76,8 +78,7 @@ def _given(doc, *keys):
 def _build_problem(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("problem config needs a 'kind' key")
-    params = {k: v for k, v in doc.items() if k != "kind"}
-    return make_problem(doc["kind"], **params)
+    return make_problem(**doc)
 
 
 _OPTIMIZERS = {OptimizerConfig.kind: OptimizerConfig,
@@ -150,13 +151,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate_mu(args) -> int:
     doc = _load_config(args.config)
-    if "mu_values" not in doc:
-        raise ValueError("ablate-mu config needs 'mu_values'")
-    base = _build_run(doc, args.seed)
-    ablation = ablate_mu(doc["mu_values"], base)
+    ablation = ablate_mu(doc.get("mu_values"), _build_run(doc, args.seed))
     paths = emit_ablation(ablation, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
-    print(f"{len(ablation.values)} clip floors plus control "
+    print(f"{len(ablation) - 1} clip floors plus control "
           f"(clip_lo {CONTROL_CLIP_LO:g})")
     return 0
 
@@ -168,10 +166,11 @@ def _cmd_compare(args) -> int:
     problem = _build_problem(doc.get("problem"))
     spec = _build_sweep_spec(doc)
     entries = []
-    for opt_doc in doc["optimizers"]:
+    for i, opt_doc in enumerate(doc["optimizers"]):
+        if not isinstance(opt_doc, dict):
+            raise ValueError(f"optimizers[{i}] must be a JSON object")
         # the sweep overwrites the learning rate, so entries may omit it
-        opt_doc = dict(opt_doc)
-        opt_doc.setdefault(_optimizer_class(opt_doc).lr_field, spec.coarse_grid[0])
+        opt_doc = {_optimizer_class(opt_doc).lr_field: spec.coarse_grid[0], **opt_doc}
         entries.append(_build_run({**doc, "optimizer": opt_doc}, args.seed, problem))
     result = compare(entries, spec)
     flat = [rec for key in sorted(result.records) for rec in result.records[key]]
@@ -184,7 +183,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = {} if args.config is None else _load_config(args.config)
+    # the checks run their own problems and optimizers, so a config that
+    # names one is refused rather than run on theirs
+    doc = ({} if args.config is None
+           else _load_config(args.config, _CONFIG_KEYS - {"problem", "optimizer"}))
     seed = (args.seed if args.seed is not None
             else doc.get("seed", doc.get("base_seed", 0)))
     if args.check == "lemma1":
@@ -194,11 +196,7 @@ def _cmd_verify(args) -> int:
                     f"{report['trials']} trials, "
                     f"{report['excluded_safeguarded']} safeguarded excluded)")
     elif args.check == "rate":
-        problem = _build_problem(doc["problem"]) if "problem" in doc else None
-        opt_cfg = _build_optimizer(doc["optimizer"]) if "optimizer" in doc else None
-        report = verify_rate_trend(
-            problem=problem, opt_cfg=opt_cfg, base_seed=seed,
-            **_given(doc, "T_list", "n_seeds"))
+        report = verify_rate_trend(base_seed=seed, **_given(doc, "T_list", "n_seeds"))
         if report["diverged_step"] is not None:
             headline = f"rate trend: diverged at step {report['diverged_step']}"
         else:

@@ -77,7 +77,8 @@ from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_f
                        step_recursive_reference, update_moments)
 from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
-                       _buffer, _row_dots, _row_norms, as_integer, as_real, stream_states)
+                       _buffer, _row_dots, _row_norms, as_integer, as_list, as_real,
+                       stream_states)
 
 _INIT_STREAM = 3
 # A run holds its tables, and the stream_states words that fill them, for
@@ -126,9 +127,11 @@ class RunConfig:
     For sample-based problems the train/validation split is part of the
     problem construction (val_fraction); deterministic problems report the
     train loss as the validation loss. Every replicate starts from the
-    problem's default_init under its own seeded stream. `optimizer` must
-    equal opt_cfg.kind. Counts and the seed are integers (see
-    `as_integer`), and max_steps <= 2**32.
+    problem's default_init under its own seeded stream. `optimizer` is the
+    run's label, a nonempty string: its run_ids and the optimizer column
+    of its CSV rows read it, and compare keys its entries by it, so two
+    entries of one kind can run side by side under two labels. Counts and
+    the seed are integers (see `as_integer`), and max_steps <= 2**32.
     """
 
     problem: ProblemOracle
@@ -140,9 +143,8 @@ class RunConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.opt_cfg.kind != self.optimizer:
-            raise ValueError(f"optimizer key {self.optimizer!r} does not match "
-                             f"its config's kind {self.opt_cfg.kind!r}")
+        if not isinstance(self.optimizer, str) or not self.optimizer:
+            raise ValueError(f"optimizer must be a nonempty label, got {self.optimizer!r}")
         for name in ("max_steps", "base_seed", "n_seeds", "record_every"):
             setattr(self, name, as_integer(getattr(self, name), name))
         if self.n_seeds < 1 or self.record_every < 1:
@@ -163,7 +165,7 @@ class RunRecord:
     """
 
     run_id: str
-    optimizer: str
+    optimizer: str          # the run's label, RunConfig.optimizer
     lr: float
     mu: float | None        # diag_ocp's curvature clip floor, None for a baseline
     seed: int
@@ -460,7 +462,7 @@ class SweepSpec:
     coarse_grid: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):
-        grid = tuple(as_real(v, "coarse_grid") for v in self.coarse_grid)
+        grid = tuple(as_list(self.coarse_grid, "coarse_grid", as_real))
         if not grid:
             raise ValueError("coarse grid must be nonempty")
         if not all(0.0 < v < math.inf for v in grid):
@@ -530,27 +532,23 @@ def lr_sweep(spec: SweepSpec, base: RunConfig) -> SweepResult:
 # clip-floor ablation
 
 
-@dataclass
-class MuAblation:
-    values: tuple
-    runs: dict   # float mu -> records, plus "control" -> records
-
-
 # The ablation control's clip floor: tiny, so effectively unclamped, but
 # positive, so the closed-form division stays defined.
 CONTROL_CLIP_LO = 1e-12
 
 
-def ablate_mu(values, base: RunConfig) -> MuAblation:
+def ablate_mu(values, base: RunConfig) -> dict:
     """One run set per clip floor plus an effectively-unclamped control at
-    CONTROL_CLIP_LO. The floors, the control's included, must be distinct,
-    so each run's (run_id, step) rows are written once. The floors differ
-    only in mu, so every run reads one `_streams`: each draw is made once
-    per ablation, not once per floor, when its tables fit one window.
+    CONTROL_CLIP_LO: {floor: records} in the order of values, then
+    {"control": records}; each record's mu is its floor. The floors, the
+    control's included, must be distinct, so each run's (run_id, step) rows
+    are written once. The floors differ only in mu, so every run reads one
+    `_streams`: each draw is made once per ablation, not once per floor,
+    when its tables fit one window.
     """
     if not isinstance(base.opt_cfg, OptimizerConfig):
         raise ValueError("the clip-floor ablation needs an OptimizerConfig")
-    values = tuple(as_real(v, "mu_values") for v in values)
+    values = tuple(as_list(values, "mu_values", as_real))
     if not values:
         raise ValueError("need at least one mu value")
     floors = values + (CONTROL_CLIP_LO,)
@@ -561,9 +559,8 @@ def ablate_mu(values, base: RunConfig) -> MuAblation:
     # every config first: OptimizerConfig rejects a bad floor before any run
     cfgs = [replace(base, opt_cfg=replace(base.opt_cfg, mu=v)) for v in floors]
     window = _streams(base)
-    runs = {key: _run_stack(cfg, [cfg.opt_cfg.lr], window)[0]
+    return {key: _run_stack(cfg, [cfg.opt_cfg.lr], window)[0]
             for key, cfg in zip(values + ("control",), cfgs)}
-    return MuAblation(values=values, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +612,11 @@ def verify_closed_form_equivalence(seed: int = 0) -> dict:
     }
 
 
-def verify_rate_trend(problem: ProblemOracle | None = None,
-                      opt_cfg: OptimizerConfig | None = None,
-                      T_list=(100, 200, 400), n_seeds: int = 20,
+def verify_rate_trend(T_list=(100, 200, 400), n_seeds: int = 20,
                       base_seed: int = 0) -> dict:
-    """Track min over k <= T of the seed-averaged true gradient norm squared.
+    """Track min over k <= T of the seed-averaged true gradient norm squared,
+    for RATE_TREND_CONFIG on default_rate_problem(), the one problem and
+    optimizer its 0.6 threshold was frozen on.
 
     The gradient entering the statistic is the noise-free full-batch one (the
     optimizer itself still sees its noisy stream). Reports the minima, r(T) =
@@ -628,19 +625,13 @@ def verify_rate_trend(problem: ProblemOracle | None = None,
     The run stops at the first step that leaves an iterate non-finite
     (diverged_step, else None) and fails; the statistics past it are None.
     """
-    T_list = [as_integer(t, "T_list") for t in T_list]
+    T_list = as_list(T_list, "T_list", as_integer)
     ratio_threshold = 0.6
     if len(T_list) < 2:
         raise ValueError("need at least two T values")
     if sorted(set(T_list)) != T_list or T_list[0] < 1:
         raise ValueError("T_list must be ascending, distinct, and positive")
-    if problem is None:
-        problem = default_rate_problem()
-    if opt_cfg is None:
-        opt_cfg = RATE_TREND_CONFIG
-    if not isinstance(opt_cfg, OptimizerConfig):
-        raise ValueError("the rate check runs the Diag-OCP optimizer: "
-                         "opt_cfg must be an OptimizerConfig")
+    problem, opt_cfg = default_rate_problem(), RATE_TREND_CONFIG
     cfg = RunConfig(problem=problem, optimizer=opt_cfg.kind, opt_cfg=opt_cfg,
                     max_steps=T_list[-1], base_seed=base_seed, n_seeds=n_seeds)
     t_start = time.perf_counter()
@@ -717,25 +708,27 @@ def verify_probe_unbiasedness(seed: int = 0) -> dict:
 
 @dataclass
 class CompareResult:
-    sweeps: dict        # optimizer -> SweepResult
+    sweeps: dict        # entry label (RunConfig.optimizer) -> SweepResult
 
     @property
     def selected(self) -> dict:
-        """optimizer -> its selected lr"""
+        """label -> its selected lr"""
         return {opt: sw.selected_lr for opt, sw in self.sweeps.items()}
 
     @property
     def records(self) -> dict:
-        """optimizer -> its list[RunRecord] at the selected lr"""
+        """label -> its list[RunRecord] at the selected lr"""
         return {opt: sw.records[sw.selected_lr] for opt, sw in self.sweeps.items()}
 
 
 def compare(entries: list[RunConfig], spec: SweepSpec) -> CompareResult:
-    """Tune each optimizer with the staged sweep, then report it at its
-    selected lr. Entries must have distinct optimizer keys."""
+    """Tune each entry with the staged sweep, then report it at its
+    selected lr. Entries must have distinct labels (RunConfig.optimizer);
+    two entries of one kind, say diag_ocp with two curvature settings, run
+    side by side under two labels."""
     keys = [e.optimizer for e in entries]
     if len(set(keys)) != len(keys):
-        raise ValueError("compare entries must use distinct optimizer keys")
+        raise ValueError("compare entries must use distinct optimizer labels")
     if not entries:
         raise ValueError("need at least one compare entry")
     return CompareResult(sweeps={e.optimizer: lr_sweep(spec, e) for e in entries})
@@ -746,14 +739,15 @@ def compare(entries: list[RunConfig], spec: SweepSpec) -> CompareResult:
 
 
 def _step_rows(records: list[RunRecord]):
-    """steps.csv rows. rho is None, an empty field, at step 0 and for an
-    optimizer that reports no rho; a NaN rho from a real step stays nan."""
+    """steps.csv rows. rho is None, an empty field, at step 0 and for a
+    record without a clip floor (mu None), whose optimizer reports no rho,
+    whatever its label; a NaN rho from a real step stays nan."""
     for rec in records:
         # csv writes a float as str(float): lr and mu (None for a baseline,
         # else > 0) are formatted once per record, not once per row
         head = (rec.run_id, rec.optimizer, str(rec.lr), rec.mu and str(rec.mu), rec.seed)
         cols = {name: getattr(rec, name).tolist() for name in RECORD_COLUMNS}
-        cols["rho"] = ([None] + cols["rho"][1:] if rec.optimizer == OptimizerConfig.kind
+        cols["rho"] = ([None] + cols["rho"][1:] if rec.mu is not None
                        else [None] * len(rec.rho))
         yield from (head + row for row in zip(*cols.values()))
 
@@ -792,14 +786,14 @@ def emit_sweep(sweep: SweepResult, path) -> Path:
     return _write_tables(path, [("sweep", SWEEP_HEADER, rows)])[0]
 
 
-def emit_ablation(ablation: MuAblation, path) -> list[Path]:
-    """Write steps.csv over all ablation runs plus ablation.csv per floor."""
+def emit_ablation(ablation: dict, path) -> list[Path]:
+    """Write steps.csv over all of an `ablate_mu` result's runs plus
+    ablation.csv, one row per floor, labelled by its key, with the mu its
+    records ran at."""
     all_records, rows = [], []
-    for key in list(ablation.values) + ["control"]:
-        records = ablation.runs[key]
+    for key, records in ablation.items():
         all_records.extend(records)
-        mu = CONTROL_CLIP_LO if key == "control" else key
-        rows.append((str(key), mu) + tuple(_aggregate(records).values()))
+        rows.append((str(key), records[0].mu) + tuple(_aggregate(records).values()))
     return _write_tables(path, [("steps", STEP_HEADER, _step_rows(all_records)),
                                 ("ablation", ABLATION_HEADER, rows)])
 

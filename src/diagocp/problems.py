@@ -248,6 +248,16 @@ def as_real(value, name) -> float:
     return float(value)
 
 
+def as_list(value, name, read) -> list:
+    """Each entry of a list, tuple or 1-d array as `read` (`as_integer` or
+    `as_real`) reads it under `name`. Anything else, such as a lone number
+    where a JSON config wants a list, is an error that names the value,
+    not a bare TypeError."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or getattr(value, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return [read(v, name) for v in value]
+
+
 def as_scale(value, name) -> float:
     """A noise standard deviation as a float; a bool, NaN, inf and negative
     values are errors."""
@@ -490,13 +500,10 @@ class Quadratic(ProblemOracle):
     kind = "quadratic"
 
     def __init__(self, h, noise_std_grad=0.0):
-        h = np.asarray(h, dtype=object)
-        if h.ndim != 1 or h.size == 0:
-            raise ValueError("h must be a nonempty 1-d array")
         # each entry as `as_real` reads it: a JSON true is not a curvature
-        h = np.array([as_real(v, "h") for v in h])
-        if not np.all((h > 0.0) & (h < np.inf)):
-            raise ValueError("quadratic requires all h_i finite and > 0")
+        h = np.array(as_list(h, "h", as_real))
+        if h.size == 0 or not np.all((h > 0.0) & (h < np.inf)):
+            raise ValueError("quadratic requires a nonempty h, all h_i finite and > 0")
         self.h = h
         self.dim = int(h.size)
         self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
@@ -673,7 +680,7 @@ class MlpRegression(_SampleBased):
     def __init__(self, layer_sizes=(8, 16, 2), teacher_seed=0, n_samples=256,
                  label_noise_std=0.05, val_fraction=0.2, batch_size=None,
                  noise_std_grad=0.0):
-        sizes = [as_integer(s, "layer_sizes") for s in layer_sizes]
+        sizes = as_list(layer_sizes, "layer_sizes", as_integer)
         if len(sizes) < 3:
             raise ValueError("layer_sizes must describe at least one hidden layer")
         if any(s < 1 for s in sizes):

@@ -49,15 +49,13 @@ def noisy_run(**kwargs):
 # --- run configuration -------------------------------------------------------
 
 def test_run_config_validation():
-    with raises(ValueError):
-        quad_run(optimizer="lbfgs")
-    with raises(ValueError):
-        quad_run(optimizer="sgd")  # OptimizerConfig for a baseline key
-    with raises(ValueError):
-        quad_run(optimizer="diag_ocp",
-                 opt_cfg=BaselineConfig(kind="sgd", lr=0.1))
-    with raises(ValueError):
-        quad_run(optimizer="adam", opt_cfg=BaselineConfig(kind="sgd", lr=0.1))
+    # optimizer is the run's label: any nonempty string, whatever the kind
+    for bad in ("", None, 3, ["diag_ocp"]):
+        with raises(ValueError, match="optimizer must be a nonempty label"):
+            quad_run(optimizer=bad)
+    assert quad_run(optimizer="diag_ocp_const").optimizer == "diag_ocp_const"
+    sgd = quad_run(optimizer="sgd_a", opt_cfg=BaselineConfig(kind="sgd", lr=0.1))
+    assert sgd.optimizer == "sgd_a"
     with raises(ValueError):
         quad_run(max_steps=0)
     # replicates start from their seeded default_init; there is no x0
@@ -1370,18 +1368,17 @@ def test_ablate_mu_draws_one_set_of_streams_for_all_floors(monkeypatch):
     assert tables == [(3, 6)]
     assert sorted(channels) == sorted(list(Channel) * 3 * 6)
     monkeypatch.undo()
-    for mu, recs in ablation.runs.items():
+    for mu, recs in ablation.items():
         mu = harness.CONTROL_CLIP_LO if mu == "control" else mu
         assert_same_records(recs, run_experiment(replace(base, opt_cfg=replace(MLP_OCP, mu=mu))))
 
 
 def test_ablate_mu_runs_values_and_control():
     ablation = ablate_mu([1e-3, 1e-5], quad_run(max_steps=10))
-    assert set(ablation.runs) == {1e-3, 1e-5, "control"}
-    assert ablation.runs[1e-3][0].mu == 1e-3
-    # the control floor is the constant, which the ablation does not copy
-    assert [f.name for f in fields(harness.MuAblation)] == ["values", "runs"]
-    assert ablation.runs["control"][0].mu == harness.CONTROL_CLIP_LO == 1e-12
+    # each floor in the order given, then the control; the records carry mu
+    assert list(ablation) == [1e-3, 1e-5, "control"]
+    assert all(r.mu == 1e-3 for r in ablation[1e-3])
+    assert all(r.mu == harness.CONTROL_CLIP_LO == 1e-12 for r in ablation["control"])
     with raises(TypeError, match="control_clip_lo"):
         ablate_mu([1e-3], quad_run(), control_clip_lo=1e-10)
 
@@ -1396,10 +1393,11 @@ def test_verify_closed_form_equivalence():
     assert report["excluded_safeguarded"] == 0
 
 
-def test_verify_rate_trend_small():
+def test_verify_rate_trend_small(monkeypatch):
     # noise-free: the running min keeps decreasing, so the ratio is tiny
-    report = verify_rate_trend(problem=Quadratic(np.linspace(0.9, 1.1, 8)),
-                               T_list=(20, 40), n_seeds=2)
+    monkeypatch.setattr(harness, "default_rate_problem",
+                        lambda: Quadratic(np.linspace(0.9, 1.1, 8)))
+    report = verify_rate_trend(T_list=(20, 40), n_seeds=2)
     assert report["pass"]
     assert report["ratio_last_to_first"] < 0.6
     assert report["loglog_slope"] < 0.0
@@ -1421,12 +1419,6 @@ def test_verify_rate_trend_validation():
         verify_rate_trend(T_list=(10.7, 20, 40), n_seeds=1)
 
 
-def test_verify_rate_trend_rejects_a_baseline_config():
-    # it used to fail with AttributeError on the missing n_probes
-    with raises(ValueError, match="OptimizerConfig"):
-        verify_rate_trend(opt_cfg=BaselineConfig(kind="sgd", lr=0.1))
-
-
 def test_verify_probe_unbiasedness_small():
     report = verify_probe_unbiasedness(seed=1)
     assert report["pass"]
@@ -1439,7 +1431,7 @@ def test_verify_probe_unbiasedness_small():
 VERIFY_CHECKS = {
     "lemma1": (verify_closed_form_equivalence, ["seed"],
                {"trials": 200, "tolerance": 1e-9}),
-    "rate": (verify_rate_trend, ["problem", "opt_cfg", "T_list", "n_seeds", "base_seed"],
+    "rate": (verify_rate_trend, ["T_list", "n_seeds", "base_seed"],
              {"T_list": [100, 200, 400], "n_seeds": 20, "ratio_threshold": 0.6}),
     "hutchinson": (verify_probe_unbiasedness, ["seed"],
                    {"n_probes": 100_000, "dim": 8, "tolerance": 0.05}),
@@ -1494,6 +1486,34 @@ def test_compare_reports_each_entry_at_its_selected_lr():
     assert set(result.selected) == {"sgd", "adam"}
     for key, recs in result.records.items():
         assert recs[0].lr == result.selected[key]
+
+
+def test_compare_runs_two_diag_ocp_arms_under_their_own_labels(tmp_path):
+    # Hutchinson and its curvature-free control (mu = g_d clips every
+    # estimate to one constant) side by side: the label, not the kind,
+    # keys an arm
+    arms = {"diag_ocp": MLP_OCP, "diag_ocp_const": replace(MLP_OCP, mu=1e-4, g_d=1e-4)}
+    entries = [RunConfig(problem=MlpRegression(**MLP_SMALL), optimizer=label, opt_cfg=cfg,
+                         max_steps=6, base_seed=3, n_seeds=2) for label, cfg in arms.items()]
+    spec = SweepSpec(coarse_grid=(1e-1, 1e-2))
+    result = compare(entries, spec)
+    assert set(result.sweeps) == set(arms)
+    for entry in entries:
+        alone = lr_sweep(spec, entry)
+        got = result.sweeps[entry.optimizer]
+        assert got.selected_lr == alone.selected_lr and got.records.keys() == alone.records.keys()
+        for lr, recs in alone.records.items():
+            assert_same_records(got.records[lr], recs)
+            assert all(r.run_id.startswith(f"{entry.optimizer}-lr") for r in recs)
+    # the arms differ in their curvature only, and it shows
+    hutchinson, constant = (result.records[label][0].val_loss for label in arms)
+    assert not np.array_equal(hutchinson, constant)
+    # both arms are diag_ocp, so both write rho after step 0, whatever the label
+    steps = read_csv(emit_results([r for recs in result.records.values() for r in recs],
+                                  tmp_path)[0])
+    rows = [dict(zip(steps[0], row)) for row in steps[1:]]
+    assert {row["optimizer"] for row in rows} == set(arms)
+    assert all((row["rho"] == "") == (row["step"] == "0") for row in rows)
 
 
 # --- emission -----------------------------------------------------------------------
@@ -1688,20 +1708,22 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-# Diag-OCP pinned at D_hat = 1e-4 with alpha 0.9: every step is ~9e3 * m_hat
-DIVERGING_RATE_DOC = {
-    "problem": {"kind": "rosenbrock", "noise_std_grad": 0.01},
-    "optimizer": {"kind": "diag_ocp", "alpha": 0.9, "mu": 1e-4, "g_d": 1e-4,
-                  "weight_decay": 0.0},
-    "T_list": [50, 100], "n_seeds": 2,
-}
+def diverging_rate_check(monkeypatch):
+    """Point the rate check at Diag-OCP pinned at D_hat = 1e-4 with alpha
+    0.9 on a noisy Rosenbrock: every step is ~9e3 * m_hat, so it diverges."""
+    monkeypatch.setattr(harness, "RATE_TREND_CONFIG", OptimizerConfig(
+        alpha=0.9, mu=1e-4, g_d=1e-4, weight_decay=0.0))
+    monkeypatch.setattr(harness, "default_rate_problem",
+                        lambda: Rosenbrock2D(noise_std_grad=0.01))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cli_verify_rate_on_a_diverging_config_fails_with_strict_json(tmp_path, capsys):
+def test_cli_verify_rate_on_a_diverging_config_fails_with_strict_json(tmp_path, capsys,
+                                                                     monkeypatch):
     # its step loop had no errstate: an overflow warning, then a ValueError
     # on the non-finite stack, and exit 2
-    cfg = write_config(tmp_path, DIVERGING_RATE_DOC)
+    diverging_rate_check(monkeypatch)
+    cfg = write_config(tmp_path, {"T_list": [50, 100], "n_seeds": 2})
     assert cli.main(["verify", "rate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "FAIL rate trend: diverged at step" in capsys.readouterr().out
     report = strict_json((tmp_path / "verify_rate.json").read_text())
@@ -1717,9 +1739,8 @@ def test_verify_rate_trend_stops_at_the_first_diverged_step(monkeypatch):
         return _advance(*args)
 
     monkeypatch.setattr(harness, "_advance", counting)
-    opt_cfg = OptimizerConfig(alpha=0.9, mu=1e-4, g_d=1e-4, weight_decay=0.0)
-    report = verify_rate_trend(problem=Rosenbrock2D(noise_std_grad=0.01), opt_cfg=opt_cfg,
-                               T_list=(2, 4, 100), n_seeds=2)
+    diverging_rate_check(monkeypatch)
+    report = verify_rate_trend(T_list=(2, 4, 100), n_seeds=2)
     k = report["diverged_step"]
     assert 4 < k < 100 and not report["pass"]
     assert steps == list(range(1, k + 1))
@@ -1729,13 +1750,12 @@ def test_verify_rate_trend_stops_at_the_first_diverged_step(monkeypatch):
     assert report["r"][0] == 2 * report["min_avg_grad_norm_sq"][0]
 
 
-def test_cli_verify_fail_exit_code(tmp_path, capsys):
+def test_cli_verify_fail_exit_code(tmp_path, capsys, monkeypatch):
     # at alpha 1e-6 the gradient norm barely moves between T=20 and T=21,
     # so the ratio stays above the check's 0.6 and nothing diverges
-    doc = {"T_list": [20, 21], "n_seeds": 1,
-           "problem": {"kind": "quadratic", "h": [1.0, 2.0]},
-           "optimizer": {"kind": "diag_ocp", "alpha": 1e-6}}
-    cfg = write_config(tmp_path, doc)
+    monkeypatch.setattr(harness, "RATE_TREND_CONFIG", OptimizerConfig(alpha=1e-6))
+    monkeypatch.setattr(harness, "default_rate_problem", lambda: Quadratic([1.0, 2.0]))
+    cfg = write_config(tmp_path, {"T_list": [20, 21], "n_seeds": 1})
     assert cli.main(["verify", "rate", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert "FAIL rate trend: min-grad-norm^2 ratio 1.000" in out and "threshold 0.6" in out
@@ -1771,15 +1791,27 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys):
      "compare config needs an 'optimizers' list"),
     ("compare", {**RUN_DOC, "optimizers": {"kind": "sgd"}},
      "compare config needs an 'optimizers' list"),
+    ("compare", {**RUN_DOC, "optimizers": ["sgd"]}, "optimizers[0] must be a JSON object"),
+    ("compare", {**RUN_DOC, "optimizers": [{"kind": "sgd"}, 5]},
+     "optimizers[1] must be a JSON object"),
+    ("ablate-mu", {**RUN_DOC, "mu_values": 0.001}, "mu_values must be a list, got 0.001"),
+    ("sweep", {**RUN_DOC, "sweep": {"coarse_grid": 0.1}}, "coarse_grid must be a list, got 0.1"),
+    ("verify rate", {"T_list": 100}, "T_list must be a list, got 100"),
+    ("run", {**RUN_DOC, "problem": {"kind": "mlp_regression", "layer_sizes": 8}},
+     "layer_sizes must be a list, got 8"),
+    ("run", {**RUN_DOC, "problem": {"kind": "quadratic", "h": 2.0}}, "h must be a list, got 2.0"),
 ], ids=["document", "problem-kind", "problem-kind-list", "optimizer-kind",
         "optimizer-unknown", "optimizer-kind-list", "sweep", "compare-missing",
-        "compare-object"])
+        "compare-object", "compare-entry-string", "compare-entry-number", "mu_values-scalar",
+        "coarse_grid-scalar", "T_list-scalar", "layer_sizes-scalar",
+        "h-scalar"])
 def test_cli_config_structure_error_is_exit_2(tmp_path, capsys, monkeypatch, command, doc,
                                               message):
     # a malformed document is one JSON error line that names what is wrong
     monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
-    assert cli.main([command, "--config", write_config(tmp_path, doc),
-                     "--out", str(tmp_path / "r")]) == 2
+    monkeypatch.setattr(harness, "_streams", lambda *a: pytest.fail("a stack ran"))
+    assert cli.main(command.split() + ["--config", write_config(tmp_path, doc),
+                                       "--out", str(tmp_path / "r")]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not (tmp_path / "r").exists()
 
@@ -2015,11 +2047,22 @@ def test_cli_integral_float_probe_count_runs(tmp_path, capsys, command):
     assert (tmp_path / "r" / "steps.csv").exists()
 
 
-def test_cli_rate_check_rejects_a_baseline_optimizer(tmp_path, capsys):
-    doc = {"T_list": [20, 40], "n_seeds": 1, "optimizer": {"kind": "sgd", "lr": 0.1}}
-    cfg = write_config(tmp_path, doc)
-    assert cli.main(["verify", "rate", "--config", cfg]) == 2
-    assert "OptimizerConfig" in json.loads(capsys.readouterr().err)["message"]
+@pytest.mark.parametrize("check", sorted(VERIFY_CHECKS))
+@pytest.mark.parametrize("keys", [["problem"], ["optimizer"], ["optimizer", "problem"]],
+                         ids=["problem", "optimizer", "both"])
+def test_cli_verify_refuses_a_problem_or_optimizer_key(tmp_path, capsys, monkeypatch, check,
+                                                      keys):
+    # the rate check used to run a config's own problem and optimizer
+    # against a threshold frozen on its defaults; each check runs its own
+    for name in ("verify_closed_form_equivalence", "verify_rate_trend",
+                 "verify_probe_unbiasedness"):
+        monkeypatch.setattr(cli, name, lambda **kw: pytest.fail("a check ran"))
+    doc = {"T_list": [20, 40], "n_seeds": 1, **{k: RUN_DOC[k] for k in keys}}
+    assert cli.main(["verify", check, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"unknown config keys: {', '.join(map(repr, keys))}"}
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
