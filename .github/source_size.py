@@ -95,6 +95,9 @@ def compare(head_root, base_root):
 
 
 if __name__ == "__main__":
+    if len(sys.argv) not in (2, 3):
+        print("usage: python .github/source_size.py ROOT [BASE]", file=sys.stderr)
+        sys.exit(2)
     if sys.argv[1] == "--settable":
         print(json.dumps(settable_values(sys.argv[2])))
     elif len(sys.argv) == 3:

@@ -17,7 +17,7 @@ print("1-D quadratic, curvature 2, exact Hessian, no EMA smoothing")
 prob = Quadratic(np.array([2.0]))
 cfg = OptimizerConfig(alpha=0.1, beta1=0.0, beta2=0.0, weight_decay=0.0)
 x = np.array([1.0])
-state = init_state(1, cfg)
+state = init_state(1)
 for k in range(1, 6):
     g = prob.eval_grad(x)
     h = np.array([2.0])
@@ -30,7 +30,7 @@ print("3-D quadratic, spectrum [1, 2, 4], EMAs on")
 prob = Quadratic(np.array([1.0, 2.0, 4.0]))
 cfg = OptimizerConfig(alpha=0.1, weight_decay=0.0)
 x = prob.default_init()
-state = init_state(3, cfg)
+state = init_state(3)
 print(f"  margin at the true curvature: "
       f"{stability_margin(np.array([1.0, 2.0, 4.0]), cfg):.2f} (< 1 is stable)")
 for k in range(1, 41):

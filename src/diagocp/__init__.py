@@ -2,8 +2,7 @@
 closed-form multi-horizon step, plus first/second-order baselines, synthetic
 problems, and a seeded benchmark harness."""
 
-from .baselines import (BASELINE_KINDS, BaselineConfig, BaselineState,
-                        baseline_step, init_baseline_state)
+from .baselines import BASELINE_KINDS, BaselineConfig, baseline_step
 from .diag_ocp import (OptimizerConfig, OptimizerState, StepDiagnostics,
                        clip_diag, init_state, stability_margin, step_closed_form,
                        step_recursive_reference, update_moments)
@@ -20,8 +19,7 @@ from .problems import (BatchSeed, Channel, MlpRegression, NoisyLeastSquares, Pro
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASELINE_KINDS", "BaselineConfig", "BaselineState", "baseline_step",
-    "init_baseline_state",
+    "BASELINE_KINDS", "BaselineConfig", "baseline_step",
     "OptimizerConfig", "OptimizerState", "StepDiagnostics", "clip_diag",
     "init_state", "stability_margin", "step_closed_form", "step_recursive_reference",
     "update_moments",

@@ -8,7 +8,8 @@ Adam (Kingma & Ba, ICLR 2015) and AdaHessian (Yao et al., AAAI 2021) keep
 their published hyperparameters, the constants BETA1, BETA2 and EPS, with
 1-based bias correction. AdaHessianDiag scales by sqrt of the EMA of squared
 raw Hessian-diagonal estimates, unclipped as published:
-x <- x - lr * m_hat / (sqrt(v_hat_H) + eps).
+x <- x - lr * m_hat / (sqrt(v_hat_H) + eps). All three step diag_ocp's
+OptimizerState, whose D holds the second-moment EMA written v here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diag_ocp import _ema, check_finite
+from .diag_ocp import OptimizerState, _ema, check_finite
 from .hessian_probe import probe_draw
 from .problems import Draw, _buffer
 
@@ -54,34 +55,20 @@ class BaselineConfig:
         return probe_draw(1, "rademacher", dim) if self.kind == "adahessian" else None
 
 
-@dataclass
-class BaselineState:
-    """t completed steps; m is the gradient EMA and v the second-moment EMA
-    (squared gradients, or squared Hessian diagonal for adahessian); sgd
-    leaves both unused."""
-
-    t: int
-    m: np.ndarray
-    v: np.ndarray
-
-
-def init_baseline_state(dim: int) -> BaselineState:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return BaselineState(t=0, m=np.zeros(dim), v=np.zeros(dim))
-
-
-def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
+def baseline_step(state: OptimizerState, x, g, cfg: BaselineConfig,
                   h_diag=None, lr=None, out=None):
     """One update of cfg.kind; returns (x_next, state').
 
-    x, g, h_diag and the state's buffers may be (R, dim) stacks of
-    replicates sharing t; the update is elementwise, row by row. `lr`, when
-    given, replaces cfg.lr: an (R, 1) column gives each row its own, and
-    each row equals its step with that lr as a scalar bit for bit. `out` is
-    a buffer dict as `diag_ocp.update_moments` takes: x_next and the
-    moments alternate between two buffers each by the parity of t, so no
-    argument is written.
+    The state is diag_ocp's OptimizerState, made by `init_state`: m is
+    the gradient EMA and D the second-moment EMA, of squared gradients for
+    adam and of squared raw curvature for adahessian; sgd carries both
+    unchanged. x, g, h_diag and the state's buffers may be (R, dim) stacks
+    of replicates sharing t; the update is elementwise, row by row. `lr`,
+    when given, replaces cfg.lr: an (R, 1) column gives each row its own,
+    and each row equals its step with that lr as a scalar bit for bit.
+    `out` is a buffer dict as `diag_ocp.update_moments` takes: x_next and
+    the moments alternate between two buffers each by the parity of t, so
+    no argument is written.
     """
     x, g, h_diag = _check_inputs(state, x, g, h_diag, cfg)
     lr = cfg.lr if lr is None else lr
@@ -89,17 +76,17 @@ def baseline_step(state: BaselineState, x, g, cfg: BaselineConfig,
     x_next = np.multiply(x, 1.0 - lr * cfg.weight_decay, out=_buffer(out, ("x", t % 2), x.shape))
     if cfg.kind == "sgd":
         step = np.multiply(lr, g, out=_buffer(out, "step", x.shape))
-        state = BaselineState(t, state.m, state.v)
+        state = OptimizerState(t, state.m, state.D)
     else:
         # adahessian's second moment squares the raw curvature, adam's the gradient
         m = _ema(state.m, BETA1, g, out, ("m", t % 2))
-        v = _ema(state.v, BETA2, h_diag if cfg.kind == "adahessian" else g, out, ("v", t % 2),
+        v = _ema(state.D, BETA2, h_diag if cfg.kind == "adahessian" else g, out, ("D", t % 2),
                  square=True)
         step = np.divide(m, 1.0 - BETA1 ** t, out=_buffer(out, "step", x.shape))
         np.multiply(lr, step, out=step)
         denom = np.divide(v, 1.0 - BETA2 ** t, out=_buffer(out, "denom", x.shape))
         np.divide(step, np.add(np.sqrt(denom, out=denom), EPS, out=denom), out=step)
-        state = BaselineState(t, m, v)
+        state = OptimizerState(t, m, v)
     return np.subtract(x_next, step, out=x_next), state
 
 

@@ -16,19 +16,20 @@ Config documents are flat JSON objects:
      "max_steps": 200, "base_seed": 7, "n_seeds": 3, "record_every": 1}
   sweep adds      {"sweep": {"coarse_grid": [...]}}
   ablate-mu adds  {"mu_values": [...]}
-  compare swaps "optimizer" for "optimizers": [{...}, ...] and takes "sweep"
-  (entries may omit lr/alpha there; the sweep sets it); each entry's
-  records are labelled with its kind
-  verify reads "seed" (else "base_seed"); rate also reads "T_list" and
-  "n_seeds". Each check owns its pass criterion and runs its own problem
-  and optimizer, and every check runs on defaults when --config is omitted.
+  compare swaps "optimizer" for "optimizers": [{...}, ...] and takes "sweep";
+  each entry's records are labelled with its kind. A swept optimizer, the
+  sweep's or a compare entry, may omit lr/alpha: the sweep sets it.
+  verify reads only "seed" (else "base_seed"); rate also reads "T_list"
+  and "n_seeds". Each check owns its pass criterion and runs its own
+  problem and optimizer, and every check runs on defaults when --config is
+  omitted.
 
 Problem, optimizer and sweep sub-objects accept every keyword of the
 matching constructor; "kind" selects the first two. A top-level key that no
-subcommand reads is an error, exit 2, and so is a "problem" or "optimizer"
-key given to verify, and a sub-object key that its constructor does not
-take. A key a document omits takes the library's default, apart from
-max_steps (100) and base_seed (0). The library checks every value: counts
+subcommand reads is an error, exit 2, and so is any key given to verify
+that its check does not read, and a sub-object key that its constructor
+does not take. A key a document omits takes the library's default, apart
+from max_steps (100) and base_seed (0). The library checks every value: counts
 and seeds must be integral numbers (3.0 is 3; 3.9, "3" and true are
 errors), real values must be numbers ("0.1" and true are errors), lists
 must be lists (a lone 0.1 is an error) and noise scales finite and >= 0.
@@ -102,6 +103,12 @@ def _build_optimizer(doc):
     return cls(**{k: v for k, v in doc.items() if k != "kind" or k in names})
 
 
+def _swept(opt_doc, spec: SweepSpec):
+    """opt_doc with spec's first coarse lr when it sets none: the sweep
+    overwrites the learning rate, so a swept entry may omit it."""
+    return {_optimizer_class(opt_doc).lr_field: spec.coarse_grid[0], **opt_doc}
+
+
 def _build_run(doc: dict, seed_override: int | None, problem=None) -> RunConfig:
     """RunConfig of a document; `problem`, when given, replaces building
     the document's own, so compare entries share one problem."""
@@ -135,8 +142,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_config(args.config)
-    base = _build_run(doc, args.seed)
     spec = _build_sweep_spec(doc)
+    base = _build_run({**doc, "optimizer": _swept(doc.get("optimizer"), spec)}, args.seed)
     result = lr_sweep(spec, base)
     flat = [rec for lr in sorted(result.records, reverse=True)
             for rec in result.records[lr]]
@@ -169,9 +176,8 @@ def _cmd_compare(args) -> int:
     for i, opt_doc in enumerate(doc["optimizers"]):
         if not isinstance(opt_doc, dict):
             raise ValueError(f"optimizers[{i}] must be a JSON object")
-        # the sweep overwrites the learning rate, so entries may omit it
-        opt_doc = {_optimizer_class(opt_doc).lr_field: spec.coarse_grid[0], **opt_doc}
-        entries.append(_build_run({**doc, "optimizer": opt_doc}, args.seed, problem))
+        entries.append(_build_run({**doc, "optimizer": _swept(opt_doc, spec)}, args.seed,
+                                  problem))
     result = compare(entries, spec)
     flat = [rec for key in sorted(result.records) for rec in result.records[key]]
     paths = emit_results(flat, args.out)
@@ -183,10 +189,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the checks run their own problems and optimizers, so a config that
-    # names one is refused rather than run on theirs
-    doc = ({} if args.config is None
-           else _load_config(args.config, _CONFIG_KEYS - {"problem", "optimizer"}))
+    # a check reads only its seed, and the rate check its two sizes; any
+    # other key is refused, so no config is silently run on a check's defaults
+    keys = {"seed", "base_seed"} | ({"T_list", "n_seeds"} if args.check == "rate" else set())
+    doc = {} if args.config is None else _load_config(args.config, keys)
     seed = (args.seed if args.seed is not None
             else doc.get("seed", doc.get("base_seed", 0)))
     if args.check == "lemma1":

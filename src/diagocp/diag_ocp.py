@@ -91,16 +91,16 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """t completed steps plus the raw (uncorrected) EMA moments, one row
-    per replicate when the moments are (R, dim) stacks."""
+    """The state of every optimizer kind: t completed steps plus the raw
+    (uncorrected) EMA moments, one row per replicate when they are (R, dim)
+    stacks. m is the gradient EMA and D the diagonal second-moment EMA the
+    step divides by: the clipped Hessian diagonal's D_t for diag_ocp, the
+    squared gradients' v_t for adam, the squared raw curvature's for
+    adahessian; sgd leaves both as they are."""
 
     t: int
     m: np.ndarray
     D: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.m.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,13 @@ class StepDiagnostics:
     row_clamped: int | np.ndarray   # clamped bases per row
 
 
-def init_state(dim: int, cfg: OptimizerConfig) -> OptimizerState:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return OptimizerState(t=0, m=np.zeros(dim), D=np.zeros(dim))
+def init_state(shape) -> OptimizerState:
+    """The state before the first step: zero moments of `shape`, a dim or
+    an (R, dim) stack shape."""
+    m = np.zeros(shape)
+    if m.ndim not in (1, 2) or m.shape[-1] < 1:
+        raise ValueError(f"shape must be a dim >= 1 or (R, dim), got {shape!r}")
+    return OptimizerState(t=0, m=m, D=np.zeros(shape))
 
 
 def clip_diag(h, cfg: OptimizerConfig, out=None) -> np.ndarray:

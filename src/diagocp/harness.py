@@ -66,15 +66,15 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, BaselineState, baseline_step
-from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, step_closed_form,
-                       step_recursive_reference, update_moments)
+from .baselines import BaselineConfig, baseline_step
+from .diag_ocp import (OptimizerConfig, OptimizerState, clip_diag, init_state,
+                       step_closed_form, step_recursive_reference, update_moments)
 from .hessian_probe import hutchinson_diag, probe_draw
 from .problems import (_SEED_MASK, BatchSeed, Channel, Quadratic, ProblemOracle, StackSeed,
                        _buffer, _row_dots, _row_norms, as_integer, as_list, as_real,
@@ -282,15 +282,13 @@ def _advance(problem, opt_cfg, work, state, x, g, window, rows, k, lr=None):
         raw = hutchinson_diag(lambda V: problem.hvp(x, V, hseeds),
                               window.draws[Channel.PROBE],
                               _seeds(window, k - 1, Channel.PROBE, rows))
+    if state is None:
+        state = init_state(x.shape)
     if isinstance(opt_cfg, OptimizerConfig):
-        if state is None:
-            state = OptimizerState(0, np.zeros(x.shape), np.zeros(x.shape))
         state, m_hat, d_hat = update_moments(state, g, clip_diag(raw, opt_cfg, out=work),
                                              opt_cfg, out=work)
         x_next, diag = step_closed_form(state, x, m_hat, d_hat, opt_cfg, lr=lr, out=work)
         return x_next, state, diag.step_norm, diag.rho, diag.row_clamped
-    if state is None:
-        state = BaselineState(0, np.zeros(x.shape), np.zeros(x.shape))
     x_next, state = baseline_step(state, x, g, opt_cfg, h_diag=raw, lr=lr, out=work)
     diff = np.subtract(x_next, x, out=_buffer(work, "diff", x.shape))
     return x_next, state, _row_norms(diff), None, None
@@ -299,8 +297,7 @@ def _advance(problem, opt_cfg, work, state, x, g, window, rows, k, lr=None):
 def _take(state, rows):
     """Rows `rows` of a state's (R, dim) buffers (None before the first
     step); the step count t is shared."""
-    return None if state is None else replace(state, **{
-        f.name: getattr(state, f.name)[rows] for f in fields(state) if f.name != "t"})
+    return None if state is None else replace(state, m=state.m[rows], D=state.D[rows])
 
 
 def _init_stack(problem, bases):

@@ -52,7 +52,7 @@ def test_criterion_02_hand_oracle_trajectory():
     cfg = OptimizerConfig(alpha=0.1, beta1=0.0, beta2=0.0, weight_decay=0.0,
                           probe_distribution="rademacher")
     x = np.array([1.0])
-    state = init_state(1, cfg)
+    state = init_state(1)
     seen = []
     for k in range(2):
         g = prob.eval_grad(x)
@@ -79,7 +79,7 @@ def test_criterion_03_first_step_identity():
         g = rng.standard_normal(dim)
         h = rng.uniform(0.0011, 1.99, dim) / cfg.alpha  # safeguard inactive
         x0 = rng.standard_normal(dim)
-        state = init_state(dim, cfg)
+        state = init_state(dim)
         state, m_hat, d_hat = update_moments(state, g, h, cfg)
         x1, _ = step_closed_form(state, x0, m_hat, d_hat, cfg)
         worst = max(worst, float(np.max(np.abs(x1 - x0 + cfg.alpha * g))))
@@ -93,7 +93,7 @@ def test_criterion_04_corrected_curvature_bounds():
     cfg = OptimizerConfig(alpha=0.05, mu=1e-4, g_d=1e4, weight_decay=0.0,
                           probe_distribution="rademacher")
     x = prob.default_init()
-    state = init_state(prob.dim, cfg)
+    state = init_state(prob.dim)
     violations = 0
     for k in range(500):
         g = prob.eval_grad(x, BatchSeed(1, k, Channel.GRADIENT))
@@ -184,7 +184,7 @@ def test_criterion_09_weight_decay_decoupling():
     cfg = OptimizerConfig(alpha=0.05, weight_decay=0.02)
     x0 = np.array([1.0, -2.0, 0.5])
     x = x0.copy()
-    state = init_state(3, cfg)
+    state = init_state(3)
     h = np.full(3, cfg.mu)
     worst = 0.0
     for t in range(1, 101):

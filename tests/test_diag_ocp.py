@@ -13,7 +13,7 @@ from diagocp.diag_ocp import (OptimizerConfig, OptimizerState, StepDiagnostics, 
 
 def run_steps(cfg, x0, grads, hessians):
     """Drive the optimizer through explicit (g, H) sequences; returns the xs."""
-    state = init_state(x0.size, cfg)
+    state = init_state(x0.size)
     x = x0.copy()
     xs = [x.copy()]
     for g, h in zip(grads, hessians):
@@ -45,20 +45,21 @@ def test_config_validation():
 
 
 def test_init_state_zeroed():
-    cfg = OptimizerConfig()
-    state = init_state(3, cfg)
-    assert state.t == 0
-    np.testing.assert_array_equal(state.m, np.zeros(3))
-    np.testing.assert_array_equal(state.D, np.zeros(3))
-    with raises(ValueError, match="dim must be >= 1"):
-        init_state(0, cfg)
+    for shape in (3, (3,), (2, 3)):
+        state = init_state(shape)
+        assert state.t == 0
+        np.testing.assert_array_equal(state.m, np.zeros(shape))
+        np.testing.assert_array_equal(state.D, np.zeros(shape))
+    for shape in (0, (2, 0), (), (1, 2, 3)):
+        with raises(ValueError, match="shape must be a dim >= 1 or"):
+            init_state(shape)
 
 
 # --- moment updates --------------------------------------------------------
 
 def test_update_moments_requires_clipped_h():
     cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
-    state = init_state(2, cfg)
+    state = init_state(2)
     g = np.zeros(2)
     with raises(ValueError):
         update_moments(state, g, np.array([1.0, 1e-5]), cfg)  # below mu
@@ -68,7 +69,7 @@ def test_update_moments_requires_clipped_h():
 
 def test_update_moments_rejects_inputs_of_another_shape():
     cfg = OptimizerConfig()
-    state = init_state(2, cfg)
+    state = init_state(2)
     for g, h in ((np.zeros(3), np.ones(2)), (np.zeros(2), np.ones(3))):
         with raises(ValueError, match="dimension mismatch"):
             update_moments(state, g, h, cfg)
@@ -76,7 +77,7 @@ def test_update_moments_rejects_inputs_of_another_shape():
 
 def test_update_moments_hand_values():
     cfg = OptimizerConfig(beta1=0.9, beta2=0.999)
-    state = init_state(1, cfg)
+    state = init_state(1)
     g1, h1 = np.array([2.0]), np.array([4.0])
     state, m_hat, d_hat = update_moments(state, g1, h1, cfg)
     # t'=1: m = 0.1*g, m_hat = m/(1-0.9) = g; same cancellation for D
@@ -93,7 +94,7 @@ def test_update_moments_hand_values():
 
 def test_bias_correction_is_exact_for_constant_inputs():
     cfg = OptimizerConfig(beta1=0.9, beta2=0.95)
-    state = init_state(2, cfg)
+    state = init_state(2)
     g = np.array([0.5, -1.5])
     h = np.array([2.0, 3.0])
     for _ in range(40):
@@ -104,7 +105,7 @@ def test_bias_correction_is_exact_for_constant_inputs():
 
 def test_corrected_d_stays_in_clip_range_over_500_steps():
     cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
-    state = init_state(8, cfg)
+    state = init_state(8)
     rng = np.random.default_rng(17)
     for _ in range(500):
         g = rng.standard_normal(8)
@@ -125,7 +126,7 @@ def test_corrected_d_at_a_clip_endpoint_carries_no_rounding_dust(endpoint):
     # rounding at some steps (below mu, above g_d); the final clamp removes it
     cfg = OptimizerConfig(mu=1e-4, g_d=1e4)
     value = getattr(cfg, endpoint)
-    state = init_state(1, cfg)
+    state = init_state(1)
     for _ in range(2000):
         state, _, d_hat = update_moments(state, np.zeros(1), np.full(1, value), cfg)
         assert cfg.mu <= d_hat[0] <= cfg.g_d
@@ -137,7 +138,7 @@ def test_hand_trajectory_on_scalar_quadratic():
     # f(x) = x^2, h = 2, x0 = 1, alpha = 0.1, no EMA, no decay
     cfg = OptimizerConfig(alpha=0.1, beta1=0.0, beta2=0.0, weight_decay=0.0)
     x = np.array([1.0])
-    state = init_state(1, cfg)
+    state = init_state(1)
     state, m_hat, d_hat = update_moments(state, np.array([2.0 * x[0]]),
                                          np.array([2.0]), cfg)
     x, _ = step_closed_form(state, x, m_hat, d_hat, cfg)
@@ -160,7 +161,7 @@ def test_first_step_is_plain_gradient_step():
         # keep s = 1 - alpha*h inside the safeguard band so no clamp fires
         h = rng.uniform(0.0011, 1.99, dim) / cfg.alpha
         x0 = rng.standard_normal(dim)
-        state = init_state(dim, cfg)
+        state = init_state(dim)
         state, m_hat, d_hat = update_moments(state, g, h, cfg)
         x1, _ = step_closed_form(state, x0, m_hat, d_hat, cfg)
         # c = (1 - s)/d = alpha at t'=1, independent of d and the betas
@@ -186,7 +187,7 @@ def test_weight_decay_decoupling():
     cfg = OptimizerConfig(alpha=0.05, weight_decay=0.1)
     x = np.array([2.0, -3.0])
     x0 = x.copy()
-    state = init_state(2, cfg)
+    state = init_state(2)
     h = np.full(2, cfg.mu)
     for t in range(1, 101):
         state, m_hat, d_hat = update_moments(state, np.zeros(2), h, cfg)
@@ -198,7 +199,7 @@ def test_weight_decay_decoupling():
 def test_weight_decay_applied_to_x_before_step():
     cfg = OptimizerConfig(alpha=0.1, beta1=0.0, beta2=0.0, weight_decay=0.5)
     x = np.array([1.0])
-    state = init_state(1, cfg)
+    state = init_state(1)
     state, m_hat, d_hat = update_moments(state, np.array([3.0]), np.array([2.0]), cfg)
     x1, _ = step_closed_form(state, x, m_hat, d_hat, cfg)
     # x*(1 - 0.05) - 0.1*3: phi uses the undecayed moments
@@ -207,7 +208,7 @@ def test_weight_decay_applied_to_x_before_step():
 
 def test_step_errors():
     cfg = OptimizerConfig()
-    state = init_state(2, cfg)
+    state = init_state(2)
     with raises(ValueError):  # t'=0, no moments yet
         step_closed_form(state, np.zeros(2), np.zeros(2), np.ones(2), cfg)
     state, m_hat, d_hat = update_moments(state, np.ones(2), np.ones(2), cfg)
@@ -354,7 +355,7 @@ def test_stacked_moments_and_step_equal_each_row_alone():
                              D=rng.uniform(1e-3, 10.0, (rows, dim)))
     state, m_hat, d_hat = update_moments(stacked, G, H, cfg)
     x_next, diag = step_closed_form(state, X, m_hat, d_hat, cfg)
-    assert state.dim == dim
+    assert state.m.shape == state.D.shape == (rows, dim)
     for r in range(rows):
         alone = OptimizerState(t=2, m=stacked.m[r], D=stacked.D[r])
         s_r, m_r, d_r = update_moments(alone, G[r], H[r], cfg)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pytest import approx, raises
 
 from diagocp import baselines, cli, diag_ocp, harness
-from diagocp.baselines import BaselineConfig, baseline_step, init_baseline_state
+from diagocp.baselines import BaselineConfig, baseline_step
 from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_closed_form,
                               update_moments)
 from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
@@ -408,12 +408,11 @@ def reference_run(cfg, rep):
     prob, opt, ocfg = cfg.problem, cfg.optimizer, cfg.opt_cfg
     base = _replicate_base(cfg.base_seed, rep)
     x = prob.default_init(_init_rng(base))
+    state = init_state(prob.dim)
     if opt == "diag_ocp":
         probe = probe_draw(ocfg.n_probes, ocfg.probe_distribution, prob.dim)
-        state = init_state(prob.dim, ocfg)
     else:
         probe = probe_draw(1, "rademacher", prob.dim) if opt == "adahessian" else None
-        state = init_baseline_state(prob.dim)
     inf = float("inf")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = prob.eval_grad(x, BatchSeed(base, 0, Channel.GRADIENT))
@@ -1638,6 +1637,20 @@ def test_cli_sweep(tmp_path, capsys):
     assert "selected lr" in capsys.readouterr().out
 
 
+def test_cli_sweep_entry_may_omit_its_lr(tmp_path, capsys):
+    # the sweep overwrites the learning rate, so, as in compare, the entry
+    # may leave it out; a baseline without one used to exit 2
+    doc = {"problem": {"kind": "quadratic", "h": [1.0, 2.0]}, "max_steps": 5}
+    written = {}
+    for name, opt in (("omitted", {"kind": "sgd"}), ("explicit", {"kind": "sgd", "lr": 0.3})):
+        cfg = write_config(tmp_path, {**doc, "optimizer": opt}, f"{name}.json")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    capsys.readouterr()
+    assert sorted(written["omitted"]) == ["heatmap.csv", "steps.csv", "summary.csv", "sweep.csv"]
+    assert written["omitted"] == written["explicit"]
+
+
 def test_cli_ablate_mu(tmp_path, capsys):
     doc = {**RUN_DOC, "mu_values": [1e-3, 1e-4]}
     cfg = write_config(tmp_path, doc)
@@ -1846,7 +1859,7 @@ def test_cli_non_finite_hyperparameter_is_exit_2(tmp_path, capsys):
 def test_cli_bad_check_knob_is_exit_2(tmp_path, capsys, check, knob, value):
     # a NaN tolerance made the comparison false: a FAIL with exit 1. A
     # check's pass criterion is no config key now, whatever its value
-    doc = {"T_list": [20, 40], "n_seeds": 1, knob: value}
+    doc = {knob: value, **({"T_list": [20, 40], "n_seeds": 1} if check == "rate" else {})}
     assert cli.main(["verify", check, "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "r")]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -2047,17 +2060,33 @@ def test_cli_integral_float_probe_count_runs(tmp_path, capsys, command):
     assert (tmp_path / "r" / "steps.csv").exists()
 
 
-@pytest.mark.parametrize("check", sorted(VERIFY_CHECKS))
-@pytest.mark.parametrize("keys", [["problem"], ["optimizer"], ["optimizer", "problem"]],
-                         ids=["problem", "optimizer", "both"])
+# keys that another subcommand reads, each set as a config for it would set it
+OTHER_COMMAND_KEYS = {"problem": RUN_DOC["problem"], "optimizer": RUN_DOC["optimizer"],
+                      "max_steps": 5, "mu_values": [1e-3], "optimizers": [{"kind": "sgd"}],
+                      "record_every": 3, "sweep": {"coarse_grid": [0.1]},
+                      "T_list": [2, 4], "n_seeds": 2}
+VERIFY_REFUSED = {"problem": ["problem"], "optimizer": ["optimizer"],
+                  "both": ["optimizer", "problem"],
+                  "run-keys": ["max_steps", "mu_values", "optimizers", "record_every", "sweep"],
+                  "rate-keys": ["T_list", "n_seeds"]}
+
+
+@pytest.mark.parametrize("check,keys", [
+    pytest.param(check, keys, id=f"{name}-{check}")
+    for name, keys in VERIFY_REFUSED.items() for check in sorted(VERIFY_CHECKS)
+    if not (name == "rate-keys" and check == "rate")])
 def test_cli_verify_refuses_a_problem_or_optimizer_key(tmp_path, capsys, monkeypatch, check,
                                                       keys):
+    # each check reads only its seed, and the rate check its two sizes: a
+    # key another subcommand reads is refused, not silently ignored, and
     # the rate check used to run a config's own problem and optimizer
-    # against a threshold frozen on its defaults; each check runs its own
+    # against a threshold frozen on its defaults
     for name in ("verify_closed_form_equivalence", "verify_rate_trend",
                  "verify_probe_unbiasedness"):
         monkeypatch.setattr(cli, name, lambda **kw: pytest.fail("a check ran"))
-    doc = {"T_list": [20, 40], "n_seeds": 1, **{k: RUN_DOC[k] for k in keys}}
+    doc = {"seed": 3, **{k: OTHER_COMMAND_KEYS[k] for k in keys}}
+    if check == "rate":
+        doc.update(T_list=[20, 40], n_seeds=1)
     assert cli.main(["verify", check, "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "r")]) == 2
     assert json.loads(capsys.readouterr().err) == {
