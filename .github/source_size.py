@@ -98,6 +98,12 @@ if __name__ == "__main__":
     if len(sys.argv) not in (2, 3):
         print("usage: python .github/source_size.py ROOT [BASE]", file=sys.stderr)
         sys.exit(2)
+    # a tree without the package would count 0 lines, and its settable
+    # values would come from whatever diagocp the path imports
+    for root in sys.argv[1:]:
+        if root != "--settable" and not Path(root, "src/diagocp").is_dir():
+            print(f"no package at {Path(root, 'src/diagocp')}", file=sys.stderr)
+            sys.exit(2)
     if sys.argv[1] == "--settable":
         print(json.dumps(settable_values(sys.argv[2])))
     elif len(sys.argv) == 3:

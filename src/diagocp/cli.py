@@ -25,14 +25,16 @@ Config documents are flat JSON objects:
   omitted.
 
 Problem, optimizer and sweep sub-objects accept every keyword of the
-matching constructor; "kind" selects the first two. A top-level key that no
-subcommand reads is an error, exit 2, and so is any key given to verify
-that its check does not read, and a sub-object key that its constructor
-does not take. A key a document omits takes the library's default, apart
-from max_steps (100) and base_seed (0). The library checks every value: counts
-and seeds must be integral numbers (3.0 is 3; 3.9, "3" and true are
-errors), real values must be numbers ("0.1" and true are errors), lists
-must be lists (a lone 0.1 is an error) and noise scales finite and >= 0.
+matching constructor; "kind" selects the first two. Run, sweep, ablate-mu
+and compare share one set of top-level keys, so one document can serve all
+four; a key outside it, such as verify's "seed" or "T_list", is an error,
+exit 2. So is any key given to verify that its check does not read, and a
+sub-object key that its constructor does not take. A key a document omits
+takes the library's default, apart from max_steps (100) and base_seed
+(0). The library checks every value: counts and seeds must be integral
+numbers (3.0 is 3; 3.9, "3" and true are errors), real values must be
+numbers ("0.1" and true are errors), lists must be lists (a lone 0.1 is an
+error) and noise scales finite and >= 0.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .harness import (CONTROL_CLIP_LO, RunConfig, SweepSpec, ablate_mu, compare,
 from .problems import make_problem
 
 
-# every top-level key that some subcommand reads
+# every top-level key that run, sweep, ablate-mu or compare reads; verify
+# passes its check's own keys
 _CONFIG_KEYS = frozenset({"problem", "optimizer", "optimizers", "max_steps", "base_seed",
-                          "n_seeds", "record_every", "sweep", "mu_values", "seed",
-                          "T_list"})
+                          "n_seeds", "record_every", "sweep", "mu_values"})
 
 
 def _load_config(path: str, keys=_CONFIG_KEYS) -> dict:

@@ -125,13 +125,14 @@ class RunConfig:
     """One experiment: a problem, an optimizer, and execution knobs.
 
     For sample-based problems the train/validation split is part of the
-    problem construction (val_fraction); deterministic problems report the
-    train loss as the validation loss. Every replicate starts from the
-    problem's default_init under its own seeded stream. `optimizer` is the
-    run's label, a nonempty string: its run_ids and the optimizer column
-    of its CSV rows read it, and compare keys its entries by it, so two
-    entries of one kind can run side by side under two labels. Counts and
-    the seed are integers (see `as_integer`), and max_steps <= 2**32.
+    problem construction, which holds out problems.VAL_FRACTION of the
+    samples; deterministic problems report the train loss as the validation
+    loss. Every replicate starts from the problem's default_init under its
+    own seeded stream. `optimizer` is the run's label, a nonempty string:
+    its run_ids and the optimizer column of its CSV rows read it, and
+    compare keys its entries by it, so two entries of one kind can run side
+    by side under two labels. Counts and the seed are integers (see
+    `as_integer`), and max_steps <= 2**32.
     """
 
     problem: ProblemOracle
@@ -571,9 +572,13 @@ def verify_closed_form_equivalence(seed: int = 0) -> dict:
     and log-uniform in [1e-12, 1e-2]. Passes when the largest deviation is
     <= 1e-9.
 
-    Trials where the safeguard clamps a base are excluded from the deviation
-    (the clamped closed form and the raw recursion legitimately differ there)
-    and reported separately.
+    A trial whose base the safeguard clamps is excluded from the deviation
+    (the clamped closed form and the raw recursion legitimately differ
+    there) and counted in excluded_safeguarded. Every base drawn lies in
+    (-0.99, 1), so at the default safeguard_rho_max none clamps and the
+    count reads 0; the unit tests test_safeguard_engages_on_divergent_base,
+    test_rho_is_post_safeguard_bounded and
+    test_step_floors_bases_only_when_one_is_clamped cover the clamped branch.
     """
     seed = as_integer(seed, "seed")
     trials, tol = 200, 1e-9

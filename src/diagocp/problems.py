@@ -42,6 +42,11 @@ _SEED_MASK = (1 << 64) - 1
 _TINY = 1e-300
 # a central-difference step displaces x by _HVP_STEP_SCALE (1 + ||x||)
 _HVP_STEP_SCALE = 1e-5
+# the sample-based kinds' fixed data: the share of samples held out for
+# validation, and the teacher MLP's seed and label noise
+VAL_FRACTION = 0.2
+TEACHER_SEED = 0
+LABEL_NOISE_STD = 0.05
 
 
 class Channel(enum.IntEnum):
@@ -557,7 +562,9 @@ class Rosenbrock2D(ProblemOracle):
 class _SampleBased(ProblemOracle):
     """Shared dataset plumbing: split and mini-batch selection.
 
-    A minibatch oracle adds no gradient noise: batch_size together with
+    The validation split holds round(VAL_FRACTION * n_samples) samples, so
+    with n_samples >= 2 at least one training sample is left. A minibatch
+    oracle adds no gradient noise: batch_size together with
     noise_std_grad > 0 is a ValueError at construction. A batch is the
     (inputs, targets) pair that the subclass's `_rows` gathers for a set of
     sample indices, in whatever layout its hooks read. The training and
@@ -565,17 +572,12 @@ class _SampleBased(ProblemOracle):
     gradients and recorded losses read them without a copy.
     """
 
-    def _setup_split(self, rng, n_samples, val_fraction, batch_size):
+    def _setup_split(self, rng, n_samples, batch_size):
         if batch_size is not None and self.noise_std_grad > 0.0:
             raise ValueError("batch_size and noise_std_grad > 0 are exclusive: "
                              "a minibatch is the gradient noise of a sample-based kind")
-        val_fraction = as_real(val_fraction, "val_fraction")
-        if not 0.0 <= val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
         perm = rng.permutation(n_samples)
-        n_val = int(round(val_fraction * n_samples))
-        if n_samples - n_val < 1:
-            raise ValueError("split leaves no training samples")
+        n_val = int(round(VAL_FRACTION * n_samples))
         self._val_idx = np.sort(perm[:n_val])
         self._train_idx = np.sort(perm[n_val:])
         if batch_size is not None:
@@ -600,13 +602,14 @@ class NoisyLeastSquares(_SampleBased):
     """f(x) = (1/n) ||A x - y||^2 with y = A x_true + noise_std * eps.
 
     Design matrix, ground truth, and observation noise are all drawn once
-    from design_seed, so the dataset is a fixed property of the problem.
+    from design_seed, so the dataset is a fixed property of the problem;
+    VAL_FRACTION of the samples are held out for validation.
     """
 
     kind = "noisy_least_squares"
 
     def __init__(self, design_seed=0, n_samples=64, noise_std=0.1, dim=10,
-                 val_fraction=0.2, batch_size=None, noise_std_grad=0.0):
+                 batch_size=None, noise_std_grad=0.0):
         self.dim, n_samples = as_integer(dim, "dim"), as_integer(n_samples, "n_samples")
         if self.dim < 1 or n_samples < 2:
             raise ValueError("need dim >= 1 and n_samples >= 2")
@@ -617,7 +620,7 @@ class NoisyLeastSquares(_SampleBased):
         self.x_true = rng.standard_normal(self.dim)
         self.y = self.A @ self.x_true + noise_std * rng.standard_normal(n_samples)
         self.noise_std_grad = as_scale(noise_std_grad, "noise_std_grad")
-        self._setup_split(rng, n_samples, val_fraction, batch_size)
+        self._setup_split(rng, n_samples, batch_size)
 
     def _rows(self, idx):
         return self.A[idx], self.y[idx]
@@ -652,7 +655,9 @@ class MlpRegression(_SampleBased):
     layer; the forward pass and backprop loop over the layers. The flat
     parameter vector packs (W_1, b_1, ..., W_L, b_L) so dim = sum_l
     (fan_in_l * fan_out_l + fan_out_l). Inputs are standard normal, targets are the teacher's
-    outputs plus label noise, all drawn once from teacher_seed. The loss is
+    outputs plus Gaussian label noise of std LABEL_NOISE_STD, all drawn once
+    from TEACHER_SEED, and VAL_FRACTION of the samples are held out for
+    validation: one fixed dataset per layer_sizes and n_samples. The loss is
     the mean over samples of the summed squared output error, and the
     gradient is manual backprop with the ReLU subgradient at 0 taken as 0.
     One forward pass serves both when `grad_and_train_loss` asks for them.
@@ -677,8 +682,7 @@ class MlpRegression(_SampleBased):
 
     kind = "mlp_regression"
 
-    def __init__(self, layer_sizes=(8, 16, 2), teacher_seed=0, n_samples=256,
-                 label_noise_std=0.05, val_fraction=0.2, batch_size=None,
+    def __init__(self, layer_sizes=(8, 16, 2), n_samples=256, batch_size=None,
                  noise_std_grad=0.0):
         sizes = as_list(layer_sizes, "layer_sizes", as_integer)
         if len(sizes) < 3:
@@ -699,14 +703,12 @@ class MlpRegression(_SampleBased):
 
         # The draws are sample-major, as (n_samples, features), and are
         # transposed so every stream keeps its order.
-        seed = as_integer(teacher_seed, "teacher_seed")
-        label_noise_std = as_scale(label_noise_std, "label_noise_std")
-        rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
+        rng = np.random.default_rng(np.random.SeedSequence(TEACHER_SEED))
         self.X = np.ascontiguousarray(rng.standard_normal((n_samples, sizes[0])).T)
         teacher = self._kaiming(rng)
         self.Y = self._forward(self._unpack(teacher), self.X)[-1]
-        self.Y += label_noise_std * rng.standard_normal((n_samples, sizes[-1])).T
-        self._setup_split(rng, n_samples, val_fraction, batch_size)
+        self.Y += LABEL_NOISE_STD * rng.standard_normal((n_samples, sizes[-1])).T
+        self._setup_split(rng, n_samples, batch_size)
 
     # -- parameter packing ------------------------------------------------
 

@@ -1839,6 +1839,21 @@ def test_cli_removed_hvp_mode_key_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("mlp_regression", "teacher_seed", 0), ("mlp_regression", "label_noise_std", 0.05),
+    ("mlp_regression", "val_fraction", 0.2), ("noisy_least_squares", "val_fraction", 0.2),
+])
+def test_cli_fixed_data_key_is_exit_2(tmp_path, capsys, kind, key, value):
+    # the sample-based kinds' data are constants, so even the old default
+    # is an unknown keyword
+    doc = {**RUN_DOC, "problem": {"kind": kind, "n_samples": 10, key: value}}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TypeError" and key in err["message"]
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_non_finite_hyperparameter_is_exit_2(tmp_path, capsys):
     # json reads NaN and Infinity; such a config used to run as all-diverged
     doc = {**RUN_DOC, "optimizer": {"kind": "diag_ocp", "alpha": 0.05,
@@ -1898,8 +1913,7 @@ def test_cli_non_numeric_problem_count_is_exit_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std"),
-                                       ("mlp_regression", "label_noise_std")])
+@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std")])
 def test_cli_non_finite_data_noise_is_exit_2(tmp_path, capsys, kind, key):
     # it used to print "2 runs, 2 diverged" and exit 0
     problem = {"kind": kind, "n_samples": 10, key: float("nan")}
@@ -1986,6 +2000,20 @@ def test_cli_misspelled_keys_are_exit_2(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate-mu", "compare"])
+def test_cli_verify_keys_are_exit_2_elsewhere(tmp_path, capsys, monkeypatch, command):
+    # only verify reads seed and T_list; run used to accept both, ignore
+    # them and run base seed 0
+    monkeypatch.setattr(harness, "_run_stack", lambda *a: pytest.fail("a stack ran"))
+    doc = {**COMPARE_DOC, **RUN_DOC, "mu_values": [1e-3], "seed": 5, "T_list": [2, 4]}
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "unknown config keys: 'T_list', 'seed'"}
+    assert not (tmp_path / "r").exists()
+
+
 COMPARE_DOC = {
     "problem": {"kind": "quadratic", "h": [1.0, 2.0, 4.0]},
     "optimizers": [{"kind": "sgd"}, {"kind": "adam"}, {"kind": "diag_ocp"}],
@@ -2003,15 +2031,13 @@ COMPARE_DOC = {
     ("sweep", {**RUN_DOC, "sweep": {"coarse_grid": [True, 0.1]}}, "coarse_grid"),
     ("run", {**RUN_DOC, "problem": {"kind": "noisy_least_squares", "noise_std": True}},
      "noise_std"),
-    ("run", {**RUN_DOC, "problem": {"kind": "mlp_regression", "val_fraction": False}},
-     "val_fraction"),
     ("run", {**RUN_DOC, "problem": {**RUN_DOC["problem"], "noise_std_grad": "0.1"}},
      "noise_std_grad"),
     ("sweep", {**RUN_DOC, "sweep": {"coarse_grid": ["0.1", 0.01]}}, "coarse_grid"),
     ("ablate-mu", {**RUN_DOC, "mu_values": [1e-3, True]}, "mu_values"),
     ("run", {**RUN_DOC, "problem": {"kind": "quadratic", "h": [True, 2]}}, "h"),
-], ids=["alpha", "lr", "weight_decay", "coarse_grid", "noise_std", "val_fraction",
-        "noise_std_grad-string", "coarse_grid-string", "mu_values", "h"])
+], ids=["alpha", "lr", "weight_decay", "coarse_grid", "noise_std", "noise_std_grad-string",
+        "coarse_grid-string", "mu_values", "h"])
 def test_cli_non_numeric_real_value_is_exit_2(tmp_path, capsys, monkeypatch, command, doc,
                                               key):
     # json's true and false used to pass as 1.0 and 0.0, and a string as

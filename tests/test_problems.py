@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from pytest import raises
@@ -393,7 +395,7 @@ def test_hvp_zero_vector_returns_zero():
 # --- noisy least squares ---------------------------------------------------
 
 def test_least_squares_split_is_disjoint_and_sized():
-    prob = NoisyLeastSquares(n_samples=50, val_fraction=0.2)
+    prob = NoisyLeastSquares(n_samples=50)
     assert len(prob._train_idx) == 40
     assert len(prob._val_idx) == 10
     assert not set(prob._train_idx) & set(prob._val_idx)
@@ -1088,7 +1090,6 @@ def test_make_problem_kinds():
     ("mlp_regression", dict(layer_sizes=(8.9, 16.5, 2))),
     ("mlp_regression", dict(n_samples=64.9)),
     ("mlp_regression", dict(batch_size=7.5)),
-    ("mlp_regression", dict(teacher_seed=float("nan"))),
 ])
 def test_constructors_reject_fractional_counts(kind, params):
     # int() used to truncate: n_samples 40.9 built 40 samples
@@ -1100,14 +1101,50 @@ def test_constructors_reject_fractional_counts(kind, params):
     ("noisy_least_squares", dict(dim=0), "dim >= 1"),
     ("noisy_least_squares", dict(n_samples=1), "n_samples >= 2"),
     ("mlp_regression", dict(n_samples=1), "n_samples >= 2"),
-    ("noisy_least_squares", dict(val_fraction=1.0), "val_fraction must be in"),
-    ("mlp_regression", dict(val_fraction=-0.1), "val_fraction must be in"),
-    ("noisy_least_squares", dict(n_samples=2, val_fraction=0.9), "no training samples"),
-], ids=["ls-dim", "ls-n_samples", "mlp-n_samples", "ls-val_fraction-1",
-        "mlp-val_fraction-negative", "ls-empty-train-split"])
+], ids=["ls-dim", "ls-n_samples", "mlp-n_samples"])
 def test_constructors_reject_bad_sizes_and_splits(kind, params, match):
     with raises(ValueError, match=match):
         make_problem(kind, **params)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("mlp_regression", "teacher_seed", 0), ("mlp_regression", "label_noise_std", 0.05),
+    ("mlp_regression", "val_fraction", 0.2), ("noisy_least_squares", "val_fraction", 0.2),
+])
+def test_fixed_data_values_are_not_keywords(kind, key, value):
+    # the teacher seed, label noise and split fraction are constants, so
+    # even the old default is an unknown keyword
+    with raises(TypeError, match=key):
+        make_problem(kind, **{key: value})
+
+
+def test_default_data_keep_their_values():
+    # The inputs, the design and the split come from the RNG alone, so their
+    # bytes hold on any BLAS; the targets pass through a matmul, so they are
+    # pinned to a relative 1e-12. A constant that drifts from the value it
+    # replaced moves one of them.
+    def md5_prefix(a):
+        return hashlib.md5(np.ascontiguousarray(a).tobytes()).hexdigest()[:10]
+
+    mlp, ls = MlpRegression(), NoisyLeastSquares()
+    assert (len(mlp._train_idx), len(mlp._val_idx)) == (205, 51)
+    assert (md5_prefix(mlp.X), md5_prefix(mlp._train_idx)) == ("3b9b0d5b22", "f6624ba274")
+    np.testing.assert_allclose(mlp.Y[:, 0], [-0.5778203541751771, 0.22134686774983617],
+                               rtol=1e-12)
+    np.testing.assert_allclose(np.sum(mlp.Y * mlp.Y, axis=1),
+                               [702.5261621578079, 263.55125912139556], rtol=1e-12)
+    assert (len(ls._train_idx), len(ls._val_idx)) == (51, 13)
+    assert (md5_prefix(ls.A), md5_prefix(ls._train_idx)) == ("063a9e1996", "9950fa9348")
+    np.testing.assert_allclose(ls.y[:2], [-3.9336385787824875, 6.080995638497657],
+                               rtol=1e-12)
+    np.testing.assert_allclose(ls.y @ ls.y, 693.7423803742946, rtol=1e-12)
+    # every size holds out round(0.2 n) samples and trains on the rest
+    for n in range(2, 65):
+        for prob in (MlpRegression(layer_sizes=(2, 3, 1), n_samples=n),
+                     NoisyLeastSquares(n_samples=n, dim=2)):
+            train, val = set(prob._train_idx), set(prob._val_idx)
+            assert len(val) == round(0.2 * n) and len(train) >= 1
+            assert not train & val and train | val == set(range(n))
 
 
 def test_constructors_read_integral_floats_as_ints():
@@ -1115,10 +1152,9 @@ def test_constructors_read_integral_floats_as_ints():
     ref = NoisyLeastSquares(design_seed=3, n_samples=40, dim=6, batch_size=8)
     np.testing.assert_array_equal(ls.A, ref.A)
     assert (ls.dim, ls.batch_size) == (6, 8) and type(ls.batch_size) is int
-    mlp = MlpRegression(layer_sizes=(8.0, 16.0, 2.0), teacher_seed=1.0, n_samples=64.0,
-                        batch_size=8.0)
+    mlp = MlpRegression(layer_sizes=(8.0, 16.0, 2.0), n_samples=64.0, batch_size=8.0)
     assert mlp.sizes == [8, 16, 2] and mlp.batch_size == 8
-    np.testing.assert_array_equal(mlp.X, MlpRegression(teacher_seed=1, n_samples=64).X)
+    np.testing.assert_array_equal(mlp.X, MlpRegression(n_samples=64).X)
 
 
 def test_as_integer():
@@ -1142,8 +1178,7 @@ def test_as_real():
             as_real(bad, "x")
 
 
-@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std"),
-                                       ("mlp_regression", "label_noise_std")])
+@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
 def test_constructors_reject_bad_data_noise(kind, key, value):
     # NaN noise built NaN targets and an inf one an inf train loss
