@@ -1178,14 +1178,21 @@ def test_as_real():
             as_real(bad, "x")
 
 
-@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std")])
+@pytest.mark.parametrize("kind, key", [("noisy_least_squares", "noise_std"),
+                                       ("mlp_regression", "label_noise_std")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
 def test_constructors_reject_bad_data_noise(kind, key, value):
-    # NaN noise built NaN targets and an inf one an inf train loss
+    # NaN noise built NaN targets and an inf one an inf train loss. The MLP's
+    # label noise is the constant LABEL_NOISE_STD, so no value of it gets in.
     params = {**SMALL_KINDS[kind], key: value}
-    with raises(ValueError, match=f"{key} must be finite and >= 0"):
+    settable = key == "noise_std"
+    with raises(ValueError if settable else TypeError,
+                match=f"{key} must be finite and >= 0" if settable else key):
         make_problem(kind, **params)
-    params[key] = 0.0
+    if settable:
+        params[key] = 0.0
+    else:
+        del params[key]
     prob = make_problem(kind, **params)
     assert np.isfinite(prob.train_loss(np.zeros(prob.dim)))
 
