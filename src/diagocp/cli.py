@@ -62,7 +62,8 @@ _CONFIG_KEYS = frozenset({"problem", "optimizer", "optimizers", "max_steps", "ba
 
 
 def _load_config(path: str, keys=_CONFIG_KEYS) -> dict:
-    with open(path) as fh:
+    # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
@@ -221,7 +222,7 @@ def _cmd_verify(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         target = out / f"verify_{args.check}.json"
-        target.write_text(json.dumps(report, indent=1) + "\n")
+        target.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {target}")
     status = "PASS" if report["pass"] else "FAIL"
     print(f"{status} {headline}")

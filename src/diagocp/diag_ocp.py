@@ -128,9 +128,12 @@ def clip_diag(h, cfg: OptimizerConfig, out=None) -> np.ndarray:
     precondition of `update_moments`. A NaN entry, the estimate at a
     blown-up point, passes through, so the step it feeds comes out
     non-finite and the stepper drops that row. `out` is a buffer dict as
-    `update_moments` takes; h itself is never written."""
+    `update_moments` takes; h itself is never written. np.maximum then
+    np.minimum into one buffer give np.clip's bits, NaN included, without
+    its dispatch cost."""
     h = np.asarray(h, dtype=np.float64)
-    return np.clip(h, cfg.mu, cfg.g_d, out=_buffer(out, "H", h.shape))
+    H = np.maximum(h, cfg.mu, out=_buffer(out, "H", h.shape))
+    return np.minimum(H, cfg.g_d, out=H)
 
 
 def _ema(prev, beta, new, out, role, square=False):
@@ -166,7 +169,7 @@ def update_moments(state: OptimizerState, g, H, cfg: OptimizerConfig, out=None):
     d = _ema(state.D, cfg.beta2, H, out, ("D", t % 2))
     m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, out=_buffer(out, "m_hat", g.shape))
     d_hat = np.divide(d, 1.0 - cfg.beta2 ** t, out=_buffer(out, "d_hat", g.shape))
-    np.clip(d_hat, cfg.mu, cfg.g_d, out=d_hat)
+    np.minimum(np.maximum(d_hat, cfg.mu, out=d_hat), cfg.g_d, out=d_hat)   # as clip_diag
     return OptimizerState(t=t, m=m, D=d), m_hat, d_hat
 
 

@@ -54,6 +54,11 @@ Output schemas (column order is part of the contract):
   sweep.csv    lr,stage,metric,final_train,final_val,min_val,min_val_step,
                diverged
   ablation.csv label,mu,final_train,final_val,min_val,min_val_step,diverged
+Every file is UTF-8, whatever the locale, in the csv module's excel dialect
+(RFC 4180, CRLF line ends, None as an empty field). steps.csv, the largest,
+is written a record at a time (`_step_text`): the csv module writes each
+record's head once, and each step row is one f-string of str(int) and
+repr(float) fields, the bytes the csv module writes for them.
 Summary, sweep and ablation rows aggregate replicates: median over
 non-diverged seeds for the loss columns, the lower-median seed's argmin step
 for min_val_step, and the count of diverged seeds in the diverged column.
@@ -64,6 +69,7 @@ metric, min_val; an ablation row's label is its clip floor, or control.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass, replace
@@ -740,18 +746,37 @@ def compare(entries: list[RunConfig], spec: SweepSpec) -> CompareResult:
 # emission
 
 
-def _step_rows(records: list[RunRecord]):
-    """steps.csv rows. rho is None, an empty field, at step 0 and for a
+def _csv_text(rows) -> str:
+    """rows as the csv module writes them: the excel dialect (RFC 4180),
+    each row ending in CRLF, a field quoted only where it holds a comma, a
+    double quote or a line break, and None as an empty field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _step_text(records: list[RunRecord]):
+    """steps.csv's text: its header, then one string per record that holds
+    every row of the record, each byte as `_csv_text` writes it. The csv
+    module writes each record's head (run_id, label, lr, mu, seed) once,
+    so a label is quoted as it would be anywhere; a step column needs no
+    quoting, and the csv module writes an int as str and a float as repr,
+    as the f-string below does. rho is an empty field at step 0 and for a
     record without a clip floor (mu None), whose optimizer reports no rho,
     whatever its label; a NaN rho from a real step stays nan."""
+    yield _csv_text([STEP_HEADER])
     for rec in records:
-        # csv writes a float as str(float): lr and mu (None for a baseline,
-        # else > 0) are formatted once per record, not once per row
-        head = (rec.run_id, rec.optimizer, str(rec.lr), rec.mu and str(rec.mu), rec.seed)
-        cols = {name: getattr(rec, name).tolist() for name in RECORD_COLUMNS}
-        cols["rho"] = ([None] + cols["rho"][1:] if rec.mu is not None
-                       else [None] * len(rec.rho))
-        yield from (head + row for row in zip(*cols.values()))
+        # lr and mu (None for a baseline, else > 0) go as str, which is a
+        # Python float's repr and keeps a numpy float to its digits
+        head = _csv_text([(rec.run_id, rec.optimizer, str(rec.lr),
+                           rec.mu and str(rec.mu), rec.seed)])[:-2]
+        steps, train, val, grad, norm, rho, clamped = (
+            getattr(rec, name).tolist() for name in RECORD_COLUMNS)
+        rho = ([""] + [repr(v) for v in rho[1:]] if rec.mu is not None
+               else [""] * len(rho))
+        rows = zip(steps, train, val, grad, norm, rho, clamped)
+        yield "".join([f"{head},{k},{a!r},{b!r},{c!r},{d!r},{r},{n}\r\n"
+                       for k, a, b, c, d, r, n in rows])
 
 
 def summary_rows(records: list[RunRecord]) -> list[tuple]:
@@ -769,8 +794,8 @@ def emit_results(records: list[RunRecord], path=".") -> list[Path]:
     paths."""
     if not records:
         raise ValueError("no records to emit")
-    return _write_tables(path, [("steps", STEP_HEADER, _step_rows(records)),
-                                ("summary", SUMMARY_HEADER, summary_rows(records))])
+    summary = _csv_text([SUMMARY_HEADER, *summary_rows(records)])
+    return _write_tables(path, [("steps", _step_text(records)), ("summary", [summary])])
 
 
 def emit_heatmap(sweeps: dict, path) -> Path:
@@ -779,13 +804,13 @@ def emit_heatmap(sweeps: dict, path) -> Path:
         raise ValueError("no sweep results to emit")
     rows = [(opt, row["lr"], row["final_val"]) for opt in sorted(sweeps)
             for row in sorted(sweeps[opt].rows, key=lambda r: -r["lr"])]
-    return _write_tables(path, [("heatmap", HEATMAP_HEADER, rows)])[0]
+    return _write_tables(path, [("heatmap", [_csv_text([HEATMAP_HEADER, *rows])])])[0]
 
 
 def emit_sweep(sweep: SweepResult, path) -> Path:
     """Write sweep.csv: one row per swept lr plus the aggregate columns."""
     rows = [tuple(row[k] for k in SWEEP_HEADER) for row in sweep.rows]
-    return _write_tables(path, [("sweep", SWEEP_HEADER, rows)])[0]
+    return _write_tables(path, [("sweep", [_csv_text([SWEEP_HEADER, *rows])])])[0]
 
 
 def emit_ablation(ablation: dict, path) -> list[Path]:
@@ -796,23 +821,25 @@ def emit_ablation(ablation: dict, path) -> list[Path]:
     for key, records in ablation.items():
         all_records.extend(records)
         rows.append((str(key), records[0].mu) + tuple(_aggregate(records).values()))
-    return _write_tables(path, [("steps", STEP_HEADER, _step_rows(all_records)),
-                                ("ablation", ABLATION_HEADER, rows)])
+    ablation_text = _csv_text([ABLATION_HEADER, *rows])
+    return _write_tables(path, [("steps", _step_text(all_records)),
+                                ("ablation", [ablation_text])])
 
 
 def _write_tables(path, tables) -> list[Path]:
-    """Create directory `path` and write each (stem, header, rows) table to
-    <stem>.csv; returns the written paths in table order. CSV is RFC 4180
-    (the csv module's excel dialect), with None as an empty field.
+    """Create directory `path` and write each (stem, texts) table to
+    <stem>.csv, its texts in order, as UTF-8 whatever the locale; returns
+    the written paths in table order. The texts are the csv module's
+    excel dialect (RFC 4180) with CRLF line ends: `_csv_text` for the
+    aggregate tables, and `_step_text`'s per-record writer, byte for byte
+    the same, for steps.csv. newline="" writes each CRLF as it is.
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for stem, header, rows in tables:
+    for stem, texts in tables:
         target = out / f"{stem}.csv"
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(texts)
         paths.append(target)
     return paths

@@ -345,7 +345,7 @@ class ProblemOracle:
             raise ValueError("hvp direction must be a nonempty vector or block per point")
         if V.shape[-1] != self.dim:
             raise ValueError(f"hvp direction has dim {V.shape[-1]}, oracle dim {self.dim}")
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise ValueError("hvp direction has non-finite entries")
         block = V if V.ndim == x.ndim + 1 else V[..., None, :]
         out = self._hvps(x, block, seed)
@@ -438,7 +438,7 @@ class ProblemOracle:
         with a StackSeed of R rows."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and len(x):
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise ValueError("parameter stack has non-finite entries")
             if not (seed is None or isinstance(seed, StackSeed) and len(seed) == len(x)):
                 raise ValueError(f"{len(x)} stacked points need a {len(x)}-row StackSeed")

@@ -485,7 +485,7 @@ def test_public_functions_write_into_no_argument():
 
 
 def test_corrected_d_is_clipped_as_max_then_min():
-    # one np.clip lifts D_hat to mu and caps it at g_d exactly as
+    # the last clip lifts D_hat to mu and caps it at g_d exactly as
     # minimum(maximum(D_hat, mu), g_d) does: NaN rows pass through, and
     # values at, below and above both bounds land on the same bits
     cfg = OptimizerConfig(mu=1e-3, g_d=10.0)
@@ -504,6 +504,32 @@ def test_corrected_d_is_clipped_as_max_then_min():
     raw = new.D / scale
     assert (raw < cfg.mu).any() and (raw > cfg.g_d).any()
     assert (d_hat == cfg.mu).any() and (d_hat == cfg.g_d).any()
+
+
+def test_both_clips_give_np_clips_bits():
+    # clip_diag and update_moments' last clip take np.maximum then
+    # np.minimum into one buffer: every bit as np.clip, NaN of either sign
+    # and +-inf included. beta2 = 0.5 at t = 1 makes the raw D_hat
+    # prev + H in one rounding, so it lands exactly on mu and g_d
+    cfg = OptimizerConfig(beta2=0.5, mu=0.25, g_d=8.0)
+    special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, cfg.mu, cfg.g_d,
+               np.nextafter(cfg.mu, 0.0), np.nextafter(cfg.g_d, np.inf)]
+    h = np.random.default_rng(16).uniform(-1.0, 10.0, (3, len(special)))
+    h[0] = special
+    want = np.clip(h, cfg.mu, cfg.g_d)
+    assert clip_diag(h, cfg).tobytes() == clip_diag(h, cfg, out={}).tobytes() == want.tobytes()
+    prev = h - cfg.mu
+    prev[1, :4] = [0.0, cfg.g_d - cfg.mu, -0.5, 9.0]    # raw mu, g_d, below and above
+    H = np.full(h.shape, cfg.mu)
+    H[2, 0] = np.nan                                    # a blown-up point's estimate
+    state = OptimizerState(0, np.zeros(h.shape), prev)
+    for out in (None, {}):
+        new, _, d_hat = update_moments(state, np.zeros(h.shape), H, cfg, out=out)
+        raw = new.D / (1.0 - cfg.beta2)
+        assert d_hat.tobytes() == np.clip(raw, cfg.mu, cfg.g_d).tobytes()
+    assert raw[1, :4].tolist() == [cfg.mu, cfg.g_d, -0.25, 9.25]
+    assert np.isnan(raw[0, :2]).all() and raw[0, 2:4].tolist() == [np.inf, -np.inf]
+    assert np.signbit(raw[0, 1]) and np.isnan(d_hat[2, 0])
 
 
 def always_floored_step(state, x, m_hat, D_hat, cfg, lr):

@@ -1,6 +1,10 @@
 import csv
 import inspect
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
@@ -18,7 +22,7 @@ from diagocp.diag_ocp import (OptimizerConfig, clip_diag, init_state, step_close
 from diagocp.harness import (HEATMAP_HEADER, RECORD_COLUMNS, STEP_HEADER,
                              SUMMARY_HEADER, CompareResult, RunConfig, RunRecord,
                              SweepSpec, _aggregate, _init_rng, _replicate_base,
-                             _step_rows, _write_tables, ablate_mu, compare,
+                             _step_text, ablate_mu, compare,
                              emit_ablation, emit_heatmap, emit_results,
                              emit_sweep, lr_sweep, run_experiment, summary_rows,
                              verify_closed_form_equivalence,
@@ -275,7 +279,7 @@ def test_run_records_step_zero_and_final():
     assert rec.step_norm[0] == 0.0
     # step 0 has no rho: NaN in the record, an empty field in steps.csv
     assert np.isnan(rec.rho[0]) and np.isfinite(rec.rho[1:]).all()
-    assert record_rows(rec)[0][5] is None
+    assert record_rows(rec)[0][5] == ""
     # cadence rows plus the off-cadence final step
     assert rec.steps.tolist() == [0, 7, 14, 21, 23]
     assert rec.final_train == rec.train_loss[-1]
@@ -325,7 +329,7 @@ def test_diag_ocp_run_reports_rho():
     (rec,) = run_experiment(quad_run(max_steps=5))
     assert np.isfinite(rec.rho[1:]).all()
     assert (np.abs(rec.rho[1:]) <= OCP.safeguard_rho_max).all()
-    assert all(row[5] is not None for row in record_rows(rec)[1:])
+    assert all(row[5] != "" for row in record_rows(rec)[1:])
 
 
 def count_streams(monkeypatch):
@@ -446,14 +450,20 @@ def reference_run(cfg, rep):
 
 
 def record_rows(rec):
-    """rec's steps.csv rows from the step column on, as `_step_rows` emits
-    them: the row layout of `reference_run`."""
-    return [row[5:] for row in _step_rows([rec])]
+    """rec's steps.csv rows from the step column on, as the fields that
+    `_step_text` writes: the row layout of `reference_run`, as text."""
+    text = "".join(_step_text([rec]))
+    return [row[5:] for row in csv.reader(io.StringIO(text, newline=""))][1:]
 
 
 def steps_csv(path, rows):
-    """The bytes of the steps.csv that `_write_tables` writes for rows."""
-    (target,) = _write_tables(path, [("steps", STEP_HEADER, rows)])
+    """The bytes of a steps.csv that a plain csv.writer writes for the
+    tuple rows below its header, None as an empty field: the reference for
+    the harness's per-record writer."""
+    path.mkdir(parents=True)
+    target = path / "steps.csv"
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([STEP_HEADER, *rows])
     return target.read_bytes()
 
 
@@ -470,7 +480,7 @@ def assert_matches_reference(path, cfg, recs):
         assert rec.diverged == (path_taken is not None)
         assert rec.final_val == ref[-1][2]
         paths.append(path_taken)
-    assert (steps_csv(path / "stacked", _step_rows(recs))
+    assert (emit_results(recs, path / "stacked")[0].read_bytes()
             == steps_csv(path / "reference", rows))
     return paths
 
@@ -634,7 +644,7 @@ def test_sparse_recording_records_the_same_rows(batch_size):
     for a, b in zip(dense, sparse):
         assert b.steps.tolist() == [0, 3, 6, 9, 10]
         rows = {row[0]: row for row in record_rows(a)}
-        np.testing.assert_equal(record_rows(b), [rows[k] for k in b.steps.tolist()])
+        np.testing.assert_equal(record_rows(b), [rows[str(k)] for k in b.steps.tolist()])
 
 
 def test_verify_rate_trend_defaults_are_frozen():
@@ -1572,6 +1582,70 @@ def test_emit_ablation(tmp_path):
     assert rows[0][0] == "label"
     assert [r[0] for r in rows[1:]] == ["0.001", "control"]
     assert read_csv(steps_path)[0] == list(STEP_HEADER)
+
+
+def csv_module_rows(records):
+    """steps.csv's rows as tuples for a plain csv.writer: rho None at step
+    0 and for a record without a clip floor, every other field as the
+    record holds it."""
+    for rec in records:
+        cols = [getattr(rec, name).tolist() for name in RECORD_COLUMNS]
+        cols[5] = [None] * len(rec.rho) if rec.mu is None else [None] + cols[5][1:]
+        yield from ((rec.run_id, rec.optimizer, rec.lr, rec.mu, rec.seed) + row
+                    for row in zip(*cols))
+
+
+def test_steps_csv_bytes_equal_the_csv_modules(tmp_path):
+    # a baseline whose label needs quoting and holds a non-ASCII character,
+    # at an lr that _label writes by repr; a diag_ocp run with a NaN rho at
+    # a real step; and a diverged baseline row with inf losses
+    label, lr = 'sgd, "\u03b1"', 0.06999999999999999
+    quoted = run_experiment(quad_run(max_steps=4, optimizer=label,
+                                     opt_cfg=BaselineConfig(kind="sgd", lr=lr)))
+    nan_rho = run_experiment(quad_run(max_steps=4, n_seeds=2))
+    nan_rho[1].rho[2] = np.nan
+    diverged = run_experiment(quad_run(max_steps=200, optimizer="sgd",
+                                       opt_cfg=BaselineConfig(kind="sgd", lr=1e3)))
+    assert diverged[0].diverged and nan_rho[0].mu is not None and quoted[0].mu is None
+    records = quoted + nan_rho + diverged
+    data = emit_results(records, tmp_path / "emitted")[0].read_bytes()
+    assert data == steps_csv(tmp_path / "csv", csv_module_rows(records))
+    head = '"sgd, ""\u03b1""-lr0.06999999999999999-s0","sgd, ""\u03b1""",0.06999999999999999,,0,'
+    assert head.encode("utf-8") in data
+    assert b",nan," in data and b",inf,inf," in data and data.endswith(b"\r\n")
+
+
+# run in a fresh interpreter; the label is escaped so the argument is ASCII
+EMIT_NON_ASCII_LABEL = """
+import sys
+import numpy as np
+from diagocp.baselines import BaselineConfig
+from diagocp.harness import RunConfig, emit_results, run_experiment
+from diagocp.problems import Quadratic
+cfg = RunConfig(problem=Quadratic(np.array([1.0, 2.0])), optimizer="sgd-\\u03b1",
+                opt_cfg=BaselineConfig(kind="sgd", lr=0.1), max_steps=3, base_seed=0)
+emit_results(run_experiment(cfg), sys.argv[1])
+"""
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259), and so are the emitted tables: neither may
+    # follow an ASCII locale's encoding
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({**RUN_DOC, "_note": "\u03b1"}, ensure_ascii=False)
+                       .encode("utf-8"))
+    run = subprocess.run([sys.executable, "-m", "diagocp.cli", "run", "--config", str(config),
+                          "--out", str(tmp_path / "run")], env=env, capture_output=True)
+    assert run.returncode == 2
+    assert json.loads(run.stderr)["message"] == "unknown config keys: '_note'"
+    emit = subprocess.run([sys.executable, "-c", EMIT_NON_ASCII_LABEL, str(tmp_path / "emit")],
+                          env=env, capture_output=True)
+    assert emit.returncode == 0, emit.stderr
+    steps = (tmp_path / "emit" / "steps.csv").read_bytes()
+    assert ",sgd-\u03b1,".encode("utf-8") in steps and len(steps.splitlines()) == 1 + 4
+    assert (tmp_path / "emit" / "summary.csv").read_bytes().count("sgd-\u03b1".encode("utf-8")) == 1
 
 
 # --- CLI ------------------------------------------------------------------------------

@@ -819,6 +819,25 @@ def test_block_hvp_rejects_bad_directions():
             prob.hvp(x, bad, None)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_one_non_finite_entry_is_refused_in_a_stack_or_a_block(bad):
+    # the stack check and the direction check each scan with one isfinite:
+    # a single bad entry anywhere is refused, with its own message
+    prob = MlpRegression(n_samples=32)
+    X = prob.default_init(np.random.default_rng(0))[None].repeat(3, axis=0)
+    bad_X = X.copy()
+    bad_X[2, -1] = bad
+    for call in (lambda: prob.eval_grad(bad_X), lambda: prob.train_loss(bad_X),
+                 lambda: prob.hvp(bad_X, np.ones((3, 2, prob.dim)))):
+        with raises(ValueError, match="parameter stack has non-finite entries"):
+            call()
+    for x, shape in ((X[0], (prob.dim,)), (X[0], (2, prob.dim)), (X, (3, 2, prob.dim))):
+        V = np.ones(shape)
+        V[(0,) * (V.ndim - 1) + (5,)] = bad
+        with raises(ValueError, match="hvp direction has non-finite entries"):
+            prob.hvp(x, V)
+
+
 def test_hvp_rejects_a_hook_result_in_the_wrong_layout(monkeypatch):
     # the right number of entries, transposed: reshaping it to V's shape
     # would read [[0, 3, 2], [8, 8, 20]] instead of h * V
